@@ -61,6 +61,7 @@ from .models import (
 )
 from .speeds import (
     AnomalousReport,
+    TwoTypeAnalysis,
     anomalous_speed,
     expected_numbers_speed,
     one_type_speed,

@@ -182,7 +182,8 @@ def check_count_profiles() -> CheckResult:
     least-squares slope of log of the replicate-mean count over
     generations k in [10, 20].  That slope keeps only the prefactor's
     drift, about -(1/2) log(20/10)/10, which the detail lines print.
-    Fails if any census may have overflowed int64.
+    Fails, without fitting, if any census saturated (stopped before
+    int64 overflow).
     """
     t0 = time.perf_counter()
     law = _bbm_one_type()
@@ -194,12 +195,17 @@ def check_count_profiles() -> CheckResult:
     saturated = 0
     for r in range(reps):
         stats = run_count_census(law, n, seed=MASTER_SEED + 200 + r, pitch=0.05)
-        saturated += bool(stats.pruning["saturated"])
+        if stats.pruning["saturated"]:  # stopped early: no late generations
+            saturated += 1
+            continue
         for a in a_values:
             mean_count[a] += [stats.census[k].count_at_least(k * a) for k in ks]
-    offset = -0.5 * math.log(n / n0) / (n - n0)
-    ok = saturated == 0
     detail = [f"saturated censuses: {saturated}/{reps}"]
+    if saturated:
+        return CheckResult(6, "count profiles", False, time.perf_counter() - t0, 120,
+                           detail)
+    offset = -0.5 * math.log(n / n0) / (n - n0)
+    ok = True
     for a in a_values:
         slope = float(np.polyfit(ks, np.log(mean_count[a] / reps), 1)[0])
         target = -float(rate(a))

@@ -39,13 +39,7 @@ from .models import (
     TwoTypeSystem,
     skeleton_of_bbm,
 )
-from .speeds import (
-    anomalous_speed,
-    expected_numbers_speed,
-    figure_table,
-    one_type_speed,
-    reversed_speed,
-)
+from .speeds import TwoTypeAnalysis, one_type_speed
 from .tables import fmt, write_csv
 
 KINDS = ("speed", "anomalous", "simulate", "front", "verify")
@@ -323,10 +317,10 @@ def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def run_anomalous(cfg: ExperimentConfig, out_dir: Path) -> int:
-    sysm = build_system(cfg.system)
-    rep = anomalous_speed(sysm)
-    rev = reversed_speed(sysm)
-    exp = expected_numbers_speed(sysm)
+    analysis = TwoTypeAnalysis(build_system(cfg.system))
+    rep = analysis.report
+    rev = analysis.reversed_speed()
+    exp = analysis.expected_numbers_speed()
     write_csv(out_dir / "anomalous_report.csv",
               ["speed_nu", "speed_eta", "speed", "route_minorant",
                "route_formula", "reversed_speed", "expected_numbers_speed",
@@ -334,7 +328,7 @@ def run_anomalous(cfg: ExperimentConfig, out_dir: Path) -> int:
               [[rep.speed_nu, rep.speed_eta, rep.speed, rep.route_minorant,
                 rep.route_formula, rev, exp, rep.anomalous]])
     write_csv(out_dir / "figure71.csv", ["a", "kswept_nu", "kdual_eta", "cv"],
-              figure_table(sysm))
+              analysis.figure_table())
     lines = [f"speed_nu={fmt(rep.speed_nu)}", f"speed_eta={fmt(rep.speed_eta)}",
              f"speed={fmt(rep.speed)}",
              f"route_minorant={fmt(rep.route_minorant)}",

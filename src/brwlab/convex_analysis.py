@@ -425,11 +425,16 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
     """Lower convex envelope of min(f, g) over the working window.
 
     Built from the lower convex hull of the finite points of min(f, g)
-    on the grid; +inf points never enter the hull.  Beyond the hull the
-    envelope continues with the end-segment slopes, so the result is
-    window-relative: it is convex and <= min(f, g) pointwise, and it is
-    the greatest such function wherever the window is wide enough that
-    the hull's support is interior.
+    on the grid, plus the inputs' domain edges located between grid
+    points; +inf points never enter the hull, and the rule interpolates
+    the hull linearly.  It is convex, and <= min(f, g) at the grid nodes
+    and the added edge points only: between nodes it can lie above the
+    exact inputs by the chord error pitch^2 f''/8.  Past a grid end
+    where min(f, g) is finite (window truncation) the envelope continues
+    with the end-segment slope; past a grid end where both inputs are
+    +inf (a domain edge) it is +inf beyond the hull.  It is the greatest
+    such function wherever the window is wide enough that the hull's
+    support is interior.
 
     ``values`` may carry (f(xs), g(xs)) precomputed on the grid's
     abscissae (e.g. the stored grid of a conjugate built on the same
@@ -487,8 +492,8 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
         sR = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
         left = a < hx[0]
         right = a > hx[-1]
-        out[left] = hy[0] + sL * (a[left] - hx[0])
-        out[right] = hy[-1] + sR * (a[right] - hx[-1])
+        out[left] = hy[0] + sL * (a[left] - hx[0]) if fin[0] else np.inf
+        out[right] = hy[-1] + sR * (a[right] - hx[-1]) if fin[-1] else np.inf
         return out
 
     ys = rule(xs)

@@ -174,9 +174,11 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     drawn in closed form, which restricts the engine to deterministic
     and geometric counts.
 
-    ``pruning["saturated"]`` is set from the first generation whose
-    expected total exceeds INT64_MAX / 4; counts from there on may have
-    wrapped and must not be read.
+    ``pruning["saturated"]`` is set at the first generation whose
+    expected total exceeds INT64_MAX / 4, where its int64 counts could
+    wrap; that generation is not drawn, and the run returns the
+    generations before it, with ``exact_upto`` and ``rightmost`` cut to
+    match.
     """
 
     rng = replicate_rng(seed, 0)
@@ -188,14 +190,16 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     censuses = [GenerationCensus(0, pitch, start, counts.copy())]
     saturated = False
     for n in range(1, n_max + 1):
+        # Judged before the draw and summed in float64: once a total has
+        # wrapped in int64 it can no longer tell that it did.
+        expected = float(counts.sum(dtype=np.float64)) * law.offspring.mean
+        if expected > INT64_MAX / 4:
+            saturated = True
+            break
         width = counts.size + j[-1] - j[0]
         new_start = start + int(j[0])
         new_counts = np.zeros(width, dtype=np.int64)
         nz = np.flatnonzero(counts)
-        # Judged before the draw and summed in float64: once a total has
-        # wrapped in int64 it can no longer tell that it did.
-        expected = float(counts.sum(dtype=np.float64)) * law.offspring.mean
-        saturated = saturated or expected > INT64_MAX / 4
         if law.mechanism == "independent":
             totals = law.offspring.sum_sample(rng, counts[nz])
             for b, tot in zip(nz, totals):
@@ -212,7 +216,8 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         top = np.flatnonzero(counts)
         m[n] = (start + int(top[-1])) * pitch
         censuses.append(GenerationCensus(n, pitch, start, counts.copy()))
-    return TrajectoryStats(seed=seed, rightmost=m, exact_upto=n_max,
+    last = len(censuses) - 1
+    return TrajectoryStats(seed=seed, rightmost=m[:last + 1], exact_upto=last,
                            census=censuses,
                            pruning={"pruned": 0, "saturated": saturated,
                                     "pitch": pitch})

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .convex_analysis import (
     GridSpec,
     SpeedResult,
     _golden_min_scalar,
-    _ratio_minimum,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -83,37 +84,13 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
                        rate_function=sweep(dual))
 
 
-def _system_window(law_nu: ReproductionLaw, law_eta: ReproductionLaw) -> GridSpec:
-    """Shared working grid wide enough for both rate functions and the bridge."""
-    g_nu, _, _ = _ratio_minimum(law_nu.cumulant_function())
-    g_eta, _, _ = _ratio_minimum(law_eta.cumulant_function())
-    hi = 2.0 * (abs(g_nu) + abs(g_eta)) + 4.0
-    lo = -max(1.0, 0.5 * hi)
-    return GridSpec(lo, hi, 2e-3)
-
-
-def _minorant_crossing(law_first: ReproductionLaw, law_second: ReproductionLaw,
-                       sweep_first: bool = True):
-    """Zero crossing of sweep(cv(sweep?(dual(k1)), dual(k2))) on a shared grid.
-
-    The envelope reuses the grids the conjugates were built on, so the
-    whole route costs two conjugate constructions plus hulls; exactness
-    at swept edges and at the crossing comes from rule-level bisection.
-    """
-    grid = _system_window(law_first, law_second)
-    d1 = fenchel_dual(law_first.cumulant_function(), grid)
-    d2 = fenchel_dual(law_second.cumulant_function(), grid)
-    first = sweep(d1) if sweep_first else d1
-    envelope = convex_minorant(first, d2, grid, values=(first.ys, d2.ys))
-    rate = sweep(envelope)
-    return speed_from_dual(rate), rate, envelope, d1, d2, grid
-
-
-def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw) -> float:
+def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw,
+                   argmin_nu: Optional[float]) -> float:
     """inf over 0 < s <= t of max(k_nu(s)/s, k_eta(t)/t) by nested searches.
 
     The inner ratio is unimodal on (0, t], so its constrained minimum is
-    the unconstrained minimizer clipped to t; the outer objective is the
+    the unconstrained minimizer ``argmin_nu`` (None when the infimum is
+    only approached as s -> inf) clipped to t; the outer objective is the
     max of a nonincreasing function and a unimodal one, so a doubling
     bracket plus golden section finds the minimum.  A coarse scan
     around the optimum guards against plateau stalls.
@@ -125,8 +102,7 @@ def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw) -> float:
     if not (math.isfinite(float(k_nu(1.0))) or math.isfinite(float(k_nu(0.5)))):
         raise HypothesisError("no admissible tilt pair: nu-cumulant is infinite")
 
-    _, argmin_nu, attained_nu = _ratio_minimum(law_nu.cumulant_function())
-    clip_at = argmin_nu if attained_nu and argmin_nu is not None else math.inf
+    clip_at = math.inf if argmin_nu is None else argmin_nu
 
     def inner(t: float) -> float:
         s = min(t, clip_at)
@@ -166,6 +142,81 @@ def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw) -> float:
     return float(vm)
 
 
+class TwoTypeAnalysis:
+    """The two-type pipeline of one reducible system, built once.
+
+    One working grid, symmetric in the classes and wide enough for both
+    rate functions and the bridge, carries the one pair of conjugates
+    that the forward, reversed and expected-numbers envelopes share.
+    Each part is built on first use, so one speed builds only its own.
+    """
+
+    def __init__(self, sys: TwoTypeSystem):
+        if not sys.finite_seed_transform:
+            raise HypothesisError("seeding displacement transform must be finite "
+                                  "for every nonnegative tilt")
+        self.sys = sys
+        self._cumulants = tuple(law.cumulant_function()
+                                for law in (sys.law_nu, sys.law_eta))
+
+    @cached_property
+    def by_inf(self) -> tuple:
+        """speed_from_inf of (nu, eta): the class speeds, the grid width
+        and the formula route's clip."""
+        return tuple(speed_from_inf(k) for k in self._cumulants)
+
+    @cached_property
+    def grid(self) -> GridSpec:
+        hi = 2.0 * (abs(self.by_inf[0].speed) + abs(self.by_inf[1].speed)) + 4.0
+        return GridSpec(-max(1.0, 0.5 * hi), hi, 2e-3)
+
+    @cached_property
+    def duals(self) -> tuple:
+        """The conjugates (d_nu, d_eta) on the working grid."""
+        return tuple(fenchel_dual(k, self.grid) for k in self._cumulants)
+
+    def _envelope(self, first, second) -> EvaluableFunction:
+        # a conjugate's stored values are its rule on the working grid
+        return convex_minorant(first, second, self.grid, values=(first.ys, second.ys))
+
+    @cached_property
+    def envelope(self) -> EvaluableFunction:
+        """cv(sweep(d_nu), d_eta): the forward envelope before its sweep."""
+        return self._envelope(sweep(self.duals[0]), self.duals[1])
+
+    @cached_property
+    def expected_rate(self) -> EvaluableFunction:
+        return self._envelope(*self.duals)
+
+    @cached_property
+    def report(self) -> AnomalousReport:
+        rate = sweep(self.envelope)
+        crossing = speed_from_dual(rate)
+        formula = _formula_route(self.sys.law_nu, self.sys.law_eta,
+                                 self.by_inf[0].tilt_argmin)
+        gap = abs(crossing - formula)
+        if gap > 10 * TAU_CROSS:
+            raise ToleranceError(f"speed routes disagree by {gap:.3g}")
+        speed_nu, speed_eta = (r.speed for r in self.by_inf)
+        anomalous = crossing > max(speed_nu, speed_eta) + TAU_SPEED_ANALYTIC
+        return AnomalousReport(speed_nu=speed_nu, speed_eta=speed_eta, speed=crossing,
+                               route_minorant=crossing, route_formula=formula, rate=rate,
+                               expected_rate=self.expected_rate, anomalous=anomalous)
+
+    def reversed_speed(self) -> float:
+        d_nu, d_eta = self.duals
+        return speed_from_dual(sweep(self._envelope(sweep(d_eta), d_nu)))
+
+    def expected_numbers_speed(self) -> float:
+        return speed_from_dual(sweep(self.expected_rate))
+
+    def figure_table(self, lo: float = -0.5, hi: float = 2.0, step: float = 1e-3):
+        """The figure's rows, each column one array-wide rule evaluation."""
+        xs = GridSpec(lo, hi, step).abscissae()
+        cols = (xs, sweep(self.duals[0])(xs), self.duals[1](xs), self.envelope(xs))
+        return list(zip(*(c.tolist() for c in cols)))
+
+
 def anomalous_speed(sys: TwoTypeSystem) -> AnomalousReport:
     """Terminal-class speed of a reducible system, via both routes.
 
@@ -175,25 +226,7 @@ def anomalous_speed(sys: TwoTypeSystem) -> AnomalousReport:
     cumulant-to-tilt ratios over ordered tilt pairs.  The two must
     agree within TAU_CROSS.
     """
-
-    if not sys.finite_seed_transform:
-        raise HypothesisError("seeding displacement transform must be finite "
-                              "for every nonnegative tilt")
-    crossing, rate, envelope, d_nu, d_eta, grid = _minorant_crossing(
-        sys.law_nu, sys.law_eta)
-    formula = _formula_route(sys.law_nu, sys.law_eta)
-    gap = abs(crossing - formula)
-    if gap > 10 * TAU_CROSS:
-        raise ToleranceError(f"speed routes disagree by {gap:.3g}")
-
-    speed_nu = speed_from_inf(sys.law_nu.cumulant_function()).speed
-    speed_eta = speed_from_inf(sys.law_eta.cumulant_function()).speed
-    expected_rate = convex_minorant(d_nu, d_eta, grid, values=(d_nu.ys, d_eta.ys))
-    anomalous = crossing > max(speed_nu, speed_eta) + TAU_SPEED_ANALYTIC
-    return AnomalousReport(speed_nu=speed_nu, speed_eta=speed_eta,
-                           speed=crossing, route_minorant=crossing,
-                           route_formula=formula, rate=rate,
-                           expected_rate=expected_rate, anomalous=anomalous)
+    return TwoTypeAnalysis(sys).report
 
 
 def reversed_speed(sys: TwoTypeSystem) -> float:
@@ -202,12 +235,7 @@ def reversed_speed(sys: TwoTypeSystem) -> float:
     In the reversed order the envelope is dominated by the (un-swept)
     original nu rate function, so no anomaly can arise from it.
     """
-
-    if not sys.finite_seed_transform:
-        raise HypothesisError("seeding displacement transform must be finite "
-                              "for every nonnegative tilt")
-    crossing, _, _, _, _, _ = _minorant_crossing(sys.law_eta, sys.law_nu)
-    return crossing
+    return TwoTypeAnalysis(sys).reversed_speed()
 
 
 def expected_numbers_speed(sys: TwoTypeSystem) -> float:
@@ -217,24 +245,11 @@ def expected_numbers_speed(sys: TwoTypeSystem) -> float:
     symmetric in the two classes, so it cannot see the role reversal
     and can strictly exceed the true speed: the expectation trap.
     """
-
-    if not sys.finite_seed_transform:
-        raise HypothesisError("seeding displacement transform must be finite "
-                              "for every nonnegative tilt")
-    crossing, _, _, _, _, _ = _minorant_crossing(sys.law_nu, sys.law_eta,
-                                                 sweep_first=False)
-    return crossing
+    return TwoTypeAnalysis(sys).expected_numbers_speed()
 
 
 def figure_table(sys: TwoTypeSystem, lo: float = -0.5, hi: float = 2.0,
                  step: float = 1e-3):
     """Rows (a, kswept_nu, kdual_eta, cv) over [lo, hi]: the three curves
     whose zero crossings exhibit the anomalous speed."""
-    grid = _system_window(sys.law_nu, sys.law_eta)
-    d_nu = fenchel_dual(sys.law_nu.cumulant_function(), grid)
-    d_eta = fenchel_dual(sys.law_eta.cumulant_function(), grid)
-    swept_nu = sweep(d_nu)
-    envelope = convex_minorant(swept_nu, d_eta, grid)
-    xs = GridSpec(lo, hi, step).abscissae()
-    return [(float(a), float(swept_nu(a)), float(d_eta(a)), float(envelope(a)))
-            for a in xs]
+    return TwoTypeAnalysis(sys).figure_table(lo, hi, step)

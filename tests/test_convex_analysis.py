@@ -16,7 +16,7 @@ from brwlab.convex_analysis import (
     sweep,
 )
 from brwlab.errors import DomainError
-from brwlab.models import OffspringLaw, PointMass, ReproductionLaw
+from brwlab.models import OffspringLaw, PointMass, ReproductionLaw, TwoPoint
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,6 +167,25 @@ class TestConvexMinorant:
         assert np.allclose(cv_fg.ys, cv_gf.ys, atol=1e-12)
         m = np.minimum(f(cv_fg.xs), g(cv_fg.xs))
         assert np.all(cv_fg.ys <= m + 1e-10)
+
+    def test_end_slope_only_past_a_finite_grid_end(self):
+        grid = GridSpec(-1.0, 2.0, 2e-3)
+        # bounded steps: both conjugates are +inf past the top steps 0.4
+        # and 0.5, a domain edge inside the grid
+        f, g = (fenchel_dual(ReproductionLaw(OffspringLaw("geometric", m),
+                                             TwoPoint(lo, hi, p)).cumulant_function(), grid)
+                for m, lo, hi, p in ((4.0, -0.3, 0.4, 0.5), (5.0, -0.4, 0.5, 0.6)))
+        cv = convex_minorant(sweep(f), g, grid)
+        assert math.isfinite(cv(0.5 - 1e-6))
+        assert np.all(np.isinf(cv(np.array([0.5 + 1e-6, 1.0, 2.0, 3.0]))))
+        assert speed_from_dual(sweep(cv)) == pytest.approx(0.5, abs=1e-8)
+        # Gaussian steps: finite at the grid end (window truncation), so
+        # the envelope goes on with its end slope
+        f = fenchel_dual(gaussian_cumulant(2.0, 0.5))
+        g = fenchel_dual(gaussian_cumulant(1.0, 1.5))
+        cv = convex_minorant(f, g, GridSpec(-1.0, 4.0, 1e-3))
+        slope = (cv(4.0) - cv(4.0 - 1e-3)) / 1e-3
+        assert cv(5.0) == pytest.approx(cv(4.0) + slope, rel=1e-9)
 
     def test_all_infinite_raises(self):
         xs = np.arange(0.0, 1.0, 1e-2)

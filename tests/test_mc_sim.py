@@ -105,6 +105,28 @@ class TestCensusAndCounts:
         assert not run_count_census(law, 20, seed=0, pitch=0.5).pruning["saturated"]
         assert run_count_census(law, 21, seed=0, pitch=0.5).pruning["saturated"]
 
+    def test_saturated_census_stops_before_the_wrapping_draw(self):
+        # drawn on, generation 22 would hand rng.multinomial a wrapped
+        # negative int64 total ("ValueError: n < 0")
+        law = ReproductionLaw(OffspringLaw("deterministic", 8), Gaussian(0.0, 1.0))
+        s = run_count_census(law, 23, seed=0, pitch=0.5)
+        assert s.pruning["saturated"]
+        assert s.exact_upto == 20
+        assert len(s.census) == 21 and s.rightmost.size == 21
+        assert int(s.census[20].counts.sum()) == 8 ** 20
+        assert count_profile(s, [0.0])[-1][1] == 20
+
+    def test_count_check_fails_cleanly_on_a_saturated_census(self, monkeypatch):
+        from brwlab import acceptance
+        # 16 daughters: saturated at generation 16, before the check's k <= 20
+        law = ReproductionLaw(OffspringLaw("deterministic", 16), Gaussian(0.0, 1.0))
+        stats = run_count_census(law, 20, seed=0, pitch=0.5)
+        assert stats.exact_upto == 15
+        monkeypatch.setattr(acceptance, "run_count_census", lambda *a, **k: stats)
+        result = acceptance.check_count_profiles()
+        assert not result.passed
+        assert result.detail == ["saturated censuses: 64/64"]
+
     def test_census_rejects_positive_poisson(self):
         law = ReproductionLaw(OffspringLaw("poisson_positive", 2.0),
                               Gaussian(0.0, 1.0))

@@ -1,20 +1,26 @@
 """Speed pipelines: one-type reports and the two-type anomalous machinery."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from brwlab import speeds
+from brwlab.cli import parse_config, run
+from brwlab.convex_analysis import convex_minorant, sweep
 from brwlab.models import (
     Gaussian,
     OffspringLaw,
     PointMass,
     ReproductionLaw,
     Seeding,
+    TwoPoint,
     TwoTypeSystem,
     skeleton_of_bbm,
 )
 from brwlab.speeds import (
+    TwoTypeAnalysis,
     anomalous_speed,
     expected_numbers_speed,
     figure_table,
@@ -180,3 +186,75 @@ def test_figure_table_crosses_zero_at_the_anomalous_speed():
     sign_change = np.flatnonzero((cv[:-1] <= 0) & (cv[1:] > 0))
     crossing = a[sign_change[-1]]
     assert crossing == pytest.approx(4.0 / math.sqrt(6.0), abs=2e-3)
+
+
+def test_bounded_steps_meet_the_support_bound_by_both_routes():
+    # both classes have bounded steps, so both conjugates are +inf past
+    # the top steps 0.4 and 0.5; the envelope must stay +inf there rather
+    # than continue with its end slope (which crossed zero at 0.6475)
+    sysm = TwoTypeSystem(
+        ReproductionLaw(OffspringLaw("geometric", 4.0), TwoPoint(-0.3, 0.4, 0.5)),
+        ReproductionLaw(OffspringLaw("geometric", 5.0), TwoPoint(-0.4, 0.5, 0.6)),
+        Seeding(0.5))
+    rep = anomalous_speed(sysm)
+    assert rep.route_minorant == pytest.approx(0.5, abs=1e-8)
+    assert rep.route_formula == pytest.approx(0.5, abs=1e-8)
+    assert not rep.anomalous
+
+
+class TestTwoTypeAnalysis:
+    """Guards on the shared pipeline, by counting calls rather than timing."""
+
+    SYS = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)
+
+    def test_anomalous_run_builds_one_pair_of_conjugates(self, tmp_path, monkeypatch):
+        built = []
+        real = speeds.fenchel_dual
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(speeds, "fenchel_dual", counted)
+        cfg = parse_config(json.dumps({"kind": "anomalous", "seed": 3,
+                                       "system": {"skeleton": {"V": 1 / 3, "lambda": 3.0,
+                                                               "p": 0.5}}}))
+        assert run(cfg, out=str(tmp_path)) == 0
+        assert len(built) == 2
+
+    def test_figure_table_evaluates_rules_array_wide(self, monkeypatch):
+        # one scalar golden-section search per row and column made 527,673
+        # cumulant calls; array-wide columns make 1,443
+        calls = []
+        real = ReproductionLaw.cumulant
+
+        def counted(law, theta):
+            calls.append(theta)
+            return real(law, theta)
+
+        monkeypatch.setattr(ReproductionLaw, "cumulant", counted)
+        figure_table(self.SYS)
+        assert len(calls) < 2000
+
+    def test_figure_rows_match_pointwise_evaluation(self):
+        analysis = TwoTypeAnalysis(self.SYS)
+        rows = np.array(analysis.figure_table())
+        d_nu, d_eta = analysis.duals
+        curves = (sweep(d_nu), d_eta, analysis.envelope)
+        for row in rows[::25]:
+            point = np.array([row[0]] + [float(fn(row[0])) for fn in curves])
+            assert np.array_equal(np.isinf(point), np.isinf(row))
+            fin = np.isfinite(row)
+            assert np.all(np.abs(point[fin] - row[fin]) <= 1e-10)
+
+    def test_cv_is_the_forward_envelope(self):
+        rows = np.array(figure_table(self.SYS))
+        xs, cv = rows[:, 0], rows[:, 3]
+        # the envelope rebuilt from the rules alone, as a fresh caller would
+        analysis = TwoTypeAnalysis(self.SYS)
+        d_nu, d_eta = analysis.duals
+        rebuilt = convex_minorant(sweep(d_nu), d_eta, analysis.grid)
+        assert np.array_equal(cv, rebuilt(xs))
+        # and its sweep is the rate whose crossing anomalous_speed reports
+        rate = anomalous_speed(self.SYS).rate
+        assert np.array_equal(np.where(cv <= 0, cv, np.inf), rate(xs))
