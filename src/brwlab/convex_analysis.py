@@ -15,7 +15,6 @@ happens.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -23,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ToleranceError
+from .tables import write_csv
 
 # Tolerances used across the package.
 TAU_CVX = 1e-8            # discrete convexity slack (relative)
@@ -123,11 +123,7 @@ class EvaluableFunction:
 
     def write_csv(self, path) -> None:
         """Export the grid as CSV columns (a, value); +inf becomes the literal 'inf'."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["a", "value"])
-            for a, v in zip(self.xs, self.ys):
-                w.writerow([f"{a:.17g}", "inf" if math.isinf(v) else f"{v:.17g}"])
+        write_csv(path, ["a", "value"], zip(self.xs.tolist(), self.ys.tolist()))
 
 
 def _interp_extended(xs, ys, a):
@@ -194,36 +190,53 @@ class SpeedResult:
 
 
 def _golden_max(objective, lo, hi, tol=1e-10, max_iter=220):
-    """Vectorized golden-section maximization of a concave objective on [lo, hi]."""
+    """Vectorized golden-section maximization of a concave objective on [lo, hi].
+
+    Textbook golden section: each step keeps the better of its two
+    interior points and evaluates the objective once, at the one new
+    point.  Every bracket is sectioned until the widest is below ``tol``
+    (or ``max_iter`` steps have run); the maximum is read at the
+    midpoint of the final bracket.  ``fenchel_dual`` passes only its
+    finite points: a bracket reaching the 2^48 cap has a float spacing
+    near 0.06 there and could never narrow to 1e-10.
+    """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
     for _ in range(max_iter):
-        gap = hi - lo
-        if float(np.max(gap)) <= tol:
+        if float(np.max(hi - lo)) <= tol:
             break
-        d = _INVPHI * gap
-        x1 = hi - d
-        x2 = lo + d
-        f1 = objective(x1)
-        f2 = objective(x2)
         right = f2 >= f1
         lo = np.where(right, x1, lo)
         hi = np.where(right, hi, x2)
+        new = np.where(right, lo + _INVPHI * (hi - lo), hi - _INVPHI * (hi - lo))
+        fn = objective(new)
+        x1, f1, x2, f2 = (np.where(right, x2, new), np.where(right, f2, fn),
+                          np.where(right, new, x1), np.where(right, fn, f1))
     xm = 0.5 * (lo + hi)
     return xm, objective(xm)
 
 
 def _golden_min_scalar(fun, lo, hi, tol=1e-12, max_iter=220):
-    """Scalar golden-section minimization of a unimodal function on [lo, hi]."""
+    """Scalar golden-section minimization of a unimodal function on [lo, hi].
+
+    One new evaluation per step, as in ``_golden_max``.
+    """
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
     for _ in range(max_iter):
         if hi - lo <= tol * max(1.0, abs(hi)):
             break
-        d = _INVPHI * (hi - lo)
-        x1, x2 = hi - d, lo + d
-        if fun(x1) <= fun(x2):
-            hi = x2
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = fun(x1)
         else:
-            lo = x1
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = fun(x2)
     xm = 0.5 * (lo + hi)
     return xm, fun(xm)
 
@@ -278,8 +291,12 @@ def _ratio_minimum(f: EvaluableFunction, t_hi: Optional[float] = None):
     return float(vm), float(tm), True
 
 
-def _default_dual_grid(f: EvaluableFunction) -> GridSpec:
-    """Auto window for a conjugate: from below the zero-tilt slope to past the speed."""
+def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -> GridSpec:
+    """Auto window for a conjugate: from below the zero-tilt slope to past the speed.
+
+    ``gamma_up`` is inf f(t)/t when the caller already has it (the
+    speed of ``speed_from_inf``); otherwise it is computed here.
+    """
     lo_dom = max(f.domain[0], 0.0)
     h0 = 1e-6
     f0 = f(lo_dom)
@@ -288,7 +305,8 @@ def _default_dual_grid(f: EvaluableFunction) -> GridSpec:
     s0 = (f(lo_dom + h0) - f0) / h0
     if not math.isfinite(s0):
         s0 = 0.0
-    gamma_up, _, _ = _ratio_minimum(f)
+    if gamma_up is None:
+        gamma_up, _, _ = _ratio_minimum(f)
     lo = min(s0, gamma_up) - 1.0
     hi = gamma_up + 1.0
     return GridSpec(lo, hi, 1e-3)
@@ -299,10 +317,12 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
 
     The inner maximand is concave in t for convex f, so each grid point
     is resolved by doubling a bracket until the objective turns (or the
-    domain ends) and then golden-sectioning to width 1e-10.  Points
-    whose objective is still rising at the expansion cap get the value
-    +inf (the conjugate diverges there, e.g. beyond the maximal step of
-    a bounded-displacement law).
+    domain ends).  Points whose objective is still rising at the
+    expansion cap get the value +inf (the conjugate diverges there, e.g.
+    beyond the maximal step of a bounded-displacement law) and are not
+    sectioned; the finite points are golden-sectioned together, one
+    objective evaluation per step, until every bracket is narrower than
+    1e-10.
     """
 
     probes = np.geomspace(1e-9, min(f.domain[1], 1e9), 100)
@@ -314,13 +334,15 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
 
     dom_hi = min(f.domain[1], _THETA_CAP)
 
-    def conjugate(avec: np.ndarray) -> np.ndarray:
-        avec = np.atleast_1d(np.asarray(avec, dtype=float))
-
+    def objective_at(avec: np.ndarray):
         def objective(t):
             ft = np.asarray(f(t), dtype=float)
-            out = np.where(np.isfinite(ft), t * avec - ft, -np.inf)
-            return out
+            return np.where(np.isfinite(ft), t * avec - ft, -np.inf)
+        return objective
+
+    def conjugate(avec: np.ndarray) -> np.ndarray:
+        avec = np.atleast_1d(np.asarray(avec, dtype=float))
+        objective = objective_at(avec)
 
         # Per-point doubling; the bracket [0, hi] holds the maximum once
         # the objective fails to improve (concavity), or the cap is hit.
@@ -343,9 +365,11 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
         still_rising = unresolved & (hi >= dom_hi) & (dom_hi >= _THETA_CAP)
         if np.isnan(cur).any():
             raise ToleranceError("conjugate bracket produced NaN objective")
-        _, vals = _golden_max(objective, np.zeros_like(hi), np.minimum(2.0 * hi, dom_hi))
-        vals = np.asarray(vals, dtype=float)
-        vals[still_rising] = np.inf
+        vals = np.full(avec.shape, np.inf)
+        live = ~still_rising
+        if live.any():
+            _, vals[live] = _golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
+                                        np.minimum(2.0 * hi[live], dom_hi))
         return vals
 
     ys = conjugate(xs)

@@ -127,6 +127,9 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
             method: str = "direct", recenter: bool = True) -> FrontProfile:
     """One front update: v = 1 - g(1 - (u * f)), then window recentering.
 
+    The update is evaluated as the offspring law's closed-form
+    complement, so the front's exponentially small leading edge is not
+    cut off at the ~1e-16 rounding floor of ``1 - pgf(1 - s)``.
     Requires independent displacements (a density or point masses) and
     a closed-form offspring generating function.  Raises RangeError if
     the update leaves [0, 1] by more than 1e-12 or breaks monotonicity.
@@ -137,12 +140,12 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
     d = law.displacement
     if isinstance(d, PointMass):
         # exact translation: shift the window, then map values pointwise
-        vals = 1.0 - law.offspring.pgf(1.0 - u.values)
+        vals = law.offspring.complement(u.values)
         out = FrontProfile(values=vals, offset=u.offset + d.value, h=u.h,
                            generation=u.generation + 1, level=u.level)
     else:
         conv = _convolve_profile(u, law, method)
-        vals = 1.0 - law.offspring.pgf(1.0 - conv)
+        vals = law.offspring.complement(conv)
         if float(vals.min()) < -RANGE_TOL or float(vals.max()) > 1.0 + RANGE_TOL:
             raise RangeError("front update left [0, 1]")
         if np.any(np.diff(vals) > RANGE_TOL):

@@ -23,6 +23,7 @@ from .convex_analysis import (
     EvaluableFunction,
     GridSpec,
     SpeedResult,
+    _default_dual_grid,
     _golden_min_scalar,
     convex_minorant,
     fenchel_dual,
@@ -43,9 +44,8 @@ class AnomalousReport:
     ``speed`` is the reconciled value (the minorant route is the
     reference); ``anomalous`` flags a speed strictly above both
     single-class speeds, which happens exactly when the envelope
-    bridges the two rate functions linearly across zero.
-    ``expected_rate`` is the un-swept envelope governing expected
-    counts; it can cross zero past the true speed.
+    bridges the two rate functions linearly across zero.  The un-swept
+    envelope governing expected counts is ``TwoTypeAnalysis.expected_rate``.
     """
 
     speed_nu: float
@@ -54,7 +54,6 @@ class AnomalousReport:
     route_minorant: float
     route_formula: float
     rate: EvaluableFunction
-    expected_rate: EvaluableFunction
     anomalous: bool
 
 
@@ -68,7 +67,7 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
 
     k = law.cumulant_function()
     by_inf = speed_from_inf(k)
-    dual = fenchel_dual(k)
+    dual = fenchel_dual(k, _default_dual_grid(k, by_inf.speed))
     by_dual = speed_from_dual(dual)
     gap = abs(by_dual - by_inf.speed)
     diagnostics = dict(by_inf.diagnostics)
@@ -186,6 +185,8 @@ class TwoTypeAnalysis:
 
     @cached_property
     def expected_rate(self) -> EvaluableFunction:
+        """cv(d_nu, d_eta): the un-swept envelope governing expected counts;
+        it can cross zero past the true speed."""
         return self._envelope(*self.duals)
 
     @cached_property
@@ -201,7 +202,7 @@ class TwoTypeAnalysis:
         anomalous = crossing > max(speed_nu, speed_eta) + TAU_SPEED_ANALYTIC
         return AnomalousReport(speed_nu=speed_nu, speed_eta=speed_eta, speed=crossing,
                                route_minorant=crossing, route_formula=formula, rate=rate,
-                               expected_rate=self.expected_rate, anomalous=anomalous)
+                               anomalous=anomalous)
 
     def reversed_speed(self) -> float:
         d_nu, d_eta = self.duals

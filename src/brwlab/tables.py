@@ -14,12 +14,13 @@ from typing import Iterable, Sequence
 
 
 def fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    # floats first: they fill the large tables, and bool is not a float
     if isinstance(value, float):
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 

@@ -83,6 +83,86 @@ class TestFenchelDual:
             fenchel_dual(bad)
 
 
+def two_point_conjugate(a, law):
+    """Closed-form sup_{t >= 0} (t a - kappa(t)) for a two-point step law.
+
+    With q = (a - low)/(high - low) it is -log m plus the relative
+    entropy of Bernoulli(q) to Bernoulli(p) once q > p (the tilt is
+    positive), -log m below that, and +inf past ``high``.
+    """
+    d = law.displacement
+    out = np.full(a.shape, -math.log(law.offspring.mean))
+    q = (a - d.low) / (d.high - d.low)
+    up = (q > d.prob_high) & (q < 1.0)
+    qu, p = q[up], d.prob_high
+    out[up] += qu * np.log(qu / p) + (1.0 - qu) * np.log((1.0 - qu) / (1.0 - p))
+    out[a > d.high] = np.inf
+    return out
+
+
+class TestConjugateCost:
+    """Bounded steps: +inf points are not sectioned, one evaluation per step.
+
+    Guards count cumulant calls rather than time them.
+    """
+
+    GRID = GridSpec(-1.0, 1.5, 1e-3)
+    TWO_POINT = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5))
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = ReproductionLaw.cumulant
+
+        def counted(law, theta):
+            calls.append(theta)
+            return real(law, theta)
+
+        monkeypatch.setattr(ReproductionLaw, "cumulant", counted)
+        return calls
+
+    def test_two_point_conjugate_call_count(self, monkeypatch):
+        # sectioning the +inf points over [0, 2^49] ran all 220 steps: 491 calls
+        calls = self.counting(monkeypatch)
+        k = self.TWO_POINT.cumulant_function()   # binds the counted method
+        calls.clear()
+        fenchel_dual(k, self.GRID)
+        assert len(calls) < 150
+
+    def test_rule_evaluation_call_count(self, monkeypatch):
+        # one 48-point probe vector, as speed_from_dual's multisection makes;
+        # two evaluations per golden-section step made 103 calls
+        calls = self.counting(monkeypatch)
+        dual = fenchel_dual(self.TWO_POINT.cumulant_function(), self.GRID)
+        calls.clear()
+        dual(np.linspace(0.0, 0.3, 48))
+        assert len(calls) < 70
+
+    @pytest.mark.parametrize("law", [
+        ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5)),
+        ReproductionLaw(OffspringLaw("poisson_positive", math.e), TwoPoint(0.0, 1.0, 0.3)),
+        ReproductionLaw(OffspringLaw("deterministic", 3), TwoPoint(-1.0, 0.2, 0.7)),
+    ])
+    def test_two_point_closed_form(self, law):
+        dual = fenchel_dual(law.cumulant_function(), self.GRID)
+        xs = dual.xs[np.abs(dual.xs - law.displacement.high) > 1e-6]
+        got, want = dual(xs), two_point_conjugate(xs, law)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert float(np.max(np.abs(got[fin] - want[fin]))) < 1e-9
+
+    @pytest.mark.parametrize("value, mean", [(0.3, 2.0), (-0.25, 1.5)])
+    def test_point_mass_closed_form(self, value, mean):
+        law = ReproductionLaw(OffspringLaw("geometric", mean), PointMass(value))
+        dual = fenchel_dual(law.cumulant_function(), self.GRID)
+        xs = dual.xs[np.abs(dual.xs - value) > 1e-6]
+        got = dual(xs)
+        want = np.where(xs > value, np.inf, -math.log(mean))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert float(np.max(np.abs(got[fin] - want[fin]))) < 1e-9
+
+
 class TestSweep:
     def test_piecewise_formula_for_scaled_example(self):
         # swept conjugate of t^2/(2 lam) + lam at V = 1/lam:

@@ -81,6 +81,14 @@ class TestApplyQ:
         b = apply_q(u, BBM, method="fft", recenter=False)
         assert float(np.max(np.abs(a.values - b.values))) < 1e-10
 
+    def test_leading_edge_below_rounding_floor(self):
+        # 1 - pgf(1 - s) cancels to 0 once s < ~1e-16, which cut the edge
+        # off at a smallest positive value of exactly 4.44e-16
+        u = heaviside_profile(h=0.02)
+        for _ in range(60):
+            u = apply_q(u, BBM)
+        assert float(u.values[u.values > 0].min()) < 1e-20
+
 
 class TestFrontSpeed:
     def test_unit_skeleton_speed(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from brwlab import speeds
+from brwlab import convex_analysis, speeds
 from brwlab.cli import parse_config, run
 from brwlab.convex_analysis import convex_minorant, sweep
 from brwlab.models import (
@@ -64,6 +64,20 @@ class TestOneTypeSpeed:
         assert rate(0.0) == pytest.approx(-1.0, abs=1e-7)
         assert rate(1.0) == pytest.approx(-0.5, abs=1e-7)
         assert math.isinf(rate(SQRT2 + 1e-3))
+
+    def test_one_ratio_minimum(self, monkeypatch):
+        # the dual grid reuses the infimum speed_from_inf found
+        calls = []
+        real = convex_analysis._ratio_minimum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(convex_analysis, "_ratio_minimum", counted)
+        law = ReproductionLaw(OffspringLaw("poisson_positive", 2.0), TwoPoint(-0.3, 0.4, 0.5))
+        one_type_speed(law)
+        assert len(calls) == 1
 
 
 class TestAnomalousSpeed:
@@ -128,10 +142,11 @@ class TestAnomalousSpeed:
             assert rep.anomalous == (a > 0 and b > 0), (lam, v, a, b)
 
     def test_sweep_only_raises_the_envelope(self):
-        rep = anomalous_speed(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
-        xs = rep.expected_rate.xs
+        analysis = TwoTypeAnalysis(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
+        rep = analysis.report
+        xs = analysis.expected_rate.xs
         r_vals = rep.rate(xs)
-        e_vals = rep.expected_rate(xs)
+        e_vals = analysis.expected_rate(xs)
         both = np.isfinite(r_vals) & np.isfinite(e_vals)
         assert np.all(r_vals[both] >= e_vals[both] - 1e-9)
 
@@ -221,6 +236,19 @@ class TestTwoTypeAnalysis:
                                                                "p": 0.5}}}))
         assert run(cfg, out=str(tmp_path)) == 0
         assert len(built) == 2
+
+    def test_anomalous_speed_builds_one_envelope(self, monkeypatch):
+        # the expected-numbers envelope is built only when asked for
+        built = []
+        real = speeds.convex_minorant
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(speeds, "convex_minorant", counted)
+        anomalous_speed(self.SYS)
+        assert len(built) == 1
 
     def test_figure_table_evaluates_rules_array_wide(self, monkeypatch):
         # one scalar golden-section search per row and column made 527,673
