@@ -37,7 +37,6 @@ from .front import (
     mc_consistency,
 )
 from .mc_sim import (
-    GenerationState,
     TrajectoryStats,
     TwoTypeTrajectoryStats,
     centering_slope,
@@ -55,8 +54,6 @@ from .models import (
     Seeding,
     TwoPoint,
     TwoTypeSystem,
-    cumulant,
-    sample_family,
     skeleton_of_bbm,
 )
 from .speeds import (

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import acceptance
-from .errors import BrwLabError, SchemaError
+from .errors import BrwLabError, ParamError, SchemaError
 from .front import front_speed
 from .mc_sim import centering_slope, count_profile, run_one_type, run_two_type
 from .models import (
@@ -212,6 +212,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 if key in e and (not isinstance(e[key], (int, float))
                                  or isinstance(e[key], bool)):
                     problems.append((f"expect.{key}", "must be a number"))
+                elif key == "rel_tol" and key in e and e[key] <= 0:
+                    problems.append(("expect.rel_tol", "must be positive"))
     if kind in ("speed", "front"):
         if "law" not in raw:
             problems.append(("law", f"required for kind={kind}"))
@@ -224,6 +226,16 @@ def parse_config(text: str) -> ExperimentConfig:
         _check_law(raw["law"], "law", problems)
     if "system" in raw:
         _check_system(raw["system"], "system", problems)
+    if not problems:
+        # The key and type checks passed, so the constructors can run; they
+        # catch what those checks do not (a fractional deterministic count,
+        # a positive-Poisson mean of 1, two-point values out of order).
+        for key, build in (("law", build_law), ("system", build_system)):
+            if key in raw:
+                try:
+                    build(raw[key])
+                except ParamError as exc:
+                    problems.append((key, str(exc)))
     if problems:
         raise SchemaError(problems)
     cfg = ExperimentConfig(kind=kind, seed=raw["seed"])

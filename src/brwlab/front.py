@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import BudgetError, KernelError, ParamError, RangeError
 from .mc_sim import rightmost_batch, replicate_rng, run_two_type
@@ -88,8 +87,7 @@ def heaviside_profile(h: float = 0.01, width: float = 80.0,
                         generation=0, level=level)
 
 
-def _convolve_profile(u: FrontProfile, law: ReproductionLaw,
-                      method: str) -> np.ndarray:
+def _convolve_profile(u: FrontProfile, law: ReproductionLaw) -> np.ndarray:
     """(u * f)(x_i) on the grid, boundary-extended by 1 left / 0 right."""
     d = law.displacement
     h = u.h
@@ -112,19 +110,15 @@ def _convolve_profile(u: FrontProfile, law: ReproductionLaw,
     padded = np.concatenate([np.ones(reach), u.values, np.zeros(reach)])
     # conv[i] = sum_j w[j] * u(x_i - j h) = sum_k padded[i + k] * w[2*reach - k],
     # which is plain convolution with w in natural order.
-    # Direct convolution is the default: its round-off scales with the local
-    # magnitude, while the fft path carries absolute noise ~1e-16 of the global
-    # max that seeds the exponentially small leading edge and, compounded over
+    # Direct convolution, not fft: its round-off scales with the local
+    # magnitude, while an fft carries absolute noise ~1e-16 of the global max
+    # that seeds the exponentially small leading edge and, compounded over
     # generations, drags the measured front speed upward.
-    if method == "fft":
-        out = fftconvolve(padded, w, mode="valid")
-    else:
-        out = np.convolve(padded, w, mode="valid")
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0)
 
 
 def apply_q(u: FrontProfile, law: ReproductionLaw,
-            method: str = "direct", recenter: bool = True) -> FrontProfile:
+            recenter: bool = True) -> FrontProfile:
     """One front update: v = 1 - g(1 - (u * f)), then window recentering.
 
     The update is evaluated as the offspring law's closed-form
@@ -144,7 +138,7 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
         out = FrontProfile(values=vals, offset=u.offset + d.value, h=u.h,
                            generation=u.generation + 1, level=u.level)
     else:
-        conv = _convolve_profile(u, law, method)
+        conv = _convolve_profile(u, law)
         vals = law.offspring.complement(conv)
         if float(vals.min()) < -RANGE_TOL or float(vals.max()) > 1.0 + RANGE_TOL:
             raise RangeError("front update left [0, 1]")
@@ -186,7 +180,6 @@ class FrontResult:
 
 def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
                 width: float = 80.0, level: float = 0.5,
-                method: str = "direct",
                 snapshot_at: Optional[Sequence[int]] = None):
     """Iterate the front from Heaviside data and measure its speed.
 
@@ -207,7 +200,7 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
     compare = np.arange(-width / 4, width / 4, h)
     prev_centered = u.evaluate(u.front + compare)
     for n in range(1, n_max + 1):
-        u = apply_q(u, law, method=method)
+        u = apply_q(u, law)
         positions.append(u.front)
         centered = u.evaluate(u.front + compare)
         sup_diffs[n - 1] = float(np.max(np.abs(centered - prev_centered)))

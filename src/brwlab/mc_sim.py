@@ -12,6 +12,12 @@ eta lineages seeded far behind the running eta maximum, which the beam
 discards, so the worked example (speed 4/sqrt 6 = 1.633) measures about
 1.399 at n=300.  ``front.coupled_front`` gives that law exactly.
 
+One branching step, ``_branch``, serves beams, two-type runs and exact
+batches.  Beams prune by value (``_prune``) except the eta beam, which
+prunes by index so its switch generations follow the kept children; an
+index prune on every beam would slow a one-type beam by about a third
+and change every beam stream.
+
 For the large exact censuses the count-profile checks need (population
 way past any per-particle budget), a binned engine propagates exact
 particle counts on a position lattice instead of individual particles.
@@ -39,21 +45,6 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     """Stream for one replicate: counter-mixed split of the master seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed,
                                                         spawn_key=(replicate,)))
-
-
-@dataclass
-class GenerationState:
-    """Particle positions of one generation, with exactness bookkeeping."""
-
-    positions: np.ndarray
-    generation: int
-    born: int = 0
-    pruned: int = 0
-    saturated: bool = False
-
-    @property
-    def rightmost(self) -> float:
-        return float(self.positions.max()) if self.positions.size else -math.inf
 
 
 @dataclass
@@ -98,15 +89,24 @@ class TwoTypeTrajectoryStats:
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
-            rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """One exact branching step; returns (children, offspring counts)."""
+            rng: np.random.Generator, *labels: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """One exact branching step: the children, then each per-parent array
+    of ``labels`` repeated once per child.
+
+    Beams, two-type runs and exact batches all branch here and prune, if
+    at all, themselves: by value, or by index in the eta beam, whose
+    switch-generation label must follow the kept children (see the
+    module docstring for why the two prunes stay apart).  An empty
+    generation makes size-0 draws, which leave ``rng`` where it was.
+    """
     counts = law.offspring.sample(rng, positions.size)
     children = np.repeat(positions, counts)
+    # in place, so at most two child-sized arrays are alive at a time
     if law.mechanism == "independent":
-        steps = law.displacement.sample(rng, children.size)
+        children += law.displacement.sample(rng, children.size)
     else:
-        steps = np.repeat(law.displacement.sample(rng, positions.size), counts)
-    return children + steps, counts
+        children += np.repeat(law.displacement.sample(rng, positions.size), counts)
+    return (children,) + tuple(np.repeat(lab, counts) for lab in labels)
 
 
 def _prune(children: np.ndarray, budget: int, window: float):
@@ -129,30 +129,27 @@ def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
     """
 
     rng = replicate_rng(seed, 0)
-    state = GenerationState(positions=np.zeros(1), generation=0)
+    positions = np.zeros(1)
     m = np.empty(n_max + 1)
     m[0] = 0.0
-    exact_positions: List[np.ndarray] = [state.positions.copy()]
+    exact_positions: List[np.ndarray] = [positions.copy()]
     exact = True
     exact_upto = 0
     pruned_total = 0
     cap_bound_at = None
     for n in range(1, n_max + 1):
-        children, _ = _branch(law, state.positions, rng)
+        children, = _branch(law, positions, rng)
         if n == 1 and children.size > budget:
             raise BudgetError(f"family size {children.size} exceeds budget {budget} "
                               "at generation 1")
         m[n] = children.max()
-        born = children.size
-        dropped = 0
         if children.size > budget:
             children, dropped = _prune(children, budget, window)
             pruned_total += dropped
             if exact:
                 cap_bound_at = n
             exact = False
-        state = GenerationState(positions=children, generation=n, born=born,
-                                pruned=dropped, saturated=born > INT64_MAX // 2)
+        positions = children
         if exact:
             exact_positions.append(children.copy())
             exact_upto = n
@@ -301,23 +298,15 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     m_nu[0] = 0.0
     pruned = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        children_nu, _ = _branch(sys.law_nu, pos_nu, rng)
+        children_nu, = _branch(sys.law_nu, pos_nu, rng)
         if n == 1 and children_nu.size > budget:
             raise BudgetError(f"family size {children_nu.size} exceeds budget "
                               f"{budget} at generation 1")
         # one Bernoulli seed per nu-family, placed relative to the parent
         seeded = rng.random(pos_nu.size) < p if p > 0 else np.zeros(pos_nu.size, bool)
         n_seeds = int(seeded.sum())
-        if n_seeds:
-            seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
-        else:
-            seed_pos = np.empty(0)
-        if pos_eta.size:
-            children_eta, counts_eta = _branch(sys.law_eta, pos_eta, rng)
-            switch_children = np.repeat(switch, counts_eta)
-        else:
-            children_eta = np.empty(0)
-            switch_children = np.empty(0, dtype=np.int64)
+        seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
+        children_eta, switch_children = _branch(sys.law_eta, pos_eta, rng, switch)
         children_eta = np.concatenate([children_eta, seed_pos])
         switch_children = np.concatenate([switch_children,
                                           np.full(n_seeds, n, dtype=np.int64)])
@@ -328,6 +317,7 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
             children_nu, d = _prune(children_nu, budget, window)
             pruned["nu"] += d
         if children_eta.size > budget:
+            # by index, so that each kept child keeps its switch generation
             top = children_eta.max()
             keep_idx = np.flatnonzero(children_eta >= top - window)
             if keep_idx.size > budget:
@@ -353,8 +343,8 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
                     max_particles: int = 4_000_000) -> np.ndarray:
     """Exact rightmost positions at generation ``n`` for many replicates at once.
 
-    Replicates are simulated jointly in flat arrays (the per-replicate
-    ownership is carried alongside), which is what makes distributional
+    Replicates are simulated jointly in flat arrays (each child carries
+    its replicate as a ``_branch`` label), which is what makes distributional
     checks at small n cheap.  Raises BudgetError when the joint
     population of a chunk would exceed ``max_particles``.
     """
@@ -366,15 +356,7 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
         pos = np.zeros(r)
         owner = np.arange(r)
         for _ in range(n):
-            if law.mechanism == "independent":
-                counts = law.offspring.sample(rng, pos.size)
-                pos = np.repeat(pos, counts) + law.displacement.sample(
-                    rng, int(counts.sum()))
-            else:
-                counts = law.offspring.sample(rng, pos.size)
-                steps = law.displacement.sample(rng, pos.size)
-                pos = np.repeat(pos, counts) + np.repeat(steps, counts)
-            owner = np.repeat(owner, counts)
+            pos, owner = _branch(law, pos, rng, owner)
             if pos.size > max_particles:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
                                   "reduce n or the chunk size")

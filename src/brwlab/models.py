@@ -139,9 +139,6 @@ class Gaussian:
     def sample(self, rng, size):
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
-    def support_max(self):
-        return math.inf
-
     def lattice_pmf(self, h: float):
         """Probabilities of landing in lattice cells of pitch h around 0."""
         sd = math.sqrt(self.variance)
@@ -167,9 +164,6 @@ class PointMass:
 
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=float)
-
-    def support_max(self):
-        return self.value
 
     def lattice_pmf(self, h: float):
         j = int(round(self.value / h))
@@ -202,9 +196,6 @@ class TwoPoint:
     def sample(self, rng, size):
         picks = rng.random(size) < self.prob_high
         return np.where(picks, self.high, self.low)
-
-    def support_max(self):
-        return self.high
 
     def lattice_pmf(self, h: float):
         jl = int(round(self.low / h))
@@ -239,10 +230,6 @@ class ReproductionLaw:
         if self.mechanism not in ("independent", "common"):
             raise ParamError(f"unknown displacement mechanism {self.mechanism!r}")
 
-    @property
-    def mean_offspring(self) -> float:
-        return self.offspring.mean
-
     def cumulant(self, theta):
         """log E[sum_i exp(theta z_i)]; +inf for theta < 0 by convention."""
         theta = np.asarray(theta, dtype=float)
@@ -261,25 +248,6 @@ class ReproductionLaw:
                f"{type(self.displacement).__name__.lower()}")
         return EvaluableFunction(xs, self.cumulant(xs), rule=self.cumulant,
                                  domain=(0.0, math.inf), analytic=tag, convex=True)
-
-    def sample_family(self, rng: np.random.Generator) -> np.ndarray:
-        """Displacements of one family: N >= 1 reals, i.i.d. steps for the
-        independent mechanism, one shared step for the common one."""
-        n = int(self.offspring.sample(rng, 1)[0])
-        if self.mechanism == "independent":
-            return self.displacement.sample(rng, n)
-        step = self.displacement.sample(rng, 1)[0]
-        return np.full(n, step, dtype=float)
-
-
-def cumulant(law: ReproductionLaw, theta):
-    """Module-level alias for ``law.cumulant(theta)``."""
-    return law.cumulant(theta)
-
-
-def sample_family(law: ReproductionLaw, rng: np.random.Generator) -> np.ndarray:
-    """Module-level alias for ``law.sample_family(rng)``."""
-    return law.sample_family(rng)
 
 
 # --------------------------------------------------------------------------

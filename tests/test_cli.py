@@ -91,6 +91,35 @@ class TestSchema:
             parse_config("{not json")
 
 
+TWO_POINT_TIED = dict(BBM_LAW, displacement={"kind": "two_point", "low": 1.0,
+                                             "high": 1.0, "prob_high": 0.5})
+
+
+class TestConstructorErrors:
+    """Configs that pass the key and type checks but that a model
+    constructor rejects: exit 2 with the object's key path, not a
+    runtime error."""
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "speed", "law": dict(BBM_LAW, offspring="deterministic", mean=2.5)},
+         "law"),
+        ({"kind": "front", "law": dict(BBM_LAW, offspring="poisson_positive", mean=1)},
+         "law"),
+        ({"kind": "anomalous", "system": {"nu": BBM_LAW, "eta": TWO_POINT_TIED,
+                                          "seed_prob": 0.5}},
+         "system"),
+        ({"kind": "speed", "law": BBM_LAW, "expect": {"speed": 1.4, "rel_tol": 0}},
+         "expect.rel_tol"),
+    ], ids=["fractional_deterministic", "poisson_positive_mean_1",
+            "two_point_low_equals_high", "zero_rel_tol"])
+    def test_exit_code_and_key_path(self, tmp_path, capsys, cfg, path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, seed=1)))
+        assert main([cfg["kind"], "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
+
 class TestRunners:
     def test_speed_scenario(self, tmp_path):
         cfg = parse_config(minimal(expect={"speed": math.sqrt(2), "rel_tol": 1e-4}))

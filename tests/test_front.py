@@ -73,14 +73,6 @@ class TestApplyQ:
         # single particle, step 0 or 1: P(M_1 > x) = 0.5 for x in (0, 1)
         assert float(v.evaluate(np.asarray([0.5]))[0]) == pytest.approx(0.5, abs=1e-9)
 
-    def test_direct_and_fft_paths_agree(self):
-        u = heaviside_profile(h=0.01)
-        for _ in range(3):
-            u = apply_q(u, BBM)
-        a = apply_q(u, BBM, method="direct", recenter=False)
-        b = apply_q(u, BBM, method="fft", recenter=False)
-        assert float(np.max(np.abs(a.values - b.values))) < 1e-10
-
     def test_leading_edge_below_rounding_floor(self):
         # 1 - pgf(1 - s) cancels to 0 once s < ~1e-16, which cut the edge
         # off at a smallest positive value of exactly 4.44e-16

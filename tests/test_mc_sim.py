@@ -9,6 +9,7 @@ from brwlab.errors import BudgetError, ParamError, StateError
 from brwlab.front import expected_rightmost_curve
 from brwlab.mc_sim import (
     TrajectoryStats,
+    _branch,
     centering_slope,
     count_profile,
     replicate_rng,
@@ -260,13 +261,32 @@ class TestRightmostBatch:
             rightmost_batch(law, 14, 1000, replicate_rng(0, 0))
 
 
-def test_generation_state_rightmost():
-    from brwlab.mc_sim import GenerationState
-    s = GenerationState(positions=np.array([0.5, -2.0, 3.0]), generation=4,
-                        born=3, pruned=0)
-    assert s.rightmost == 3.0
-    empty = GenerationState(positions=np.empty(0), generation=1)
-    assert math.isinf(empty.rightmost) and empty.rightmost < 0
+def test_branch_children_carry_their_parents_labels():
+    positions = np.array([0.5, -2.0, 3.0, 7.25])
+    parents = np.arange(positions.size)
+    point = ReproductionLaw(OffspringLaw("geometric", 3.0), PointMass(0.75))
+    children, labels, doubled = _branch(point, positions, replicate_rng(1, 0),
+                                        parents, 2 * parents)
+    assert children.size == labels.size == doubled.size >= positions.size
+    assert np.all(np.diff(labels) >= 0)                 # children in parent order
+    assert set(labels.tolist()) == set(parents.tolist())  # every family has N >= 1
+    assert np.array_equal(doubled, 2 * labels)
+    assert np.array_equal(children, positions[labels] + 0.75)
+
+    common = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
+                             "common")
+    children, labels = _branch(common, positions, replicate_rng(2, 0), parents)
+    steps = children - positions[labels]
+    for r in parents:
+        family = steps[labels == r]
+        assert np.all(family == family[0])              # siblings share one step
+    assert np.unique(steps).size == positions.size
+
+    # an empty generation draws nothing and keeps the label dtype
+    rng = replicate_rng(3, 0)
+    children, labels = _branch(common, np.empty(0), rng, np.empty(0, np.int64))
+    assert children.size == labels.size == 0 and labels.dtype == np.int64
+    assert rng.random() == replicate_rng(3, 0).random()
 
 
 def test_replicate_streams_are_independent_of_order():

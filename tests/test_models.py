@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brwlab.errors import ParamError
-from brwlab.mc_sim import replicate_rng, rightmost_batch
+from brwlab.mc_sim import _branch, replicate_rng, rightmost_batch
 from brwlab.models import (
     Gaussian,
     OffspringLaw,
@@ -15,8 +15,6 @@ from brwlab.models import (
     Seeding,
     TwoPoint,
     TwoTypeSystem,
-    cumulant,
-    sample_family,
     skeleton_of_bbm,
 )
 
@@ -34,22 +32,22 @@ class TestCumulant:
     def test_gaussian_closed_form(self):
         law = ReproductionLaw(OffspringLaw("geometric", math.exp(2.0)),
                               Gaussian(0.0, 0.7))
-        assert cumulant(law, 1.0) == pytest.approx(2.0 + 0.7 / 2.0, abs=1e-14)
+        assert law.cumulant(1.0) == pytest.approx(2.0 + 0.7 / 2.0, abs=1e-14)
 
     def test_zero_tilt_is_log_mean_family_size(self):
         for law in LAW_CATALOGUE:
-            assert cumulant(law, 0.0) == pytest.approx(
+            assert law.cumulant(0.0) == pytest.approx(
                 math.log(law.offspring.mean), abs=1e-12)
 
     def test_common_point_mass(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(1.0),
                               "common")
         # direct evaluation: log(2 e^2)
-        assert cumulant(law, 2.0) == pytest.approx(math.log(2.0) + 2.0, abs=1e-14)
+        assert law.cumulant(2.0) == pytest.approx(math.log(2.0) + 2.0, abs=1e-14)
 
     def test_negative_tilt_is_infinite(self):
         for law in LAW_CATALOGUE:
-            assert math.isinf(cumulant(law, -0.5))
+            assert math.isinf(law.cumulant(-0.5))
 
     def test_convex_on_tilt_grid(self):
         ts = np.arange(0.0, 6.0, 0.01)
@@ -84,11 +82,14 @@ class TestComplement:
 
 
 class TestSamplers:
+    """Families are drawn through the engines' one branching step,
+    each from a single parent at the origin."""
+
     def test_deterministic_point_family(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.0))
         rng = replicate_rng(0, 0)
         for _ in range(5):
-            fam = sample_family(law, rng)
+            fam, = _branch(law, np.zeros(1), rng)
             assert np.array_equal(fam, np.zeros(2))
 
     def test_geometric_mean_family_size(self):
@@ -103,7 +104,7 @@ class TestSamplers:
                               "common")
         rng = replicate_rng(2, 0)
         for _ in range(10):
-            fam = sample_family(law, rng)
+            fam, = _branch(law, np.zeros(1), rng)
             assert np.all(fam == fam[0])
 
     @pytest.mark.parametrize("law", LAW_CATALOGUE)
@@ -113,15 +114,9 @@ class TestSamplers:
         rng = replicate_rng(37, 0)
         reps = 150_000
         for theta in (0.0, 0.5, 1.0):
-            counts = law.offspring.sample(rng, reps)
-            if law.mechanism == "independent":
-                steps = law.displacement.sample(rng, int(counts.sum()))
-            else:
-                steps = np.repeat(law.displacement.sample(rng, reps), counts)
-            vals = np.exp(theta * steps)
-            starts = np.zeros(reps, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            totals = np.add.reduceat(vals, starts)
+            steps, family = _branch(law, np.zeros(reps), rng, np.arange(reps))
+            totals = np.bincount(family, weights=np.exp(theta * steps),
+                                 minlength=reps)
             target = math.exp(float(law.cumulant(theta)))
             se = totals.std(ddof=1) / math.sqrt(reps)
             # degenerate laws (point-mass steps, fixed counts) have se == 0
