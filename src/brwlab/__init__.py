@@ -20,7 +20,6 @@ from .errors import (
     BrwLabError,
     BudgetError,
     DomainError,
-    HypothesisError,
     KernelError,
     ParamError,
     RangeError,

@@ -54,6 +54,9 @@ _SYSTEM_KEYS = {"nu", "eta", "seed_prob", "seed_displacement", "skeleton"}
 _TOP_KEYS = {"kind", "law", "system", "n_max", "budget", "window", "h",
              "replicates", "seed", "out", "expect", "snapshots", "a_values"}
 _EXPECT_KEYS = {"speed", "rel_tol"}
+# model keys a kind never reads; simulate reads either key, but not both
+_UNREAD_KEYS = {"speed": ("system",), "front": ("system",),
+                "anomalous": ("law",), "verify": ("law", "system")}
 
 
 @dataclass
@@ -222,6 +225,11 @@ def parse_config(text: str) -> ExperimentConfig:
             problems.append(("system", "required for kind=anomalous"))
     if kind == "simulate" and "law" not in raw and "system" not in raw:
         problems.append(("law", "simulate needs a law or a system"))
+    if kind == "simulate" and "law" in raw and "system" in raw:
+        problems.append(("system", "simulate takes a law or a system, not both"))
+    for key in _UNREAD_KEYS.get(kind, ()):
+        if key in raw:
+            problems.append((key, f"not read by kind={kind}"))
     if "law" in raw:
         _check_law(raw["law"], "law", problems)
     if "system" in raw:

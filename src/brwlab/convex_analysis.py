@@ -1,16 +1,19 @@
 """Numerical convex duality for spreading-speed calculations.
 
 This module supplies the convex machinery everything else composes:
-conjugates (Legendre-Fenchel transforms) computed by bracketed
+``EvaluableFunction`` (a vectorized rule together with the grid it
+samples), conjugates (Legendre-Fenchel transforms) computed by bracketed
 golden-section maximization, the sweep operation that replaces positive
 values by +inf, lower convex envelopes of pairs of functions built from
 a monotone-chain hull, and the two speed functionals (zero crossing of
 a rate function, infimum of cumulant-to-tilt ratios).
 
-Infinities are first class: +inf marks points outside an effective
-domain, comparisons treat it as absorbing, and values are never NaN.
-Arithmetic that could produce NaN (inf - inf) is masked before it
-happens.
+Every function here is convex.  A cumulant is finite on [0, inf) and
++inf for negative tilts; its conjugate, a swept conjugate or an envelope
+is +inf past the largest attainable speed of a bounded step.  Infinities
+are first class: comparisons treat +inf as absorbing, and values are
+never NaN.  Arithmetic that could produce NaN (inf - inf) is masked
+before it happens.
 """
 
 from __future__ import annotations
@@ -26,10 +29,8 @@ from .tables import write_csv
 
 # Tolerances used across the package.
 TAU_CVX = 1e-8            # discrete convexity slack (relative)
-TAU_DUAL = 1e-7           # conjugate minimum vs -f(0)
 TAU_ROOT = 1e-7           # residual of tilt * speed - cumulant(tilt)
 TAU_SPEED_ANALYTIC = 1e-6  # speed-formula agreement, closed-form cumulants
-TAU_SPEED_GRID = 1e-4     # speed-formula agreement, grid-backed cumulants
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_CAP = 2.0 ** 48    # beyond this the conjugate is treated as +inf
@@ -50,28 +51,20 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class EvaluableFunction:
-    """A real function with extended-real values on a grid, plus an optional rule.
+    """A convex extended-real function: a vectorized rule and the grid it samples.
 
-    ``xs``/``ys`` hold the representation grid: strictly increasing
-    abscissae with values where +inf encodes "outside the effective
-    domain" and NaN is forbidden.  When ``rule`` is present it is the
-    authoritative (vectorized) evaluation; the grid is then a sampled
-    view used for window decisions and CSV export.  Without a rule,
-    evaluation interpolates the grid linearly, extrapolating by the end
-    slopes past a finite window edge and returning +inf past an edge
-    the grid itself marks as infinite.
-
-    ``analytic`` tags instances backed by a closed form, ``convex``
-    asserts discrete midpoint convexity of the stored values (checked
-    at construction up to TAU_CVX).
+    ``rule`` is the evaluation: it maps a 1-d array of abscissae to
+    values in (-inf, +inf], where +inf marks points outside the
+    effective domain.  ``xs``/``ys`` are the rule sampled on strictly
+    increasing abscissae, so ``f(f.xs) == f.ys``; they serve window
+    decisions, precomputed envelope inputs and CSV export.  Construction
+    rejects NaN and -inf values, and checks that the finite values form
+    one interval and are discretely convex up to TAU_CVX.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    rule: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain: tuple = (-math.inf, math.inf)
-    analytic: Optional[str] = None
-    convex: bool = False
+    rule: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -88,88 +81,25 @@ class EvaluableFunction:
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        if self.convex:
-            fin = np.flatnonzero(np.isfinite(ys))
-            # an extended-real convex function is finite on an interval
-            if fin.size and not np.array_equal(fin, np.arange(fin[0], fin[-1] + 1)):
-                raise ValueError("convex-tagged values have a gap in their "
-                                 "finite support")
-            if fin.size >= 3:
-                fx, fy = xs[fin], ys[fin]
-                s = np.diff(fy) / np.diff(fx)
-                tol = TAU_CVX * max(1.0, float(np.abs(fy).max()))
-                if np.any(np.diff(s) < -tol):
-                    raise ValueError("values tagged convex fail discrete convexity")
+        fin = np.flatnonzero(np.isfinite(ys))
+        # an extended-real convex function is finite on an interval
+        if fin.size and not np.array_equal(fin, np.arange(fin[0], fin[-1] + 1)):
+            raise ValueError("values have a gap in their finite support")
+        if fin.size >= 3:
+            fx, fy = xs[fin], ys[fin]
+            s = np.diff(fy) / np.diff(fx)
+            tol = TAU_CVX * max(1.0, float(np.abs(fy).max()))
+            if np.any(np.diff(s) < -tol):
+                raise ValueError("values fail discrete convexity")
 
     def __call__(self, a):
         arr = np.asarray(a, dtype=float)
-        scalar = arr.ndim == 0
-        arr1 = np.atleast_1d(arr)
-        if self.rule is not None:
-            out = np.asarray(self.rule(arr1), dtype=float)
-        else:
-            out = _interp_extended(self.xs, self.ys, arr1)
-        lo, hi = self.domain
-        out = np.where((arr1 < lo) | (arr1 > hi), np.inf, out)
-        return float(out[0]) if scalar else out
-
-    def finite_window(self) -> tuple:
-        """Smallest and largest abscissae with finite stored values."""
-        fin = np.isfinite(self.ys)
-        if not fin.any():
-            raise DomainError("function is +inf on its whole grid")
-        fx = self.xs[fin]
-        return float(fx[0]), float(fx[-1])
+        out = np.asarray(self.rule(np.atleast_1d(arr)), dtype=float)
+        return float(out[0]) if arr.ndim == 0 else out
 
     def write_csv(self, path) -> None:
         """Export the grid as CSV columns (a, value); +inf becomes the literal 'inf'."""
         write_csv(path, ["a", "value"], zip(self.xs.tolist(), self.ys.tolist()))
-
-
-def _interp_extended(xs, ys, a):
-    """Linear interpolation honoring +inf cells of the stored grid.
-
-    A query between two finite neighbors interpolates linearly; a query in
-    any cell touching a +inf value is +inf (the grid cannot resolve where
-    the jump sits inside the cell).  Past a finite grid end the end slope
-    extrapolates (window truncation); past an infinite end the function
-    stays +inf (domain edge).
-    """
-    out = np.full(a.shape, np.inf)
-    fin = np.isfinite(ys)
-    if not fin.any():
-        return out
-    fx = xs[fin]
-    fy = ys[fin]
-    left = a < xs[0]
-    right = a > xs[-1]
-    inside = ~(left | right)
-    ai = a[inside]
-    idx = np.searchsorted(xs, ai, side="right")
-    i0 = np.clip(idx - 1, 0, xs.size - 1)
-    i1 = np.clip(idx, 0, xs.size - 1)
-    y0, y1 = ys[i0], ys[i1]
-    x0, x1 = xs[i0], xs[i1]
-    vals = np.full(ai.shape, np.inf)
-    both = np.isfinite(y0) & np.isfinite(y1)
-    if both.any():
-        gap = np.where(x1 > x0, x1 - x0, 1.0)
-        t = (ai - x0) / gap
-        vals[both] = y0[both] + t[both] * (y1[both] - y0[both])
-    exact = ai == x0
-    vals[exact] = y0[exact]
-    out[inside] = vals
-    if fin[0] and fx.size >= 2:
-        s = (fy[1] - fy[0]) / (fx[1] - fx[0])
-        out[left] = fy[0] + s * (a[left] - fx[0])
-    elif fin[0]:
-        out[left] = fy[0]
-    if fin[-1] and fx.size >= 2:
-        s = (fy[-1] - fy[-2]) / (fx[-1] - fx[-2])
-        out[right] = fy[-1] + s * (a[right] - fx[-1])
-    elif fin[-1]:
-        out[right] = fy[-1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -241,54 +171,32 @@ def _golden_min_scalar(fun, lo, hi, tol=1e-12, max_iter=220):
     return xm, fun(xm)
 
 
-def _ratio_minimum(f: EvaluableFunction, t_hi: Optional[float] = None):
-    """Minimize f(t)/t over t > 0 (optionally over t <= t_hi).
+def _ratio_minimum(f: EvaluableFunction):
+    """Minimize f(t)/t over t > 0.
 
     Returns (value, argmin, attained).  ``attained`` is False when the
     infimum is only approached as t -> inf, in which case ``value`` is
     the asymptotic slope of f and ``argmin`` is None.
     """
 
-    cap = _THETA_CAP
-    dom_hi = min(f.domain[1], cap)
-    if t_hi is not None:
-        dom_hi = min(dom_hi, t_hi)
-
     def ratio(t):
         v = f(t)
         return v / t if math.isfinite(v) else math.inf
 
-    # Geometric expansion: walk up until the ratio stops decreasing.
-    t_prev, t_cur = None, None
     t = 1e-6
     if not math.isfinite(f(t)):
-        # Domain may start above zero; probe upward for a finite point.
-        probes = np.geomspace(1e-6, dom_hi, 80)
-        fin = [p for p in probes if math.isfinite(f(p))]
-        if not fin:
-            raise DomainError("cumulant is +inf on all of (0, inf)")
-        t = fin[0]
-    while 2 * t <= dom_hi:
+        raise DomainError("cumulant is +inf just above 0")
+    # Geometric expansion: walk up until the ratio stops decreasing.
+    while 2 * t <= _THETA_CAP:
         if ratio(2 * t) >= ratio(t):
-            t_prev, t_cur = t, 2 * t
-            break
+            tm, vm = _golden_min_scalar(ratio, max(t / 2, 1e-9), 2 * t)
+            return float(vm), float(tm), True
         t = 2 * t
-    if t_cur is None:
-        # Ran into the domain edge (or cap) while still decreasing.
-        edge = dom_hi
-        if edge >= cap:
-            # Infimum approached as t -> inf; report the asymptotic slope.
-            big = cap / 4
-            slope = (f(2 * big) - f(big)) / big
-            return float(slope), None, False
-        lo = max(t / 2, 1e-9)
-        tm, vm = _golden_min_scalar(ratio, lo, edge)
-        if ratio(edge) <= vm:
-            tm, vm = edge, ratio(edge)
-        return float(vm), float(tm), True
-    lo = max(t_prev / 2, 1e-9)
-    tm, vm = _golden_min_scalar(ratio, lo, t_cur)
-    return float(vm), float(tm), True
+    # Still decreasing at the cap: the infimum is approached as t -> inf,
+    # so report the asymptotic slope.
+    big = _THETA_CAP / 4
+    slope = (f(2 * big) - f(big)) / big
+    return float(slope), None, False
 
 
 def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -> GridSpec:
@@ -297,12 +205,8 @@ def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -
     ``gamma_up`` is inf f(t)/t when the caller already has it (the
     speed of ``speed_from_inf``); otherwise it is computed here.
     """
-    lo_dom = max(f.domain[0], 0.0)
     h0 = 1e-6
-    f0 = f(lo_dom)
-    if not math.isfinite(f0):
-        f0 = f(lo_dom + h0)
-    s0 = (f(lo_dom + h0) - f0) / h0
+    s0 = (f(h0) - f(0.0)) / h0
     if not math.isfinite(s0):
         s0 = 0.0
     if gamma_up is None:
@@ -316,23 +220,21 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
     """Convex conjugate g(a) = sup_{t >= 0} (t*a - f(t)).
 
     The inner maximand is concave in t for convex f, so each grid point
-    is resolved by doubling a bracket until the objective turns (or the
-    domain ends).  Points whose objective is still rising at the
-    expansion cap get the value +inf (the conjugate diverges there, e.g.
-    beyond the maximal step of a bounded-displacement law) and are not
-    sectioned; the finite points are golden-sectioned together, one
+    is resolved by doubling a bracket [0, hi] from hi = 1 until the
+    objective turns.  Points whose objective is still rising at the
+    2^48 expansion cap get the value +inf (the conjugate diverges there,
+    e.g. beyond the maximal step of a bounded-displacement law) and are
+    not sectioned; the finite points are golden-sectioned together, one
     objective evaluation per step, until every bracket is narrower than
     1e-10.
     """
 
-    probes = np.geomspace(1e-9, min(f.domain[1], 1e9), 100)
+    probes = np.geomspace(1e-9, 1e9, 100)
     if not np.isfinite(np.asarray(f(probes))).any():
         raise DomainError("function is +inf on all of (0, inf); no conjugate")
     if a_grid is None:
         a_grid = _default_dual_grid(f)
     xs = a_grid.abscissae()
-
-    dom_hi = min(f.domain[1], _THETA_CAP)
 
     def objective_at(avec: np.ndarray):
         def objective(t):
@@ -346,12 +248,12 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
 
         # Per-point doubling; the bracket [0, hi] holds the maximum once
         # the objective fails to improve (concavity), or the cap is hit.
-        hi = np.full(avec.shape, min(1.0, dom_hi))
+        hi = np.ones(avec.shape)
         unresolved = np.ones(avec.shape, dtype=bool)
         cur = objective(hi)
         while True:
-            trial = np.minimum(hi * 2.0, dom_hi)
-            can_grow = unresolved & (hi < dom_hi)
+            trial = np.minimum(hi * 2.0, _THETA_CAP)
+            can_grow = unresolved & (hi < _THETA_CAP)
             if not can_grow.any():
                 break
             nxt = objective(trial)
@@ -362,23 +264,17 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
             cur = np.where(improving, nxt, cur)
             if not improving.any():
                 break
-        still_rising = unresolved & (hi >= dom_hi) & (dom_hi >= _THETA_CAP)
+        still_rising = unresolved & (hi >= _THETA_CAP)
         if np.isnan(cur).any():
             raise ToleranceError("conjugate bracket produced NaN objective")
         vals = np.full(avec.shape, np.inf)
         live = ~still_rising
         if live.any():
             _, vals[live] = _golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
-                                        np.minimum(2.0 * hi[live], dom_hi))
+                                        np.minimum(2.0 * hi[live], _THETA_CAP))
         return vals
 
-    ys = conjugate(xs)
-    tag = f"conjugate({f.analytic})" if f.analytic else None
-    # The rule encodes the effective domain exactly (it returns +inf where
-    # the supremum diverges); snapping a domain endpoint to the grid here
-    # would mask the rule and cost a full grid step of accuracy downstream.
-    return EvaluableFunction(xs, ys, rule=conjugate, domain=(-math.inf, math.inf),
-                             analytic=tag, convex=True)
+    return EvaluableFunction(xs, conjugate(xs), conjugate)
 
 
 def sweep(f: EvaluableFunction) -> EvaluableFunction:
@@ -388,18 +284,11 @@ def sweep(f: EvaluableFunction) -> EvaluableFunction:
     set of f).
     """
 
-    ys = np.where(f.ys <= 0, f.ys, np.inf)
-    rule = None
-    if f.rule is not None:
-        inner = f  # evaluation includes the domain mask
+    def rule(avec):
+        v = np.asarray(f.rule(avec), dtype=float)
+        return np.where(v <= 0, v, np.inf)
 
-        def rule(avec):
-            v = np.asarray(inner(np.atleast_1d(avec)), dtype=float)
-            return np.where(v <= 0, v, np.inf)
-
-    tag = f"sweep({f.analytic})" if f.analytic else None
-    return EvaluableFunction(f.xs, ys, rule=rule, domain=f.domain,
-                             analytic=tag, convex=f.convex)
+    return EvaluableFunction(f.xs, np.where(f.ys <= 0, f.ys, np.inf), rule)
 
 
 def _multisection(fn, lo, hi, predicate, rounds: int = 4, width: int = 48):
@@ -443,8 +332,7 @@ def _lower_hull(px: np.ndarray, py: np.ndarray):
     return np.asarray(hx), np.asarray(hy)
 
 
-def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
-                    grid: Optional[GridSpec] = None,
+def convex_minorant(f: EvaluableFunction, g: EvaluableFunction, grid: GridSpec,
                     values: Optional[tuple] = None) -> EvaluableFunction:
     """Lower convex envelope of min(f, g) over the working window.
 
@@ -466,13 +354,6 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
     edges.
     """
 
-    if grid is None:
-        los, his = [], []
-        for fn in (f, g):
-            w = fn.finite_window()
-            los.append(w[0])
-            his.append(w[1])
-        grid = GridSpec(min(los), max(his), 1e-3)
     xs = grid.abscissae()
     if values is not None:
         fy, gy = (np.asarray(v, dtype=float) for v in values)
@@ -520,9 +401,7 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
         out[right] = hy[-1] + sR * (a[right] - hx[-1]) if fin[-1] else np.inf
         return out
 
-    ys = rule(xs)
-    return EvaluableFunction(xs, ys, rule=rule, domain=(-math.inf, math.inf),
-                             analytic=None, convex=True)
+    return EvaluableFunction(xs, rule(xs), rule)
 
 
 def speed_from_dual(fd: EvaluableFunction) -> float:

@@ -13,10 +13,6 @@ class ToleranceError(BrwLabError):
     """A numerical search failed to bracket or converge."""
 
 
-class HypothesisError(BrwLabError):
-    """A two-type system violates the admissibility hypothesis of the speed formula."""
-
-
 class ParamError(BrwLabError):
     """Invalid parameters for a reproduction law or system."""
 

@@ -36,6 +36,7 @@ from .models import (Displacement, Gaussian, PointMass, ReproductionLaw, TwoPoin
                      TwoTypeSystem)
 
 RANGE_TOL = 1e-12
+LEVEL = 0.5   # the front is where the profile crosses this value: the median
 
 
 @dataclass
@@ -46,23 +47,22 @@ class FrontProfile:
     offset: float
     h: float
     generation: int
-    level: float = 0.5
 
     def grid(self) -> np.ndarray:
         return self.offset + self.h * np.arange(self.values.size)
 
     @property
     def front(self) -> float:
-        """Position of the level crossing, linearly interpolated."""
+        """Position of the LEVEL crossing, linearly interpolated."""
         v = self.values
-        below = v <= self.level
+        below = v <= LEVEL
         if not below.any():
             return self.offset + self.h * (v.size - 1)
         i = int(np.argmax(below))  # first index at or below the level
         if i == 0:
             return self.offset
         x0 = self.offset + self.h * (i - 1)
-        return x0 + self.h * (v[i - 1] - self.level) / (v[i - 1] - v[i])
+        return x0 + self.h * (v[i - 1] - LEVEL) / (v[i - 1] - v[i])
 
     def evaluate(self, x) -> np.ndarray:
         """Profile value at arbitrary positions (1 left of window, 0 right)."""
@@ -71,8 +71,7 @@ class FrontProfile:
         return np.interp(x, g, self.values, left=1.0, right=0.0)
 
 
-def heaviside_profile(h: float = 0.01, width: float = 80.0,
-                      level: float = 0.5) -> FrontProfile:
+def heaviside_profile(h: float = 0.01, width: float = 80.0) -> FrontProfile:
     """Initial data: 1 left of the origin, 0 right of it.
 
     The grid cell at the jump carries the value 1/2, the usual quadrature
@@ -83,8 +82,7 @@ def heaviside_profile(h: float = 0.01, width: float = 80.0,
     offset = -width / 2
     xs = offset + h * np.arange(n + 1)
     vals = np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
-    return FrontProfile(values=vals, offset=offset, h=h,
-                        generation=0, level=level)
+    return FrontProfile(values=vals, offset=offset, h=h, generation=0)
 
 
 def _convolve_profile(u: FrontProfile, law: ReproductionLaw) -> np.ndarray:
@@ -136,7 +134,7 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
         # exact translation: shift the window, then map values pointwise
         vals = law.offspring.complement(u.values)
         out = FrontProfile(values=vals, offset=u.offset + d.value, h=u.h,
-                           generation=u.generation + 1, level=u.level)
+                           generation=u.generation + 1)
     else:
         conv = _convolve_profile(u, law)
         vals = law.offspring.complement(conv)
@@ -147,7 +145,7 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
         vals = np.clip(vals, 0.0, 1.0)
         shift = d.mean if isinstance(d, Gaussian) else 0.0
         out = FrontProfile(values=vals, offset=u.offset + shift, h=u.h,
-                           generation=u.generation + 1, level=u.level)
+                           generation=u.generation + 1)
     if recenter:
         out = _recenter(out)
     return out
@@ -167,7 +165,7 @@ def _recenter(u: FrontProfile) -> FrontProfile:
         vals[-cells:] = u.values[:cells]
         vals[:-cells] = 1.0
     return FrontProfile(values=vals, offset=u.offset + cells * u.h, h=u.h,
-                        generation=u.generation, level=u.level)
+                        generation=u.generation)
 
 
 @dataclass
@@ -179,8 +177,7 @@ class FrontResult:
 
 
 def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
-                width: float = 80.0, level: float = 0.5,
-                snapshot_at: Optional[Sequence[int]] = None):
+                width: float = 80.0, snapshot_at: Optional[Sequence[int]] = None):
     """Iterate the front from Heaviside data and measure its speed.
 
     The speed is the least-squares slope of the front position over the
@@ -192,7 +189,7 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
     generations to profiles.
     """
 
-    u = heaviside_profile(h=h, width=width, level=level)
+    u = heaviside_profile(h=h, width=width)
     positions = [u.front]
     sup_diffs = np.empty(n_max)
     drift = []
@@ -207,8 +204,7 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
         prev_centered = centered
         drift.append((n, positions[-1], positions[-1] - positions[-2]))
         if snapshot_at and n in snapshot_at:
-            snapshots[n] = FrontProfile(u.values.copy(), u.offset, u.h,
-                                        u.generation, u.level)
+            snapshots[n] = FrontProfile(u.values.copy(), u.offset, u.h, u.generation)
     return FrontResult(speed=_second_half_slope(positions), drift=drift,
                        sup_diffs=sup_diffs, final=u), snapshots
 

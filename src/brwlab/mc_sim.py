@@ -255,18 +255,17 @@ class SlopeFit:
 
 
 def centering_slope(stats: Sequence[TrajectoryStats], speed: float,
-                    tilt: Optional[float] = None,
-                    fit_range: Optional[Tuple[int, int]] = None) -> SlopeFit:
+                    tilt: Optional[float] = None) -> SlopeFit:
     """Least-squares slope of mean rightmost position minus n*speed against log n.
 
-    The fit runs over n in [n_max/4, n_max] by default.  The returned
+    The fit runs over n in [n_max/4, n_max].  The returned
     standard error is the usual linear-regression one, useful only as a
     rough scale since adjacent generations are strongly dependent.
     """
 
     m = np.mean([s.rightmost for s in stats], axis=0)
     n_max = m.size - 1
-    lo, hi = fit_range if fit_range is not None else (max(1, n_max // 4), n_max)
+    lo, hi = max(1, n_max // 4), n_max
     n = np.arange(lo, hi + 1)
     y = m[lo:hi + 1] - n * speed
     x = np.log(n)

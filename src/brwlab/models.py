@@ -244,10 +244,7 @@ class ReproductionLaw:
         if window is None:
             window = GridSpec(-1.0, 12.0, 1e-2)
         xs = window.abscissae()
-        tag = (f"{self.offspring.kind}(m={self.offspring.mean:g})+"
-               f"{type(self.displacement).__name__.lower()}")
-        return EvaluableFunction(xs, self.cumulant(xs), rule=self.cumulant,
-                                 domain=(0.0, math.inf), analytic=tag, convex=True)
+        return EvaluableFunction(xs, self.cumulant(xs), self.cumulant)
 
 
 # --------------------------------------------------------------------------
@@ -278,22 +275,13 @@ class TwoTypeSystem:
     Reducibility is structural: there is no channel by which an eta
     parent produces a nu daughter, and every nu-family contains at
     least one nu-daughter because all catalogued count laws live on
-    {1, 2, ...}.
+    {1, 2, ...}.  Every catalogued displacement has a transform finite at
+    every tilt, so the seeding term never restricts the speed formulas.
     """
 
     law_nu: ReproductionLaw
     law_eta: ReproductionLaw
     seeding: Seeding
-
-    @property
-    def finite_seed_transform(self) -> bool:
-        """True when the seed displacement transform is finite for all tilts.
-
-        Every catalogued displacement qualifies, so the off-diagonal
-        term never restricts the speed formulas.
-        """
-        return math.isfinite(self.seeding.displacement.log_mgf(1.0)) and \
-            math.isfinite(self.seeding.displacement.log_mgf(50.0))
 
     def swap_roles(self) -> "TwoTypeSystem":
         """The system with the class roles exchanged (same seeding law)."""

@@ -120,6 +120,33 @@ class TestConstructorErrors:
         assert f"schema error at {path}:" in capsys.readouterr().err
 
 
+SKELETON = {"skeleton": {"V": 1 / 3, "lambda": 3.0, "p": 0.5}}
+
+
+class TestUnreadKeys:
+    """A model key the config's kind never reads is a schema error, not a
+    silently ignored object."""
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "anomalous", "system": SKELETON, "law": BBM_LAW}, "law"),
+        ({"kind": "verify", "law": BBM_LAW}, "law"),
+        ({"kind": "speed", "law": BBM_LAW, "system": SKELETON}, "system"),
+        ({"kind": "front", "law": BBM_LAW, "system": SKELETON, "n_max": 5}, "system"),
+        ({"kind": "verify", "system": SKELETON}, "system"),
+        ({"kind": "simulate", "law": BBM_LAW, "system": SKELETON, "n_max": 5,
+          "budget": 200, "replicates": 1}, "system"),
+    ], ids=["law_for_anomalous", "law_for_verify", "system_for_speed",
+            "system_for_front", "system_for_verify", "simulate_with_both"])
+    def test_exit_code_and_key_path(self, tmp_path, capsys, monkeypatch, cfg, path):
+        from brwlab import acceptance
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", [])   # a verify run is instant
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, seed=1)))
+        assert main([cfg["kind"], "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
+
 class TestRunners:
     def test_speed_scenario(self, tmp_path):
         cfg = parse_config(minimal(expect={"speed": math.sqrt(2), "rel_tol": 1e-4}))

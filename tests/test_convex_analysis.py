@@ -21,14 +21,21 @@ from brwlab.models import OffspringLaw, PointMass, ReproductionLaw, TwoPoint
 SQRT2 = math.sqrt(2.0)
 
 
+def sampled(rule, xs):
+    """The function with the given vectorized rule, sampled on xs."""
+    return EvaluableFunction(xs, rule(xs), rule)
+
+
+def constant(value, xs):
+    return sampled(lambda a: np.full(np.shape(a), value), xs)
+
+
 def gaussian_cumulant(log_mean, variance):
     """Closed-form cumulant log_mean + variance * t^2 / 2 as an EvaluableFunction."""
     def rule(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0, np.inf, log_mean + 0.5 * variance * t * t)
-    xs = np.arange(-1.0, 10.0, 1e-2)
-    return EvaluableFunction(xs, rule(xs), rule=rule, domain=(0.0, math.inf),
-                             analytic="gaussian", convex=True)
+    return sampled(rule, np.arange(-1.0, 10.0, 1e-2))
 
 
 def scan_conjugate(kappa, a, thetas):
@@ -77,8 +84,7 @@ class TestFenchelDual:
         assert np.all(np.diff(slopes) >= -1e-7)
 
     def test_everywhere_infinite_raises(self):
-        xs = np.arange(0.0, 2.0, 1e-2)
-        bad = EvaluableFunction(xs, np.full(xs.size, np.inf))
+        bad = constant(np.inf, np.arange(0.0, 2.0, 1e-2))
         with pytest.raises(DomainError):
             fenchel_dual(bad)
 
@@ -175,13 +181,11 @@ class TestSweep:
         assert swept(-0.5) == pytest.approx(-lam, abs=1e-7)
 
     def test_nonpositive_functions_are_fixed_points(self):
-        xs = np.arange(-1.0, 1.0, 1e-2)
-        f = EvaluableFunction(xs, np.full(xs.size, -1.0))
+        f = constant(-1.0, np.arange(-1.0, 1.0, 1e-2))
         assert np.array_equal(sweep(f).ys, f.ys)
 
     def test_sign_split_keeps_zero(self):
-        xs = np.arange(-1.0, 1.0001, 1e-3)
-        f = EvaluableFunction(xs, xs.copy())
+        f = sampled(lambda a: np.array(a, dtype=float), np.arange(-1.0, 1.0001, 1e-3))
         swept = sweep(f)
         assert np.all(np.isinf(swept.ys[swept.xs > 0]))
         assert np.array_equal(swept.ys[swept.xs <= 0], f.ys[f.xs <= 0])
@@ -189,11 +193,14 @@ class TestSweep:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_idempotent(self, seed):
+        # a random convex quadratic a (x - b)^2 + c, a sign change or not
         rng = np.random.default_rng(seed)
-        xs = np.arange(-1.0, 1.0, 1e-2)
-        f = EvaluableFunction(xs, rng.normal(size=xs.size))
+        a, b, c = rng.uniform(0.0, 3.0), rng.uniform(-1.5, 1.5), rng.normal()
+        f = sampled(lambda x: a * (x - b) ** 2 + c, np.arange(-1.0, 1.0, 1e-2))
         once = sweep(f)
         assert np.array_equal(sweep(once).ys, once.ys)
+        probes = rng.uniform(-1.5, 1.5, 50)
+        assert np.array_equal(sweep(once)(probes), once(probes))
 
 
 class TestConvexMinorant:
@@ -234,8 +241,9 @@ class TestConvexMinorant:
                              float(g(mid)))
 
     def test_idempotent_on_convex_input(self):
-        f = fenchel_dual(gaussian_cumulant(1.0, 1.0))
-        cv = convex_minorant(f, f)
+        grid = GridSpec(-1.0, 3.0, 1e-3)
+        f = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        cv = convex_minorant(f, f, grid)
         assert float(np.max(np.abs(cv(f.xs) - f.ys))) < 1e-9
 
     def test_symmetric_and_below_min(self):
@@ -268,10 +276,9 @@ class TestConvexMinorant:
         assert cv(5.0) == pytest.approx(cv(4.0) + slope, rel=1e-9)
 
     def test_all_infinite_raises(self):
-        xs = np.arange(0.0, 1.0, 1e-2)
-        f = EvaluableFunction(xs, np.full(xs.size, np.inf))
+        f = constant(np.inf, np.arange(0.0, 1.0, 1e-2))
         with pytest.raises(DomainError):
-            convex_minorant(f, f)
+            convex_minorant(f, f, GridSpec(0.0, 1.0, 1e-2))
 
 
 class TestSpeedFunctionals:
@@ -310,8 +317,7 @@ class TestSpeedFunctionals:
             assert r.speed == pytest.approx(math.sqrt(2 * v * lam), abs=1e-8)
 
     def test_positive_rate_function_raises(self):
-        xs = np.arange(-1.0, 1.0, 1e-2)
-        f = EvaluableFunction(xs, np.full(xs.size, 0.5))
+        f = constant(0.5, np.arange(-1.0, 1.0, 1e-2))
         with pytest.raises(DomainError):
             speed_from_dual(f)
 
@@ -320,27 +326,33 @@ class TestEvaluableFunction:
     def test_rejects_nan_and_unordered(self):
         xs = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            EvaluableFunction(xs, np.array([0.0, np.nan, 1.0]))
+            EvaluableFunction(xs, np.array([0.0, np.nan, 1.0]), np.abs)
         with pytest.raises(ValueError):
-            EvaluableFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
+            EvaluableFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.abs)
 
     def test_rejects_nonconvex_tag(self):
         xs = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            EvaluableFunction(xs, np.array([0.0, 1.0, 0.0]), convex=True)
+            EvaluableFunction(xs, np.array([0.0, 1.0, 0.0]), np.sin)
+        with pytest.raises(ValueError, match="gap"):
+            EvaluableFunction(xs, np.array([0.0, np.inf, 0.0]), np.sin)
 
-    def test_interpolation_honors_infinite_edge(self):
-        xs = np.array([0.0, 1.0, 2.0, 3.0])
-        ys = np.array([0.0, 1.0, np.inf, np.inf])
-        f = EvaluableFunction(xs, ys)
-        assert f(0.5) == pytest.approx(0.5)
-        assert math.isinf(f(2.5))
-        # beyond a finite end, extrapolate by the end slope
-        assert f(-1.0) == pytest.approx(-1.0)
+    def test_rule_reproduces_stored_grid(self):
+        # TwoTypeAnalysis._envelope passes conjugates' stored values to
+        # convex_minorant as their rules' values on the working grid
+        grid = GridSpec(-1.0, 2.0, 2e-3)
+        k = ReproductionLaw(OffspringLaw("geometric", 2.0),
+                            TwoPoint(-0.3, 0.4, 0.5)).cumulant_function()
+        d = fenchel_dual(k, grid)
+        g = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        swept = sweep(d)
+        for f in (k, d, swept, convex_minorant(swept, g, grid),
+                  convex_minorant(swept, g, grid, values=(swept.ys, g.ys))):
+            assert np.array_equal(f(f.xs), f.ys)
 
     def test_csv_serializes_inf_literal(self, tmp_path):
         xs = np.array([0.0, 1.0])
-        f = EvaluableFunction(xs, np.array([1.5, np.inf]))
+        f = EvaluableFunction(xs, np.array([1.5, np.inf]), np.abs)
         p = tmp_path / "f.csv"
         f.write_csv(p)
         lines = p.read_text().strip().splitlines()

@@ -166,7 +166,6 @@ class TestTwoTypeSystem:
         # nu: t^2/6 + 3, eta: t^2/2 + 1
         assert sysm.law_nu.cumulant(1.0) == pytest.approx(1 / 6 + 3.0, abs=1e-12)
         assert sysm.law_eta.cumulant(1.0) == pytest.approx(0.5 + 1.0, abs=1e-12)
-        assert sysm.finite_seed_transform
 
     def test_param_validation(self):
         with pytest.raises(ParamError):
