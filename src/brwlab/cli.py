@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -51,18 +51,25 @@ _DISPLACEMENT_KEYS = {
     "two_point": {"kind", "low", "high", "prob_high"},
 }
 _SYSTEM_KEYS = {"nu", "eta", "seed_prob", "seed_displacement", "skeleton"}
-_TOP_KEYS = {"kind", "law", "system", "n_max", "budget", "window", "h",
-             "replicates", "seed", "out", "expect", "snapshots", "a_values"}
 _EXPECT_KEYS = {"speed", "rel_tol"}
-# model keys a kind never reads; simulate reads either key, but not both
-_UNREAD_KEYS = {"speed": ("system",), "front": ("system",),
-                "anomalous": ("law",), "verify": ("law", "system")}
+_COMMON_KEYS = {"kind", "seed", "out"}
+_SIMULATE_KEYS = {"n_max", "budget", "window", "replicates", "expect"}
+# The keys each kind reads beyond _COMMON_KEYS, by the model key it needs:
+# one of them is required, and when several are given the first one wins.
+_KIND_KEYS = {
+    "speed": {"law": {"expect"}},
+    "anomalous": {"system": {"expect"}},
+    "simulate": {"law": _SIMULATE_KEYS | {"a_values"}, "system": _SIMULATE_KEYS},
+    "front": {"law": {"n_max", "h", "snapshots", "expect"}},
+    "verify": {},
+}
+_TOP_KEYS = _COMMON_KEYS.union(*({model} | keys for models in _KIND_KEYS.values()
+                                 for model, keys in models.items()))
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated scenario description; law/system stay as plain dicts so
-    configurations round-trip through JSON unchanged."""
+    """Validated scenario description; law/system stay as plain dicts."""
 
     kind: str
     seed: int
@@ -174,12 +181,23 @@ def parse_config(text: str) -> ExperimentConfig:
         raise SchemaError([("<json>", str(exc))]) from exc
     if not isinstance(raw, dict):
         raise SchemaError([("<top>", "config must be a JSON object")])
-    for key in raw:
-        if key not in _TOP_KEYS:
-            problems.append((key, "unknown key"))
     kind = raw.get("kind")
     if kind not in KINDS:
         problems.append(("kind", f"must be one of {KINDS}"))
+        reads = _TOP_KEYS
+    else:
+        models = _KIND_KEYS[kind]
+        model = next((m for m in models if m in raw), next(iter(models), None))
+        reads = set(_COMMON_KEYS)
+        if model is not None:
+            reads |= {model} | models[model]
+            if model not in raw:
+                problems.append((model, f"kind={kind} needs {' or '.join(models)}"))
+    for key in raw:
+        if key not in _TOP_KEYS:
+            problems.append((key, "unknown key"))
+        elif key not in reads:
+            problems.append((key, f"not read by kind={kind}"))
     if "seed" not in raw:
         problems.append(("seed", "missing: a master seed is mandatory"))
     elif not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) \
@@ -217,19 +235,6 @@ def parse_config(text: str) -> ExperimentConfig:
                     problems.append((f"expect.{key}", "must be a number"))
                 elif key == "rel_tol" and key in e and e[key] <= 0:
                     problems.append(("expect.rel_tol", "must be positive"))
-    if kind in ("speed", "front"):
-        if "law" not in raw:
-            problems.append(("law", f"required for kind={kind}"))
-    if kind == "anomalous":
-        if "system" not in raw:
-            problems.append(("system", "required for kind=anomalous"))
-    if kind == "simulate" and "law" not in raw and "system" not in raw:
-        problems.append(("law", "simulate needs a law or a system"))
-    if kind == "simulate" and "law" in raw and "system" in raw:
-        problems.append(("system", "simulate takes a law or a system, not both"))
-    for key in _UNREAD_KEYS.get(kind, ()):
-        if key in raw:
-            problems.append((key, f"not read by kind={kind}"))
     if "law" in raw:
         _check_law(raw["law"], "law", problems)
     if "system" in raw:
@@ -256,16 +261,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if "a_values" in raw:
         cfg.a_values = tuple(float(v) for v in raw["a_values"])
     return cfg
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    d = asdict(cfg)
-    d["snapshots"] = list(cfg.snapshots)
-    d["a_values"] = list(cfg.a_values)
-    for key in ("law", "system", "expect"):
-        if d[key] is None:
-            del d[key]
-    return json.dumps(d, indent=2, sort_keys=True)
 
 
 def build_displacement(d: dict):

@@ -12,14 +12,17 @@ u^(n)(x) equal to the probability that the rightmost particle of
 generation n exceeds x, so the front position tracks the rightmost
 particle's median and its drift measures the spreading speed.
 
-The profile lives on a uniform grid over a moving window; outside the
-window it is extended by 1 on the left and 0 on the right.  A point
-mass step is applied as an exact translation of the window offset, so
-the degenerate single-walk case stays exact to float precision.
-
-``coupled_front`` iterates the two-class version for a reducible
-two-type system on a fixed grid: the exact law of the rightmost eta
-particle, anomalous front included.
+Both recursions here convolve through one kernel, ``_convolve``: it
+convolves a profile with the centred part of a step (a trapezoid
+density kernel for a Gaussian, linear interpolation of both atoms for
+a two-point step, the identity for a point mass) and returns the
+step's translation apart.  ``apply_q`` iterates the one-type front on
+a moving window, extended by 1 on the left and 0 on the right, and adds
+the translation to the window offset exactly, so the degenerate
+single-walk case stays exact to float precision.  ``coupled_front``
+iterates the two-class version for a reducible two-type system on a
+fixed grid, where a translation is applied by linear interpolation:
+the exact law of the rightmost eta particle, anomalous front included.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetError, KernelError, ParamError, RangeError
-from .mc_sim import rightmost_batch, replicate_rng, run_two_type
+from .mc_sim import (EXACT_POPULATION_CAP, replicate_rng, rightmost_batch,
+                     run_two_type)
 from .models import (Displacement, Gaussian, PointMass, ReproductionLaw, TwoPoint,
                      TwoTypeSystem)
 
@@ -71,6 +75,11 @@ class FrontProfile:
         return np.interp(x, g, self.values, left=1.0, right=0.0)
 
 
+def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:
+    """1 left of the origin, 0 right of it, 1/2 in the grid cell at the jump."""
+    return np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
+
+
 def heaviside_profile(h: float = 0.01, width: float = 80.0) -> FrontProfile:
     """Initial data: 1 left of the origin, 0 right of it.
 
@@ -81,38 +90,41 @@ def heaviside_profile(h: float = 0.01, width: float = 80.0) -> FrontProfile:
     n = int(round(width / h))
     offset = -width / 2
     xs = offset + h * np.arange(n + 1)
-    vals = np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
-    return FrontProfile(values=vals, offset=offset, h=h, generation=0)
+    return FrontProfile(values=_heaviside(xs, h), offset=offset, h=h, generation=0)
 
 
-def _convolve_profile(u: FrontProfile, law: ReproductionLaw) -> np.ndarray:
-    """(u * f)(x_i) on the grid, boundary-extended by 1 left / 0 right."""
-    d = law.displacement
-    h = u.h
-    if isinstance(d, TwoPoint):
-        g = u.grid()
-        return ((1.0 - d.prob_high) * u.evaluate(g - d.low)
-                + d.prob_high * u.evaluate(g - d.high))
-    if not isinstance(d, Gaussian):
-        raise KernelError(f"no convolution kernel for {type(d).__name__}")
-    # The mean is handled as an exact window translation by the caller;
-    # only the centered part is convolved here.
-    sd = math.sqrt(d.variance)
+def _convolve(values: np.ndarray, grid: np.ndarray, h: float, step: Displacement,
+              left: float) -> Tuple[np.ndarray, float]:
+    """(u * f_c)(x_i) on the pitch-h ``grid``, and the translation of ``step``.
+
+    f_c is the step law centred by its translation, so that u * f is
+    (u * f_c) moved right by the translation: the mean of a Gaussian,
+    the value of a point mass (f_c is then the identity), 0 for a
+    two-point step.  The profile is extended by ``left`` beyond its
+    first cell and by 0 beyond its last.
+    """
+    if isinstance(step, PointMass):
+        return values, step.value
+    if isinstance(step, TwoPoint):
+        low, high = (np.interp(grid - x, grid, values, left=left, right=0.0)
+                     for x in (step.low, step.high))
+        return (1.0 - step.prob_high) * low + step.prob_high * high, 0.0
+    sd = math.sqrt(step.variance)
     reach = int(math.ceil(8.0 * sd / h))
     z = h * np.arange(-reach, reach + 1)
-    centered = Gaussian(0.0, d.variance)
+    centered = Gaussian(0.0, step.variance)
     w = centered.density(z) * h
     w[0] *= 0.5   # trapezoidal end weights
     w[-1] *= 0.5
     w = w / w.sum()  # unit mass keeps the constant profiles exact fixed points
-    padded = np.concatenate([np.ones(reach), u.values, np.zeros(reach)])
+    padded = np.concatenate([np.full(reach, left), values, np.zeros(reach)])
     # conv[i] = sum_j w[j] * u(x_i - j h) = sum_k padded[i + k] * w[2*reach - k],
     # which is plain convolution with w in natural order.
     # Direct convolution, not fft: its round-off scales with the local
     # magnitude, while an fft carries absolute noise ~1e-16 of the global max
     # that seeds the exponentially small leading edge and, compounded over
     # generations, drags the measured front speed upward.
-    return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0)
+    return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0), step.mean
 
 
 def apply_q(u: FrontProfile, law: ReproductionLaw,
@@ -121,31 +133,22 @@ def apply_q(u: FrontProfile, law: ReproductionLaw,
 
     The update is evaluated as the offspring law's closed-form
     complement, so the front's exponentially small leading edge is not
-    cut off at the ~1e-16 rounding floor of ``1 - pgf(1 - s)``.
-    Requires independent displacements (a density or point masses) and
-    a closed-form offspring generating function.  Raises RangeError if
-    the update leaves [0, 1] by more than 1e-12 or breaks monotonicity.
+    cut off at the ~1e-16 rounding floor of ``1 - pgf(1 - s)``.  The
+    step's translation moves the window offset exactly.  Requires
+    independent displacements.  Raises RangeError if the update leaves
+    [0, 1] by more than 1e-12 or breaks monotonicity.
     """
 
     if law.mechanism != "independent":
         raise KernelError("front recursion requires independent displacements")
-    d = law.displacement
-    if isinstance(d, PointMass):
-        # exact translation: shift the window, then map values pointwise
-        vals = law.offspring.complement(u.values)
-        out = FrontProfile(values=vals, offset=u.offset + d.value, h=u.h,
-                           generation=u.generation + 1)
-    else:
-        conv = _convolve_profile(u, law)
-        vals = law.offspring.complement(conv)
-        if float(vals.min()) < -RANGE_TOL or float(vals.max()) > 1.0 + RANGE_TOL:
-            raise RangeError("front update left [0, 1]")
-        if np.any(np.diff(vals) > RANGE_TOL):
-            raise RangeError("front update broke monotonicity")
-        vals = np.clip(vals, 0.0, 1.0)
-        shift = d.mean if isinstance(d, Gaussian) else 0.0
-        out = FrontProfile(values=vals, offset=u.offset + shift, h=u.h,
-                           generation=u.generation + 1)
+    conv, shift = _convolve(u.values, u.grid(), u.h, law.displacement, 1.0)
+    vals = law.offspring.complement(conv)
+    if float(vals.min()) < -RANGE_TOL or float(vals.max()) > 1.0 + RANGE_TOL:
+        raise RangeError("front update left [0, 1]")
+    if np.any(np.diff(vals) > RANGE_TOL):
+        raise RangeError("front update broke monotonicity")
+    out = FrontProfile(values=np.clip(vals, 0.0, 1.0), offset=u.offset + shift,
+                       h=u.h, generation=u.generation + 1)
     if recenter:
         out = _recenter(out)
     return out
@@ -280,29 +283,8 @@ def _z_rows(profile: FrontProfile, samples: np.ndarray,
 # coupled two-type front: the exact law of the rightmost eta
 # --------------------------------------------------------------------------
 
-# Particle cap for the unpruned two-type replicates; the same scale as the
-# joint cap of ``rightmost_batch``.
-EXACT_TWO_TYPE_CAP = 4_000_000
-
 # Left end of the fixed grid of ``coupled_front``.
 COUPLED_X_MIN = -40.0
-
-
-def _lattice_convolve(values: np.ndarray, h: float, step: Displacement,
-                      left: float) -> np.ndarray:
-    """(u * f)(x_i) on a fixed grid, for the pitch-h lattice version of ``step``.
-
-    The profile is extended by ``left`` beyond its first cell and by 0
-    beyond its last.
-    """
-    j, p = step.lattice_pmf(h)
-    lo, hi = int(j[0]), int(j[-1])
-    w = np.zeros(hi - lo + 1)
-    np.add.at(w, j - lo, p)
-    pad_left, pad_right = max(hi, 0), max(-lo, 0)
-    padded = np.concatenate([np.full(pad_left, left), values, np.zeros(pad_right)])
-    start = pad_left - lo
-    return np.clip(np.convolve(padded, w)[start:start + values.size], 0.0, 1.0)
 
 
 @dataclass
@@ -336,12 +318,13 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     either would seed the exponentially small leading edge and run
     ahead of the true front.
 
-    The profiles live on the fixed grid [COUPLED_X_MIN, x_max] with
-    steps quantized to it, extended by their first value on the left
-    and by 0 on the right.  Either extension is exact only while the
-    profiles are flat at that edge, so RangeError is raised as soon as
-    either profile exceeds RANGE_TOL in its last cell, or varies by
-    more than RANGE_TOL within one kernel reach of its first cell.
+    The profiles live on the fixed grid [COUPLED_X_MIN, x_max] and are
+    convolved by ``_convolve``, the kernel of ``apply_q``, extended by
+    their first value on the left and by 0 on the right; a step's
+    translation is applied by linear interpolation on the grid.  Either extension is exact only
+    while the profiles are flat at that edge, so RangeError is raised as
+    soon as either profile exceeds RANGE_TOL in its last cell, or varies
+    by more than RANGE_TOL within one kernel reach of its first cell.
     Needs independent displacements.
     """
 
@@ -355,16 +338,22 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     # cells right of the first one that a step can carry into the left extension
     reach = min(max(max(int(d.lattice_pmf(h)[0][-1]) for d in steps), 1),
                 xs.size - 1)
-    u_eta = np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
+
+    def convolve(u: np.ndarray, step: Displacement) -> np.ndarray:
+        conv, shift = _convolve(u, xs, h, step, u[0])
+        if shift == 0.0:
+            return conv
+        return np.interp(xs - shift, xs, conv, left=u[0], right=0.0)
+
+    u_eta = _heaviside(xs, h)
     u_nu = np.zeros(xs.size)
     p = sys.seeding.prob
     medians = [0.0]
     for n in range(1, n_max + 1):
-        a = sys.law_nu.offspring.complement(
-            _lattice_convolve(u_nu, h, sys.law_nu.displacement, u_nu[0]))
-        b = p * _lattice_convolve(u_eta, h, sys.seeding.displacement, u_eta[0])
+        a = sys.law_nu.offspring.complement(convolve(u_nu, sys.law_nu.displacement))
+        b = p * convolve(u_eta, sys.seeding.displacement)
         u_eta = sys.law_eta.offspring.complement(
-            _lattice_convolve(u_eta, h, sys.law_eta.displacement, u_eta[0]))
+            convolve(u_eta, sys.law_eta.displacement))
         u_nu = a + b - a * b
         if max(u_nu[-1], u_eta[-1]) > RANGE_TOL:
             raise RangeError(f"front mass reached the right grid edge {xs[-1]:g} "
@@ -394,7 +383,7 @@ def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float]
     res = coupled_front(sys, n, x_max=40.0)
     m = np.empty(replicates)
     for r in range(replicates):
-        s = run_two_type(sys, n, budget=EXACT_TWO_TYPE_CAP, seed=seed + r)
+        s = run_two_type(sys, n, budget=EXACT_POPULATION_CAP, seed=seed + r)
         if s.pruning["nu"] or s.pruning["eta"]:
             raise BudgetError("a two-type replicate outgrew the exact cap; "
                               "reduce n")

@@ -40,6 +40,12 @@ from .models import ReproductionLaw, TwoTypeSystem
 
 INT64_MAX = np.iinfo(np.int64).max
 
+# Particle cap of every exact (unpruned) population: the joint population
+# of a ``rightmost_batch`` chunk, and the budget of the unpruned two-type
+# replicates of ``front.coupled_mc_consistency``.
+EXACT_POPULATION_CAP = 4_000_000
+BATCH_CHUNK = 10_000   # replicates simulated jointly by ``rightmost_batch``
+
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     """Stream for one replicate: counter-mixed split of the master seed."""
@@ -338,27 +344,27 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
 
 
 def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
-                    rng: np.random.Generator, chunk: int = 10_000,
-                    max_particles: int = 4_000_000) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Exact rightmost positions at generation ``n`` for many replicates at once.
 
     Replicates are simulated jointly in flat arrays (each child carries
-    its replicate as a ``_branch`` label), which is what makes distributional
-    checks at small n cheap.  Raises BudgetError when the joint
-    population of a chunk would exceed ``max_particles``.
+    its replicate as a ``_branch`` label), ``BATCH_CHUNK`` replicates at
+    a time, which is what makes distributional checks at small n cheap.
+    Raises BudgetError when the joint population of a chunk would exceed
+    ``EXACT_POPULATION_CAP``.
     """
 
     out = np.empty(replicates)
     done = 0
     while done < replicates:
-        r = min(chunk, replicates - done)
+        r = min(BATCH_CHUNK, replicates - done)
         pos = np.zeros(r)
         owner = np.arange(r)
         for _ in range(n):
             pos, owner = _branch(law, pos, rng, owner)
-            if pos.size > max_particles:
+            if pos.size > EXACT_POPULATION_CAP:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
-                                  "reduce n or the chunk size")
+                                  "reduce n")
         starts = np.searchsorted(owner, np.arange(r), side="left")
         out[done:done + r] = np.maximum.reduceat(pos, starts)
         done += r

@@ -1,4 +1,4 @@
-"""Config schema, round-tripping, scenario runners, exit codes."""
+"""Config schema, scenario runners, exit codes."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from brwlab.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
 )
 from brwlab.errors import SchemaError
 
@@ -69,22 +68,6 @@ class TestSchema:
         with pytest.raises(SchemaError) as err:
             parse_config(json.dumps(cfg))
         assert any(p == "seed" for p, _ in err.value.problems)
-
-    def test_anomalous_skeleton_round_trip(self):
-        text = json.dumps({"kind": "anomalous", "seed": 3,
-                           "system": {"skeleton": {"V": 1 / 3, "lambda": 3.0,
-                                                   "p": 0.5}}})
-        cfg = parse_config(text)
-        again = parse_config(serialize_config(cfg))
-        assert cfg == again
-        sysm = build_system(cfg.system)
-        assert sysm.law_nu.cumulant(0.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_round_trip_generic(self):
-        cfg = parse_config(minimal(n_max=50, budget=1000, window=5.0, h=0.02,
-                                   replicates=3, out="x",
-                                   expect={"speed": 1.4, "rel_tol": 0.1}))
-        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_invalid_json_is_schema_error(self):
         with pytest.raises(SchemaError):
@@ -147,6 +130,38 @@ class TestUnreadKeys:
         assert f"schema error at {path}:" in capsys.readouterr().err
 
 
+class TestKeysNotRead:
+    """A known top-level key the config's kind never reads is a schema
+    error at that key, not a silently ignored control."""
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "speed", "law": BBM_LAW, "n_max": 50}, "n_max"),
+        ({"kind": "anomalous", "system": SKELETON, "replicates": 4}, "replicates"),
+        ({"kind": "simulate", "system": SKELETON, "n_max": 5, "budget": 200,
+          "replicates": 1, "a_values": [0.0]}, "a_values"),
+        ({"kind": "front", "law": BBM_LAW, "n_max": 5, "window": 5.0}, "window"),
+        ({"kind": "verify", "snapshots": [10]}, "snapshots"),
+    ], ids=["n_max_for_speed", "replicates_for_anomalous",
+            "a_values_for_two_type_simulate", "window_for_front",
+            "snapshots_for_verify"])
+    def test_exit_code_and_key_path(self, tmp_path, capsys, monkeypatch, cfg, path):
+        from brwlab import acceptance
+        monkeypatch.setattr(acceptance, "ALL_CHECKS", [])   # a verify run is instant
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, seed=1)))
+        assert main([cfg["kind"], "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert f"schema error at {path}: not read by kind={cfg['kind']}" \
+            in capsys.readouterr().err
+
+    def test_speed_with_every_unread_control(self):
+        extra = dict(n_max=50, budget=1000, replicates=3, snapshots=[10],
+                     a_values=[0.0], h=0.02, window=5.0)
+        with pytest.raises(SchemaError) as err:
+            parse_config(minimal(**extra))
+        assert {p for p, _ in err.value.problems} == set(extra)
+
+
 class TestRunners:
     def test_speed_scenario(self, tmp_path):
         cfg = parse_config(minimal(expect={"speed": math.sqrt(2), "rel_tol": 1e-4}))
@@ -170,6 +185,8 @@ class TestRunners:
                            "expect": {"speed": 4 / math.sqrt(6),
                                       "rel_tol": 1e-4}})
         cfg = parse_config(text)
+        sysm = build_system(cfg.system)
+        assert sysm.law_nu.cumulant(0.0) == pytest.approx(3.0, abs=1e-12)
         assert run(cfg, out=str(tmp_path)) == 0
         fig = (tmp_path / "figure71.csv").read_text().splitlines()
         assert fig[0] == "a,kswept_nu,kdual_eta,cv"

@@ -23,7 +23,9 @@ from brwlab.models import (
     OffspringLaw,
     PointMass,
     ReproductionLaw,
+    Seeding,
     TwoPoint,
+    TwoTypeSystem,
     skeleton_of_bbm,
 )
 
@@ -175,3 +177,19 @@ class TestCoupledFront:
         monkeypatch.setattr(front, "COUPLED_X_MIN", -3.0)
         with pytest.raises(RangeError, match="left grid edge"):
             coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 20, x_max=60.0)
+
+    def test_worked_example_slope(self):
+        # the anomalous speed of the worked example is 4/sqrt 6 exactly
+        res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 300, x_max=560.0)
+        assert res.speed == pytest.approx(4 / math.sqrt(6), abs=1e-6)
+
+    def test_point_steps_translate_exactly(self):
+        # every nu seeds an eta at its own position from generation 1 on,
+        # and an eta steps 0.53, half a cell off the h=0.02 lattice: the
+        # rightmost eta of generation n sits at exactly 0.53 (n - 1)
+        single = OffspringLaw("deterministic", 1)
+        sysm = TwoTypeSystem(ReproductionLaw(single, PointMass(0.0)),
+                             ReproductionLaw(single, PointMass(0.53)), Seeding(1.0))
+        res = coupled_front(sysm, 50, x_max=60.0)
+        assert res.speed == pytest.approx(0.53, abs=1e-9)
+        assert res.mean == pytest.approx(0.53 * 49, abs=1e-6)
