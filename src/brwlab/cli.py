@@ -323,9 +323,11 @@ def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
                 res.diagnostics["speed_from_dual"],
                 res.diagnostics["speed_from_inf"]]])
     res.rate_function.write_csv(out_dir / "rate_function.csv")
+    residual = res.diagnostics.get("root_residual")
     lines = [f"speed={fmt(res.speed)}",
              f"tilt_root={fmt(res.tilt_root) if res.tilt_root is not None else 'absent'}",
-             f"formula_gap={fmt(res.diagnostics['formula_gap'])}"]
+             f"formula_gap={fmt(res.diagnostics['formula_gap'])}",
+             f"root_residual={fmt(residual) if residual is not None else 'absent'}"]
     ok = _expect_check(res.speed, cfg.expect, lines)
     _summary(out_dir, lines)
     return 0 if ok else 1

@@ -2,11 +2,17 @@
 
 This module supplies the convex machinery everything else composes:
 ``EvaluableFunction`` (a vectorized rule together with the grid it
-samples), conjugates (Legendre-Fenchel transforms) computed by bracketed
-golden-section maximization, the sweep operation that replaces positive
-values by +inf, lower convex envelopes of pairs of functions built from
-a monotone-chain hull, and the two speed functionals (zero crossing of
-a rate function, infimum of cumulant-to-tilt ratios).
+samples, and optionally the rule's first two derivatives), conjugates
+(Legendre-Fenchel transforms), the sweep operation that replaces
+positive values by +inf, lower convex envelopes of pairs of functions
+built from a monotone-chain hull, and the two speed functionals (zero
+crossing of a rate function, infimum of cumulant-to-tilt ratios).
+
+A function that carries its derivatives, as every catalogue cumulant
+does, has its conjugate points and its ratio minimizer solved by
+safeguarded Newton on the optimality equations f'(t) = a and
+t f'(t) = f(t).  A plain function is searched instead: bracket doubling
+and golden section.
 
 Every function here is convex.  A cumulant is finite on [0, inf) and
 +inf for negative tilts; its conjugate, a swept conjugate or an envelope
@@ -34,6 +40,8 @@ TAU_SPEED_ANALYTIC = 1e-6  # speed-formula agreement, closed-form cumulants
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_CAP = 2.0 ** 48    # beyond this the conjugate is treated as +inf
+_EPS = float(np.finfo(float).eps)
+_NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -60,11 +68,18 @@ class EvaluableFunction:
     decisions, precomputed envelope inputs and CSV export.  Construction
     rejects NaN and -inf values, and checks that the finite values form
     one interval and are discretely convex up to TAU_CVX.
+
+    ``derivatives``, when given, maps a 1-d array of points t >= 0 where
+    the rule is finite to the arrays (f'(t), f''(t)); it is exact for a
+    cumulant (``ReproductionLaw.cumulant_function``), and with it
+    ``fenchel_dual`` and ``speed_from_inf`` solve by Newton instead of
+    searching.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     rule: Callable[[np.ndarray], np.ndarray]
+    derivatives: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -175,9 +190,14 @@ def _ratio_minimum(f: EvaluableFunction):
     """Minimize f(t)/t over t > 0.
 
     Returns (value, argmin, attained).  ``attained`` is False when the
-    infimum is only approached as t -> inf, in which case ``value`` is
-    the asymptotic slope of f and ``argmin`` is None.
+    infimum is only approached at an end of (0, inf): as t -> inf, when
+    ``value`` is the asymptotic slope of f, or as t -> 0 when f(0) = 0.
+    ``argmin`` is None then.  With ``f.derivatives`` the minimizer is the
+    root of t f'(t) = f(t) (see ``_ratio_root``); without, a doubling
+    bracket and golden section find it.
     """
+    if f.derivatives is not None:
+        return _ratio_root(f)
 
     def ratio(t):
         v = f(t)
@@ -197,6 +217,48 @@ def _ratio_minimum(f: EvaluableFunction):
     big = _THETA_CAP / 4
     slope = (f(2 * big) - f(big)) / big
     return float(slope), None, False
+
+
+def _ratio_root(f: EvaluableFunction):
+    """``_ratio_minimum`` by safeguarded Newton on F(t) = t f'(t) - f(t).
+
+    F' = t f'' >= 0, so F rises from -f(0) and f(t)/t is least at its
+    root.  Newton starts at the root of the quadratic model
+    f(0) + f''(0) t^2 / 2 (exact for a Gaussian step), keeps a bracket,
+    grows by at most 4x while no point with F >= 0 is known, and
+    bisects when a step leaves the bracket.  It stops when |F| is at
+    rounding level.  Where f'' = 0 the tilted step law is a point mass,
+    so f' has reached its supremum and F is constant from there on: if
+    F < 0 there (or at the 2^48 cap) there is no root, and the infimum
+    is that supremum, approached as t -> inf.
+    """
+    k0 = float(f(0.0))
+    (s0,), (c0,) = f.derivatives(np.zeros(1))
+    if k0 <= 0.0:
+        # f(0) = 0 (one daughter): f(t)/t >= f'(0) by convexity
+        return float(s0), None, False
+    t = min(math.sqrt(2.0 * k0 / c0), _THETA_CAP) if c0 > 0.0 else 1.0
+    lo, hi = 0.0, math.inf
+    for _ in range(_NEWTON_STEPS):
+        kt = float(f(t))
+        (d1,), (d2,) = f.derivatives(np.array([t]))
+        F = t * d1 - kt
+        if abs(F) <= 4.0 * _EPS * max(abs(t * d1), abs(kt)):
+            break
+        if F < 0.0:
+            if d2 == 0.0 or t >= _THETA_CAP:
+                return float(d1), None, False
+            lo = t
+        else:
+            hi = t
+        step = -F / (t * d2) if d2 > 0.0 else math.inf
+        nxt = min(t + step, 4.0 * t)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else min(4.0 * t, _THETA_CAP)
+        if nxt == t:
+            break
+        t = nxt
+    return kt / t, t, True
 
 
 def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -> GridSpec:
@@ -219,14 +281,11 @@ def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -
 def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> EvaluableFunction:
     """Convex conjugate g(a) = sup_{t >= 0} (t*a - f(t)).
 
-    The inner maximand is concave in t for convex f, so each grid point
-    is resolved by doubling a bracket [0, hi] from hi = 1 until the
-    objective turns.  Points whose objective is still rising at the
-    2^48 expansion cap get the value +inf (the conjugate diverges there,
-    e.g. beyond the maximal step of a bounded-displacement law) and are
-    not sectioned; the finite points are golden-sectioned together, one
-    objective evaluation per step, until every bracket is narrower than
-    1e-10.
+    With ``f.derivatives`` each point's maximizer solves f'(t) = a by
+    safeguarded Newton (``_newton_conjugate``).  Without, the inner
+    maximand, concave in t for convex f, is resolved per point by
+    doubling a bracket [0, hi] from hi = 1 until the objective turns
+    (``_golden_conjugate``).
     """
 
     probes = np.geomspace(1e-9, 1e9, 100)
@@ -235,6 +294,23 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
     if a_grid is None:
         a_grid = _default_dual_grid(f)
     xs = a_grid.abscissae()
+    solve = _golden_conjugate if f.derivatives is None else _newton_conjugate
+
+    def conjugate(avec: np.ndarray) -> np.ndarray:
+        return solve(f, np.atleast_1d(np.asarray(avec, dtype=float)))
+
+    return EvaluableFunction(xs, conjugate(xs), conjugate)
+
+
+def _golden_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
+    """Conjugate values by bracket doubling and golden section.
+
+    Points whose objective is still rising at the 2^48 expansion cap get
+    the value +inf (the conjugate diverges there, e.g. beyond the
+    maximal step of a bounded-displacement law) and are not sectioned;
+    the finite points are golden-sectioned together, one objective
+    evaluation per step, until every bracket is narrower than 1e-10.
+    """
 
     def objective_at(avec: np.ndarray):
         def objective(t):
@@ -242,39 +318,102 @@ def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> Eva
             return np.where(np.isfinite(ft), t * avec - ft, -np.inf)
         return objective
 
-    def conjugate(avec: np.ndarray) -> np.ndarray:
-        avec = np.atleast_1d(np.asarray(avec, dtype=float))
-        objective = objective_at(avec)
+    objective = objective_at(avec)
+    # Per-point doubling; the bracket [0, hi] holds the maximum once
+    # the objective fails to improve (concavity), or the cap is hit.
+    hi = np.ones(avec.shape)
+    unresolved = np.ones(avec.shape, dtype=bool)
+    cur = objective(hi)
+    while True:
+        trial = np.minimum(hi * 2.0, _THETA_CAP)
+        can_grow = unresolved & (hi < _THETA_CAP)
+        if not can_grow.any():
+            break
+        nxt = objective(trial)
+        improving = can_grow & (nxt > cur)
+        stalled = can_grow & ~improving
+        unresolved = unresolved & ~stalled
+        hi = np.where(improving, trial, hi)
+        cur = np.where(improving, nxt, cur)
+        if not improving.any():
+            break
+    still_rising = unresolved & (hi >= _THETA_CAP)
+    if np.isnan(cur).any():
+        raise ToleranceError("conjugate bracket produced NaN objective")
+    vals = np.full(avec.shape, np.inf)
+    live = ~still_rising
+    if live.any():
+        _, vals[live] = _golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
+                                    np.minimum(2.0 * hi[live], _THETA_CAP))
+    return vals
 
-        # Per-point doubling; the bracket [0, hi] holds the maximum once
-        # the objective fails to improve (concavity), or the cap is hit.
-        hi = np.ones(avec.shape)
-        unresolved = np.ones(avec.shape, dtype=bool)
-        cur = objective(hi)
-        while True:
-            trial = np.minimum(hi * 2.0, _THETA_CAP)
-            can_grow = unresolved & (hi < _THETA_CAP)
-            if not can_grow.any():
-                break
-            nxt = objective(trial)
-            improving = can_grow & (nxt > cur)
-            stalled = can_grow & ~improving
-            unresolved = unresolved & ~stalled
-            hi = np.where(improving, trial, hi)
-            cur = np.where(improving, nxt, cur)
-            if not improving.any():
-                break
-        still_rising = unresolved & (hi >= _THETA_CAP)
-        if np.isnan(cur).any():
-            raise ToleranceError("conjugate bracket produced NaN objective")
-        vals = np.full(avec.shape, np.inf)
-        live = ~still_rising
-        if live.any():
-            _, vals[live] = _golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
-                                        np.minimum(2.0 * hi[live], _THETA_CAP))
-        return vals
 
-    return EvaluableFunction(xs, conjugate(xs), conjugate)
+def _newton_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
+    """Conjugate values by safeguarded Newton on f'(t) = a, all points at once.
+
+    f' rises from f'(0) to its supremum B, read at the 2^48 cap.  A
+    point with a <= f'(0) has its supremum at t = 0, value -f(0).  If
+    f'' = 0 at the cap, the tilted step law has become a point mass and
+    B is finite (a bounded step): a point more than rounding above B is
+    +inf, and one within rounding of B solves B - f'(t) = that rounding,
+    where t*a - f(t) equals the limit as t -> inf to rounding.  For
+    finite B, Newton runs on log(B - f'(t)), which is nearly linear where
+    f' nears B exponentially; otherwise on f'(t) - a.  Each point keeps
+    a bracket and bisects when a step leaves it (a step past the
+    saturation of f' does).  A point stops when the objective gain its
+    next step predicts, residual x step, is at rounding level, or when
+    the residual itself is.  Each step is one call of ``f.derivatives``
+    on the unfinished points; one call of ``f`` gives all the values.
+    """
+    (s0, s_cap), (c0, c_cap) = f.derivatives(np.array([0.0, _THETA_CAP]))
+    vals = np.full(avec.shape, np.inf)
+    if c_cap == 0.0:
+        slack = 2.0 * _EPS * max(1.0, abs(s_cap))
+        finite = avec <= s_cap + slack
+        a = avec[finite]
+        aim = s_cap - np.maximum(s_cap - a, slack)
+
+        def residual(d1, d2, i):
+            gap = s_cap - d1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.where(gap > 0.0, np.log(s_cap - aim[i]) - np.log(gap), np.inf)
+                return r, d2 / gap
+    else:
+        finite = np.ones(avec.shape, dtype=bool)
+        a = aim = avec
+
+        def residual(d1, d2, i):
+            return d1 - aim[i], d2
+
+    t = np.zeros(a.shape)
+    lo, hi = np.zeros(a.shape), np.full(a.shape, np.inf)
+    r, dr = residual(np.full(a.shape, s0), np.full(a.shape, c0), slice(None))
+    i = np.flatnonzero(r < 0.0)          # the rest have their supremum at t = 0
+    r, dr = r[i], dr[i]
+    for _ in range(_NEWTON_STEPS):
+        if i.size == 0:
+            break
+        below = r < 0.0
+        lo[i] = np.where(below, t[i], lo[i])
+        hi[i] = np.where(below, hi[i], t[i])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = t[i] - r / dr
+        inside = (nxt > lo[i]) & (nxt < hi[i])
+        nxt = np.where(inside, nxt, np.where(np.isfinite(hi[i]), 0.5 * (lo[i] + hi[i]),
+                                             2.0 * np.maximum(t[i], 1.0)))
+        t[i] = nxt
+        d1, d2 = f.derivatives(nxt)
+        r, dr = residual(d1, d2, i)
+        miss = aim[i] - d1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.abs(miss * r / dr)
+        done = ((np.abs(miss) <= 2.0 * _EPS * np.maximum(1.0, np.abs(aim[i])))
+                | (gain <= 2.0 * _EPS * (1.0 + np.abs(nxt * a[i])))
+                | (hi[i] - lo[i] <= 2.0 * _EPS * lo[i]))
+        keep = ~done
+        i, r, dr = i[keep], r[keep], dr[keep]
+    vals[finite] = t * a - np.asarray(f(t), dtype=float)
+    return vals
 
 
 def sweep(f: EvaluableFunction) -> EvaluableFunction:
@@ -428,10 +567,10 @@ def speed_from_dual(fd: EvaluableFunction) -> float:
 def speed_from_inf(k: EvaluableFunction) -> SpeedResult:
     """Spreading speed as inf_{t>0} k(t)/t for a convex cumulant k.
 
-    The ratio is unimodal when k is convex with k(0) > 0, so a doubling
-    bracket plus golden section finds the infimum.  When the infimum is
-    only approached as t -> inf (bounded displacements), the speed is
-    the asymptotic slope of k and no tilt root is reported.
+    The ratio is unimodal when k is convex with k(0) > 0; its minimizer
+    is found as ``_ratio_minimum`` says.  When the infimum is only
+    approached as t -> inf (bounded displacements), the speed is the
+    asymptotic slope of k and no tilt root is reported.
     """
 
     value, argmin, attained = _ratio_minimum(k)

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
 from .convex_analysis import EvaluableFunction, GridSpec
 from .errors import ParamError
@@ -136,6 +136,11 @@ class Gaussian:
         theta = np.asarray(theta, dtype=float)
         return theta * self.mean + 0.5 * self.variance * theta * theta
 
+    def log_mgf_derivatives(self, theta):
+        """First and second derivatives of ``log_mgf`` at ``theta``."""
+        theta = np.asarray(theta, dtype=float)
+        return self.mean + self.variance * theta, np.full(theta.shape, self.variance)
+
     def sample(self, rng, size):
         return rng.normal(self.mean, math.sqrt(self.variance), size=size)
 
@@ -161,6 +166,11 @@ class PointMass:
 
     def log_mgf(self, theta):
         return np.asarray(theta, dtype=float) * self.value
+
+    def log_mgf_derivatives(self, theta):
+        """First and second derivatives of ``log_mgf`` at ``theta``."""
+        shape = np.shape(theta)
+        return np.full(shape, float(self.value)), np.zeros(shape)
 
     def sample(self, rng, size):
         return np.full(size, self.value, dtype=float)
@@ -192,6 +202,20 @@ class TwoPoint:
         b = theta * self.high + math.log(p)
         hi = np.maximum(a, b)
         return hi + np.log(np.exp(a - hi) + np.exp(b - hi))
+
+    def log_mgf_derivatives(self, theta):
+        """First and second derivatives of ``log_mgf`` at ``theta``.
+
+        The tilted law puts weight ``w = logistic(logit p + theta * (high - low))``
+        on ``high``.  The first derivative is read from the nearer end, so
+        it equals ``high`` exactly once the tilt has saturated.
+        """
+        theta = np.asarray(theta, dtype=float)
+        span = self.high - self.low
+        z = math.log(self.prob_high) - math.log1p(-self.prob_high) + theta * span
+        w, wc = expit(z), expit(-z)
+        d1 = np.where(w <= 0.5, self.low + span * w, self.high - span * wc)
+        return d1, span * span * w * wc
 
     def sample(self, rng, size):
         picks = rng.random(size) < self.prob_high
@@ -239,12 +263,19 @@ class ReproductionLaw:
         out = np.where(t < 0, np.inf, val)
         return float(out[0]) if scalar else out
 
+    def cumulant_derivatives(self, theta):
+        """(k', k'') of the cumulant at tilts ``theta >= 0``, in closed form."""
+        return self.displacement.log_mgf_derivatives(np.atleast_1d(
+            np.asarray(theta, dtype=float)))
+
     def cumulant_function(self, window: Optional[GridSpec] = None) -> EvaluableFunction:
-        """The cumulant wrapped for the convex-analysis machinery."""
+        """The cumulant wrapped for the convex-analysis machinery, with its
+        closed-form derivatives."""
         if window is None:
             window = GridSpec(-1.0, 12.0, 1e-2)
         xs = window.abscissae()
-        return EvaluableFunction(xs, self.cumulant(xs), self.cumulant)
+        return EvaluableFunction(xs, self.cumulant(xs), self.cumulant,
+                                 derivatives=self.cumulant_derivatives)
 
 
 # --------------------------------------------------------------------------

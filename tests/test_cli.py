@@ -171,7 +171,11 @@ class TestRunners:
         assert report[0].startswith("speed,")
         assert float(report[1].split(",")[0]) == pytest.approx(math.sqrt(2), abs=1e-6)
         assert (tmp_path / "rate_function.csv").exists()
-        assert "PASS" in (tmp_path / "summary.txt").read_text()
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "PASS" in summary
+        residual = [line for line in summary.splitlines()
+                    if line.startswith("root_residual=")]
+        assert len(residual) == 1 and float(residual[0].split("=")[1]) < 1e-12
 
     def test_speed_scenario_check_failure(self, tmp_path):
         cfg = parse_config(minimal(expect={"speed": 2.0, "rel_tol": 1e-3}))

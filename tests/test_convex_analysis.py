@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from brwlab.convex_analysis import (
     EvaluableFunction,
     GridSpec,
+    _default_dual_grid,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -16,7 +17,7 @@ from brwlab.convex_analysis import (
     sweep,
 )
 from brwlab.errors import DomainError
-from brwlab.models import OffspringLaw, PointMass, ReproductionLaw, TwoPoint
+from brwlab.models import Gaussian, OffspringLaw, PointMass, ReproductionLaw, TwoPoint
 
 SQRT2 = math.sqrt(2.0)
 
@@ -107,42 +108,60 @@ def two_point_conjugate(a, law):
 
 
 class TestConjugateCost:
-    """Bounded steps: +inf points are not sectioned, one evaluation per step.
+    """Conjugates by Newton on closed-form derivatives: few calls, none wasted.
 
-    Guards count cumulant calls rather than time them.
+    Guards count calls of the cumulant and of its derivatives rather
+    than time them.
     """
 
     GRID = GridSpec(-1.0, 1.5, 1e-3)
     TWO_POINT = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5))
+    UNIT = ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0))
 
     @staticmethod
     def counting(monkeypatch):
+        """Record each cumulant call as "k" and each derivative call as "d";
+        patch before ``cumulant_function`` binds the methods."""
         calls = []
-        real = ReproductionLaw.cumulant
+        for name, tag in (("cumulant", "k"), ("cumulant_derivatives", "d")):
+            real = getattr(ReproductionLaw, name)
 
-        def counted(law, theta):
-            calls.append(theta)
-            return real(law, theta)
+            def counted(law, theta, real=real, tag=tag):
+                calls.append(tag)
+                return real(law, theta)
 
-        monkeypatch.setattr(ReproductionLaw, "cumulant", counted)
+            monkeypatch.setattr(ReproductionLaw, name, counted)
         return calls
 
-    def test_two_point_conjugate_call_count(self, monkeypatch):
-        # sectioning the +inf points over [0, 2^49] ran all 220 steps: 491 calls
+    def test_gaussian_conjugate_call_count(self, monkeypatch):
+        # f' is affine, so one Newton step from t = 0 is exact and the next
+        # call sees a rounding-level residual; stopping on the step size
+        # alone fell into ~50 bisection steps per conjugate
         calls = self.counting(monkeypatch)
-        k = self.TWO_POINT.cumulant_function()   # binds the counted method
+        k = self.UNIT.cumulant_function()
+        calls.clear()
+        dual = fenchel_dual(k, self.GRID)
+        assert calls.count("d") <= 6 and calls.count("k") <= 2
+        exact = -1.0 + np.maximum(dual.xs, 0.0) ** 2 / 2.0
+        assert float(np.max(np.abs(dual.ys - exact))) < 1e-14
+
+    def test_two_point_conjugate_call_count(self, monkeypatch):
+        # golden section made 107 cumulant calls, 50 of them doubling the
+        # brackets of the +inf points up to the 2^48 cap
+        calls = self.counting(monkeypatch)
+        k = self.TWO_POINT.cumulant_function()
         calls.clear()
         fenchel_dual(k, self.GRID)
-        assert len(calls) < 150
+        assert len(calls) < 40
 
     def test_rule_evaluation_call_count(self, monkeypatch):
         # one 48-point probe vector, as speed_from_dual's multisection makes;
-        # two evaluations per golden-section step made 103 calls
+        # golden section made 59 calls
         calls = self.counting(monkeypatch)
         dual = fenchel_dual(self.TWO_POINT.cumulant_function(), self.GRID)
         calls.clear()
         dual(np.linspace(0.0, 0.3, 48))
-        assert len(calls) < 70
+        assert len(calls) <= 6
 
     @pytest.mark.parametrize("law", [
         ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5)),
@@ -167,6 +186,66 @@ class TestConjugateCost:
         assert np.array_equal(np.isinf(got), np.isinf(want))
         fin = np.isfinite(want)
         assert float(np.max(np.abs(got[fin] - want[fin]))) < 1e-9
+
+
+CATALOGUE = [ReproductionLaw(off, step, mech)
+             for off in (OffspringLaw("geometric", 2.0),
+                         OffspringLaw("poisson_positive", math.e),
+                         OffspringLaw("deterministic", 3))
+             for step in (Gaussian(0.2, 0.7), PointMass(0.3), TwoPoint(-0.3, 0.4, 0.5))
+             for mech in ("independent", "common")]
+
+
+def law_id(law):
+    return f"{law.offspring.kind}-{type(law.displacement).__name__}-{law.mechanism}"
+
+
+def step_bound(law):
+    """Supremum of the step law's support: the cumulant's asymptotic slope."""
+    d = law.displacement
+    return {PointMass: lambda: d.value, TwoPoint: lambda: d.high,
+            Gaussian: lambda: math.inf}[type(d)]()
+
+
+def without_derivatives(k):
+    """The same cumulant with ``derivatives=None``: the golden-section path."""
+    return EvaluableFunction(k.xs, k.ys, k.rule)
+
+
+class TestNewtonAgainstGolden:
+    """The Newton rule against the golden rule of the same function."""
+
+    @pytest.mark.parametrize("law", CATALOGUE, ids=law_id)
+    def test_conjugates_agree_up_to_the_step_bound(self, law):
+        k = law.cumulant_function()
+        golden = without_derivatives(k)
+        bound = step_bound(law)
+        for grid in (_default_dual_grid(k), GridSpec(-1.0, 1.5, 1e-3)):
+            xs = grid.abscissae()
+            if math.isfinite(bound):
+                xs = np.concatenate([xs, [np.nextafter(bound, -np.inf), bound,
+                                          np.nextafter(bound, np.inf), bound + 1e-9]])
+            newton, ref = fenchel_dual(k, grid)(xs), fenchel_dual(golden, grid)(xs)
+            # just above the bound the golden rule is finite for 0 to 4 ulps,
+            # as rounding decides; the Newton rule keeps the value at the
+            # bound there, the limit -log(m p) of a two-point step
+            edge = (xs > bound) & (xs <= bound + 4e-16)
+            assert np.array_equal(np.isinf(newton[~edge]), np.isinf(ref[~edge]))
+            fin = np.isfinite(ref)
+            assert float(np.max(np.abs(newton[fin] - ref[fin]))) < 1e-9
+            if edge.any():
+                assert np.allclose(newton[edge], fenchel_dual(k, grid)(bound), atol=1e-12)
+
+    @pytest.mark.parametrize("law", CATALOGUE[::2], ids=law_id)
+    def test_ratio_minimum_agrees(self, law):
+        k = law.cumulant_function()
+        newton, ref = speed_from_inf(k), speed_from_inf(without_derivatives(k))
+        assert newton.speed == pytest.approx(ref.speed, abs=1e-12)
+        assert newton.diagnostics["attained"] == ref.diagnostics["attained"]
+        # at m p = 1 the ratio decreases to its bound only as t -> inf and is
+        # flat to rounding past t ~ 50, so neither route has a sharp argmin
+        if ref.tilt_argmin is not None and abs(ref.speed - step_bound(law)) > 1e-12:
+            assert newton.tilt_argmin == pytest.approx(ref.tilt_argmin, rel=1e-6)
 
 
 class TestSweep:

@@ -56,6 +56,24 @@ class TestCumulant:
             slopes = np.diff(vals) / np.diff(ts)
             assert np.all(np.diff(slopes) >= -1e-8), law
 
+    @pytest.mark.parametrize("law", LAW_CATALOGUE)
+    def test_derivatives_match_central_differences(self, law):
+        ts = np.linspace(0.05, 6.0, 40)
+        d1, d2 = law.cumulant_derivatives(ts)
+        h = 1e-4
+        k_lo, k_mid, k_hi = (law.cumulant(ts + s) for s in (-h, 0.0, h))
+        assert np.allclose(d1, (k_hi - k_lo) / (2 * h), atol=1e-7)
+        assert np.allclose(d2, (k_hi - 2 * k_mid + k_lo) / h ** 2, atol=1e-5)
+
+    def test_two_point_derivatives_saturate_exactly(self):
+        # read from the nearer end, f' reaches `high` itself, and f'' = 0
+        # marks the tilted law as a point mass
+        step = TwoPoint(-0.3, 0.4, 0.5)
+        d1, d2 = step.log_mgf_derivatives(np.array([0.0, 60.0, 2.0 ** 48]))
+        assert d1[0] == pytest.approx(0.05, abs=1e-16)
+        assert d1[1] == 0.4 and d1[2] == 0.4
+        assert d2[0] == pytest.approx(0.7 ** 2 / 4, abs=1e-16) and d2[2] == 0.0
+
     def test_mean_matches_poisson_conditioning(self):
         off = OffspringLaw("poisson_positive", 3.0)
         # conditioned mean must be the requested one

@@ -36,7 +36,7 @@ class TestOneTypeSpeed:
         law = ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0))
         r = one_type_speed(law)
         assert r.speed == pytest.approx(SQRT2, abs=1e-6)
-        assert r.tilt_root == pytest.approx(SQRT2, abs=1e-6)
+        assert r.tilt_root == pytest.approx(SQRT2, abs=1e-12)
         assert r.diagnostics["formula_gap"] < 1e-6
 
     def test_single_walk_rate_indicator(self):
