@@ -322,7 +322,9 @@ def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
                 math.nan if res.tilt_argmin is None else res.tilt_argmin,
                 res.diagnostics["speed_from_dual"],
                 res.diagnostics["speed_from_inf"]]])
-    res.rate_function.write_csv(out_dir / "rate_function.csv")
+    rate = res.rate_function
+    write_csv(out_dir / "rate_function.csv", ["a", "value"],
+              np.column_stack((rate.xs, rate.ys)))
     residual = res.diagnostics.get("root_residual")
     lines = [f"speed={fmt(res.speed)}",
              f"tilt_root={fmt(res.tilt_root) if res.tilt_root is not None else 'absent'}",
@@ -439,7 +441,7 @@ def run_front(cfg: ExperimentConfig, out_dir: Path) -> int:
     write_csv(out_dir / "front.csv", ["n", "x_n", "drift", "profile_sup_diff"], rows)
     for n, prof in snaps.items():
         write_csv(out_dir / f"profile_{n}.csv", ["x", "u"],
-                  zip(prof.grid(), prof.values))
+                  np.column_stack((prof.grid(), prof.values)))
     lines = [f"front_speed={fmt(res.speed)}",
              f"final_sup_diff={fmt(float(res.sup_diffs[-1]))}"]
     ok = _expect_check(res.speed, cfg.expect, lines)

@@ -5,7 +5,7 @@ This module supplies the convex machinery everything else composes:
 samples, and optionally the rule's first two derivatives), conjugates
 (Legendre-Fenchel transforms), the sweep operation that replaces
 positive values by +inf, lower convex envelopes of pairs of functions
-built from a monotone-chain hull, and the two speed functionals (zero
+built from an array-wide lower hull, and the two speed functionals (zero
 crossing of a rate function, infimum of cumulant-to-tilt ratios).
 
 A function that carries its derivatives, as every catalogue cumulant
@@ -42,6 +42,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_CAP = 2.0 ** 48    # beyond this the conjugate is treated as +inf
 _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 64
+_MAX_BRIDGES = 8          # more reflex hull points than this are dropped at once
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class EvaluableFunction:
 
     def write_csv(self, path) -> None:
         """Export the grid as CSV columns (a, value); +inf becomes the literal 'inf'."""
-        write_csv(path, ["a", "value"], zip(self.xs.tolist(), self.ys.tolist()))
+        write_csv(path, ["a", "value"], np.column_stack((self.xs, self.ys)))
 
 
 @dataclass(frozen=True)
@@ -449,43 +450,122 @@ def _multisection(fn, lo, hi, predicate, rounds: int = 4, width: int = 48):
 
 
 def _lower_hull(px: np.ndarray, py: np.ndarray):
-    """Lower convex hull of points sorted by x (monotone chain)."""
-    hx, hy = [], []
-    for x, y in zip(px, py):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (x - hx[-2]) * (hy[-1] - hy[-2])
-            if cross <= 0:
-                hx.pop()
-                hy.pop()
-            else:
+    """Vertices (hx, hy) of the lower convex hull of points sorted by x, then y.
+
+    At a duplicate abscissa the lower value, sorted first, stays.  Then
+    each round computes the turn of every interior point against its
+    two neighbours: where it is not strictly convex (a collinear point
+    turns by 0) the point is reflex.  Many reflex points, as in a flat
+    run or rounding noise, are all dropped at once; dropping them
+    simultaneously is exact, since along a run of reflex points the
+    height above the chord of the run's kept ends is discretely concave
+    and so nonnegative.  At most ``_MAX_BRIDGES`` reflex points cut the
+    chain into convex runs, which ``_bridge`` joins; a join that drops
+    nothing is followed by a drop round, so every round shrinks the
+    chain until no point is reflex.
+    """
+    keep = np.ones(px.size, dtype=bool)
+    keep[1:] = px[1:] != px[:-1]
+    hx, hy = px[keep], py[keep]
+    joined = True
+    while hx.size > 2:
+        x0, x1, x2, y0, y1, y2 = hx[:-2], hx[1:-1], hx[2:], hy[:-2], hy[1:-1], hy[2:]
+        reflex = np.flatnonzero((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0) <= 0) + 1
+        if reflex.size == 0:
+            break
+        if reflex.size > _MAX_BRIDGES or not joined:
+            keep = np.ones(hx.size, dtype=bool)
+            keep[reflex] = False
+            hx, hy, joined = hx[keep], hy[keep], True
+            continue
+        size = hx.size
+        hx, hy = _bridge(hx, hy, reflex)
+        joined = hx.size < size
+    return hx, hy
+
+
+def _bridge(hx: np.ndarray, hy: np.ndarray, cuts: np.ndarray):
+    """Join the convex runs of a chain, cut after each index in ``cuts``.
+
+    Left to right, the hull so far (kx, ky) and the next run (bx, by)
+    are joined by their lower common tangent, whose ends are found by
+    alternating slope searches: the point of the hull with the largest
+    slope to the run's current end, then the point of the run with the
+    least slope from the hull's.  Ties keep the outer point (the first
+    argmax, the last argmin), so collinear middle points go.
+    """
+    bounds = np.concatenate(([0], cuts + 1, [hx.size]))
+    kx, ky = hx[:bounds[1]], hy[:bounds[1]]
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        bx, by = hx[lo:hi], hy[lo:hi]
+        i, j = kx.size - 1, 0
+        for _ in range(kx.size + bx.size):
+            i_new = int(np.argmax((by[j] - ky) / (bx[j] - kx)))
+            s = (by - ky[i_new]) / (bx - kx[i_new])
+            j_new = s.size - 1 - int(np.argmin(s[::-1]))
+            if (i_new, j_new) == (i, j):
                 break
-        # Duplicate abscissa: keep only the lower value.
-        if hx and x == hx[-1]:
-            if y < hy[-1]:
-                hx.pop()
-                hy.pop()
+            i, j = i_new, j_new
+        kx = np.concatenate((kx[:i + 1], bx[j:]))
+        ky = np.concatenate((ky[:i + 1], by[j:]))
+    return kx, ky
+
+
+def _hull_points(f: EvaluableFunction, g: EvaluableFunction, xs: np.ndarray,
+                 fy: np.ndarray, gy: np.ndarray):
+    """The finite points of min(f, g) on xs and the inputs' domain edges,
+    sorted by abscissa, then value.
+
+    Domain edges fall between grid points; they are located by
+    bisection and added, otherwise the hull snaps a swept boundary (and
+    the crossing read off it) to the grid pitch.
+    """
+    m = np.minimum(fy, gy)
+    fin = np.isfinite(m)
+    ex, ey = [], []
+    for fn, vals in ((f, fy), (g, gy)):
+        ok = np.isfinite(vals)
+        for i in np.flatnonzero(ok[:-1] != ok[1:]):
+            if ok[i]:
+                a_fin, _ = _multisection(fn, float(xs[i]), float(xs[i + 1]),
+                                         np.isfinite)
             else:
-                continue
-        hx.append(x)
-        hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
+                hi, _ = _multisection(lambda t: fn(xs[i + 1] + xs[i] - t),
+                                      float(xs[i]), float(xs[i + 1]), np.isfinite)
+                a_fin = xs[i + 1] + xs[i] - hi
+            edge = float(np.minimum(f(a_fin), g(a_fin)))
+            if math.isfinite(edge):
+                ex.append(float(a_fin))
+                ey.append(edge)
+    px = np.concatenate((xs[fin], ex))
+    py = np.concatenate((m[fin], ey))
+    order = np.lexsort((py, px))
+    return px[order], py[order]
 
 
 def convex_minorant(f: EvaluableFunction, g: EvaluableFunction, grid: GridSpec,
                     values: Optional[tuple] = None) -> EvaluableFunction:
     """Lower convex envelope of min(f, g) over the working window.
 
-    Built from the lower convex hull of the finite points of min(f, g)
-    on the grid, plus the inputs' domain edges located between grid
-    points; +inf points never enter the hull, and the rule interpolates
-    the hull linearly.  It is convex, and <= min(f, g) at the grid nodes
-    and the added edge points only: between nodes it can lie above the
-    exact inputs by the chord error pitch^2 f''/8.  Past a grid end
-    where min(f, g) is finite (window truncation) the envelope continues
-    with the end-segment slope; past a grid end where both inputs are
-    +inf (a domain edge) it is +inf beyond the hull.  It is the greatest
-    such function wherever the window is wide enough that the hull's
-    support is interior.
+    Built from the lower convex hull (``_lower_hull``) of the finite
+    points of min(f, g) on the grid, plus the inputs' domain edges
+    located between grid points (``_hull_points``); +inf points never
+    enter the hull, and the rule interpolates the hull linearly.  The
+    hull's vertices are those of a monotone chain over the same points:
+    collinear middle points are dropped, and at a duplicate abscissa the
+    lower value stays.  Both inputs are convex, so the hull departs from
+    min(f, g) only at a few reflex points, where the inputs cross and
+    at domain edges, and those are bridged by lower common tangents
+    found by array-wide slope searches.
+
+    The envelope is convex, and <= min(f, g) at the grid nodes and the
+    added edge points only: between nodes it can lie above the exact
+    inputs by the chord error pitch^2 f''/8.  Past a grid end where
+    min(f, g) is finite (window truncation) the envelope continues with
+    the end-segment slope; past a grid end where both inputs are +inf (a
+    domain edge) it is +inf beyond the hull.  It is the greatest such
+    function wherever the window is wide enough that the hull's support
+    is interior.
 
     ``values`` may carry (f(xs), g(xs)) precomputed on the grid's
     abscissae (e.g. the stored grid of a conjugate built on the same
@@ -500,30 +580,10 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction, grid: GridSpec,
             raise ValueError("precomputed values do not match the grid")
     else:
         fy, gy = np.asarray(f(xs)), np.asarray(g(xs))
-    m = np.minimum(fy, gy)
-    fin = np.isfinite(m)
+    fin = np.isfinite(np.minimum(fy, gy))
     if not fin.any():
         raise DomainError("min(f, g) is +inf everywhere on the window")
-    # Domain edges of the inputs fall between grid points; locate them by
-    # bisection and add them to the point set, otherwise the hull snaps a
-    # swept boundary (and the crossing read off it) to the grid pitch.
-    px, py = list(xs[fin]), list(m[fin])
-    for fn, vals in ((f, fy), (g, gy)):
-        ok = np.isfinite(vals)
-        for i in np.flatnonzero(ok[:-1] != ok[1:]):
-            if ok[i]:
-                a_fin, _ = _multisection(fn, float(xs[i]), float(xs[i + 1]),
-                                         np.isfinite)
-            else:
-                hi, _ = _multisection(lambda t: fn(xs[i + 1] + xs[i] - t),
-                                      float(xs[i]), float(xs[i + 1]), np.isfinite)
-                a_fin = xs[i + 1] + xs[i] - hi
-            edge = float(np.minimum(f(a_fin), g(a_fin)))
-            if math.isfinite(edge):
-                px.append(float(a_fin))
-                py.append(edge)
-    order = np.argsort(px)
-    hx, hy = _lower_hull(np.asarray(px)[order], np.asarray(py)[order])
+    hx, hy = _lower_hull(*_hull_points(f, g, xs, fy, gy))
 
     if hx.size == 1:
         hx = np.array([hx[0], hx[0] + grid.step])

@@ -197,10 +197,11 @@ class TwoTypeAnalysis:
         return speed_from_dual(sweep(self.expected_rate))
 
     def figure_table(self, lo: float = -0.5, hi: float = 2.0, step: float = 1e-3):
-        """The figure's rows, each column one array-wide rule evaluation."""
+        """The figure's rows as a 2-d array, each column one array-wide rule
+        evaluation."""
         xs = GridSpec(lo, hi, step).abscissae()
-        cols = (xs, sweep(self.duals[0])(xs), self.duals[1](xs), self.envelope(xs))
-        return list(zip(*(c.tolist() for c in cols)))
+        return np.column_stack((xs, sweep(self.duals[0])(xs), self.duals[1](xs),
+                                self.envelope(xs)))
 
 
 def anomalous_speed(sys: TwoTypeSystem) -> AnomalousReport:
@@ -236,6 +237,6 @@ def expected_numbers_speed(sys: TwoTypeSystem) -> float:
 
 def figure_table(sys: TwoTypeSystem, lo: float = -0.5, hi: float = 2.0,
                  step: float = 1e-3):
-    """Rows (a, kswept_nu, kdual_eta, cv) over [lo, hi]: the three curves
-    whose zero crossings exhibit the anomalous speed."""
+    """Rows (a, kswept_nu, kdual_eta, cv) over [lo, hi], as a 2-d array: the
+    three curves whose zero crossings exhibit the anomalous speed."""
     return TwoTypeAnalysis(sys).figure_table(lo, hi, step)

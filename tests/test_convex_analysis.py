@@ -10,6 +10,8 @@ from brwlab.convex_analysis import (
     EvaluableFunction,
     GridSpec,
     _default_dual_grid,
+    _hull_points,
+    _lower_hull,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -17,7 +19,17 @@ from brwlab.convex_analysis import (
     sweep,
 )
 from brwlab.errors import DomainError
-from brwlab.models import Gaussian, OffspringLaw, PointMass, ReproductionLaw, TwoPoint
+from brwlab.models import (
+    Gaussian,
+    OffspringLaw,
+    PointMass,
+    ReproductionLaw,
+    Seeding,
+    TwoPoint,
+    TwoTypeSystem,
+    skeleton_of_bbm,
+)
+from brwlab.speeds import TwoTypeAnalysis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -358,6 +370,119 @@ class TestConvexMinorant:
         f = constant(np.inf, np.arange(0.0, 1.0, 1e-2))
         with pytest.raises(DomainError):
             convex_minorant(f, f, GridSpec(0.0, 1.0, 1e-2))
+
+
+def monotone_chain(px, py):
+    """Reference lower hull of points sorted by x: Andrew's monotone chain,
+    one point at a time.  Collinear middle points are popped, and at a
+    duplicate abscissa the lower value stays."""
+    hx, hy = [], []
+    for x, y in zip(px.tolist(), py.tolist()):
+        while len(hx) >= 2:
+            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (x - hx[-2]) * (hy[-1] - hy[-2])
+            if cross > 0:
+                break
+            hx.pop()
+            hy.pop()
+        if hx and x == hx[-1]:
+            if y >= hy[-1]:
+                continue
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return np.array(hx), np.array(hy)
+
+
+def assert_hull_matches_chain(px, py):
+    hx, hy = _lower_hull(px, py)
+    cx, cy = monotone_chain(px, py)
+    assert np.array_equal(hx, cx) and np.array_equal(hy, cy)
+    return hx, hy
+
+
+def random_step(rng, kind):
+    if kind == "gaussian":
+        return Gaussian(rng.uniform(-0.5, 0.5), rng.uniform(0.1, 2.0))
+    if kind == "point":
+        return PointMass(rng.uniform(-0.5, 1.0))
+    lo = rng.uniform(-1.0, 0.5)
+    return TwoPoint(lo, lo + rng.uniform(0.2, 1.5), rng.uniform(0.1, 0.9))
+
+
+def random_class(rng, steps):
+    count = ("deterministic", "geometric", "poisson_positive")[rng.integers(3)]
+    mean = int(rng.integers(2, 6)) if count == "deterministic" else rng.uniform(1.2, 8.0)
+    step = random_step(rng, steps[rng.integers(len(steps))])
+    return ReproductionLaw(OffspringLaw(count, mean), step)
+
+
+class TestLowerHullOracle:
+    """The array-wide hull has the monotone chain's vertices, bit for bit."""
+
+    @pytest.mark.parametrize("form", ["skeleton", "general", "bounded"])
+    def test_envelopes_of_random_systems(self, form):
+        rng = np.random.default_rng({"skeleton": 31, "general": 32, "bounded": 33}[form])
+        for _ in range(6):
+            if form == "skeleton":
+                sysm = skeleton_of_bbm(rng.uniform(0.1, 2.0), rng.uniform(1.0, 6.0), 0.5)
+            else:
+                steps = ("gaussian",) if form == "general" else ("point", "two_point")
+                sysm = TwoTypeSystem(random_class(rng, steps), random_class(rng, steps),
+                                     Seeding(rng.uniform(0.05, 1.0)))
+            analysis = TwoTypeAnalysis(sysm)
+            d_nu, d_eta = analysis.duals
+            xs = analysis.grid.abscissae()
+            # forward, reversed and expected-numbers envelopes
+            for f, g in ((sweep(d_nu), d_eta), (sweep(d_eta), d_nu), (d_nu, d_eta)):
+                assert_hull_matches_chain(*_hull_points(f, g, xs, f.ys, g.ys))
+
+    def test_flat_run_keeps_only_its_ends(self):
+        # a conjugate is -k(0) below k'(0) = 0.5: one flat run
+        grid = GridSpec(-1.0, 3.0, 2e-3)
+        law = ReproductionLaw(OffspringLaw("geometric", 2.0), Gaussian(0.5, 1.0))
+        d = fenchel_dual(law.cumulant_function(), grid)
+        px, py = _hull_points(d, d, grid.abscissae(), d.ys, d.ys)
+        hx, hy = assert_hull_matches_chain(px, py)
+        flat = hx[hy == d.ys[0]]
+        assert flat.size == 2 and flat[0] == -1.0 and flat[1] <= 0.5
+
+    def test_duplicate_abscissae_keep_the_lower_value(self):
+        px = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0])
+        py = np.array([1.0, 2.0, -1.0, 0.0, 5.0, 0.5, 0.0, 4.0])
+        hx, hy = assert_hull_matches_chain(px, py)
+        assert hx.tolist() == [0.0, 1.0, 3.0] and hy.tolist() == [1.0, -1.0, 0.0]
+
+    def test_collinear_and_single_points(self):
+        assert_hull_matches_chain(np.array([0.5]), np.array([-1.0]))
+        assert_hull_matches_chain(np.array([0.5, 0.5]), np.array([-1.0, 2.0]))
+        xs = np.arange(6.0)
+        hx, _ = assert_hull_matches_chain(xs, 2.0 * xs - 1.0)
+        assert hx.tolist() == [0.0, 5.0]
+
+    def test_single_finite_point_of_the_minimum(self):
+        xs = GridSpec(0.0, 1.0, 0.25).abscissae()
+        f = sampled(lambda a: np.where(np.abs(a - 0.5) < 0.1, -1.0, np.inf), xs)
+        px, py = _hull_points(f, f, xs, f.ys, f.ys)
+        assert_hull_matches_chain(px, py)
+        cv = convex_minorant(f, f, GridSpec(0.0, 1.0, 0.25))
+        assert cv(0.5) == -1.0 and np.isinf(cv(0.0)) and np.isinf(cv(1.0))
+
+    def test_domain_edges_at_both_grid_ends(self):
+        # finite on (-0.9995, 0.9995): an edge between the first two and
+        # the last two nodes of the grid
+        grid = GridSpec(-1.0, 1.0, 1e-3)
+        xs = grid.abscissae()
+        f = sampled(lambda a: np.where(np.abs(a) < 0.9995, a * a - 0.5, np.inf), xs)
+        g = sampled(lambda a: np.where(np.abs(a) < 0.9995, np.abs(a - 0.3) - 0.9, np.inf),
+                    xs)
+        px, py = _hull_points(f, g, xs, f.ys, g.ys)
+        assert px.size == np.isfinite(np.minimum(f.ys, g.ys)).sum() + 4
+        assert px[0] < xs[1] and px[-1] > xs[-2]
+        hx, _ = assert_hull_matches_chain(px, py)
+        cv = convex_minorant(f, g, grid)
+        assert np.isinf(cv(-0.99999)) and np.isinf(cv(0.99999))
+        assert cv(hx[0]) == pytest.approx(min(float(f(hx[0])), float(g(hx[0]))))
 
 
 class TestSpeedFunctionals:
