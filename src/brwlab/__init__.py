@@ -40,6 +40,7 @@ from .mc_sim import (
     TwoTypeTrajectoryStats,
     centering_slope,
     count_profile,
+    predicted_beam_deficit,
     replicate_rng,
     run_count_census,
     run_one_type,

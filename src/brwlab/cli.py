@@ -28,7 +28,8 @@ import numpy as np
 from . import acceptance
 from .errors import BrwLabError, ParamError, SchemaError
 from .front import front_speed
-from .mc_sim import centering_slope, count_profile, run_one_type, run_two_type
+from .mc_sim import (centering_slope, count_profile, predicted_beam_deficit,
+                     run_one_type, run_two_type)
 from .models import (
     Gaussian,
     OffspringLaw,
@@ -429,6 +430,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
         lines.append(f"replicates={cfg.replicates} n_max={cfg.n_max}")
         lines.append(f"mean_rightmost_over_n={fmt(mean_final)}")
         lines.append(f"centering_slope={fmt(fit.slope)} stderr={fmt(fit.stderr)}")
+        lines.append("predicted_beam_deficit="
+                     + fmt(predicted_beam_deficit(law, speed.tilt_root, cfg.budget)))
         ok = _expect_check(mean_final, cfg.expect, lines)
     _summary(out_dir, lines)
     return 0 if ok else 1

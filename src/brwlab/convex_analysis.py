@@ -232,12 +232,21 @@ def _ratio_root(f: EvaluableFunction):
     so f' has reached its supremum and F is constant from there on: if
     F < 0 there (or at the 2^48 cap) there is no root, and the infimum
     is that supremum, approached as t -> inf.
+
+    A bounded step (f'' = 0 at the cap) is decided before Newton: with
+    top B and top-atom mass q, f(t) - tB falls to log(m q), so F rises
+    to -log(m q) and has a root only if m q < 1.  Where m q >= 1 the
+    infimum is B, approached as t -> inf, found with two calls of ``f``;
+    Newton would creep along F's exponential tail (m q = 1) and stop
+    at a spurious root.
     """
     k0 = float(f(0.0))
-    (s0,), (c0,) = f.derivatives(np.zeros(1))
+    (s0, top), (c0, c_cap) = f.derivatives(np.array([0.0, _THETA_CAP]))
     if k0 <= 0.0:
         # f(0) = 0 (one daughter): f(t)/t >= f'(0) by convexity
         return float(s0), None, False
+    if c_cap == 0.0 and _top_limit(f, top) >= 0.0:
+        return float(top), None, False
     t = min(math.sqrt(2.0 * k0 / c0), _THETA_CAP) if c0 > 0.0 else 1.0
     lo, hi = 0.0, math.inf
     for _ in range(_NEWTON_STEPS):
@@ -260,6 +269,20 @@ def _ratio_root(f: EvaluableFunction):
             break
         t = nxt
     return kt / t, t, True
+
+
+def _top_limit(f: EvaluableFunction, top: float) -> float:
+    """lim f(t) - t * top as t -> inf for a bounded step with that top:
+    log(m q), or 0 when it is within rounding of 0.
+
+    Read at the least power of 2 where f' equals ``top`` to the last
+    bit, so the tilted law has saturated and t * top is exact.
+    """
+    ts = 2.0 ** np.arange(0, 49)
+    t = float(ts[np.argmax(f.derivatives(ts)[0] == top)])
+    ft = float(f(t))
+    limit = ft - t * top
+    return 0.0 if abs(limit) <= 8.0 * _EPS * max(abs(ft), abs(t * top)) else limit
 
 
 def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -> GridSpec:

@@ -326,6 +326,14 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     soon as either profile exceeds RANGE_TOL in its last cell, or varies
     by more than RANGE_TOL within one kernel reach of its first cell.
     Needs independent displacements.
+
+    Range: the anomalous front rides on eta tail values far below
+    1e-100, and float64 flushes values near 1e-308 to zero with no
+    error raised.  For the worked example (V = 1/3, lambda = 3) at
+    h = 0.04 and x_max = 1.64 n + 80, the slope error against 4/sqrt 6
+    is -1.7e-9 at n = 600, but -4.0e-4 at n = 750 and -1.1e-2 at
+    n = 900.  Keep n at or below 600 for that system, or check the
+    slope against a second route.
     """
 
     if not x_max > 0.0:

@@ -18,6 +18,17 @@ prunes by index so its switch generations follow the kept children; an
 index prune on every beam would slow a one-type beam by about a third
 and change every beam stream.
 
+A beam generation born with more than ``THIN_GATE`` times its budget is
+thinned: every family size is drawn, but only the children that can
+survive the prune get a position, from the step law conditioned above
+a cut placed from the parents (``_thinned``).  The kept set keeps its
+exact law, and a generation with too few children above the cut draws
+the rest below it.  The reversed worked example's eta beam (families
+of mean e^3) draws about 1.8 children per kept one instead of 20; beams
+born below the gate, such as the unit one-type beam, draw every child
+and keep their streams.  ``pruning`` counts the children born but not
+kept, and ``drawn`` those given a position.
+
 For the large exact censuses the count-profile checks need (population
 way past any per-particle budget), a binned engine propagates exact
 particle counts on a position lattice instead of individual particles.
@@ -45,6 +56,17 @@ INT64_MAX = np.iinfo(np.int64).max
 # replicates of ``front.coupled_mc_consistency``.
 EXACT_POPULATION_CAP = 4_000_000
 BATCH_CHUNK = 10_000   # replicates simulated jointly by ``rightmost_batch``
+
+# Thinned branching (``_thinned``).  A beam generation born with more than
+# THIN_GATE times its budget draws only the children expected to survive
+# the prune, THIN_MARGIN budgets of them.  Below the gate the per-parent
+# binomials cost more than the steps they save: the unit one-type beam
+# (born/kept about e) ran 1.6x slower thinned, the reversed worked
+# example's eta beam (born/kept about e^3) 2.7x faster.
+THIN_GATE = 4
+THIN_MARGIN = 1.3
+CUT_BINS = 128         # position cells the cut is placed from
+CUT_STEPS = 20         # bisection steps of the cut
 
 
 def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
@@ -95,9 +117,19 @@ class TwoTypeTrajectoryStats:
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
-            rng: np.random.Generator, *labels: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """One exact branching step: the children, then each per-parent array
-    of ``labels`` repeated once per child.
+            rng: np.random.Generator, *labels: np.ndarray,
+            budget: Optional[int] = None,
+            rivals: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+    """One branching step: the number of children born, the children, then
+    each per-parent array of ``labels`` repeated once per child.
+
+    Every family size is drawn.  A pruned beam passes its ``budget``;
+    when its generation is born with more than ``THIN_GATE`` times that
+    many children, only those that can survive the prune are drawn (see
+    ``_thinned``), and ``rivals``, candidates that compete with the
+    children for the budget (the eta beam's seeds), count towards it.
+    Otherwise every child is drawn.  Either way the kept set, the top
+    ``budget`` children within the caller's window, has its exact law.
 
     Beams, two-type runs and exact batches all branch here and prune, if
     at all, themselves: by value, or by index in the eta beam, whose
@@ -106,22 +138,109 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
     generation makes size-0 draws, which leave ``rng`` where it was.
     """
     counts = law.offspring.sample(rng, positions.size)
+    born = int(counts.sum())
+    if budget is not None and born > THIN_GATE * budget:
+        return (born,) + _thinned(law, positions, counts, rng, labels, budget, rivals)
+    return (born,) + _children(law, positions, counts, rng, labels)
+
+
+def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
+              rng: np.random.Generator, labels, **cut) -> Tuple[np.ndarray, ...]:
+    """``counts[i]`` children of each ``positions[i]``, with their labels.
+
+    ``cut`` is empty, or ``above=c`` or ``below=c``: every child is then
+    drawn conditioned on landing above c (or at or below it), through
+    the step law's ``sample``.  Under the ``common`` mechanism the
+    condition falls on each family's one step, and the families with
+    no children here draw none.
+    """
+    if cut and law.mechanism == "common":
+        live = counts > 0
+        positions, counts = positions[live], counts[live]
+        labels = [lab[live] for lab in labels]
     children = np.repeat(positions, counts)
     # in place, so at most two child-sized arrays are alive at a time
     if law.mechanism == "independent":
-        children += law.displacement.sample(rng, children.size)
+        children += law.displacement.sample(
+            rng, children.size, **{side: c - children for side, c in cut.items()})
     else:
-        children += np.repeat(law.displacement.sample(rng, positions.size), counts)
+        children += np.repeat(law.displacement.sample(
+            rng, positions.size, **{side: c - positions for side, c in cut.items()}),
+            counts)
     return (children,) + tuple(np.repeat(lab, counts) for lab in labels)
 
 
-def _prune(children: np.ndarray, budget: int, window: float):
+def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
+             rng: np.random.Generator, labels, budget: int,
+             rivals: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """The children of a generation that can survive a prune to ``budget``.
+
+    A cut c is placed so that about ``THIN_MARGIN * budget`` children are
+    expected above it (``_cut``).  With s_i = P(X > c - x_i), parent i has
+    Binomial(N_i, s_i) children above c (under ``common``, all N_i with
+    probability s_i), and only those are drawn, from the step law
+    conditioned above c - x_i.  When they and the ``rivals`` above c
+    number at least ``budget``, every child of the top ``budget`` is
+    among them, so the prune keeps what it would keep from the full
+    generation.  Otherwise the rest of every family is drawn below the
+    cut, which completes the full generation exactly, with no resampling.
+    """
+    step = law.displacement
+    cut = _cut(step, positions, counts, THIN_MARGIN * budget)
+    prob = step.sf(cut - positions)
+    if law.mechanism == "independent":
+        upper = rng.binomial(counts, prob)
+    else:
+        upper = np.where(rng.random(positions.size) < prob, counts, 0)
+    above = _children(law, positions, upper, rng, labels, above=cut)
+    contenders = above[0].size + (0 if rivals is None else int((rivals > cut).sum()))
+    if contenders >= budget:
+        return above
+    below = _children(law, positions, counts - upper, rng, labels, below=cut)
+    return tuple(np.concatenate(pair) for pair in zip(above, below))
+
+
+def _cut(step, positions: np.ndarray, counts: np.ndarray, target: float) -> float:
+    """A position with about ``target`` children expected above it.
+
+    Bisects sum_i N_i P(X > c - x_i), with the parents binned into
+    ``CUT_BINS`` cells across their range and each cell read at its
+    centre.  The cut needs no more precision than that: the count it
+    leads to is drawn, not assumed.
+    """
+    lo, hi = float(positions.min()), float(positions.max())
+    width = (hi - lo) / CUT_BINS or 1.0
+    cell = np.minimum(((positions - lo) / width).astype(np.intp), CUT_BINS - 1)
+    mass = np.bincount(cell, weights=counts, minlength=CUT_BINS)
+    centres = lo + width * (np.arange(CUT_BINS) + 0.5)
+    # every child is expected above -inf; a target past half of them is no cut
+    target = min(target, 0.5 * mass.sum())
+
+    def expected(c):
+        return float(np.dot(mass, step.sf(c - centres)))
+
+    widen = 1.0
+    while expected(lo) < target:
+        lo, widen = lo - widen, 2.0 * widen
+    widen = 1.0
+    while expected(hi) > target:
+        hi, widen = hi + widen, 2.0 * widen
+    for _ in range(CUT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if expected(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _prune(children: np.ndarray, budget: int, window: float) -> np.ndarray:
     """Keep the budget highest positions among those within the window of the max."""
     top = children.max()
     kept = children[children >= top - window]
     if kept.size > budget:
         kept = np.partition(kept, kept.size - budget)[-budget:]
-    return kept, children.size - kept.size
+    return kept
 
 
 def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
@@ -141,17 +260,18 @@ def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
     exact_positions: List[np.ndarray] = [positions.copy()]
     exact = True
     exact_upto = 0
-    pruned_total = 0
+    pruned_total = drawn = 0
     cap_bound_at = None
     for n in range(1, n_max + 1):
-        children, = _branch(law, positions, rng)
-        if n == 1 and children.size > budget:
-            raise BudgetError(f"family size {children.size} exceeds budget {budget} "
+        born, children = _branch(law, positions, rng, budget=budget)
+        if n == 1 and born > budget:
+            raise BudgetError(f"family size {born} exceeds budget {budget} "
                               "at generation 1")
+        drawn += children.size
         m[n] = children.max()
-        if children.size > budget:
-            children, dropped = _prune(children, budget, window)
-            pruned_total += dropped
+        if born > budget:
+            children = _prune(children, budget, window)
+            pruned_total += born - children.size
             if exact:
                 cap_bound_at = n
             exact = False
@@ -161,7 +281,7 @@ def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
             exact_upto = n
     return TrajectoryStats(seed=seed, rightmost=m, exact_upto=exact_upto,
                            exact_positions=exact_positions,
-                           pruning={"pruned": pruned_total,
+                           pruning={"pruned": pruned_total, "drawn": drawn,
                                     "cap_bound_at": cap_bound_at,
                                     "budget": budget, "window": window})
 
@@ -186,6 +306,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
 
     rng = replicate_rng(seed, 0)
     j, q = law.displacement.lattice_pmf(pitch)
+    offset = j - j[0]   # cells from a site's first destination
     start = 0
     counts = np.array([1], dtype=np.int64)
     m = np.empty(n_max + 1)
@@ -204,16 +325,16 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         new_counts = np.zeros(width, dtype=np.int64)
         nz = np.flatnonzero(counts)
         if law.mechanism == "independent":
-            totals = law.offspring.sum_sample(rng, counts[nz])
-            for b, tot in zip(nz, totals):
-                new_counts[b:b + j.size] += rng.multinomial(int(tot), q)
+            # one row of destinations per occupied site, scattered exactly
+            dest = rng.multinomial(law.offspring.sum_sample(rng, counts[nz]), q)
+            np.add.at(new_counts, (nz[:, None] + offset).ravel(), dest.ravel())
         else:
             # one step per family: scatter families first, then size them
             for b in nz:
                 fam_dest = rng.multinomial(int(counts[b]), q)
                 dz = np.flatnonzero(fam_dest)
                 sizes = law.offspring.sum_sample(rng, fam_dest[dz])
-                new_counts[b + dz] += sizes
+                new_counts[b + offset[dz]] += sizes
         start = new_start
         counts = new_counts
         top = np.flatnonzero(counts)
@@ -283,6 +404,22 @@ def centering_slope(stats: Sequence[TrajectoryStats], speed: float,
     return SlopeFit(slope=slope, stderr=se)
 
 
+def predicted_beam_deficit(law: ReproductionLaw, tilt: Optional[float],
+                           budget: int) -> float:
+    """Brunet-Derrida speed deficit of a beam of ``budget`` particles.
+
+    pi^2 theta* k''(theta*) / (2 L^2) with L = log N + 3 log log N
+    (Brunet & Derrida, PRE 56, 2597 (1997); Brunet, Derrida, Mueller &
+    Munier, PRE 73, 056126 (2006)).  NaN without a tilt root, or for a
+    budget below 3, where L is not positive.
+    """
+    if tilt is None or budget < 3:
+        return math.nan
+    _, (k2,) = law.cumulant_derivatives(tilt)
+    L = math.log(budget) + 3.0 * math.log(math.log(budget))
+    return math.pi ** 2 * tilt * float(k2) / (2.0 * L * L)
+
+
 def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
                  window: float = 15.0, seed: int = 0) -> TwoTypeTrajectoryStats:
     """Simulate both classes from a single nu-ancestor at the origin.
@@ -302,26 +439,31 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     m_eta = np.full(n_max + 1, np.nan)
     m_nu[0] = 0.0
     pruned = {"nu": 0, "eta": 0}
+    drawn = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        children_nu, = _branch(sys.law_nu, pos_nu, rng)
-        if n == 1 and children_nu.size > budget:
-            raise BudgetError(f"family size {children_nu.size} exceeds budget "
+        born_nu, children_nu = _branch(sys.law_nu, pos_nu, rng, budget=budget)
+        if n == 1 and born_nu > budget:
+            raise BudgetError(f"family size {born_nu} exceeds budget "
                               f"{budget} at generation 1")
         # one Bernoulli seed per nu-family, placed relative to the parent
         seeded = rng.random(pos_nu.size) < p if p > 0 else np.zeros(pos_nu.size, bool)
         n_seeds = int(seeded.sum())
         seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
-        children_eta, switch_children = _branch(sys.law_eta, pos_eta, rng, switch)
+        born_eta, children_eta, switch_children = _branch(
+            sys.law_eta, pos_eta, rng, switch, budget=budget, rivals=seed_pos)
+        born_eta += n_seeds
         children_eta = np.concatenate([children_eta, seed_pos])
         switch_children = np.concatenate([switch_children,
                                           np.full(n_seeds, n, dtype=np.int64)])
+        drawn["nu"] += children_nu.size
+        drawn["eta"] += children_eta.size
         m_nu[n] = children_nu.max()
         if children_eta.size:
             m_eta[n] = children_eta.max()
-        if children_nu.size > budget:
-            children_nu, d = _prune(children_nu, budget, window)
-            pruned["nu"] += d
-        if children_eta.size > budget:
+        if born_nu > budget:
+            children_nu = _prune(children_nu, budget, window)
+            pruned["nu"] += born_nu - children_nu.size
+        if born_eta > budget:
             # by index, so that each kept child keeps its switch generation
             top = children_eta.max()
             keep_idx = np.flatnonzero(children_eta >= top - window)
@@ -329,7 +471,7 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
                 sel = np.argpartition(children_eta[keep_idx],
                                       keep_idx.size - budget)[-budget:]
                 keep_idx = keep_idx[sel]
-            pruned["eta"] += children_eta.size - keep_idx.size
+            pruned["eta"] += born_eta - keep_idx.size
             children_eta = children_eta[keep_idx]
             switch_children = switch_children[keep_idx]
         pos_nu = children_nu
@@ -340,7 +482,8 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     else:
         frac = math.nan
     return TwoTypeTrajectoryStats(seed=seed, rightmost_nu=m_nu, rightmost_eta=m_eta,
-                                  switch_fraction=frac, pruning=pruned)
+                                  switch_fraction=frac,
+                                  pruning=dict(pruned, drawn=drawn))
 
 
 def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
@@ -361,7 +504,7 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
         pos = np.zeros(r)
         owner = np.arange(r)
         for _ in range(n):
-            pos, owner = _branch(law, pos, rng, owner)
+            _, pos, owner = _branch(law, pos, rng, owner)
             if pos.size > EXACT_POPULATION_CAP:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
                                   "reduce n")

@@ -9,7 +9,9 @@ Every combination has a closed-form cumulant
 which the acceptance machinery requires to be exact.
 
 Laws are immutable; samplers take an explicit numpy Generator so
-concurrent simulation shards never share state.
+concurrent simulation shards never share state.  Each displacement law
+also has its survival function ``sf`` and draws steps conditioned above
+or below per-step thresholds, which thinned beam branching needs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import expit, ndtr
+from scipy.special import expit, ndtr, ndtri
 
 from .convex_analysis import EvaluableFunction, GridSpec
 from .errors import ParamError
@@ -141,8 +143,22 @@ class Gaussian:
         theta = np.asarray(theta, dtype=float)
         return self.mean + self.variance * theta, np.full(theta.shape, self.variance)
 
-    def sample(self, rng, size):
-        return rng.normal(self.mean, math.sqrt(self.variance), size=size)
+    def sf(self, z):
+        """P(X > z)."""
+        z = np.asarray(z, dtype=float)
+        return ndtr((self.mean - z) / math.sqrt(self.variance))
+
+    def sample(self, rng, size, above=None, below=None):
+        """``size`` steps; with ``above`` (or ``below``), step i is drawn
+        conditioned on X > above[i] (or X <= below[i]) by the inverse CDF."""
+        sd = math.sqrt(self.variance)
+        if above is not None:
+            return self.mean + sd * _normal_above((above - self.mean) / sd,
+                                                  rng.random(size))
+        if below is not None:
+            return self.mean - sd * _normal_above((self.mean - below) / sd,
+                                                  rng.random(size))
+        return rng.normal(self.mean, sd, size=size)
 
     def lattice_pmf(self, h: float):
         """Probabilities of landing in lattice cells of pitch h around 0."""
@@ -172,7 +188,13 @@ class PointMass:
         shape = np.shape(theta)
         return np.full(shape, float(self.value)), np.zeros(shape)
 
-    def sample(self, rng, size):
+    def sf(self, z):
+        """P(X > z)."""
+        return np.where(np.asarray(z, dtype=float) < self.value, 1.0, 0.0)
+
+    def sample(self, rng, size, above=None, below=None):
+        """``size`` copies of the value.  A condition (``above``/``below``, as
+        for ``Gaussian``) of positive probability leaves the law as it is."""
         return np.full(size, self.value, dtype=float)
 
     def lattice_pmf(self, h: float):
@@ -217,8 +239,21 @@ class TwoPoint:
         d1 = np.where(w <= 0.5, self.low + span * w, self.high - span * wc)
         return d1, span * span * w * wc
 
-    def sample(self, rng, size):
-        picks = rng.random(size) < self.prob_high
+    def sf(self, z):
+        """P(X > z)."""
+        z = np.asarray(z, dtype=float)
+        return np.where(z < self.low, 1.0, np.where(z < self.high, self.prob_high, 0.0))
+
+    def sample(self, rng, size, above=None, below=None):
+        """``size`` steps, conditioned as for ``Gaussian``: a threshold in
+        [low, high) leaves only ``high`` above it, or only ``low`` at or
+        below it."""
+        p = self.prob_high
+        if above is not None:
+            p = np.where(np.asarray(above) < self.low, p, 1.0)
+        elif below is not None:
+            p = np.where(np.asarray(below) >= self.high, p, 0.0)
+        picks = rng.random(size) < p
         return np.where(picks, self.high, self.low)
 
     def lattice_pmf(self, h: float):
@@ -230,6 +265,21 @@ class TwoPoint:
 
 
 Displacement = Union[Gaussian, PointMass, TwoPoint]
+
+
+def _normal_above(z, u):
+    """Standard normals conditioned on exceeding ``z``, from uniforms ``u``.
+
+    The draw with upper-tail mass (1 - u) P(Z > z) is read from whichever
+    tail of the inverse CDF keeps its precision: the upper one while that
+    mass is below 1/2, so a cut deep in the tail loses nothing, and the
+    lower one otherwise.
+    """
+    upper = (1.0 - u) * ndtr(-z)
+    high = upper < 0.5
+    with np.errstate(divide="ignore"):
+        x = ndtri(np.where(high, upper, 1.0 - upper))
+    return np.where(high, -x, x)
 
 
 # --------------------------------------------------------------------------

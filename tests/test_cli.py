@@ -212,6 +212,13 @@ class TestRunners:
         assert len(traj) == 1 + 2 * 31
         assert (tmp_path / "counts.csv").exists()
         assert (tmp_path / "slopes.csv").exists()
+        # Brunet-Derrida deficit of a 2000-particle beam: theta* = sqrt 2, k'' = 1
+        summary = dict(line.split("=", 1) for line in
+                       (tmp_path / "summary.txt").read_text().splitlines()
+                       if line.startswith("predicted_beam_deficit="))
+        L = math.log(2000) + 3.0 * math.log(math.log(2000))
+        assert float(summary["predicted_beam_deficit"]) == pytest.approx(
+            math.pi ** 2 * math.sqrt(2.0) / (2.0 * L * L), rel=1e-12)
 
     def test_simulate_two_type_no_seeding_has_no_eta_rows(self, tmp_path):
         text = json.dumps({"kind": "simulate", "seed": 5, "n_max": 15,

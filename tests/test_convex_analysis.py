@@ -175,6 +175,30 @@ class TestConjugateCost:
         dual(np.linspace(0.0, 0.3, 48))
         assert len(calls) <= 6
 
+    @pytest.mark.parametrize("mean", [2.0, 2.5])
+    def test_top_atom_heavy_enough_attains_nothing(self, monkeypatch, mean):
+        # m q >= 1 for top atom mass q = 1/2: k(t)/t falls to the top 0.4
+        # only as t -> inf.  At m q = 1 Newton made 34 cumulant calls and
+        # reported a spurious tilt root of 51.36 as attained.
+        calls = self.counting(monkeypatch)
+        law = ReproductionLaw(OffspringLaw("geometric", mean), TwoPoint(-0.3, 0.4, 0.5))
+        k = law.cumulant_function()
+        calls.clear()
+        res = speed_from_inf(k)
+        assert calls.count("k") <= 2
+        assert res.speed == 0.4
+        assert res.tilt_root is None and res.tilt_argmin is None
+        assert res.diagnostics["attained"] is False
+
+    def test_top_atom_too_light_keeps_its_root(self):
+        # m q = 0.95 < 1: the ratio has an interior minimum below the top
+        law = ReproductionLaw(OffspringLaw("geometric", 1.9), TwoPoint(-0.3, 0.4, 0.5))
+        res = speed_from_inf(law.cumulant_function())
+        assert res.diagnostics["attained"] and res.tilt_root is not None
+        assert res.speed < 0.4
+        assert res.tilt_root * res.speed == pytest.approx(
+            law.cumulant(res.tilt_root), abs=1e-12)
+
     @pytest.mark.parametrize("law", [
         ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5)),
         ReproductionLaw(OffspringLaw("poisson_positive", math.e), TwoPoint(0.0, 1.0, 0.3)),
@@ -253,11 +277,17 @@ class TestNewtonAgainstGolden:
         k = law.cumulant_function()
         newton, ref = speed_from_inf(k), speed_from_inf(without_derivatives(k))
         assert newton.speed == pytest.approx(ref.speed, abs=1e-12)
-        assert newton.diagnostics["attained"] == ref.diagnostics["attained"]
-        # at m p = 1 the ratio decreases to its bound only as t -> inf and is
-        # flat to rounding past t ~ 50, so neither route has a sharp argmin
-        if ref.tilt_argmin is not None and abs(ref.speed - step_bound(law)) > 1e-12:
-            assert newton.tilt_argmin == pytest.approx(ref.tilt_argmin, rel=1e-6)
+        if abs(ref.speed - step_bound(law)) <= 1e-12:
+            # at m p >= 1 the ratio decreases to its bound only as t -> inf;
+            # at m p = 1 it is flat to rounding past t ~ 50, where the golden
+            # rule stops and calls the minimum attained.  The Newton rule
+            # decides the case from the bound's atom and attains nothing.
+            assert not newton.diagnostics["attained"]
+            assert newton.tilt_root is None and newton.tilt_argmin is None
+        else:
+            assert newton.diagnostics["attained"] == ref.diagnostics["attained"]
+            if ref.tilt_argmin is not None:
+                assert newton.tilt_argmin == pytest.approx(ref.tilt_argmin, rel=1e-6)
 
 
 class TestSweep:

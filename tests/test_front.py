@@ -183,6 +183,15 @@ class TestCoupledFront:
         res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 300, x_max=560.0)
         assert res.speed == pytest.approx(4 / math.sqrt(6), abs=1e-6)
 
+    def test_worked_example_slope_holds_to_the_documented_range(self):
+        # the front rides on eta tail values far below 1e-100, and float64
+        # underflow bends it past n ~ 700 at h=0.04 (-4e-4 at n=750): any
+        # value floor above underflow would shrink the range pinned here
+        n = 600
+        res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), n,
+                            x_max=1.64 * n + 80.0, h=0.04)
+        assert res.speed == pytest.approx(4 / math.sqrt(6), abs=1e-6)
+
     def test_point_steps_translate_exactly(self):
         # every nu seeds an eta at its own position from generation 1 on,
         # and an eta steps 0.53, half a cell off the h=0.02 lattice: the

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
+from brwlab import mc_sim
 from brwlab.errors import BudgetError, ParamError, StateError
 from brwlab.front import expected_rightmost_curve
 from brwlab.mc_sim import (
     TrajectoryStats,
     _branch,
+    _prune,
     centering_slope,
     count_profile,
+    predicted_beam_deficit,
     replicate_rng,
     rightmost_batch,
     run_count_census,
@@ -24,6 +28,7 @@ from brwlab.models import (
     PointMass,
     ReproductionLaw,
     Seeding,
+    TwoPoint,
     TwoTypeSystem,
     skeleton_of_bbm,
 )
@@ -265,9 +270,9 @@ def test_branch_children_carry_their_parents_labels():
     positions = np.array([0.5, -2.0, 3.0, 7.25])
     parents = np.arange(positions.size)
     point = ReproductionLaw(OffspringLaw("geometric", 3.0), PointMass(0.75))
-    children, labels, doubled = _branch(point, positions, replicate_rng(1, 0),
-                                        parents, 2 * parents)
-    assert children.size == labels.size == doubled.size >= positions.size
+    born, children, labels, doubled = _branch(point, positions, replicate_rng(1, 0),
+                                              parents, 2 * parents)
+    assert born == children.size == labels.size == doubled.size >= positions.size
     assert np.all(np.diff(labels) >= 0)                 # children in parent order
     assert set(labels.tolist()) == set(parents.tolist())  # every family has N >= 1
     assert np.array_equal(doubled, 2 * labels)
@@ -275,7 +280,7 @@ def test_branch_children_carry_their_parents_labels():
 
     common = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
                              "common")
-    children, labels = _branch(common, positions, replicate_rng(2, 0), parents)
+    _, children, labels = _branch(common, positions, replicate_rng(2, 0), parents)
     steps = children - positions[labels]
     for r in parents:
         family = steps[labels == r]
@@ -284,7 +289,7 @@ def test_branch_children_carry_their_parents_labels():
 
     # an empty generation draws nothing and keeps the label dtype
     rng = replicate_rng(3, 0)
-    children, labels = _branch(common, np.empty(0), rng, np.empty(0, np.int64))
+    _, children, labels = _branch(common, np.empty(0), rng, np.empty(0, np.int64))
     assert children.size == labels.size == 0 and labels.dtype == np.int64
     assert rng.random() == replicate_rng(3, 0).random()
 
@@ -295,3 +300,139 @@ def test_replicate_streams_are_independent_of_order():
     r5_again = replicate_rng(42, 5).normal(size=4)
     assert np.array_equal(r5, r5_again)
     assert not np.array_equal(r5, r3)
+
+
+def _census_by_site_loop(law, n_max, seed, pitch):
+    """The census as one multinomial call per occupied site: the oracle
+    of the engine's one call per generation."""
+    rng = replicate_rng(seed, 0)
+    j, q = law.displacement.lattice_pmf(pitch)
+    counts = np.array([1], dtype=np.int64)
+    out = [counts]
+    for _ in range(n_max):
+        new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
+        nz = np.flatnonzero(counts)
+        totals = law.offspring.sum_sample(rng, counts[nz])
+        for b, tot in zip(nz, totals):
+            new_counts[b:b + j.size] += rng.multinomial(int(tot), q)
+        counts = new_counts
+        out.append(counts)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_census_is_byte_identical_to_the_per_site_loop(seed):
+    s = run_count_census(BBM, 20, seed=seed, pitch=0.05)
+    oracle = _census_by_site_loop(BBM, 20, seed, 0.05)
+    assert len(s.census) == len(oracle)
+    for census, counts in zip(s.census, oracle):
+        assert census.counts.dtype == np.int64
+        assert np.array_equal(census.counts, counts)
+
+
+@pytest.mark.parametrize("mechanism", ["independent", "common"])
+def test_census_places_two_point_steps_on_their_atoms(mechanism):
+    # the atoms -0.3 and 0.4 are 14 cells apart at pitch 0.05: each
+    # particle of generation n sits at k (-0.3) + (n - k) 0.4
+    law = ReproductionLaw(OffspringLaw("deterministic", 3), TwoPoint(-0.3, 0.4, 0.5),
+                          mechanism)
+    for seed in range(4):
+        s = run_count_census(law, 3, seed=seed, pitch=0.05)
+        for n in range(1, 4):
+            c = s.census[n]
+            cells = c.start_index + np.flatnonzero(c.counts)
+            allowed = {int(round((-0.3 * k + 0.4 * (n - k)) / 0.05)) for k in range(n + 1)}
+            assert set(cells.tolist()) <= allowed
+            assert int(c.counts.sum()) == 3 ** n
+            assert s.rightmost[n] == pytest.approx(cells.max() * 0.05)
+
+
+class TestThinnedBranching:
+    """A beam generation born past THIN_GATE budgets draws only the children
+    that can survive the prune; the kept set keeps its law."""
+
+    REVERSED = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5).swap_roles()
+    PARENTS = np.sort(replicate_rng(3, 0).uniform(-2.0, 0.0, 200))
+    BUDGET = 150
+
+    @staticmethod
+    def path(monkeypatch, mode):
+        """``full`` never thins; ``fallback`` thins with so low a cut that
+        the rest of every family is nearly always drawn below it."""
+        if mode == "full":
+            monkeypatch.setattr(mc_sim, "THIN_GATE", math.inf)
+        elif mode == "fallback":
+            monkeypatch.setattr(mc_sim, "THIN_MARGIN", 0.1)
+
+    def kept_sets(self, law, reps, seed):
+        out = []
+        for r in range(reps):
+            born, children = _branch(law, self.PARENTS, replicate_rng(seed, r),
+                                     budget=self.BUDGET)
+            assert born > mc_sim.THIN_GATE * self.BUDGET or mc_sim.THIN_GATE == math.inf
+            kept = _prune(children, self.BUDGET, 15.0)
+            out.append((kept.max(), kept.min(), kept.mean(), children.size, born))
+        return np.array(out)
+
+    @pytest.mark.parametrize("law", [
+        ReproductionLaw(OffspringLaw("geometric", math.exp(3.0)), Gaussian(0.0, 1 / 3)),
+        ReproductionLaw(OffspringLaw("geometric", math.exp(3.0)), Gaussian(0.0, 1 / 3),
+                        "common"),
+        ReproductionLaw(OffspringLaw("poisson_positive", 8.0), TwoPoint(-0.3, 0.4, 0.35)),
+    ], ids=["gaussian", "common", "two_point"])
+    def test_kept_set_has_one_law_on_every_path(self, monkeypatch, law):
+        stats = {}
+        for mode, seed in (("full", 11), ("thinned", 12), ("fallback", 13)):
+            with monkeypatch.context() as m:
+                self.path(m, mode)
+                stats[mode] = self.kept_sets(law, 300, seed)
+        drawn, born = stats["thinned"][:, 3], stats["thinned"][:, 4]
+        # whole families under ``common``: at this small budget about a
+        # third of the generations fall back
+        assert np.mean(drawn < born) > 0.5 and np.median(drawn / born) < 0.5
+        assert np.mean(stats["fallback"][:, 3] == stats["fallback"][:, 4]) > 0.9
+        for mode in ("thinned", "fallback"):
+            for col in range(3):        # kept max, kept min, kept mean
+                p = ks_2samp(stats["full"][:, col], stats[mode][:, col]).pvalue
+                assert p > 1e-3, (mode, col, p)
+
+    def test_rightmost_eta_has_one_law_on_every_path(self, monkeypatch):
+        n, reps = 12, 200
+        ends = {}
+        for mode, seed in (("full", 100), ("thinned", 400), ("fallback", 700)):
+            with monkeypatch.context() as m:
+                self.path(m, mode)
+                runs = [run_two_type(self.REVERSED, n, budget=300, window=15.0,
+                                     seed=seed + r) for r in range(reps)]
+            ends[mode] = np.array([s.rightmost_eta[n] for s in runs])
+            if mode == "thinned":
+                drawn = sum(s.pruning["drawn"]["eta"] for s in runs)
+                kept_and_pruned = sum(s.pruning["eta"] for s in runs)
+                assert drawn < 0.5 * kept_and_pruned
+        for mode in ("thinned", "fallback"):
+            assert ks_2samp(ends["full"], ends[mode]).pvalue > 1e-3, mode
+
+    def test_beams_under_the_gate_draw_every_child(self, monkeypatch):
+        # born/kept is about e for the unit beam, below THIN_GATE: its
+        # stream is the full path's, bit for bit
+        thinned = run_one_type(BBM, 60, budget=2000, window=15.0, seed=31)
+        monkeypatch.setattr(mc_sim, "THIN_GATE", math.inf)
+        full = run_one_type(BBM, 60, budget=2000, window=15.0, seed=31)
+        assert np.array_equal(thinned.rightmost, full.rightmost)
+        assert thinned.pruning == full.pruning
+
+    def test_pruned_counts_born_minus_kept(self):
+        s = run_two_type(self.REVERSED, 30, budget=1000, window=15.0, seed=8)
+        assert s.pruning["drawn"]["eta"] < s.pruning["eta"]
+        # the nu beam (born/kept about e) draws every child it prunes
+        assert s.pruning["drawn"]["nu"] >= s.pruning["nu"]
+
+
+def test_predicted_beam_deficit_closed_form():
+    # unit skeleton: theta* = sqrt 2 and k'' = 1
+    for budget in (1000, 100_000):
+        L = math.log(budget) + 3.0 * math.log(math.log(budget))
+        want = math.pi ** 2 * SQRT2 / (2.0 * L * L)
+        assert predicted_beam_deficit(BBM, SQRT2, budget) == pytest.approx(want,
+                                                                          rel=1e-14)
+    assert math.isnan(predicted_beam_deficit(BBM, None, 1000))

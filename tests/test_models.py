@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, kstest, norm, truncnorm
 
 from brwlab.errors import ParamError
 from brwlab.mc_sim import _branch, replicate_rng, rightmost_batch
@@ -107,7 +108,7 @@ class TestSamplers:
         law = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.0))
         rng = replicate_rng(0, 0)
         for _ in range(5):
-            fam, = _branch(law, np.zeros(1), rng)
+            _, fam = _branch(law, np.zeros(1), rng)
             assert np.array_equal(fam, np.zeros(2))
 
     def test_geometric_mean_family_size(self):
@@ -122,7 +123,7 @@ class TestSamplers:
                               "common")
         rng = replicate_rng(2, 0)
         for _ in range(10):
-            fam, = _branch(law, np.zeros(1), rng)
+            _, fam = _branch(law, np.zeros(1), rng)
             assert np.all(fam == fam[0])
 
     @pytest.mark.parametrize("law", LAW_CATALOGUE)
@@ -132,7 +133,7 @@ class TestSamplers:
         rng = replicate_rng(37, 0)
         reps = 150_000
         for theta in (0.0, 0.5, 1.0):
-            steps, family = _branch(law, np.zeros(reps), rng, np.arange(reps))
+            _, steps, family = _branch(law, np.zeros(reps), rng, np.arange(reps))
             totals = np.bincount(family, weights=np.exp(theta * steps),
                                  minlength=reps)
             target = math.exp(float(law.cumulant(theta)))
@@ -158,6 +159,53 @@ class TestSamplers:
         off = OffspringLaw("poisson_positive", 2.0)
         with pytest.raises(ParamError):
             off.sum_sample(replicate_rng(0, 0), np.array([3], dtype=np.int64))
+
+
+class TestConditionedSteps:
+    """Steps drawn conditioned above or below a threshold, as thinned
+    branching draws them, against rejection sampling of the plain sampler."""
+
+    @pytest.mark.parametrize("step, cuts", [
+        (Gaussian(0.3, 0.5), (-1.2, 0.1, 0.9, 1.6)),
+        (TwoPoint(-0.3, 0.4, 0.35), (-0.5, -0.3, 0.0, 0.4)),
+        (PointMass(0.3), (0.0, 0.3, 1.0)),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else "")
+    def test_matches_rejection_oracle(self, step, cuts):
+        rng = replicate_rng(17, 0)
+        pool = step.sample(rng, 2_000_000)
+        for c in cuts:
+            for side, keep in (("above", pool > c), ("below", pool <= c)):
+                if not keep.any():
+                    continue        # a condition of probability 0 is never drawn
+                ref = pool[keep][:40_000]
+                got = step.sample(rng, 20_000, **{side: np.full(20_000, c)})
+                assert np.all(got > c) if side == "above" else np.all(got <= c)
+                assert ks_2samp(got, ref).pvalue > 1e-3, (step, c, side)
+            # the survival function the cut is placed with
+            assert float(step.sf(c)) == pytest.approx(float(np.mean(pool > c)),
+                                                      abs=5e-3)
+
+    def test_per_draw_thresholds(self):
+        step = Gaussian(0.0, 1.0)
+        cuts = np.repeat([-1.0, 2.0], 20_000)
+        got = step.sample(replicate_rng(4, 0), cuts.size, above=cuts)
+        for c in (-1.0, 2.0):
+            part = got[cuts == c]
+            a = (c - step.mean) / math.sqrt(step.variance)
+            assert kstest(part, truncnorm(a, np.inf).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("z", [9.0, 30.0])
+    def test_gaussian_deep_tail_keeps_its_precision(self, z):
+        # P(X > 30 sd) is 5e-198: read from the upper tail of the inverse
+        # CDF, the draws stay above the cut with the exact tail law
+        step = Gaussian(1.0, 4.0)
+        cut = 1.0 + 2.0 * z
+        got = step.sample(replicate_rng(5, 0), 20_000, above=np.full(20_000, cut))
+        assert np.all(got > cut) and np.all(np.isfinite(got))
+        assert kstest((got - 1.0) / 2.0, truncnorm(z, np.inf).cdf).pvalue > 1e-3
+        assert float(step.sf(cut)) == pytest.approx(norm.sf(z), rel=1e-12)
+        below = step.sample(replicate_rng(6, 0), 20_000, below=np.full(20_000, 2.0 - cut))
+        assert np.all(below <= 2.0 - cut) and np.all(np.isfinite(below))
 
 
 def test_coupling_common_vs_independent():
