@@ -289,10 +289,15 @@ def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -
     """Auto window for a conjugate: from below the zero-tilt slope to past the speed.
 
     ``gamma_up`` is inf f(t)/t when the caller already has it (the
-    speed of ``speed_from_inf``); otherwise it is computed here.
+    speed of ``speed_from_inf``); otherwise it is computed here.  The
+    zero-tilt slope is f'(0) from ``f.derivatives``, or a forward
+    difference for a plain function.
     """
-    h0 = 1e-6
-    s0 = (f(h0) - f(0.0)) / h0
+    if f.derivatives is not None:
+        (s0,), _ = f.derivatives(np.zeros(1))
+    else:
+        h0 = 1e-6
+        s0 = (f(h0) - f(0.0)) / h0
     if not math.isfinite(s0):
         s0 = 0.0
     if gamma_up is None:
