@@ -56,6 +56,7 @@ INT64_MAX = np.iinfo(np.int64).max
 # replicates of ``front.coupled_mc_consistency``.
 EXACT_POPULATION_CAP = 4_000_000
 BATCH_CHUNK = 10_000   # replicates simulated jointly by ``rightmost_batch``
+CENSUS_BLOCK = 64     # occupied sites per multinomial call of a census
 
 # Thinned branching (``_thinned``).  A beam generation born with more than
 # THIN_GATE times its budget draws only the children expected to survive
@@ -325,9 +326,13 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         new_counts = np.zeros(width, dtype=np.int64)
         nz = np.flatnonzero(counts)
         if law.mechanism == "independent":
-            # one row of destinations per occupied site, scattered exactly
-            dest = rng.multinomial(law.offspring.sum_sample(rng, counts[nz]), q)
-            np.add.at(new_counts, (nz[:, None] + offset).ravel(), dest.ravel())
+            # one row of destinations per occupied site, drawn and scattered
+            # exactly a block of sites at a time, which bounds the memory
+            totals = law.offspring.sum_sample(rng, counts[nz])
+            for b in range(0, nz.size, CENSUS_BLOCK):
+                dest = rng.multinomial(totals[b:b + CENSUS_BLOCK], q)
+                np.add.at(new_counts, (nz[b:b + CENSUS_BLOCK, None] + offset).ravel(),
+                          dest.ravel())
         else:
             # one step per family: scatter families first, then size them
             for b in nz:
