@@ -8,11 +8,11 @@ positive values by +inf, lower convex envelopes of pairs of functions
 built from an array-wide lower hull, and the two speed functionals (zero
 crossing of a rate function, infimum of cumulant-to-tilt ratios).
 
-A function that carries its derivatives, as every catalogue cumulant
-does, has its conjugate points and its ratio minimizer solved by
-safeguarded Newton on the optimality equations f'(t) = a and
-t f'(t) = f(t).  A plain function is searched instead: bracket doubling
-and golden section.
+A cumulant passed to ``fenchel_dual`` or ``speed_from_inf`` must carry
+its first two derivatives, as every catalogue cumulant does: its
+conjugate points and its ratio minimizer are the roots of the
+optimality equations f'(t) = a and t f'(t) = f(t), each solved by
+safeguarded Newton.
 
 Every function here is convex.  A cumulant is finite on [0, inf) and
 +inf for negative tilts; its conjugate, a swept conjugate or an envelope
@@ -38,7 +38,6 @@ TAU_CVX = 1e-8            # discrete convexity slack (relative)
 TAU_ROOT = 1e-7           # residual of tilt * speed - cumulant(tilt)
 TAU_SPEED_ANALYTIC = 1e-6  # speed-formula agreement, closed-form cumulants
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _THETA_CAP = 2.0 ** 48    # beyond this the conjugate is treated as +inf
 _EPS = float(np.finfo(float).eps)
 _NEWTON_STEPS = 64
@@ -70,11 +69,11 @@ class EvaluableFunction:
     rejects NaN and -inf values, and checks that the finite values form
     one interval and are discretely convex up to TAU_CVX.
 
-    ``derivatives``, when given, maps a 1-d array of points t >= 0 where
-    the rule is finite to the arrays (f'(t), f''(t)); it is exact for a
-    cumulant (``ReproductionLaw.cumulant_function``), and with it
-    ``fenchel_dual`` and ``speed_from_inf`` solve by Newton instead of
-    searching.
+    ``derivatives`` maps a 1-d array of points t >= 0 where the rule is
+    finite to the arrays (f'(t), f''(t)).  ``fenchel_dual`` and
+    ``speed_from_inf`` require it and solve by Newton on it; a cumulant
+    from ``ReproductionLaw.cumulant_function`` carries it in closed
+    form.  Conjugates, sweeps and envelopes leave it None.
     """
 
     xs: np.ndarray
@@ -135,93 +134,13 @@ class SpeedResult:
     rate_function: Optional[EvaluableFunction] = None
 
 
-def _golden_max(objective, lo, hi, tol=1e-10, max_iter=220):
-    """Vectorized golden-section maximization of a concave objective on [lo, hi].
-
-    Textbook golden section: each step keeps the better of its two
-    interior points and evaluates the objective once, at the one new
-    point.  Every bracket is sectioned until the widest is below ``tol``
-    (or ``max_iter`` steps have run); the maximum is read at the
-    midpoint of the final bracket.  ``fenchel_dual`` passes only its
-    finite points: a bracket reaching the 2^48 cap has a float spacing
-    near 0.06 there and could never narrow to 1e-10.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(max_iter):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        right = f2 >= f1
-        lo = np.where(right, x1, lo)
-        hi = np.where(right, hi, x2)
-        new = np.where(right, lo + _INVPHI * (hi - lo), hi - _INVPHI * (hi - lo))
-        fn = objective(new)
-        x1, f1, x2, f2 = (np.where(right, x2, new), np.where(right, f2, fn),
-                          np.where(right, new, x1), np.where(right, fn, f1))
-    xm = 0.5 * (lo + hi)
-    return xm, objective(xm)
-
-
-def _golden_min_scalar(fun, lo, hi, tol=1e-12, max_iter=220):
-    """Scalar golden-section minimization of a unimodal function on [lo, hi].
-
-    One new evaluation per step, as in ``_golden_max``.
-    """
-    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(hi)):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = fun(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, fun(xm)
-
-
-def _ratio_minimum(f: EvaluableFunction):
-    """Minimize f(t)/t over t > 0.
+def _ratio_root(f: EvaluableFunction):
+    """Minimize f(t)/t over t > 0 by safeguarded Newton on F(t) = t f'(t) - f(t).
 
     Returns (value, argmin, attained).  ``attained`` is False when the
     infimum is only approached at an end of (0, inf): as t -> inf, when
-    ``value`` is the asymptotic slope of f, or as t -> 0 when f(0) = 0.
-    ``argmin`` is None then.  With ``f.derivatives`` the minimizer is the
-    root of t f'(t) = f(t) (see ``_ratio_root``); without, a doubling
-    bracket and golden section find it.
-    """
-    if f.derivatives is not None:
-        return _ratio_root(f)
-
-    def ratio(t):
-        v = f(t)
-        return v / t if math.isfinite(v) else math.inf
-
-    t = 1e-6
-    if not math.isfinite(f(t)):
-        raise DomainError("cumulant is +inf just above 0")
-    # Geometric expansion: walk up until the ratio stops decreasing.
-    while 2 * t <= _THETA_CAP:
-        if ratio(2 * t) >= ratio(t):
-            tm, vm = _golden_min_scalar(ratio, max(t / 2, 1e-9), 2 * t)
-            return float(vm), float(tm), True
-        t = 2 * t
-    # Still decreasing at the cap: the infimum is approached as t -> inf,
-    # so report the asymptotic slope.
-    big = _THETA_CAP / 4
-    slope = (f(2 * big) - f(big)) / big
-    return float(slope), None, False
-
-
-def _ratio_root(f: EvaluableFunction):
-    """``_ratio_minimum`` by safeguarded Newton on F(t) = t f'(t) - f(t).
+    ``value`` is the supremum of f', or as t -> 0 when f(0) <= 0, when it
+    is f'(0).  ``argmin`` is None then; f(0) tells the two ends apart.
 
     F' = t f'' >= 0, so F rises from -f(0) and f(t)/t is least at its
     root.  Newton starts at the root of the quadratic model
@@ -289,19 +208,12 @@ def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -
     """Auto window for a conjugate: from below the zero-tilt slope to past the speed.
 
     ``gamma_up`` is inf f(t)/t when the caller already has it (the
-    speed of ``speed_from_inf``); otherwise it is computed here.  The
-    zero-tilt slope is f'(0) from ``f.derivatives``, or a forward
-    difference for a plain function.
+    speed of ``speed_from_inf``); otherwise ``_ratio_root`` finds it
+    here.  The zero-tilt slope is f'(0) from ``f.derivatives``.
     """
-    if f.derivatives is not None:
-        (s0,), _ = f.derivatives(np.zeros(1))
-    else:
-        h0 = 1e-6
-        s0 = (f(h0) - f(0.0)) / h0
-    if not math.isfinite(s0):
-        s0 = 0.0
+    (s0,), _ = f.derivatives(np.zeros(1))
     if gamma_up is None:
-        gamma_up, _, _ = _ratio_minimum(f)
+        gamma_up, _, _ = _ratio_root(f)
     lo = min(s0, gamma_up) - 1.0
     hi = gamma_up + 1.0
     return GridSpec(lo, hi, 1e-3)
@@ -310,71 +222,25 @@ def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -
 def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> EvaluableFunction:
     """Convex conjugate g(a) = sup_{t >= 0} (t*a - f(t)).
 
-    With ``f.derivatives`` each point's maximizer solves f'(t) = a by
-    safeguarded Newton (``_newton_conjugate``).  Without, the inner
-    maximand, concave in t for convex f, is resolved per point by
-    doubling a bracket [0, hi] from hi = 1 until the objective turns
-    (``_golden_conjugate``).
+    Each point's maximizer solves f'(t) = a by safeguarded Newton
+    (``_newton_conjugate``), so ``f.derivatives`` is required: a
+    function without it raises ValueError, after the DomainError of a
+    function that is +inf on all of (0, inf).
     """
 
     probes = np.geomspace(1e-9, 1e9, 100)
     if not np.isfinite(np.asarray(f(probes))).any():
         raise DomainError("function is +inf on all of (0, inf); no conjugate")
+    if f.derivatives is None:
+        raise ValueError("fenchel_dual needs the function's derivatives")
     if a_grid is None:
         a_grid = _default_dual_grid(f)
     xs = a_grid.abscissae()
-    solve = _golden_conjugate if f.derivatives is None else _newton_conjugate
 
     def conjugate(avec: np.ndarray) -> np.ndarray:
-        return solve(f, np.atleast_1d(np.asarray(avec, dtype=float)))
+        return _newton_conjugate(f, np.atleast_1d(np.asarray(avec, dtype=float)))
 
     return EvaluableFunction(xs, conjugate(xs), conjugate)
-
-
-def _golden_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
-    """Conjugate values by bracket doubling and golden section.
-
-    Points whose objective is still rising at the 2^48 expansion cap get
-    the value +inf (the conjugate diverges there, e.g. beyond the
-    maximal step of a bounded-displacement law) and are not sectioned;
-    the finite points are golden-sectioned together, one objective
-    evaluation per step, until every bracket is narrower than 1e-10.
-    """
-
-    def objective_at(avec: np.ndarray):
-        def objective(t):
-            ft = np.asarray(f(t), dtype=float)
-            return np.where(np.isfinite(ft), t * avec - ft, -np.inf)
-        return objective
-
-    objective = objective_at(avec)
-    # Per-point doubling; the bracket [0, hi] holds the maximum once
-    # the objective fails to improve (concavity), or the cap is hit.
-    hi = np.ones(avec.shape)
-    unresolved = np.ones(avec.shape, dtype=bool)
-    cur = objective(hi)
-    while True:
-        trial = np.minimum(hi * 2.0, _THETA_CAP)
-        can_grow = unresolved & (hi < _THETA_CAP)
-        if not can_grow.any():
-            break
-        nxt = objective(trial)
-        improving = can_grow & (nxt > cur)
-        stalled = can_grow & ~improving
-        unresolved = unresolved & ~stalled
-        hi = np.where(improving, trial, hi)
-        cur = np.where(improving, nxt, cur)
-        if not improving.any():
-            break
-    still_rising = unresolved & (hi >= _THETA_CAP)
-    if np.isnan(cur).any():
-        raise ToleranceError("conjugate bracket produced NaN objective")
-    vals = np.full(avec.shape, np.inf)
-    live = ~still_rising
-    if live.any():
-        _, vals[live] = _golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
-                                    np.minimum(2.0 * hi[live], _THETA_CAP))
-    return vals
 
 
 def _newton_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
@@ -656,12 +522,15 @@ def speed_from_inf(k: EvaluableFunction) -> SpeedResult:
     """Spreading speed as inf_{t>0} k(t)/t for a convex cumulant k.
 
     The ratio is unimodal when k is convex with k(0) > 0; its minimizer
-    is found as ``_ratio_minimum`` says.  When the infimum is only
+    is the root ``_ratio_root`` finds by Newton on ``k.derivatives``,
+    which is required (ValueError without it).  When the infimum is only
     approached as t -> inf (bounded displacements), the speed is the
     asymptotic slope of k and no tilt root is reported.
     """
 
-    value, argmin, attained = _ratio_minimum(k)
+    if k.derivatives is None:
+        raise ValueError("speed_from_inf needs the function's derivatives")
+    value, argmin, attained = _ratio_root(k)
     diagnostics = {"formula": "inf k(t)/t", "attained": attained}
     tilt_root = None
     if attained and argmin is not None:

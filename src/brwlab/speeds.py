@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -23,8 +22,10 @@ from .convex_analysis import (
     EvaluableFunction,
     GridSpec,
     SpeedResult,
+    _EPS,
+    _NEWTON_STEPS,
+    _THETA_CAP,
     _default_dual_grid,
-    _golden_min_scalar,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -84,49 +85,57 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
 
 
 def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw,
-                   argmin_nu: Optional[float]) -> float:
-    """inf over 0 < s <= t of max(k_nu(s)/s, k_eta(t)/t) by nested searches.
+                   by_nu: SpeedResult, by_eta: SpeedResult) -> float:
+    """inf over 0 < s <= t of max(k_nu(s)/s, k_eta(t)/t), as one monotone root.
 
-    The inner ratio is unimodal on (0, t], so its constrained minimum is
-    the unconstrained minimizer ``argmin_nu`` (None when the infimum is
-    only approached as s -> inf) clipped to t; the outer objective is the
-    max of a nonincreasing function and a unimodal one, so a doubling
-    bracket plus golden section finds the minimum.  A coarse scan
-    around the optimum guards against plateau stalls.
+    The inner minimum A(t) is the nu ratio at s = min(t, s_nu), clipped
+    at nu's argmin s_nu, so it does not increase in t.  B(t) = k_eta(t)/t
+    is least at eta's argmin t_eta and does not decrease past it, so the
+    max is least on [t_eta, inf), where B - A does not decrease.  A
+    ``tilt_argmin`` of None is the end 0+ when k(0) <= 0 (the ratio is
+    then k'(0) near it) and inf otherwise, as in ``_ratio_root``.  The
+    value is
+    - max(v_nu, v_eta) when t_eta >= s_nu (eta's infimum approached only
+      as t -> inf included), when A(t_eta) <= B(t_eta) (then v_eta), or
+      when B(s_nu) <= A(s_nu) = v_nu (then v_nu);
+    - otherwise the common value of A and B at the one root of B - A on
+      (t_eta, s_nu), found by bracketed Newton with the closed-form
+      B' - A' = (t (k_eta' - k_nu') - (k_eta - k_nu)) / t^2.  The bracket
+      grows 4x at a time when s_nu is inf, and no root below the 2^48
+      cap gives v_nu.
     """
 
-    k_nu = law_nu.cumulant
-    k_eta = law_eta.cumulant
-    clip_at = math.inf if argmin_nu is None else argmin_nu
-
-    def inner(t: float) -> float:
-        s = min(t, clip_at)
-        return float(k_nu(s)) / s
-
-    def outer(t: float) -> float:
-        return max(inner(t), float(k_eta(t)) / t)
-
-    t = 1e-3
-    t_prev, t_cur = t, None
-    while t < 2.0 ** 30:
-        if outer(2 * t) >= outer(t):
-            t_cur = 2 * t
+    best = max(by_nu.speed, by_eta.speed)
+    t_eta, s_nu = (res.tilt_argmin if res.tilt_argmin is not None
+                   else 0.0 if law.cumulant(0.0) <= 0.0 else math.inf
+                   for res, law in ((by_eta, law_eta), (by_nu, law_nu)))
+    if (not t_eta < s_nu
+            or 0.0 < t_eta and law_nu.cumulant(t_eta) / t_eta <= by_eta.speed
+            or s_nu < math.inf and law_eta.cumulant(s_nu) / s_nu <= by_nu.speed):
+        return best
+    lo, hi = t_eta, s_nu
+    t = lo if lo > 0.0 else min(1.0, 0.5 * hi)
+    for _ in range(_NEWTON_STEPS):
+        k_eta, k_nu = law_eta.cumulant(t), law_nu.cumulant(t)
+        (d_eta,), _ = law_eta.cumulant_derivatives(t)
+        (d_nu,), _ = law_nu.cumulant_derivatives(t)
+        h = k_eta - k_nu                  # t (B - A)
+        if abs(h) <= 4.0 * _EPS * max(abs(k_eta), abs(k_nu)):
             break
-        t_prev, t = t, 2 * t
-    if t_cur is None:
-        t_cur = t
-    tm, vm = _golden_min_scalar(outer, max(t_prev / 2, 1e-9), t_cur)
-    # plateau guard: coarse log-spaced scan, refine the best cell
-    scan = np.geomspace(max(tm / 4, 1e-6), tm * 4, 160)
-    vals = np.array([outer(s) for s in scan])
-    j = int(np.argmin(vals))
-    if vals[j] < vm:
-        lo = scan[max(j - 1, 0)]
-        hi = scan[min(j + 1, scan.size - 1)]
-        tm2, vm2 = _golden_min_scalar(outer, lo, hi)
-        if vm2 < vm:
-            vm = vm2
-    return float(vm)
+        if h < 0.0:
+            if t >= _THETA_CAP:
+                return best
+            lo = t
+        else:
+            hi = t
+        slope = t * (d_eta - d_nu) - h    # t^2 (B - A)'
+        nxt = t - h * t / slope if slope > 0.0 else math.inf
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else min(4.0 * t, _THETA_CAP)
+        if nxt == t:
+            break
+        t = nxt
+    return float(max(k_eta, k_nu) / t)
 
 
 class TwoTypeAnalysis:
@@ -146,7 +155,7 @@ class TwoTypeAnalysis:
     @cached_property
     def by_inf(self) -> tuple:
         """speed_from_inf of (nu, eta): the class speeds, the grid width
-        and the formula route's clip."""
+        and the formula route's argmins."""
         return tuple(speed_from_inf(k) for k in self._cumulants)
 
     @cached_property
@@ -178,8 +187,7 @@ class TwoTypeAnalysis:
     def report(self) -> AnomalousReport:
         rate = sweep(self.envelope)
         crossing = speed_from_dual(rate)
-        formula = _formula_route(self.sys.law_nu, self.sys.law_eta,
-                                 self.by_inf[0].tilt_argmin)
+        formula = _formula_route(self.sys.law_nu, self.sys.law_eta, *self.by_inf)
         gap = abs(crossing - formula)
         if gap > 10 * TAU_CROSS:
             raise ToleranceError(f"speed routes disagree by {gap:.3g}")

@@ -44,11 +44,16 @@ def constant(value, xs):
 
 
 def gaussian_cumulant(log_mean, variance):
-    """Closed-form cumulant log_mean + variance * t^2 / 2 as an EvaluableFunction."""
+    """Closed-form cumulant log_mean + variance * t^2 / 2 as an EvaluableFunction,
+    with its derivatives (variance * t, variance)."""
     def rule(t):
         t = np.asarray(t, dtype=float)
         return np.where(t < 0, np.inf, log_mean + 0.5 * variance * t * t)
-    return sampled(rule, np.arange(-1.0, 10.0, 1e-2))
+
+    def derivatives(t):
+        return variance * t, np.full(np.shape(t), variance)
+    xs = np.arange(-1.0, 10.0, 1e-2)
+    return EvaluableFunction(xs, rule(xs), rule, derivatives=derivatives)
 
 
 def scan_conjugate(kappa, a, thetas):
@@ -100,6 +105,14 @@ class TestFenchelDual:
         bad = constant(np.inf, np.arange(0.0, 2.0, 1e-2))
         with pytest.raises(DomainError):
             fenchel_dual(bad)
+
+    def test_derivatives_are_required(self):
+        k = gaussian_cumulant(1.0, 1.0)
+        plain = sampled(k.rule, k.xs)
+        with pytest.raises(ValueError, match="derivatives"):
+            fenchel_dual(plain)
+        with pytest.raises(ValueError, match="derivatives"):
+            speed_from_inf(plain)
 
 
 def two_point_conjugate(a, law):
@@ -243,25 +256,123 @@ def step_bound(law):
             Gaussian: lambda: math.inf}[type(d)]()
 
 
-def without_derivatives(k):
-    """The same cumulant with ``derivatives=None``: the golden-section path."""
-    return EvaluableFunction(k.xs, k.ys, k.rule)
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+THETA_CAP = 2.0 ** 48
+
+
+def golden_max(objective, lo, hi, tol=1e-10, max_iter=220):
+    """Vectorized golden-section maximization of a concave objective on [lo, hi],
+    one new objective evaluation per step; the maximum is read at the
+    midpoint of the final bracket."""
+    lo = np.array(lo, dtype=float, copy=True)
+    hi = np.array(hi, dtype=float, copy=True)
+    x1 = hi - INVPHI * (hi - lo)
+    x2 = lo + INVPHI * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(max_iter):
+        if float(np.max(hi - lo)) <= tol:
+            break
+        right = f2 >= f1
+        lo = np.where(right, x1, lo)
+        hi = np.where(right, hi, x2)
+        new = np.where(right, lo + INVPHI * (hi - lo), hi - INVPHI * (hi - lo))
+        fn = objective(new)
+        x1, f1, x2, f2 = (np.where(right, x2, new), np.where(right, f2, fn),
+                          np.where(right, new, x1), np.where(right, fn, f1))
+    xm = 0.5 * (lo + hi)
+    return xm, objective(xm)
+
+
+def golden_conjugate(f, avec):
+    """Oracle conjugate sup_{t >= 0} (t a - f(t)) from values of f alone.
+
+    Each point doubles a bracket [0, hi] from hi = 1 until its objective
+    stops rising; a point still rising at the 2^48 cap is +inf (past a
+    bounded step's top), and the rest are golden-sectioned together.
+    """
+
+    def objective_at(a):
+        def objective(t):
+            ft = np.asarray(f(t), dtype=float)
+            return np.where(np.isfinite(ft), t * a - ft, -np.inf)
+        return objective
+
+    objective = objective_at(avec)
+    hi = np.ones(avec.shape)
+    unresolved = np.ones(avec.shape, dtype=bool)
+    cur = objective(hi)
+    while True:
+        trial = np.minimum(hi * 2.0, THETA_CAP)
+        can_grow = unresolved & (hi < THETA_CAP)
+        if not can_grow.any():
+            break
+        nxt = objective(trial)
+        improving = can_grow & (nxt > cur)
+        unresolved = unresolved & ~(can_grow & ~improving)
+        hi = np.where(improving, trial, hi)
+        cur = np.where(improving, nxt, cur)
+        if not improving.any():
+            break
+    assert not np.isnan(cur).any()
+    vals = np.full(avec.shape, np.inf)
+    live = ~(unresolved & (hi >= THETA_CAP))
+    if live.any():
+        _, vals[live] = golden_max(objective_at(avec[live]), np.zeros(int(live.sum())),
+                                   np.minimum(2.0 * hi[live], THETA_CAP))
+    return vals
+
+
+def golden_min_scalar(fun, lo, hi, tol=1e-12, max_iter=220):
+    """Scalar golden-section minimization of a unimodal function on [lo, hi]."""
+    x1, x2 = hi - INVPHI * (hi - lo), lo + INVPHI * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(max_iter):
+        if hi - lo <= tol * max(1.0, abs(hi)):
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - INVPHI * (hi - lo)
+            f1 = fun(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + INVPHI * (hi - lo)
+            f2 = fun(x2)
+    xm = 0.5 * (lo + hi)
+    return xm, fun(xm)
+
+
+def golden_ratio_minimum(f):
+    """Oracle (value, argmin, attained) of inf f(t)/t over t > 0 from values of
+    f alone: a doubling bracket and golden section, or the asymptotic
+    slope when the ratio still falls at the 2^48 cap."""
+
+    def ratio(t):
+        v = f(t)
+        return v / t if math.isfinite(v) else math.inf
+
+    t = 1e-6
+    while 2 * t <= THETA_CAP:
+        if ratio(2 * t) >= ratio(t):
+            tm, vm = golden_min_scalar(ratio, max(t / 2, 1e-9), 2 * t)
+            return float(vm), float(tm), True
+        t = 2 * t
+    big = THETA_CAP / 4
+    return float((f(2 * big) - f(big)) / big), None, False
 
 
 class TestNewtonAgainstGolden:
-    """The Newton rule against the golden rule of the same function."""
+    """The Newton solvers against golden-section oracles on the same cumulant."""
 
     @pytest.mark.parametrize("law", CATALOGUE, ids=law_id)
     def test_conjugates_agree_up_to_the_step_bound(self, law):
         k = law.cumulant_function()
-        golden = without_derivatives(k)
         bound = step_bound(law)
         for grid in (_default_dual_grid(k), GridSpec(-1.0, 1.5, 1e-3)):
             xs = grid.abscissae()
             if math.isfinite(bound):
                 xs = np.concatenate([xs, [np.nextafter(bound, -np.inf), bound,
                                           np.nextafter(bound, np.inf), bound + 1e-9]])
-            newton, ref = fenchel_dual(k, grid)(xs), fenchel_dual(golden, grid)(xs)
+            newton, ref = fenchel_dual(k, grid)(xs), golden_conjugate(k, xs)
             # just above the bound the golden rule is finite for 0 to 4 ulps,
             # as rounding decides; the Newton rule keeps the value at the
             # bound there, the limit -log(m p) of a two-point step
@@ -275,9 +386,10 @@ class TestNewtonAgainstGolden:
     @pytest.mark.parametrize("law", CATALOGUE[::2], ids=law_id)
     def test_ratio_minimum_agrees(self, law):
         k = law.cumulant_function()
-        newton, ref = speed_from_inf(k), speed_from_inf(without_derivatives(k))
-        assert newton.speed == pytest.approx(ref.speed, abs=1e-12)
-        if abs(ref.speed - step_bound(law)) <= 1e-12:
+        newton = speed_from_inf(k)
+        ref_speed, ref_argmin, ref_attained = golden_ratio_minimum(k)
+        assert newton.speed == pytest.approx(ref_speed, abs=1e-12)
+        if abs(ref_speed - step_bound(law)) <= 1e-12:
             # at m p >= 1 the ratio decreases to its bound only as t -> inf;
             # at m p = 1 it is flat to rounding past t ~ 50, where the golden
             # rule stops and calls the minimum attained.  The Newton rule
@@ -285,9 +397,9 @@ class TestNewtonAgainstGolden:
             assert not newton.diagnostics["attained"]
             assert newton.tilt_root is None and newton.tilt_argmin is None
         else:
-            assert newton.diagnostics["attained"] == ref.diagnostics["attained"]
-            if ref.tilt_argmin is not None:
-                assert newton.tilt_argmin == pytest.approx(ref.tilt_argmin, rel=1e-6)
+            assert newton.diagnostics["attained"] == ref_attained
+            if ref_argmin is not None:
+                assert newton.tilt_argmin == pytest.approx(ref_argmin, rel=1e-6)
 
 
 class TestSweep:

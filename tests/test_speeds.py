@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from brwlab import convex_analysis, speeds
-from brwlab.cli import parse_config, run
+from brwlab.cli import build_system, main, parse_config, run
 from brwlab.convex_analysis import convex_minorant, sweep
 from brwlab.models import (
     Gaussian,
@@ -68,13 +68,13 @@ class TestOneTypeSpeed:
     def test_one_ratio_minimum(self, monkeypatch):
         # the dual grid reuses the infimum speed_from_inf found
         calls = []
-        real = convex_analysis._ratio_minimum
+        real = convex_analysis._ratio_root
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(convex_analysis, "_ratio_minimum", counted)
+        monkeypatch.setattr(convex_analysis, "_ratio_root", counted)
         law = ReproductionLaw(OffspringLaw("poisson_positive", 2.0), TwoPoint(-0.3, 0.4, 0.5))
         one_type_speed(law)
         assert len(calls) == 1
@@ -96,10 +96,12 @@ class TestAnomalousSpeed:
         assert not rep.anomalous
 
     def test_scaled_family_closed_form(self):
-        for lam in (1.5, 2.0, 5.0):
+        # the formula route is a Newton root, exact to rounding; golden
+        # section was off by up to 1.6e-13
+        for lam in (1.5, 2.0, 3.0, 5.0):
             rep = anomalous_speed(skeleton_of_bbm(1.0 / lam, lam, 0.5))
             want = (1.0 + lam) / math.sqrt(2.0 * lam)
-            assert rep.route_formula == pytest.approx(want, abs=1e-6)
+            assert abs(rep.route_formula - want) <= 1e-14
             assert rep.route_minorant == pytest.approx(want, abs=1e-4)
 
     def test_speed_never_below_either_class(self):
@@ -217,6 +219,50 @@ def test_bounded_steps_meet_the_support_bound_by_both_routes():
     assert not rep.anomalous
 
 
+def gaussian_law(offspring, mean, step_mean, variance):
+    return {"offspring": offspring, "mean": mean,
+            "displacement": {"kind": "gaussian", "mean": step_mean, "variance": variance}}
+
+
+def _root_past_zero():
+    # eta mean one: k_eta = 0.2 t + t^2 meets k_nu = log 20 + t^2/40 at the
+    # root of 0.975 t^2 + 0.2 t - log 20, below nu's argmin sqrt(40 log 20)
+    t = (-0.2 + math.sqrt(0.04 + 3.9 * math.log(20.0))) / 1.95
+    return 0.2 + t
+
+
+MEAN_ONE = [
+    # nu mean one: its ratio falls to k_nu'(0) = 0.5 as s -> 0+, below eta's
+    (gaussian_law("geometric", 1.0, 0.5, 3.0), gaussian_law("geometric", 1.5, 0.0, 0.5),
+     math.sqrt(math.log(1.5)), False),
+    # nu mean one and the faster class
+    (gaussian_law("geometric", 1.0, 1.3, 0.2), gaussian_law("geometric", 2.0, 0.0, 0.5),
+     1.3, False),
+    # eta mean one, slower than nu at nu's argmin
+    (gaussian_law("geometric", math.e, 0.0, 1.0),
+     gaussian_law("deterministic", 1, 0.3, 1.0), SQRT2, False),
+    # eta mean one, and B - A has its root on (0, nu's argmin)
+    (gaussian_law("geometric", 20.0, 0.0, 0.05),
+     gaussian_law("deterministic", 1, 0.2, 2.0), _root_past_zero(), True),
+]
+
+
+@pytest.mark.parametrize("nu, eta, want, anomalous", MEAN_ONE,
+                         ids=["nu_slower", "nu_faster", "eta_slower", "eta_anomalous"])
+def test_mean_one_class_on_either_side(tmp_path, nu, eta, want, anomalous):
+    # a mean-one class has k(0) = 0, so its ratio's infimum is approached as
+    # the tilt falls to 0+; clipping nu there at +inf made the routes
+    # disagree by 0.469 (nu_slower) and the anomalous run exit 3
+    system = {"nu": nu, "eta": eta, "seed_prob": 0.5}
+    rep = anomalous_speed(build_system(system))
+    assert abs(rep.route_minorant - rep.route_formula) <= 10 * speeds.TAU_CROSS
+    assert rep.route_formula == pytest.approx(want, abs=1e-12)
+    assert rep.anomalous == anomalous
+    cfg = tmp_path / "mean_one.json"
+    cfg.write_text(json.dumps({"kind": "anomalous", "seed": 1, "system": system}))
+    assert main(["anomalous", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestTwoTypeAnalysis:
     """Guards on the shared pipeline, by counting calls rather than timing."""
 
@@ -236,6 +282,33 @@ class TestTwoTypeAnalysis:
                                                                "p": 0.5}}}))
         assert run(cfg, out=str(tmp_path)) == 0
         assert len(built) == 2
+
+    def test_formula_route_call_count(self, monkeypatch):
+        # one bracketed Newton root of B - A, from the class speeds and
+        # argmins already found (26 calls); doubling, golden section and a
+        # 160-point plateau scan made 492
+        calls, inside = [], []
+        for name in ("cumulant", "cumulant_derivatives"):
+            real = getattr(ReproductionLaw, name)
+
+            def counted(law, theta, real=real):
+                if inside:
+                    calls.append(theta)
+                return real(law, theta)
+
+            monkeypatch.setattr(ReproductionLaw, name, counted)
+        real_route = speeds._formula_route
+
+        def route(*args):
+            inside.append(True)
+            try:
+                return real_route(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(speeds, "_formula_route", route)
+        anomalous_speed(self.SYS)
+        assert 0 < len(calls) <= 40
 
     def test_anomalous_speed_builds_one_envelope(self, monkeypatch):
         # the expected-numbers envelope is built only when asked for
