@@ -18,6 +18,7 @@ from brwlab.front import (
     heaviside_profile,
     mc_consistency,
 )
+from brwlab.mc_sim import TrajectoryStats, centering_slope
 from brwlab.models import (
     Gaussian,
     OffspringLaw,
@@ -32,6 +33,37 @@ from brwlab.models import (
 SQRT2 = math.sqrt(2.0)
 BBM = ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0))
 DET2 = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
+
+
+BLOCKED_CONVOLVE = front._convolve
+
+
+def oracle_convolve(values, h, step, left, grid, band=None):
+    """``front._convolve`` by one ``np.convolve`` per step: the Gaussian
+    branch as the package computed it before its blocked product."""
+    if not isinstance(step, Gaussian):
+        return BLOCKED_CONVOLVE(values, h, step, left, grid)
+    sd = math.sqrt(step.variance)
+    reach = int(math.ceil(8.0 * sd / h))
+    z = h * np.arange(-reach, reach + 1)
+    w = Gaussian(0.0, step.variance).density(z) * h
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    w = w / w.sum()
+    padded = np.concatenate([np.full(reach, left), values, np.zeros(reach)])
+    return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0), step.mean
+
+
+def front_like(n, left, seed=0):
+    """A noisy profile falling from ``left``, geometric from 1e-3 to about
+    1e-100 over its third quarter and exactly 0.0 over its last."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(-3.0, 3.0, n)
+    v = left * 0.5 * (1.0 - np.tanh(x)) * rng.uniform(0.5, 1.0, n)
+    tail = n - n // 2
+    v[n // 2:] = np.geomspace(1e-3, 1e-200, tail) * rng.uniform(0.5, 1.0, tail)
+    v[3 * n // 4:] = 0.0
+    return v
 
 
 class TestApplyQ:
@@ -82,6 +114,122 @@ class TestApplyQ:
         for _ in range(60):
             u = apply_q(u, BBM)
         assert float(u.values[u.values > 0].min()) < 1e-20
+
+
+class TestKernel:
+    """The blocked kernel against ``np.convolve``, the direct sum it replaced."""
+
+    @staticmethod
+    def both(values, h, var, left):
+        step = Gaussian(0.0, var)
+        got, shift = BLOCKED_CONVOLVE(values, h, step, left, None)
+        want, _ = oracle_convolve(values, h, step, left, None)
+        assert shift == step.mean
+        return got, want
+
+    @pytest.mark.parametrize("h", [0.005, 0.01, 0.02])
+    @pytest.mark.parametrize("left", [1.0, 0.3, 0.0])
+    @pytest.mark.parametrize("n, var", [
+        (40, 1.0),            # n_out below B, K (up to 3201 taps) above n
+        (1000 + 37, 1.0),     # n_out not a multiple of B
+        (1000 + 37, 1e-4),    # K (9 to 33 taps) below B
+        (2500, 0.25),
+    ])
+    def test_agrees_with_direct_convolution(self, n, var, h, left):
+        k = 2 * front._band(Gaussian(0.0, var), h).reach + 1
+        if n == 40:
+            assert k > n
+        if var == 1e-4:
+            assert k < front._BLOCK
+        got, want = self.both(front_like(n, left, seed=n), h, var, left)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("left", [1.0, 0.3])
+    def test_flat_spans_are_exact(self, left):
+        h, var = 0.01, 1.0
+        reach = front._band(Gaussian(0.0, var), h).reach
+        v = front_like(5000, left)
+        v[:800] = left
+        got, want = self.both(v, h, var, left)
+        # every window of all-``left`` cells returns ``left`` itself, which
+        # a sum of K rounded products need not
+        assert np.all(got[:800 - reach] == left)
+        # an all-zero tail stays exactly 0.0
+        last = int(np.flatnonzero(v)[-1])
+        assert np.all(got[last + reach + 1:] == 0.0)
+        assert np.all(want[last + reach + 1:] == 0.0)
+        assert got[last + reach] > 0.0
+
+    @pytest.mark.parametrize("c", [1.0, 0.3, 0.0])
+    def test_constant_profile_stays_in_unit_interval(self, c):
+        n, h, var = 3000, 0.01, 1.0
+        reach = front._band(Gaussian(0.0, var), h).reach
+        got, want = self.both(np.full(n, c), h, var, c)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.all(got[:n - reach] == c)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_cells_below_tiny_keep_relative_precision(self):
+        # the same profile at 2^-1000 of its size, partly subnormal: the
+        # output is the scaled output wherever that is a normal number
+        h, var = 0.01, 1.0
+        v = front_like(3000, 1.0)
+        v = v[v > 1e-12]
+        scale = 2.0 ** -1000
+        got, _ = self.both(v * scale, h, var, 0.0)
+        want = self.both(v, h, var, 0.0)[0] * scale
+        assert (v * scale < np.finfo(float).tiny).any()
+        normal = want > np.finfo(float).tiny
+        assert normal.sum() > 1000
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
+
+    def test_band_is_built_once_per_run(self, monkeypatch):
+        built = []
+        band = front._band
+        monkeypatch.setattr(front, "_band", lambda *a: built.append(a) or band(*a))
+        front_speed(BBM, 5, h=0.05)
+        expected_rightmost_curve(BBM, 5, h=0.05)
+        mc_consistency(BBM, 2, [0.0], 10, h=0.05)
+        assert len(built) == 3
+        built.clear()
+        coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 5, x_max=30.0)
+        assert len(built) == 3     # nu, eta and seeding steps
+
+
+class TestKernelPin:
+    """End to end, the blocked kernel against the direct sum patched in."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(front, "_convolve", oracle_convolve)
+            want = run()
+        return got, want
+
+    def test_front_speed(self, monkeypatch):
+        got, want = self.both(monkeypatch, lambda: front_speed(BBM, 300, h=0.01)[0].speed)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_centering_slope(self, monkeypatch):
+        def run():
+            curve = expected_rightmost_curve(BBM, 800, h=0.01)
+            stats = TrajectoryStats(seed=0, rightmost=curve, exact_upto=0)
+            return centering_slope([stats], SQRT2).slope
+
+        got, want = self.both(monkeypatch, run)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_coupled_front(self, monkeypatch, swap):
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        if swap:
+            sysm = sysm.swap_roles()
+        got, want = self.both(
+            monkeypatch, lambda: coupled_front(sysm, 300, x_max=560.0, h=0.02))
+        assert got.speed == pytest.approx(want.speed, abs=1e-12)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12)
 
 
 class TestFrontSpeed:
