@@ -45,18 +45,9 @@ from .tables import fmt, write_csv
 
 KINDS = ("speed", "anomalous", "simulate", "front", "verify")
 
-_LAW_KEYS = {"offspring", "mean", "displacement", "mechanism"}
-_DISPLACEMENT_KEYS = {
-    "gaussian": {"kind", "mean", "variance"},
-    "point": {"kind", "value"},
-    "two_point": {"kind", "low", "high", "prob_high"},
-}
-_SYSTEM_KEYS = {"nu", "eta", "seed_prob", "seed_displacement", "skeleton"}
-_EXPECT_KEYS = {"speed", "rel_tol"}
-_COMMON_KEYS = {"kind", "seed", "out"}
 _SIMULATE_KEYS = {"n_max", "budget", "window", "replicates", "expect"}
-# The keys each kind reads beyond _COMMON_KEYS, by the model key it needs:
-# one of them is required, and when several are given the first one wins.
+# The keys each kind reads beyond kind, seed and out, by the model key it
+# needs: one of them is required, and when several are given the first one wins.
 _KIND_KEYS = {
     "speed": {"law": {"expect"}},
     "anomalous": {"system": {"expect"}},
@@ -64,8 +55,6 @@ _KIND_KEYS = {
     "front": {"law": {"n_max", "h", "snapshots", "expect"}},
     "verify": {},
 }
-_TOP_KEYS = _COMMON_KEYS.union(*({model} | keys for models in _KIND_KEYS.values()
-                                 for model, keys in models.items()))
 
 
 @dataclass
@@ -87,159 +76,125 @@ class ExperimentConfig:
     a_values: Tuple[float, ...] = (0.0, 0.5, 1.0)
 
 
-def _check_displacement(d, path, problems):
-    if not isinstance(d, dict):
-        problems.append((path, "must be an object"))
-        return
+def _finite(v) -> bool:
+    """The test of every numeric leaf: an int, or a float that is neither
+    NaN nor infinite (json reads both).  A bool is not a number."""
+    return type(v) is int or (type(v) is float and math.isfinite(v))
+
+
+def _one_of(*values: str):
+    return (lambda v: v in values), "must be one of " + ", ".join(values)
+
+
+_NUMBER = _finite, "must be a finite number"
+_POSITIVE = (lambda v: _finite(v) and v > 0), "must be a positive finite number"
+_UNIT = (lambda v: _finite(v) and 0 <= v <= 1), "must be a finite number in [0, 1]"
+_COUNT = (lambda v: _finite(v) and type(v) is int and v > 0), "must be a positive integer"
+_SEED = (lambda v: _finite(v) and type(v) is int and v >= 0), "must be a nonnegative integer"
+_DISPLACEMENT_KIND = _one_of("gaussian", "point", "two_point")
+
+
+# A union picks the object that applies from the value's own keys.  It
+# returns the object's key set, the reason for a key of one of its other
+# objects and those keys, or None when it cannot pick (and says why).
+def _displacement(d: dict, path: str, problems: list):
     kind = d.get("kind")
-    if kind not in _DISPLACEMENT_KEYS:
-        problems.append((f"{path}.kind", f"must be one of {sorted(_DISPLACEMENT_KEYS)}"))
-        return
-    allowed = _DISPLACEMENT_KEYS[kind]
-    for key in d:
-        if key not in allowed:
-            problems.append((f"{path}.{key}", "unknown key"))
-    for key in allowed - {"kind"}:
-        if key not in d:
-            problems.append((f"{path}.{key}", "missing"))
-        elif not isinstance(d[key], (int, float)) or isinstance(d[key], bool):
-            problems.append((f"{path}.{key}", "must be a number"))
-    if kind == "gaussian" and isinstance(d.get("variance"), (int, float)) \
-            and d["variance"] <= 0:
-        problems.append((f"{path}.variance", "must be positive"))
-    if kind == "two_point":
-        p = d.get("prob_high")
-        if isinstance(p, (int, float)) and not 0 < p < 1:
-            problems.append((f"{path}.prob_high", "must be in (0, 1)"))
+    if _DISPLACEMENT_KIND[0](kind):
+        return (_OBJECTS[kind], f"not read by kind={kind}",
+                {**_OBJECTS["gaussian"], **_OBJECTS["point"], **_OBJECTS["two_point"]})
+    problems.append((f"{path}.kind", _DISPLACEMENT_KIND[1]))
 
 
-def _check_law(law, path, problems):
-    if not isinstance(law, dict):
-        problems.append((path, "must be an object"))
-        return
-    for key in law:
-        if key not in _LAW_KEYS:
-            problems.append((f"{path}.{key}", "unknown key"))
-    off = law.get("offspring")
-    if off not in ("deterministic", "geometric", "poisson_positive"):
-        problems.append((f"{path}.offspring",
-                         "must be deterministic, geometric, or poisson_positive"))
-    mean = law.get("mean")
-    if not isinstance(mean, (int, float)) or isinstance(mean, bool) or mean < 1:
-        problems.append((f"{path}.mean", "must be a number >= 1"))
-    if "displacement" not in law:
-        problems.append((f"{path}.displacement", "missing"))
-    else:
-        _check_displacement(law["displacement"], f"{path}.displacement", problems)
-    mech = law.get("mechanism", "independent")
-    if mech not in ("independent", "common"):
-        problems.append((f"{path}.mechanism", "must be independent or common"))
+def _system(system: dict, path: str, problems: list):
+    form = "skeleton" if "skeleton" in system else "system"
+    return _OBJECTS[form], "not read next to skeleton", _OBJECTS["system"]
 
 
-def _check_system(system, path, problems):
-    if not isinstance(system, dict):
-        problems.append((path, "must be an object"))
-        return
-    for key in system:
-        if key not in _SYSTEM_KEYS:
-            problems.append((f"{path}.{key}", "unknown key"))
-    if "skeleton" in system:
-        sk = system["skeleton"]
-        if not isinstance(sk, dict):
-            problems.append((f"{path}.skeleton", "must be an object"))
-            return
-        for key in sk:
-            if key not in {"V", "lambda", "p"}:
-                problems.append((f"{path}.skeleton.{key}", "unknown key"))
-        for key in ("V", "lambda", "p"):
-            v = sk.get(key)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                problems.append((f"{path}.skeleton.{key}", "must be a number"))
-            elif key != "p" and v <= 0:
-                problems.append((f"{path}.skeleton.{key}", "must be positive"))
-            elif key == "p" and not 0 <= v <= 1:
-                problems.append((f"{path}.skeleton.p", "must be in [0, 1]"))
-        return
-    for cls in ("nu", "eta"):
-        if cls not in system:
-            problems.append((f"{path}.{cls}", "missing"))
-        else:
-            _check_law(system[cls], f"{path}.{cls}", problems)
-    p = system.get("seed_prob")
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
-        problems.append((f"{path}.seed_prob", "must be a number in [0, 1]"))
-    if "seed_displacement" in system:
-        _check_displacement(system["seed_displacement"],
-                            f"{path}.seed_displacement", problems)
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON scenario; raises SchemaError carrying every problem."""
-    problems: List[Tuple[str, str]] = []
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError([("<json>", str(exc))]) from exc
-    if not isinstance(raw, dict):
-        raise SchemaError([("<top>", "config must be a JSON object")])
+def _config(raw: dict, path: str, problems: list):
+    """The present keys raw's kind reads (all for a bad kind) and the kind:
+    the kind, the seed and the kind's model key are required."""
     kind = raw.get("kind")
-    if kind not in KINDS:
-        problems.append(("kind", f"must be one of {KINDS}"))
-        reads = _TOP_KEYS
-    else:
+    reads = _OBJECTS["config"].keys()
+    if kind in KINDS:
         models = _KIND_KEYS[kind]
         model = next((m for m in models if m in raw), next(iter(models), None))
-        reads = set(_COMMON_KEYS)
+        reads = {"kind", "seed", "out"}
         if model is not None:
             reads |= {model} | models[model]
             if model not in raw:
                 problems.append((model, f"kind={kind} needs {' or '.join(models)}"))
-    for key in raw:
-        if key not in _TOP_KEYS:
-            problems.append((key, "unknown key"))
-        elif key not in reads:
-            problems.append((key, f"not read by kind={kind}"))
     if "seed" not in raw:
         problems.append(("seed", "missing: a master seed is mandatory"))
-    elif not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool) \
-            or raw["seed"] < 0:
-        problems.append(("seed", "must be a nonnegative integer"))
-    for key, typ in (("n_max", int), ("budget", int), ("replicates", int)):
-        if key in raw and (not isinstance(raw[key], int)
-                           or isinstance(raw[key], bool) or raw[key] <= 0):
-            problems.append((key, "must be a positive integer"))
-    for key in ("window", "h"):
-        if key in raw and (not isinstance(raw[key], (int, float))
-                           or isinstance(raw[key], bool) or raw[key] <= 0):
-            problems.append((key, "must be a positive number"))
-    if "out" in raw and not isinstance(raw["out"], str):
-        problems.append(("out", "must be a string"))
-    if "snapshots" in raw:
-        s = raw["snapshots"]
-        if not isinstance(s, list) or any(not isinstance(v, int) or v <= 0 for v in s):
-            problems.append(("snapshots", "must be a list of positive integers"))
-    if "a_values" in raw:
-        s = raw["a_values"]
-        if not isinstance(s, list) or any(not isinstance(v, (int, float)) for v in s):
-            problems.append(("a_values", "must be a list of numbers"))
-    if "expect" in raw:
-        e = raw["expect"]
-        if not isinstance(e, dict):
-            problems.append(("expect", "must be an object"))
-        else:
-            for key in e:
-                if key not in _EXPECT_KEYS:
-                    problems.append((f"expect.{key}", "unknown key"))
-            for key in _EXPECT_KEYS:
-                if key in e and (not isinstance(e[key], (int, float))
-                                 or isinstance(e[key], bool)):
-                    problems.append((f"expect.{key}", "must be a number"))
-                elif key == "rel_tol" and key in e and e[key] <= 0:
-                    problems.append(("expect.rel_tol", "must be positive"))
-    if "law" in raw:
-        _check_law(raw["law"], "law", problems)
-    if "system" in raw:
-        _check_system(raw["system"], "system", problems)
+    return ({key: _OBJECTS["config"][key] for key in reads & raw.keys() | {"kind"}},
+            f"not read by kind={kind}", _OBJECTS["config"])
+
+
+# Each object's closed key set: a key maps to a leaf (test, reason), to an
+# object (by name or inline) or to a union.  A leaf's value is bad when its
+# test is false.  Every key is required except those in _OPTIONAL.
+_OPTIONAL = {"mechanism", "seed_displacement", "speed", "rel_tol"}
+_OBJECTS = {
+    "gaussian": {"kind": _DISPLACEMENT_KIND, "mean": _NUMBER, "variance": _POSITIVE},
+    "point": {"kind": _DISPLACEMENT_KIND, "value": _NUMBER},
+    "two_point": {"kind": _DISPLACEMENT_KIND, "low": _NUMBER, "high": _NUMBER,
+                  "prob_high": ((lambda v: _finite(v) and 0 < v < 1),
+                                "must be a finite number in (0, 1)")},
+    "law": {"offspring": _one_of("deterministic", "geometric", "poisson_positive"),
+            "mean": ((lambda v: _finite(v) and v >= 1), "must be a finite number >= 1"),
+            "displacement": _displacement,
+            "mechanism": _one_of("independent", "common")},
+    "system": {"nu": "law", "eta": "law", "seed_prob": _UNIT,
+               "seed_displacement": _displacement},
+    "skeleton": {"skeleton": {"V": _POSITIVE, "lambda": _POSITIVE, "p": _UNIT}},
+    "expect": {"speed": _NUMBER, "rel_tol": _POSITIVE},
+    "config": {"kind": _one_of(*KINDS), "seed": _SEED,
+               "out": ((lambda v: isinstance(v, str)), "must be a string"),
+               "law": "law", "system": _system, "expect": "expect",
+               "n_max": _COUNT, "budget": _COUNT, "replicates": _COUNT,
+               "window": _POSITIVE, "h": _POSITIVE,
+               "snapshots": ((lambda v: isinstance(v, list) and all(map(_COUNT[0], v))),
+                             "must be a list of positive integers"),
+               "a_values": ((lambda v: isinstance(v, list) and all(map(_finite, v))),
+                            "must be a list of finite numbers")},
+}
+
+
+def _walk(value, spec, path: str, problems: List[Tuple[str, str]]) -> None:
+    """Append (key path, reason) for every unknown, unread, missing or bad
+    key of value against spec: a leaf, an object or a union."""
+    if isinstance(spec, tuple):
+        if not spec[0](value):
+            problems.append((path, spec[1]))
+        return
+    if not isinstance(value, dict):
+        problems.append((path or "<top>", "must be an object"))
+        return
+    unread, known = "", {}
+    if callable(spec):
+        chosen = spec(value, path, problems)
+        if chosen is None:
+            return
+        spec, unread, known = chosen
+    keys = _OBJECTS[spec] if isinstance(spec, str) else spec
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in keys:
+            problems.append((prefix + key, unread if key in known else "unknown key"))
+    for key, sub in keys.items():
+        if key in value:
+            _walk(value[key], sub, prefix + key, problems)
+        elif key not in _OPTIONAL:
+            problems.append((prefix + key, "missing"))
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validate a JSON scenario; raises SchemaError carrying every problem."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError([("<json>", str(exc))]) from exc
+    problems: List[Tuple[str, str]] = []
+    _walk(raw, _config, "", problems)
     if not problems:
         # The key and type checks passed, so the constructors can run; they
         # catch what those checks do not (a fractional deterministic count,
@@ -252,16 +207,9 @@ def parse_config(text: str) -> ExperimentConfig:
                     problems.append((key, str(exc)))
     if problems:
         raise SchemaError(problems)
-    cfg = ExperimentConfig(kind=kind, seed=raw["seed"])
-    for key in ("law", "system", "n_max", "budget", "window", "h",
-                "replicates", "out", "expect"):
-        if key in raw:
-            setattr(cfg, key, raw[key])
-    if "snapshots" in raw:
-        cfg.snapshots = tuple(raw["snapshots"])
-    if "a_values" in raw:
-        cfg.a_values = tuple(float(v) for v in raw["a_values"])
-    return cfg
+    return ExperimentConfig(**dict(raw, **{
+        key: tuple(map(cast, raw[key]))
+        for key, cast in (("snapshots", int), ("a_values", float)) if key in raw}))
 
 
 def build_displacement(d: dict):
@@ -497,6 +445,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{args.command!r}", file=sys.stderr)
             return 2
         if args.seed is not None:
+            if not _SEED[0](args.seed):
+                raise SchemaError([("seed", _SEED[1])])
             cfg.seed = args.seed
         return run(cfg, out=args.out, threads=args.threads)
     except SchemaError as exc:

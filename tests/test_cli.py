@@ -162,6 +162,179 @@ class TestKeysNotRead:
         assert {p for p, _ in err.value.problems} == set(extra)
 
 
+TWO_POINT = {"kind": "two_point", "low": -0.5, "high": 1.0, "prob_high": 0.3}
+TWO_LAWS = {"nu": BBM_LAW, "eta": dict(BBM_LAW, displacement=TWO_POINT),
+            "seed_prob": 0.5}
+
+
+def run_main(tmp_path, cfg, *flags):
+    """Exit code of the CLI on cfg (seed 1 unless cfg has one)."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict({"seed": 1}, **cfg)))
+    return main([cfg["kind"], "--config", str(p), "--out",
+                 str(tmp_path / "out"), *flags])
+
+
+class TestLeafErrors:
+    """One bad value for each leaf key no other test covers: exactly one
+    problem, at that key's path."""
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "speed", "law": dict(BBM_LAW, displacement=dict(
+            TWO_POINT, prob_high=1.0))}, "law.displacement.prob_high"),
+        ({"kind": "speed", "law": dict(BBM_LAW, displacement=dict(
+            TWO_POINT, kind="three_point"))}, "law.displacement.kind"),
+        ({"kind": "anomalous", "system": {"skeleton": {"V": 0, "lambda": 3.0,
+                                                       "p": 0.5}}},
+         "system.skeleton.V"),
+        ({"kind": "anomalous", "system": {"skeleton": {"V": 1.0, "lambda": "3",
+                                                       "p": 0.5}}},
+         "system.skeleton.lambda"),
+        ({"kind": "anomalous", "system": {"skeleton": {"V": 1.0, "lambda": 3.0,
+                                                       "p": 1.5}}},
+         "system.skeleton.p"),
+        ({"kind": "anomalous", "system": dict(TWO_LAWS, seed_prob=-0.1)},
+         "system.seed_prob"),
+        ({"kind": "anomalous", "system": dict(TWO_LAWS, seed_displacement={
+            "kind": "cauchy", "value": 0.0})}, "system.seed_displacement.kind"),
+        ({"kind": "speed", "law": dict(BBM_LAW, mechanism="shared")},
+         "law.mechanism"),
+        ({"kind": "simulate", "law": BBM_LAW, "budget": 0}, "budget"),
+        ({"kind": "simulate", "law": BBM_LAW, "replicates": 2.0}, "replicates"),
+        ({"kind": "simulate", "law": BBM_LAW, "window": "15"}, "window"),
+        ({"kind": "speed", "law": BBM_LAW, "out": 3}, "out"),
+        ({"kind": "front", "law": BBM_LAW, "snapshots": [0]}, "snapshots"),
+    ], ids=["prob_high", "displacement_kind", "skeleton_V", "skeleton_lambda",
+            "skeleton_p", "seed_prob", "seed_displacement_kind", "mechanism",
+            "budget", "replicates", "window", "out", "snapshots"])
+    def test_key_path(self, cfg, path):
+        with pytest.raises(SchemaError) as err:
+            parse_config(json.dumps(dict(cfg, seed=1)))
+        assert [p for p, _ in err.value.problems] == [path]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRejectedInputs:
+    """Inputs that once ran, crashed or failed a check: each is a schema
+    error (exit 2) at its key path."""
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "speed", "law": dict(BBM_LAW, displacement={
+            "kind": "gaussian", "mean": NAN, "variance": 1.0})},
+         "law.displacement.mean"),
+        ({"kind": "front", "law": BBM_LAW, "n_max": 5, "h": INF}, "h"),
+        ({"kind": "speed", "law": dict(BBM_LAW, mean=INF)}, "law.mean"),
+        ({"kind": "speed", "law": BBM_LAW, "expect": {"speed": NAN}},
+         "expect.speed"),
+        ({"kind": "simulate", "law": BBM_LAW, "n_max": 5, "budget": 200,
+          "replicates": 1, "a_values": [True, NAN]}, "a_values"),
+    ], ids=["nan_displacement_mean", "infinite_h", "infinite_law_mean",
+            "nan_expected_speed", "bool_and_nan_a_values"])
+    def test_non_finite_number(self, tmp_path, capsys, cfg, path):
+        assert run_main(tmp_path, cfg) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "anomalous", "system": dict(SKELETON, nu="garbage")},
+         "system.nu"),
+        ({"kind": "anomalous", "system": dict(SKELETON, eta=BBM_LAW)},
+         "system.eta"),
+        ({"kind": "anomalous", "system": dict(SKELETON, seed_prob=7)},
+         "system.seed_prob"),
+        ({"kind": "anomalous", "system": dict(SKELETON, seed_displacement={
+            "kind": "point", "value": 0.0})}, "system.seed_displacement"),
+        ({"kind": "front", "law": BBM_LAW, "n_max": 5, "snapshots": [True]},
+         "snapshots"),
+    ], ids=["nu_with_skeleton", "eta_with_skeleton", "seed_prob_with_skeleton",
+            "seed_displacement_with_skeleton", "bool_snapshot"])
+    def test_ignored_key(self, tmp_path, capsys, cfg, path):
+        assert run_main(tmp_path, cfg) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = {"kind": "simulate", "law": BBM_LAW, "n_max": 5, "budget": 200,
+               "replicates": 1}
+        assert run_main(tmp_path, cfg, "--seed", "-2000") == 2
+        assert "schema error at seed:" in capsys.readouterr().err
+
+
+README_LAW = {"offspring": "geometric", "mean": 2.718281828459045,
+              "displacement": {"kind": "gaussian", "mean": 0.0, "variance": 1.0},
+              "mechanism": "independent"}
+README_CONTROLS = {"n_max": 200, "budget": 100000, "window": 15.0,
+                   "replicates": 32, "expect": {"speed": 1.4142, "rel_tol": 0.05},
+                   "out": "results"}
+README_SYSTEM = {"nu": README_LAW, "eta": README_LAW, "seed_prob": 0.5,
+                 "seed_displacement": {"kind": "point", "value": 0.0}}
+SKELETON_3 = {"skeleton": {"V": 1 / 3, "lambda": 3.0, "p": 0.5}}
+SKELETON_1 = {"skeleton": {"V": 1.0, "lambda": 1.0, "p": 0.0}}
+
+
+class TestRoundTrip:
+    """Every valid config this module runs, the README sample trimmed to
+    the keys its kind reads, and a few more, parse to these configs."""
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (minimal(), ExperimentConfig("speed", 7, law=BBM_LAW)),
+        (minimal(expect={"speed": math.sqrt(2), "rel_tol": 1e-4}),
+         ExperimentConfig("speed", 7, law=BBM_LAW,
+                          expect={"speed": math.sqrt(2), "rel_tol": 1e-4})),
+        (minimal(expect={"speed": 2.0, "rel_tol": 1e-3}),
+         ExperimentConfig("speed", 7, law=BBM_LAW,
+                          expect={"speed": 2.0, "rel_tol": 1e-3})),
+        (json.dumps({"kind": "anomalous", "seed": 3, "system": SKELETON_3,
+                     "expect": {"speed": 4 / math.sqrt(6), "rel_tol": 1e-4}}),
+         ExperimentConfig("anomalous", 3, system=SKELETON_3,
+                          expect={"speed": 4 / math.sqrt(6), "rel_tol": 1e-4})),
+        (minimal(kind="simulate", n_max=30, budget=2000, replicates=2,
+                 a_values=[0.0]),
+         ExperimentConfig("simulate", 7, law=BBM_LAW, n_max=30, budget=2000,
+                          replicates=2, a_values=(0.0,))),
+        (json.dumps({"kind": "simulate", "seed": 5, "n_max": 15, "budget": 2000,
+                     "replicates": 2, "system": SKELETON_1}),
+         ExperimentConfig("simulate", 5, system=SKELETON_1, n_max=15,
+                          budget=2000, replicates=2)),
+        (minimal(kind="simulate", n_max=20, budget=1000, replicates=2),
+         ExperimentConfig("simulate", 7, law=BBM_LAW, n_max=20, budget=1000,
+                          replicates=2)),
+        (minimal(kind="simulate", n_max=10, budget=500, replicates=1),
+         ExperimentConfig("simulate", 7, law=BBM_LAW, n_max=10, budget=500,
+                          replicates=1)),
+        (minimal(kind="front", n_max=40, h=0.02, snapshots=[10]),
+         ExperimentConfig("front", 7, law=BBM_LAW, n_max=40, h=0.02,
+                          snapshots=(10,))),
+        (json.dumps({"kind": "anomalous", "seed": 1, "system": TWO_LAWS}),
+         ExperimentConfig("anomalous", 1, system=TWO_LAWS)),
+        (json.dumps({"kind": "verify", "seed": 0}), ExperimentConfig("verify", 0)),
+        (json.dumps(dict(README_CONTROLS, kind="simulate", seed=1234,
+                         law=README_LAW, a_values=[0.0, 0.5, 1.0])),
+         ExperimentConfig("simulate", 1234, law=README_LAW, n_max=200,
+                          budget=100000, window=15.0, replicates=32,
+                          out="results", a_values=(0.0, 0.5, 1.0),
+                          expect={"speed": 1.4142, "rel_tol": 0.05})),
+        (json.dumps(dict(README_CONTROLS, kind="simulate", seed=1234,
+                         system=README_SYSTEM)),
+         ExperimentConfig("simulate", 1234, system=README_SYSTEM, n_max=200,
+                          budget=100000, window=15.0, replicates=32,
+                          out="results",
+                          expect={"speed": 1.4142, "rel_tol": 0.05})),
+        (minimal(kind="front", h=0.01, n_max=3, snapshots=[1, 3]),
+         ExperimentConfig("front", 7, law=BBM_LAW, n_max=3, snapshots=(1, 3))),
+        (minimal(kind="simulate", a_values=[0, 1]),
+         ExperimentConfig("simulate", 7, law=BBM_LAW, a_values=(0.0, 1.0))),
+    ], ids=["speed", "speed_expect", "speed_expect_fail", "anomalous_skeleton",
+            "simulate_one_type", "simulate_two_type", "simulate_repeat",
+            "simulate_seed_flag", "front_snapshots", "anomalous_two_laws",
+            "verify", "readme_law", "readme_system", "front_defaults",
+            "integer_a_values"])
+    def test_equal_config(self, cfg, expected):
+        parsed = parse_config(cfg)
+        assert parsed == expected
+        assert all(type(a) is float for a in parsed.a_values)
+
+
 class TestRunners:
     def test_speed_scenario(self, tmp_path):
         cfg = parse_config(minimal(expect={"speed": math.sqrt(2), "rel_tol": 1e-4}))
