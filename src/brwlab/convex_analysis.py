@@ -325,21 +325,25 @@ def sweep(f: EvaluableFunction) -> EvaluableFunction:
     return EvaluableFunction(f.xs, np.where(f.ys <= 0, f.ys, np.inf), rule)
 
 
-def _multisection(fn, lo, hi, predicate, rounds: int = 4, width: int = 48):
+_PROBES = 48              # points per round of _multisection
+_ROUNDS = 4
+
+
+def _multisection(fn, lo, hi, predicate):
     """Refine the flip point of a monotone predicate along [lo, hi].
 
-    The predicate must hold at ``lo`` and fail at ``hi``; each round
-    evaluates ``fn`` once on a vector of probes (cheap even when fn
-    re-optimizes per point) and keeps the bracketing cell.  Returns the
-    last abscissa where the predicate held.
+    The predicate must hold at ``lo`` and fail at ``hi``; each of
+    ``_ROUNDS`` rounds evaluates ``fn`` once on ``_PROBES`` points (cheap
+    even when fn re-optimizes per point) and keeps the bracketing cell.
+    Returns the last abscissa where the predicate held.
     """
-    for _ in range(rounds):
-        ts = np.linspace(lo, hi, width)
+    for _ in range(_ROUNDS):
+        ts = np.linspace(lo, hi, _PROBES)
         good = predicate(np.asarray(fn(ts)))
         idx = np.flatnonzero(good)
         k = int(idx[-1]) if idx.size else 0
         lo = float(ts[k])
-        hi = float(ts[min(k + 1, width - 1)])
+        hi = float(ts[min(k + 1, _PROBES - 1)])
     return lo, hi
 
 
@@ -437,8 +441,8 @@ def _hull_points(f: EvaluableFunction, g: EvaluableFunction, xs: np.ndarray,
     return px[order], py[order]
 
 
-def convex_minorant(f: EvaluableFunction, g: EvaluableFunction, grid: GridSpec,
-                    values: Optional[tuple] = None) -> EvaluableFunction:
+def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
+                    grid: GridSpec) -> EvaluableFunction:
     """Lower convex envelope of min(f, g) over the working window.
 
     Built from the lower convex hull (``_lower_hull``) of the finite
@@ -461,19 +465,15 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction, grid: GridSpec,
     function wherever the window is wide enough that the hull's support
     is interior.
 
-    ``values`` may carry (f(xs), g(xs)) precomputed on the grid's
-    abscissae (e.g. the stored grid of a conjugate built on the same
-    grid); the inputs' rules are then only consulted to refine domain
-    edges.
+    An input whose stored abscissae are the grid's (a conjugate built on
+    the same grid) enters by its stored values, since ``f(f.xs) ==
+    f.ys``; its rule then only refines domain edges.  Any other input is
+    evaluated on the grid.
     """
 
     xs = grid.abscissae()
-    if values is not None:
-        fy, gy = (np.asarray(v, dtype=float) for v in values)
-        if fy.shape != xs.shape or gy.shape != xs.shape:
-            raise ValueError("precomputed values do not match the grid")
-    else:
-        fy, gy = np.asarray(f(xs)), np.asarray(g(xs))
+    fy, gy = (fn.ys if np.array_equal(fn.xs, xs) else np.asarray(fn(xs))
+              for fn in (f, g))
     fin = np.isfinite(np.minimum(fy, gy))
     if not fin.any():
         raise DomainError("min(f, g) is +inf everywhere on the window")

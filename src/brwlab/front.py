@@ -52,6 +52,7 @@ from .models import (Displacement, Gaussian, PointMass, ReproductionLaw, TwoPoin
 
 RANGE_TOL = 1e-12
 LEVEL = 0.5   # the front is where the profile crosses this value: the median
+WIDTH = 80.0  # the one-type window's width
 
 
 @dataclass
@@ -80,10 +81,9 @@ class FrontProfile:
         return x0 + self.h * (v[i - 1] - LEVEL) / (v[i - 1] - v[i])
 
     def evaluate(self, x) -> np.ndarray:
-        """Profile value at arbitrary positions (1 left of window, 0 right)."""
-        x = np.asarray(x, dtype=float)
-        g = self.grid()
-        return np.interp(x, g, self.values, left=1.0, right=0.0)
+        """Profile value at arbitrary positions: the first value left of the
+        window, 0 right of it."""
+        return np.interp(np.asarray(x, dtype=float), self.grid(), self.values, right=0.0)
 
 
 def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:
@@ -91,7 +91,7 @@ def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:
     return np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
 
 
-def heaviside_profile(h: float = 0.01, width: float = 80.0) -> FrontProfile:
+def heaviside_profile(h: float = 0.01, width: float = WIDTH) -> FrontProfile:
     """Initial data: 1 left of the origin, 0 right of it.
 
     The grid cell at the jump carries the value 1/2, the usual quadrature
@@ -314,7 +314,7 @@ class FrontResult:
 
 
 def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
-                width: float = 80.0, snapshot_at: Optional[Sequence[int]] = None):
+                snapshot_at: Optional[Sequence[int]] = None):
     """Iterate the front from Heaviside data and measure its speed.
 
     The speed is the least-squares slope of the front position over the
@@ -326,12 +326,12 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
     generations to profiles.
     """
 
-    u = heaviside_profile(h=h, width=width)
+    u = heaviside_profile(h=h)
     positions = [u.front]
     sup_diffs = np.empty(n_max)
     drift = []
     snapshots = {}
-    compare = np.arange(-width / 4, width / 4, h)
+    compare = np.arange(-WIDTH / 4, WIDTH / 4, h)
     cells = h * np.arange(u.values.size)   # the window's grid less its offset
 
     def centered_values(p: FrontProfile, front: float) -> np.ndarray:
@@ -370,8 +370,8 @@ def _profile_mean(profile: FrontProfile) -> float:
     return profile.offset + profile.h * area
 
 
-def expected_rightmost_curve(law: ReproductionLaw, n_max: int, h: float = 0.01,
-                             width: float = 80.0) -> np.ndarray:
+def expected_rightmost_curve(law: ReproductionLaw, n_max: int,
+                             h: float = 0.01) -> np.ndarray:
     """Exact expectation of the rightmost particle for each generation.
 
     Since the iterated profile is the tail probability of the rightmost
@@ -382,7 +382,7 @@ def expected_rightmost_curve(law: ReproductionLaw, n_max: int, h: float = 0.01,
     is linear in n and swamps the log n coefficient in a regression.
     """
 
-    u = heaviside_profile(h=h, width=width)
+    u = heaviside_profile(h=h)
     out = np.empty(n_max + 1)
     out[0] = _profile_mean(u)
     band = _band(law.displacement, h)
@@ -393,8 +393,7 @@ def expected_rightmost_curve(law: ReproductionLaw, n_max: int, h: float = 0.01,
 
 
 def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
-                   replicates: int, seed: int = 0, h: float = 0.01,
-                   width: float = 80.0):
+                   replicates: int, seed: int = 0, h: float = 0.01):
     """Compare iterated front values with exact Monte Carlo tail probabilities.
 
     Runs the recursion n steps without recentering (so small-n profiles
@@ -403,7 +402,7 @@ def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
     using the binomial standard error at the recursion's value.
     """
 
-    u = heaviside_profile(h=h, width=width)
+    u = heaviside_profile(h=h)
     band = _band(law.displacement, h)
     for _ in range(n):
         u = apply_q(u, law, recenter=False, band=band)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,6 +26,8 @@ from scipy.special import expit, ndtr, ndtri
 
 from .convex_analysis import EvaluableFunction, GridSpec
 from .errors import ParamError
+
+CUMULANT_WINDOW = GridSpec(-1.0, 12.0, 1e-2)   # the grid a cumulant function stores
 
 
 # --------------------------------------------------------------------------
@@ -318,12 +320,10 @@ class ReproductionLaw:
         return self.displacement.log_mgf_derivatives(np.atleast_1d(
             np.asarray(theta, dtype=float)))
 
-    def cumulant_function(self, window: Optional[GridSpec] = None) -> EvaluableFunction:
-        """The cumulant wrapped for the convex-analysis machinery, with its
-        closed-form derivatives."""
-        if window is None:
-            window = GridSpec(-1.0, 12.0, 1e-2)
-        xs = window.abscissae()
+    def cumulant_function(self) -> EvaluableFunction:
+        """The cumulant wrapped for the convex-analysis machinery, sampled on
+        CUMULANT_WINDOW, with its closed-form derivatives."""
+        xs = CUMULANT_WINDOW.abscissae()
         return EvaluableFunction(xs, self.cumulant(xs), self.cumulant,
                                  derivatives=self.cumulant_derivatives)
 
@@ -385,8 +385,11 @@ def skeleton_of_bbm(V: float, lam: float, p: float) -> TwoTypeSystem:
         raise ParamError("V and lam must be positive")
     if not 0.0 <= p <= 1.0:
         raise ParamError("seed probability must lie in [0, 1]")
-    law_nu = ReproductionLaw(OffspringLaw("geometric", math.exp(lam)),
-                             Gaussian(0.0, V))
+    try:
+        mean = math.exp(lam)
+    except OverflowError:
+        raise ParamError("exp(lam) exceeds the float range") from None
+    law_nu = ReproductionLaw(OffspringLaw("geometric", mean), Gaussian(0.0, V))
     law_eta = ReproductionLaw(OffspringLaw("geometric", math.e),
                               Gaussian(0.0, 1.0))
     return TwoTypeSystem(law_nu=law_nu, law_eta=law_eta, seeding=Seeding(p))

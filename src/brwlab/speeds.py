@@ -36,6 +36,7 @@ from .errors import ToleranceError
 from .models import ReproductionLaw, TwoTypeSystem
 
 TAU_CROSS = 1e-4
+FIGURE_GRID = GridSpec(-0.5, 2.0, 1e-3)   # the abscissae of the figure table
 
 
 @dataclass(frozen=True)
@@ -168,20 +169,16 @@ class TwoTypeAnalysis:
         """The conjugates (d_nu, d_eta) on the working grid."""
         return tuple(fenchel_dual(k, self.grid) for k in self._cumulants)
 
-    def _envelope(self, first, second) -> EvaluableFunction:
-        # a conjugate's stored values are its rule on the working grid
-        return convex_minorant(first, second, self.grid, values=(first.ys, second.ys))
-
     @cached_property
     def envelope(self) -> EvaluableFunction:
         """cv(sweep(d_nu), d_eta): the forward envelope before its sweep."""
-        return self._envelope(sweep(self.duals[0]), self.duals[1])
+        return convex_minorant(sweep(self.duals[0]), self.duals[1], self.grid)
 
     @cached_property
     def expected_rate(self) -> EvaluableFunction:
         """cv(d_nu, d_eta): the un-swept envelope governing expected counts;
         it can cross zero past the true speed."""
-        return self._envelope(*self.duals)
+        return convex_minorant(*self.duals, self.grid)
 
     @cached_property
     def report(self) -> AnomalousReport:
@@ -199,15 +196,15 @@ class TwoTypeAnalysis:
 
     def reversed_speed(self) -> float:
         d_nu, d_eta = self.duals
-        return speed_from_dual(sweep(self._envelope(sweep(d_eta), d_nu)))
+        return speed_from_dual(sweep(convex_minorant(sweep(d_eta), d_nu, self.grid)))
 
     def expected_numbers_speed(self) -> float:
         return speed_from_dual(sweep(self.expected_rate))
 
-    def figure_table(self, lo: float = -0.5, hi: float = 2.0, step: float = 1e-3):
-        """The figure's rows as a 2-d array, each column one array-wide rule
-        evaluation."""
-        xs = GridSpec(lo, hi, step).abscissae()
+    def figure_table(self):
+        """The figure's rows on FIGURE_GRID as a 2-d array, each column one
+        array-wide rule evaluation."""
+        xs = FIGURE_GRID.abscissae()
         return np.column_stack((xs, sweep(self.duals[0])(xs), self.duals[1](xs),
                                 self.envelope(xs)))
 
@@ -243,8 +240,7 @@ def expected_numbers_speed(sys: TwoTypeSystem) -> float:
     return TwoTypeAnalysis(sys).expected_numbers_speed()
 
 
-def figure_table(sys: TwoTypeSystem, lo: float = -0.5, hi: float = 2.0,
-                 step: float = 1e-3):
-    """Rows (a, kswept_nu, kdual_eta, cv) over [lo, hi], as a 2-d array: the
+def figure_table(sys: TwoTypeSystem):
+    """Rows (a, kswept_nu, kdual_eta, cv) on FIGURE_GRID, as a 2-d array: the
     three curves whose zero crossings exhibit the anomalous speed."""
-    return TwoTypeAnalysis(sys).figure_table(lo, hi, step)
+    return TwoTypeAnalysis(sys).figure_table()

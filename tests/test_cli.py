@@ -1,11 +1,14 @@
 """Config schema, scenario runners, exit codes."""
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brwlab import cli
 from brwlab.cli import (
     ExperimentConfig,
     build_law,
@@ -253,6 +256,20 @@ class TestRejectedInputs:
         assert run_main(tmp_path, cfg) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg, path", [
+        ({"kind": "speed", "law": dict(BBM_LAW, mean=10 ** 400)}, "law.mean"),
+        ({"kind": "speed", "law": dict(BBM_LAW, displacement={
+            "kind": "point", "value": 10 ** 400})}, "law.displacement.value"),
+        ({"kind": "anomalous", "system": {"skeleton": {"V": 1 / 3, "lambda": 1e300,
+                                                       "p": 0.5}}}, "system"),
+        ({"kind": "anomalous", "system": {"skeleton": {"V": 1 / 3, "lambda": 710.0,
+                                                       "p": 0.5}}}, "system"),
+    ], ids=["int_law_mean", "int_point_value", "lambda_1e300", "lambda_710"])
+    def test_out_of_float_range(self, tmp_path, capsys, cfg, path):
+        # a 401-digit integer literal, or exp(lambda) past the float range
+        assert run_main(tmp_path, cfg) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = {"kind": "simulate", "law": BBM_LAW, "n_max": 5, "budget": 200,
                "replicates": 1}
@@ -482,3 +499,48 @@ class TestMain:
         monkeypatch.setattr(acc, "ALL_CHECKS", [ok, bad])
         assert main(["verify", "--out", str(tmp_path / "bad")]) == 1
         assert "[FAIL]" in (tmp_path / "bad" / "summary.txt").read_text()
+
+
+def reference_write_csv(path, header, rows):
+    """csv.writer over fmt of every value, arrays through .tolist()."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli.fmt(v) for v in row])
+    return path
+
+
+class TestReferenceBytes:
+    """Every CLI kind writes the files and stdout that csv.writer over fmt
+    writes for the same rows."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "speed", "law": BBM_LAW},
+        {"kind": "speed", "law": dict(BBM_LAW, displacement=TWO_POINT)},
+        {"kind": "anomalous", "system": SKELETON},
+        {"kind": "simulate", "law": BBM_LAW, "n_max": 20, "budget": 500,
+         "replicates": 2, "a_values": [0, 0.5]},
+        {"kind": "simulate", "system": SKELETON, "n_max": 15, "budget": 500,
+         "replicates": 2},
+        {"kind": "front", "law": BBM_LAW, "n_max": 20, "h": 0.05,
+         "snapshots": [5, 20]},
+    ], ids=["speed", "speed_two_point", "anomalous", "simulate_law",
+            "simulate_system", "front_snapshots"])
+    def test_files_and_stdout(self, tmp_path, capsys, monkeypatch, cfg):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, seed=3)))
+        outputs = []
+        for name in ("as_is", "reference"):
+            if name == "reference":
+                monkeypatch.setattr(cli, "write_csv", reference_write_csv)
+            out = tmp_path / name
+            assert main([cfg["kind"], "--config", str(p), "--out", str(out)]) == 0
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            outputs.append((files, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0]) > 1

@@ -513,6 +513,36 @@ class TestConvexMinorant:
         with pytest.raises(DomainError):
             convex_minorant(f, f, GridSpec(0.0, 1.0, 1e-2))
 
+    def test_conjugates_on_the_window_grid_enter_by_stored_values(self):
+        # the working grid's conjugates are never evaluated on the whole
+        # grid: their rules run only on the edge-refinement probes
+        analysis = TwoTypeAnalysis(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
+        sizes = []
+
+        def counted(d):
+            def rule(a):
+                sizes.append(np.size(a))
+                return d.rule(a)
+            return EvaluableFunction(d.xs, d.ys, rule)
+
+        analysis.duals = tuple(counted(d) for d in analysis.duals)
+        analysis.envelope, analysis.expected_rate, analysis.reversed_speed()
+        assert sizes and max(sizes) <= 48
+
+    def test_input_on_another_grid_is_evaluated(self):
+        grid = GridSpec(-1.0, 2.0, 2e-3)
+        xs = grid.abscissae()
+        k = ReproductionLaw(OffspringLaw("geometric", 2.0),
+                            TwoPoint(-0.3, 0.4, 0.5)).cumulant_function()
+        f = sweep(fenchel_dual(k, GridSpec(-1.5, 2.5, 1e-3)))
+        g = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        resampled = EvaluableFunction(xs, f(xs), f.rule)
+        probes = np.linspace(-1.2, 2.2, 301)
+        for pair, on_grid in (((f, g), (resampled, g)), ((g, f), (g, resampled))):
+            cv, want = convex_minorant(*pair, grid), convex_minorant(*on_grid, grid)
+            assert np.array_equal(cv.ys, want.ys)
+            assert np.array_equal(cv(probes), want(probes))
+
 
 def monotone_chain(px, py):
     """Reference lower hull of points sorted by x: Andrew's monotone chain,
@@ -684,16 +714,15 @@ class TestEvaluableFunction:
             EvaluableFunction(xs, np.array([0.0, np.inf, 0.0]), np.sin)
 
     def test_rule_reproduces_stored_grid(self):
-        # TwoTypeAnalysis._envelope passes conjugates' stored values to
-        # convex_minorant as their rules' values on the working grid
+        # convex_minorant takes an input's stored values for its rule's
+        # values on the working grid when the input was built on that grid
         grid = GridSpec(-1.0, 2.0, 2e-3)
         k = ReproductionLaw(OffspringLaw("geometric", 2.0),
                             TwoPoint(-0.3, 0.4, 0.5)).cumulant_function()
         d = fenchel_dual(k, grid)
         g = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
         swept = sweep(d)
-        for f in (k, d, swept, convex_minorant(swept, g, grid),
-                  convex_minorant(swept, g, grid, values=(swept.ys, g.ys))):
+        for f in (k, d, swept, convex_minorant(swept, g, grid)):
             assert np.array_equal(f(f.xs), f.ys)
 
     def test_csv_serializes_inf_literal(self, tmp_path):

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from brwlab import front
 from brwlab.errors import KernelError, RangeError
 from brwlab.front import (
+    FrontProfile,
     apply_q,
     coupled_front,
     coupled_mc_consistency,
@@ -311,6 +312,17 @@ class TestCoupledFront:
         for x, q_val, p_hat, z in rows:
             assert 0.05 < q_val < 0.95, rows    # informative, not saturated
             assert abs(z) <= 3.0, rows
+
+    def test_profile_extends_by_its_first_value(self):
+        profile = FrontProfile(np.array([0.4, 0.25, 0.0]), -1.0, 1.0, 3)
+        assert profile.evaluate([-5.0, -1.0, 0.0, 9.0]).tolist() == [0.4, 0.4, 0.25, 0.0]
+
+    def test_left_of_the_grid_with_rare_seeding(self):
+        # the nu profile's left value is P(some eta is present), far below 1
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 1e-4)
+        (x, q_val, p_hat, z), = coupled_mc_consistency(sysm, 4, [-45.0], 400, seed=1)
+        assert q_val == coupled_front(sysm, 4, x_max=40.0).nu.values[0] < 0.5
+        assert abs(z) <= 3.0, (q_val, p_hat, z)
 
     def test_no_seeding_gives_no_eta_mass(self):
         res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.0), 20, x_max=60.0)

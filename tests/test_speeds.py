@@ -195,7 +195,7 @@ class TestReversedAndExpected:
 
 def test_figure_table_crosses_zero_at_the_anomalous_speed():
     sysm = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)
-    rows = figure_table(sysm, lo=-0.5, hi=2.0, step=1e-3)
+    rows = figure_table(sysm)
     assert rows[0][0] == pytest.approx(-0.5)
     assert rows[-1][0] == pytest.approx(2.0)
     a = np.array([r[0] for r in rows])

@@ -57,7 +57,7 @@ def test_chunk_boundaries(tmp_path, monkeypatch, n):
     rows = [[i, "nu" if i % 2 else "eta", float(v)] for i, v in enumerate(array[:, 0])]
     assert write_csv(tmp_path / "a.csv", ["x", "y", "z"], array).read_bytes() == \
         reference_bytes(["x", "y", "z"], array.tolist())
-    # a generator is consumed chunk by chunk
+    # rows from a generator, not a list
     assert write_csv(tmp_path / "r.csv", ["i", "type", "v"], iter(rows)).read_bytes() == \
         reference_bytes(["i", "type", "v"], rows)
 
