@@ -15,10 +15,10 @@ default, so identical configs always produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -28,8 +28,8 @@ import numpy as np
 from . import acceptance
 from .errors import BrwLabError, ParamError, SchemaError
 from .front import front_speed
-from .mc_sim import (centering_slope, count_profile, predicted_beam_deficit,
-                     run_one_type, run_two_type)
+from .mc_sim import (centering_slope, count_profile, map_replicates,
+                     predicted_beam_deficit, run_one_type, run_two_type)
 from .models import (
     Gaussian,
     OffspringLaw,
@@ -325,16 +325,9 @@ def _replicate(job):
                      seed=cfg.seed + 1000 + r)
 
 
-def _map_replicates(cfg: ExperimentConfig, threads: int):
-    jobs = [(cfg, r) for r in range(cfg.replicates)]
-    if threads <= 1:
-        return [_replicate(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_replicate, jobs))  # order preserves replicate index
-
-
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
-    stats = _map_replicates(cfg, threads)
+    stats = map_replicates(_replicate, [(cfg, r) for r in range(cfg.replicates)],
+                           threads)
     lines = [f"replicates={cfg.replicates} n_max={cfg.n_max}"]
     rows = []
     if cfg.system is not None:
@@ -413,7 +406,9 @@ def run(cfg: ExperimentConfig, out: Optional[str] = None, threads: int = 1) -> i
     return run_verify(out_dir)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="brwlab",
         description="spreading speeds of branching random walks: "
@@ -425,8 +420,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

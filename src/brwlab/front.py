@@ -488,7 +488,7 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     steps = (sys.law_nu.displacement, sys.law_eta.displacement,
              sys.seeding.displacement)
     # cells right of the first one that a step can carry into the left extension
-    reach = min(max(max(int(d.lattice_pmf(h)[0][-1]) for d in steps), 1),
+    reach = min(max(max(int(d.lattice_cells(h)[-1]) for d in steps), 1),
                 xs.size - 1)
     bands = {d: _band(d, h) for d in steps}
 

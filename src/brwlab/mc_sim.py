@@ -12,11 +12,12 @@ eta lineages seeded far behind the running eta maximum, which the beam
 discards, so the worked example (speed 4/sqrt 6 = 1.633) measures about
 1.399 at n=300.  ``front.coupled_front`` gives that law exactly.
 
-One branching step, ``_branch``, serves beams, two-type runs and exact
-batches.  Beams prune by value (``_prune``) except the eta beam, which
-prunes by index so its switch generations follow the kept children; an
-index prune on every beam would slow a one-type beam by about a third
-and change every beam stream.
+One branching step, ``_branch``, serves beams and two-type runs, and
+its child drawing, ``_children``, also serves exact batches.  Beams
+prune by value (``_prune``) except the eta beam, which prunes by index
+so its switch generations follow the kept children; an index prune on
+every beam would slow a one-type beam by about a third and change
+every beam stream.
 
 A beam generation born with more than ``THIN_GATE`` times its budget is
 thinned: every family size is drawn, but only the children that can
@@ -41,21 +42,24 @@ of scheduling and bit-identical across runs.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import BudgetError, StateError
-from .models import ReproductionLaw, TwoTypeSystem
-
-INT64_MAX = np.iinfo(np.int64).max
+from .models import INT64_MAX, ReproductionLaw, TwoTypeSystem
 
 # Particle cap of every exact (unpruned) population: the joint population
 # of a ``rightmost_batch`` chunk, and the budget of the unpruned two-type
 # replicates of ``front.coupled_mc_consistency``.
 EXACT_POPULATION_CAP = 4_000_000
-BATCH_CHUNK = 10_000   # replicates simulated jointly by ``rightmost_batch``
+# Expected joint population of a ``rightmost_batch`` chunk at its last
+# generation.  A chunk's arrays, not the batch's, set the peak memory: at
+# 2^19 particles check 9's batch (100,000 replicates, n = 8) holds 22 MB
+# above the import; 2^18 ran 10% slower, and 2^20 no faster at 38 MB.
+BATCH_PARTICLES = 2 ** 19
 CENSUS_BLOCK = 64     # occupied sites per multinomial call of a census
 
 # Thinned branching (``_thinned``).  A beam generation born with more than
@@ -74,6 +78,17 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     """Stream for one replicate: counter-mixed split of the master seed."""
     return np.random.default_rng(np.random.SeedSequence(master_seed,
                                                         spawn_key=(replicate,)))
+
+
+def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
+    """``[run(job) for job in jobs]``, in a pool of ``workers`` processes
+    when that is more than one, so ``run`` must then be a module-level
+    function.  Every replicate seeds its own stream, so the results do
+    not depend on ``workers``."""
+    if workers <= 1:
+        return [run(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, jobs))   # in the order of jobs
 
 
 @dataclass
@@ -132,11 +147,11 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
     Otherwise every child is drawn.  Either way the kept set, the top
     ``budget`` children within the caller's window, has its exact law.
 
-    Beams, two-type runs and exact batches all branch here and prune, if
-    at all, themselves: by value, or by index in the eta beam, whose
-    switch-generation label must follow the kept children (see the
-    module docstring for why the two prunes stay apart).  An empty
-    generation makes size-0 draws, which leave ``rng`` where it was.
+    Beams and two-type runs branch here and prune themselves: by value,
+    or by index in the eta beam, whose switch-generation label must
+    follow the kept children (see the module docstring for why the two
+    prunes stay apart).  An empty generation makes size-0 draws, which
+    leave ``rng`` where it was.
     """
     counts = law.offspring.sample(rng, positions.size)
     born = int(counts.sum())
@@ -495,25 +510,29 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Exact rightmost positions at generation ``n`` for many replicates at once.
 
-    Replicates are simulated jointly in flat arrays (each child carries
-    its replicate as a ``_branch`` label), ``BATCH_CHUNK`` replicates at
-    a time, which is what makes distributional checks at small n cheap.
-    Raises BudgetError when the joint population of a chunk would exceed
-    ``EXACT_POPULATION_CAP``.
+    Replicates are simulated jointly in flat arrays, which is what makes
+    distributional checks at small n cheap.  Children follow their
+    parents' order and every family has a child, so each replicate stays
+    one contiguous, nonempty run of ``sizes`` particles.  A chunk holds
+    as many replicates as have about ``BATCH_PARTICLES`` particles
+    between them at generation n, at least one.  Raises BudgetError when
+    the joint population of a chunk would exceed ``EXACT_POPULATION_CAP``.
     """
 
+    chunk = max(1, int(BATCH_PARTICLES * law.offspring.mean ** -n))
     out = np.empty(replicates)
     done = 0
     while done < replicates:
-        r = min(BATCH_CHUNK, replicates - done)
+        r = min(chunk, replicates - done)
         pos = np.zeros(r)
-        owner = np.arange(r)
+        sizes = np.ones(r, dtype=np.int64)
         for _ in range(n):
-            _, pos, owner = _branch(law, pos, rng, owner)
+            counts = law.offspring.sample(rng, pos.size)
+            sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+            (pos,) = _children(law, pos, counts, rng, ())
             if pos.size > EXACT_POPULATION_CAP:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
                                   "reduce n")
-        starts = np.searchsorted(owner, np.arange(r), side="left")
-        out[done:done + r] = np.maximum.reduceat(pos, starts)
+        out[done:done + r] = np.maximum.reduceat(pos, np.cumsum(sizes) - sizes)
         done += r
     return out

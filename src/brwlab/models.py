@@ -12,22 +12,54 @@ Laws are immutable; samplers take an explicit numpy Generator so
 concurrent simulation shards never share state.  Each displacement law
 also has its survival function ``sf`` and draws steps conditioned above
 or below per-step thresholds, which thinned beam branching needs.
+
+Only the normal distribution function and its inverse come from scipy,
+and only the samplers, thinned beams and censuses use them, so scipy is
+imported on their first call (``_normal``): cumulants, generating
+functions and lattice cell ranges run on numpy alone, and a ``speed``,
+``anomalous`` or ``front`` run never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit, ndtr, ndtri
 
 from .convex_analysis import EvaluableFunction, GridSpec
 from .errors import ParamError
 
 CUMULANT_WINDOW = GridSpec(-1.0, 12.0, 1e-2)   # the grid a cumulant function stores
+INT64_MAX = int(np.iinfo(np.int64).max)
+POISSON_NEWTON_STEPS = 200   # the least float mean above 1 needs 52
+
+
+@functools.cache
+def _normal():
+    """scipy's standard normal distribution function and its inverse,
+    (ndtr, ndtri), imported on the first call."""
+    from scipy.special import ndtr, ndtri
+    return ndtr, ndtri
+
+
+def _positive_poisson_rate(m: float) -> float:
+    """The rate c > 0 of the Poisson law whose conditioning on N >= 1 has
+    mean m > 1, that is the positive root of f(c) = c + m expm1(-c).
+
+    f is convex with f(0) = 0, so Newton's method started at c = m,
+    right of the root, falls monotonically onto it; it stops at the
+    first step that no longer moves down.
+    """
+    c = m
+    for _ in range(POISSON_NEWTON_STEPS):
+        step = (c + m * math.expm1(-c)) / (1.0 - m * math.exp(-c))
+        if not 0.0 < step < c or c - step == c:
+            break
+        c -= step
+    return c
 
 
 # --------------------------------------------------------------------------
@@ -38,7 +70,7 @@ CUMULANT_WINDOW = GridSpec(-1.0, 12.0, 1e-2)   # the grid a cumulant function st
 class OffspringLaw:
     """Family-size law on {1, 2, ...} with mean ``mean``.
 
-    kinds: ``deterministic`` (N = mean, an integer), ``geometric``
+    kinds: ``deterministic`` (N = mean, an integer below 2^63), ``geometric``
     (P(N=n) = r(1-r)^(n-1) with r = 1/mean), ``poisson_positive``
     (Poisson conditioned on N >= 1; the underlying rate is solved so
     the conditioned mean equals ``mean``).
@@ -52,9 +84,11 @@ class OffspringLaw:
         if self.kind not in ("deterministic", "geometric", "poisson_positive"):
             raise ParamError(f"unknown offspring kind {self.kind!r}")
         if self.kind == "deterministic":
+            # the samplers hold family sizes in int64
             k = self.mean
-            if k < 1 or k != int(k):
-                raise ParamError("deterministic offspring count must be an integer >= 1")
+            if not 1 <= k <= INT64_MAX or k != int(k):
+                raise ParamError("deterministic offspring count must be an integer "
+                                 "in [1, 2^63 - 1]")
         else:
             if self.mean < 1.0:
                 raise ParamError("offspring mean must be >= 1")
@@ -62,9 +96,7 @@ class OffspringLaw:
             m = self.mean
             if m <= 1.0:
                 raise ParamError("positive-Poisson mean must exceed 1")
-            # conditioned mean c / (1 - exp(-c)) = m
-            rate = brentq(lambda c: c / (1.0 - math.exp(-c)) - m, 1e-12, 10 * m + 50)
-            object.__setattr__(self, "_rate", rate)
+            object.__setattr__(self, "_rate", _positive_poisson_rate(m))
 
     def pgf(self, s):
         s = np.asarray(s, dtype=float)
@@ -148,7 +180,7 @@ class Gaussian:
     def sf(self, z):
         """P(X > z)."""
         z = np.asarray(z, dtype=float)
-        return ndtr((self.mean - z) / math.sqrt(self.variance))
+        return _normal()[0]((self.mean - z) / math.sqrt(self.variance))
 
     def sample(self, rng, size, above=None, below=None):
         """``size`` steps; with ``above`` (or ``below``), step i is drawn
@@ -162,11 +194,17 @@ class Gaussian:
                                                   rng.random(size))
         return rng.normal(self.mean, sd, size=size)
 
+    def lattice_cells(self, h: float) -> np.ndarray:
+        """Indices j of the lattice cells [(j - 1/2) h, (j + 1/2) h) a step
+        lands in, in increasing order: all within 8 sd + |mean| of 0."""
+        reach = int(math.ceil((8.0 * math.sqrt(self.variance) + abs(self.mean)) / h))
+        return np.arange(-reach, reach + 1)
+
     def lattice_pmf(self, h: float):
-        """Probabilities of landing in lattice cells of pitch h around 0."""
+        """``lattice_cells(h)`` and the probabilities of landing in them."""
+        ndtr = _normal()[0]
         sd = math.sqrt(self.variance)
-        reach = int(math.ceil((8.0 * sd + abs(self.mean)) / h))
-        j = np.arange(-reach, reach + 1)
+        j = self.lattice_cells(h)
         edges_hi = ((j + 0.5) * h - self.mean) / sd
         edges_lo = ((j - 0.5) * h - self.mean) / sd
         p = ndtr(edges_hi) - ndtr(edges_lo)
@@ -199,9 +237,12 @@ class PointMass:
         for ``Gaussian``) of positive probability leaves the law as it is."""
         return np.full(size, self.value, dtype=float)
 
+    def lattice_cells(self, h: float) -> np.ndarray:
+        """The index of the lattice cell of pitch h holding the value."""
+        return np.array([int(round(self.value / h))])
+
     def lattice_pmf(self, h: float):
-        j = int(round(self.value / h))
-        return np.array([j]), np.array([1.0])
+        return self.lattice_cells(h), np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -237,7 +278,7 @@ class TwoPoint:
         theta = np.asarray(theta, dtype=float)
         span = self.high - self.low
         z = math.log(self.prob_high) - math.log1p(-self.prob_high) + theta * span
-        w, wc = expit(z), expit(-z)
+        w, wc = _logistic_pair(z)
         d1 = np.where(w <= 0.5, self.low + span * w, self.high - span * wc)
         return d1, span * span * w * wc
 
@@ -258,15 +299,29 @@ class TwoPoint:
         picks = rng.random(size) < p
         return np.where(picks, self.high, self.low)
 
+    def lattice_cells(self, h: float) -> np.ndarray:
+        """Indices of the lattice cells of pitch h holding the two values,
+        one index when both fall in the same cell."""
+        return np.unique([int(round(self.low / h)), int(round(self.high / h))])
+
     def lattice_pmf(self, h: float):
-        jl = int(round(self.low / h))
-        jh = int(round(self.high / h))
-        if jl == jh:
-            return np.array([jl]), np.array([1.0])
-        return np.array([jl, jh]), np.array([1.0 - self.prob_high, self.prob_high])
+        j = self.lattice_cells(h)
+        if j.size == 1:
+            return j, np.array([1.0])
+        return j, np.array([1.0 - self.prob_high, self.prob_high])
 
 
 Displacement = Union[Gaussian, PointMass, TwoPoint]
+
+
+def _logistic_pair(z):
+    """``(1 / (1 + e^-z), 1 / (1 + e^z))``, both from e^-|z|, which cannot
+    overflow: the smaller one is e^-|z| / (1 + e^-|z|), exactly 0 once
+    e^-|z| underflows, and the larger exactly 1 from |z| >= 37."""
+    e = np.exp(-np.abs(z))
+    near, far = 1.0 / (1.0 + e), e / (1.0 + e)
+    up = z >= 0
+    return np.where(up, near, far), np.where(up, far, near)
 
 
 def _normal_above(z, u):
@@ -277,6 +332,7 @@ def _normal_above(z, u):
     mass is below 1/2, so a cut deep in the tail loses nothing, and the
     lower one otherwise.
     """
+    ndtr, ndtri = _normal()
     upper = (1.0 - u) * ndtr(-z)
     high = upper < 0.5
     with np.errstate(divide="ignore"):

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +274,14 @@ class TestRejectedInputs:
         assert run_main(tmp_path, cfg) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
 
+    def test_deterministic_count_past_int64(self, tmp_path, capsys):
+        # the samplers hold family sizes in int64
+        cfg = {"kind": "simulate", "law": dict(BBM_LAW, offspring="deterministic",
+                                               mean=1e300),
+               "n_max": 5, "budget": 100, "replicates": 1}
+        assert run_main(tmp_path, cfg) == 2
+        assert "schema error at law:" in capsys.readouterr().err
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = {"kind": "simulate", "law": BBM_LAW, "n_max": 5, "budget": 200,
                "replicates": 1}
@@ -480,6 +492,26 @@ class TestMain:
         assert (tmp_path / "seq" / "trajectory.csv").read_bytes() == \
             (tmp_path / "par" / "trajectory.csv").read_bytes()
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built once per process; each call still reads its
+        # own subcommand, flags and config
+        speed = tmp_path / "speed.json"
+        speed.write_text(minimal())
+        front = tmp_path / "front.json"
+        front.write_text(minimal(kind="front", n_max=5, h=0.05))
+        assert main(["speed", "--config", str(speed), "--out",
+                     str(tmp_path / "a")]) == 0
+        assert main(["front", "--config", str(front), "--out",
+                     str(tmp_path / "b")]) == 0
+        assert main(["front", "--config", str(front), "--threads", "two"]) == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+        assert main(["speed", "--config", str(speed), "--out",
+                     str(tmp_path / "c")]) == 0
+        assert (tmp_path / "a" / "speed_report.csv").read_bytes() == \
+            (tmp_path / "c" / "speed_report.csv").read_bytes()
+        assert (tmp_path / "b" / "front.csv").exists()
+        assert not (tmp_path / "b" / "speed_report.csv").exists()
+
     def test_verify_exit_codes_with_stubbed_checks(self, tmp_path, monkeypatch):
         # the real acceptance suite runs in its own test module; here only
         # the wiring and exit-code semantics are exercised
@@ -544,3 +576,34 @@ class TestReferenceBytes:
             outputs.append((files, capsys.readouterr().out))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0]) > 1
+
+
+def test_numpy_only_runs_never_load_scipy(tmp_path):
+    """``speed`` (a two-point step), ``anomalous``, ``front`` and
+    ``coupled_front`` run on numpy alone: scipy is loaded only by the
+    samplers that need the normal distribution function."""
+    script = textwrap.dedent("""
+        import json, sys
+        import brwlab, brwlab.cli
+        law = {"offspring": "poisson_positive", "mean": 2.5,
+               "displacement": {"kind": "two_point", "low": -0.5, "high": 1.0,
+                                "prob_high": 0.3}}
+        gauss = {"offspring": "geometric", "mean": 2.718281828459045,
+                 "displacement": {"kind": "gaussian", "mean": 0.0, "variance": 1.0}}
+        skeleton = {"skeleton": {"V": 1 / 3, "lambda": 3.0, "p": 0.5}}
+        for kind, cfg in (("speed", {"law": law}), ("anomalous", {"system": skeleton}),
+                          ("front", {"law": gauss, "n_max": 10, "h": 0.05})):
+            with open(kind + ".json", "w") as fh:
+                json.dump(dict(cfg, kind=kind, seed=1), fh)
+            code = brwlab.cli.main([kind, "--config", kind + ".json", "--out", kind])
+            assert code == 0, (kind, code)
+        brwlab.coupled_front(brwlab.skeleton_of_bbm(1 / 3, 3.0, 0.5), 5, x_max=40.0)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

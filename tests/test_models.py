@@ -16,6 +16,7 @@ from brwlab.models import (
     Seeding,
     TwoPoint,
     TwoTypeSystem,
+    _logistic_pair,
     skeleton_of_bbm,
 )
 
@@ -80,6 +81,48 @@ class TestCumulant:
         # conditioned mean must be the requested one
         c = off._rate
         assert c / (1.0 - math.exp(-c)) == pytest.approx(3.0, abs=1e-12)
+
+
+class TestNumpyNumerics:
+    """The positive-Poisson rate and the logistic weights, computed with
+    numpy alone, against scipy as the oracle."""
+
+    def test_poisson_rate_matches_brentq(self):
+        from scipy.optimize import brentq
+        for m in np.concatenate([1.0 + np.geomspace(1e-12, 1e-3, 10),
+                                 np.geomspace(1.001, 1e3, 40)]):
+            m = float(m)
+            # c + m expm1(-c) changes sign on [m - 1, m]; the root's condition
+            # number is m / (m - 1), which sets the tolerance near m = 1
+            oracle = brentq(lambda c: c + m * math.expm1(-c), m - 1.0, m, xtol=1e-300)
+            rate = OffspringLaw("poisson_positive", m)._rate
+            assert abs(rate - oracle) <= 4 * 2.0 ** -52 * m / (m - 1.0) * oracle, m
+
+    def test_logistic_pair_matches_scipy_expit(self):
+        from scipy.special import expit
+        z = np.linspace(-750.0, 750.0, 300_001)
+        w, wc = _logistic_pair(z)
+        tiny = np.finfo(float).tiny
+        for got, want in ((w, expit(z)), (wc, expit(-z))):
+            normal = want >= tiny
+            np.testing.assert_allclose(got[normal], want[normal], rtol=5e-16, atol=0.0)
+            # below the normal range the smaller weight is e^-|z| itself,
+            # where scipy flushes part of that range to 0
+            assert np.array_equal(got[~normal], np.exp(-np.abs(z[~normal])))
+
+    def test_logistic_pair_saturates_exactly(self):
+        z = np.array([-750.0, -37.0, 0.0, 37.0, 750.0])
+        w, wc = _logistic_pair(z)
+        assert list(w) == [0.0, float(np.exp(-37.0)), 0.5, 1.0, 1.0]
+        assert list(wc) == [1.0, 1.0, 0.5, float(np.exp(-37.0)), 0.0]
+
+    @pytest.mark.parametrize("mean", [2.0 ** 63, 1e300])
+    def test_deterministic_count_must_fit_int64(self, mean):
+        with pytest.raises(ParamError):
+            OffspringLaw("deterministic", mean)
+        # a count of 2^62 fits, and is drawn as it is
+        top = OffspringLaw("deterministic", 2.0 ** 62)
+        assert top.sample(replicate_rng(0, 0), 2).tolist() == [2 ** 62, 2 ** 62]
 
 
 OFFSPRING_KINDS = [OffspringLaw("deterministic", 3), OffspringLaw("geometric", math.e),
