@@ -16,14 +16,13 @@ recursion, which rightmost-selection pruning cannot carry.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List
 
 import numpy as np
 
-from .convex_analysis import fenchel_dual, speed_from_dual, speed_from_inf
+from .convex_analysis import GridSpec, fenchel_dual
 from .front import (apply_q, coupled_front, coupled_mc_consistency,
                     expected_rightmost_curve, front_speed, heaviside_profile,
                     mc_consistency)
@@ -125,9 +124,7 @@ def check_formula_cross_validation() -> CheckResult:
     rng = np.random.default_rng(MASTER_SEED)
     worst_one = 0.0
     for _ in range(200):
-        law = _random_one_type(rng)
-        k = law.cumulant_function()
-        gap = abs(speed_from_dual(fenchel_dual(k)) - speed_from_inf(k).speed)
+        gap = one_type_speed(_random_one_type(rng)).diagnostics["formula_gap"]
         worst_one = max(worst_one, gap)
     worst_two = 0.0
     for _ in range(200):
@@ -149,7 +146,7 @@ def check_fenchel_accuracy() -> CheckResult:
     worst = 0.0
     for lam, v in ((3.0, 1.0 / 3.0), (1.0, 1.0)):
         law = ReproductionLaw(OffspringLaw("geometric", math.exp(lam)), Gaussian(0.0, v))
-        dual = fenchel_dual(law.cumulant_function())
+        dual = fenchel_dual(law, GridSpec(-1.0, 3.0))
         exact = -lam + np.maximum(a, 0.0) ** 2 / (2.0 * v)
         worst = max(worst, float(np.max(np.abs(dual(a) - exact))))
     ok = worst <= 1e-4
@@ -170,9 +167,7 @@ def check_mc_speed() -> CheckResult:
     per CPU."""
     t0 = time.perf_counter()
     reps = 32
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    ms = map_replicates(_mc_speed_replicate, range(reps), min(cpus, reps))
+    ms = map_replicates(_mc_speed_replicate, range(reps), reps)
     mean = float(np.mean(ms))
     ok = _relative_ok(mean, SQRT2, 0.05)
     detail = [f"mean M_n/n={mean:.4f} over {reps} replicates, target {SQRT2:.4f} +-5%"]

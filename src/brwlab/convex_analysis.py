@@ -2,17 +2,17 @@
 
 This module supplies the convex machinery everything else composes:
 ``EvaluableFunction`` (a vectorized rule together with the grid it
-samples, and optionally the rule's first two derivatives), conjugates
-(Legendre-Fenchel transforms), the sweep operation that replaces
-positive values by +inf, lower convex envelopes of pairs of functions
-built from an array-wide lower hull, and the two speed functionals (zero
-crossing of a rate function, infimum of cumulant-to-tilt ratios).
+samples), conjugates (Legendre-Fenchel transforms), the sweep operation
+that replaces positive values by +inf, lower convex envelopes of pairs
+of functions built from an array-wide lower hull, and the two speed
+functionals (zero crossing of a rate function, infimum of
+cumulant-to-tilt ratios).
 
-A cumulant passed to ``fenchel_dual`` or ``speed_from_inf`` must carry
-its first two derivatives, as every catalogue cumulant does: its
-conjugate points and its ratio minimizer are the roots of the
-optimality equations f'(t) = a and t f'(t) = f(t), each solved by
-safeguarded Newton.
+``fenchel_dual`` and ``speed_from_inf`` take a law: any object with
+``cumulant(t)`` and its first two derivatives ``cumulant_derivatives(t)``,
+as every ``ReproductionLaw`` has in closed form.  The conjugate points
+and the ratio minimizer are the roots of the optimality equations
+k'(t) = a and t k'(t) = k(t), each solved by safeguarded Newton.
 
 Every function here is convex.  A cumulant is finite on [0, inf) and
 +inf for negative tilts; its conjugate, a swept conjugate or an envelope
@@ -68,18 +68,11 @@ class EvaluableFunction:
     decisions, precomputed envelope inputs and CSV export.  Construction
     rejects NaN and -inf values, and checks that the finite values form
     one interval and are discretely convex up to TAU_CVX.
-
-    ``derivatives`` maps a 1-d array of points t >= 0 where the rule is
-    finite to the arrays (f'(t), f''(t)).  ``fenchel_dual`` and
-    ``speed_from_inf`` require it and solve by Newton on it; a cumulant
-    from ``ReproductionLaw.cumulant_function`` carries it in closed
-    form.  Conjugates, sweeps and envelopes leave it None.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     rule: Callable[[np.ndarray], np.ndarray]
-    derivatives: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -134,43 +127,44 @@ class SpeedResult:
     rate_function: Optional[EvaluableFunction] = None
 
 
-def _ratio_root(f: EvaluableFunction):
-    """Minimize f(t)/t over t > 0 by safeguarded Newton on F(t) = t f'(t) - f(t).
+def _ratio_root(law):
+    """Minimize k(t)/t over t > 0 by safeguarded Newton on F(t) = t k'(t) - k(t),
+    for the cumulant k of ``law``.
 
     Returns (value, argmin, attained).  ``attained`` is False when the
     infimum is only approached at an end of (0, inf): as t -> inf, when
-    ``value`` is the supremum of f', or as t -> 0 when f(0) <= 0, when it
-    is f'(0).  ``argmin`` is None then; f(0) tells the two ends apart.
+    ``value`` is the supremum of k', or as t -> 0 when k(0) <= 0, when it
+    is k'(0).  ``argmin`` is None then; k(0) tells the two ends apart.
 
-    F' = t f'' >= 0, so F rises from -f(0) and f(t)/t is least at its
+    F' = t k'' >= 0, so F rises from -k(0) and k(t)/t is least at its
     root.  Newton starts at the root of the quadratic model
-    f(0) + f''(0) t^2 / 2 (exact for a Gaussian step), keeps a bracket,
+    k(0) + k''(0) t^2 / 2 (exact for a Gaussian step), keeps a bracket,
     grows by at most 4x while no point with F >= 0 is known, and
     bisects when a step leaves the bracket.  It stops when |F| is at
-    rounding level.  Where f'' = 0 the tilted step law is a point mass,
-    so f' has reached its supremum and F is constant from there on: if
+    rounding level.  Where k'' = 0 the tilted step law is a point mass,
+    so k' has reached its supremum and F is constant from there on: if
     F < 0 there (or at the 2^48 cap) there is no root, and the infimum
     is that supremum, approached as t -> inf.
 
-    A bounded step (f'' = 0 at the cap) is decided before Newton: with
-    top B and top-atom mass q, f(t) - tB falls to log(m q), so F rises
+    A bounded step (k'' = 0 at the cap) is decided before Newton: with
+    top B and top-atom mass q, k(t) - tB falls to log(m q), so F rises
     to -log(m q) and has a root only if m q < 1.  Where m q >= 1 the
-    infimum is B, approached as t -> inf, found with two calls of ``f``;
-    Newton would creep along F's exponential tail (m q = 1) and stop
-    at a spurious root.
+    infimum is B, approached as t -> inf, found with two calls of the
+    cumulant; Newton would creep along F's exponential tail (m q = 1)
+    and stop at a spurious root.
     """
-    k0 = float(f(0.0))
-    (s0, top), (c0, c_cap) = f.derivatives(np.array([0.0, _THETA_CAP]))
+    k0 = float(law.cumulant(0.0))
+    (s0, top), (c0, c_cap) = law.cumulant_derivatives(np.array([0.0, _THETA_CAP]))
     if k0 <= 0.0:
-        # f(0) = 0 (one daughter): f(t)/t >= f'(0) by convexity
+        # k(0) = 0 (one daughter): k(t)/t >= k'(0) by convexity
         return float(s0), None, False
-    if c_cap == 0.0 and _top_limit(f, top) >= 0.0:
+    if c_cap == 0.0 and _top_limit(law, top) >= 0.0:
         return float(top), None, False
     t = min(math.sqrt(2.0 * k0 / c0), _THETA_CAP) if c0 > 0.0 else 1.0
     lo, hi = 0.0, math.inf
     for _ in range(_NEWTON_STEPS):
-        kt = float(f(t))
-        (d1,), (d2,) = f.derivatives(np.array([t]))
+        kt = float(law.cumulant(t))
+        (d1,), (d2,) = law.cumulant_derivatives(np.array([t]))
         F = t * d1 - kt
         if abs(F) <= 4.0 * _EPS * max(abs(t * d1), abs(kt)):
             break
@@ -190,77 +184,55 @@ def _ratio_root(f: EvaluableFunction):
     return kt / t, t, True
 
 
-def _top_limit(f: EvaluableFunction, top: float) -> float:
-    """lim f(t) - t * top as t -> inf for a bounded step with that top:
-    log(m q), or 0 when it is within rounding of 0.
+def _top_limit(law, top: float) -> float:
+    """lim k(t) - t * top as t -> inf for the cumulant k of a law whose
+    bounded step has that top: log(m q), or 0 when it is within rounding
+    of 0.
 
-    Read at the least power of 2 where f' equals ``top`` to the last
+    Read at the least power of 2 where k' equals ``top`` to the last
     bit, so the tilted law has saturated and t * top is exact.
     """
     ts = 2.0 ** np.arange(0, 49)
-    t = float(ts[np.argmax(f.derivatives(ts)[0] == top)])
-    ft = float(f(t))
+    t = float(ts[np.argmax(law.cumulant_derivatives(ts)[0] == top)])
+    ft = float(law.cumulant(t))
     limit = ft - t * top
     return 0.0 if abs(limit) <= 8.0 * _EPS * max(abs(ft), abs(t * top)) else limit
 
 
-def _default_dual_grid(f: EvaluableFunction, gamma_up: Optional[float] = None) -> GridSpec:
-    """Auto window for a conjugate: from below the zero-tilt slope to past the speed.
+def fenchel_dual(law, a_grid: GridSpec) -> EvaluableFunction:
+    """Convex conjugate g(a) = sup_{t >= 0} (t*a - k(t)) of the cumulant k
+    of ``law``, sampled on ``a_grid``.
 
-    ``gamma_up`` is inf f(t)/t when the caller already has it (the
-    speed of ``speed_from_inf``); otherwise ``_ratio_root`` finds it
-    here.  The zero-tilt slope is f'(0) from ``f.derivatives``.
+    Each point's maximizer solves k'(t) = a by safeguarded Newton
+    (``_newton_conjugate``).
     """
-    (s0,), _ = f.derivatives(np.zeros(1))
-    if gamma_up is None:
-        gamma_up, _, _ = _ratio_root(f)
-    lo = min(s0, gamma_up) - 1.0
-    hi = gamma_up + 1.0
-    return GridSpec(lo, hi, 1e-3)
-
-
-def fenchel_dual(f: EvaluableFunction, a_grid: Optional[GridSpec] = None) -> EvaluableFunction:
-    """Convex conjugate g(a) = sup_{t >= 0} (t*a - f(t)).
-
-    Each point's maximizer solves f'(t) = a by safeguarded Newton
-    (``_newton_conjugate``), so ``f.derivatives`` is required: a
-    function without it raises ValueError, after the DomainError of a
-    function that is +inf on all of (0, inf).
-    """
-
-    probes = np.geomspace(1e-9, 1e9, 100)
-    if not np.isfinite(np.asarray(f(probes))).any():
-        raise DomainError("function is +inf on all of (0, inf); no conjugate")
-    if f.derivatives is None:
-        raise ValueError("fenchel_dual needs the function's derivatives")
-    if a_grid is None:
-        a_grid = _default_dual_grid(f)
     xs = a_grid.abscissae()
 
     def conjugate(avec: np.ndarray) -> np.ndarray:
-        return _newton_conjugate(f, np.atleast_1d(np.asarray(avec, dtype=float)))
+        return _newton_conjugate(law, np.atleast_1d(np.asarray(avec, dtype=float)))
 
     return EvaluableFunction(xs, conjugate(xs), conjugate)
 
 
-def _newton_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
-    """Conjugate values by safeguarded Newton on f'(t) = a, all points at once.
+def _newton_conjugate(law, avec: np.ndarray) -> np.ndarray:
+    """Conjugate values by safeguarded Newton on k'(t) = a, all points at once.
 
-    f' rises from f'(0) to its supremum B, read at the 2^48 cap.  A
-    point with a <= f'(0) has its supremum at t = 0, value -f(0).  If
-    f'' = 0 at the cap, the tilted step law has become a point mass and
+    k' rises from k'(0) to its supremum B, read at the 2^48 cap.  A
+    point with a <= k'(0) has its supremum at t = 0, value -k(0).  If
+    k'' = 0 at the cap, the tilted step law has become a point mass and
     B is finite (a bounded step): a point more than rounding above B is
-    +inf, and one within rounding of B solves B - f'(t) = that rounding,
-    where t*a - f(t) equals the limit as t -> inf to rounding.  For
-    finite B, Newton runs on log(B - f'(t)), which is nearly linear where
-    f' nears B exponentially; otherwise on f'(t) - a.  Each point keeps
+    +inf, and one within rounding of B solves B - k'(t) = that rounding,
+    where t*a - k(t) equals the limit as t -> inf to rounding.  For
+    finite B, Newton runs on log(B - k'(t)), which is nearly linear where
+    k' nears B exponentially; otherwise on k'(t) - a.  Each point keeps
     a bracket and bisects when a step leaves it (a step past the
-    saturation of f' does).  A point stops when the objective gain its
+    saturation of k' does).  A point stops when the objective gain its
     next step predicts, residual x step, is at rounding level, or when
-    the residual itself is.  Each step is one call of ``f.derivatives``
-    on the unfinished points; one call of ``f`` gives all the values.
+    the residual itself is.  Each step is one call of
+    ``law.cumulant_derivatives`` on the unfinished points; one call of
+    ``law.cumulant`` gives all the values.
     """
-    (s0, s_cap), (c0, c_cap) = f.derivatives(np.array([0.0, _THETA_CAP]))
+    (s0, s_cap), (c0, c_cap) = law.cumulant_derivatives(np.array([0.0, _THETA_CAP]))
     vals = np.full(avec.shape, np.inf)
     if c_cap == 0.0:
         slack = 2.0 * _EPS * max(1.0, abs(s_cap))
@@ -297,7 +269,7 @@ def _newton_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
         nxt = np.where(inside, nxt, np.where(np.isfinite(hi[i]), 0.5 * (lo[i] + hi[i]),
                                              2.0 * np.maximum(t[i], 1.0)))
         t[i] = nxt
-        d1, d2 = f.derivatives(nxt)
+        d1, d2 = law.cumulant_derivatives(nxt)
         r, dr = residual(d1, d2, i)
         miss = aim[i] - d1
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -307,7 +279,7 @@ def _newton_conjugate(f: EvaluableFunction, avec: np.ndarray) -> np.ndarray:
                 | (hi[i] - lo[i] <= 2.0 * _EPS * lo[i]))
         keep = ~done
         i, r, dr = i[keep], r[keep], dr[keep]
-    vals[finite] = t * a - np.asarray(f(t), dtype=float)
+    vals[finite] = t * a - np.asarray(law.cumulant(t), dtype=float)
     return vals
 
 
@@ -518,23 +490,20 @@ def speed_from_dual(fd: EvaluableFunction) -> float:
     return 0.5 * (lo + hi)
 
 
-def speed_from_inf(k: EvaluableFunction) -> SpeedResult:
-    """Spreading speed as inf_{t>0} k(t)/t for a convex cumulant k.
+def speed_from_inf(law) -> SpeedResult:
+    """Spreading speed as inf_{t>0} k(t)/t for the convex cumulant k of ``law``.
 
     The ratio is unimodal when k is convex with k(0) > 0; its minimizer
-    is the root ``_ratio_root`` finds by Newton on ``k.derivatives``,
-    which is required (ValueError without it).  When the infimum is only
-    approached as t -> inf (bounded displacements), the speed is the
-    asymptotic slope of k and no tilt root is reported.
+    is the root ``_ratio_root`` finds by Newton on k'.  When the infimum
+    is only approached as t -> inf (bounded displacements), the speed is
+    the asymptotic slope of k and no tilt root is reported.
     """
 
-    if k.derivatives is None:
-        raise ValueError("speed_from_inf needs the function's derivatives")
-    value, argmin, attained = _ratio_root(k)
+    value, argmin, attained = _ratio_root(law)
     diagnostics = {"formula": "inf k(t)/t", "attained": attained}
     tilt_root = None
     if attained and argmin is not None:
-        residual = abs(argmin * value - k(argmin))
+        residual = abs(argmin * value - law.cumulant(argmin))
         diagnostics["root_residual"] = residual
         if residual <= TAU_ROOT * max(1.0, abs(value)):
             tilt_root = argmin

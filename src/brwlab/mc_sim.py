@@ -42,6 +42,7 @@ of scheduling and bit-identical across runs.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -81,10 +82,16 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
 
 
 def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
-    """``[run(job) for job in jobs]``, in a pool of ``workers`` processes
-    when that is more than one, so ``run`` must then be a module-level
-    function.  Every replicate seeds its own stream, so the results do
-    not depend on ``workers``."""
+    """``[run(job) for job in jobs]``, in a pool of processes when more than
+    one is used, so ``run`` must then be a module-level function.
+
+    The pool has min(workers, len(jobs), usable CPUs) processes: on Linux
+    it starts them all at once, so an uncapped ``workers`` would fork
+    that many.  Every replicate seeds its own stream, so the results do
+    not depend on the pool size."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(jobs), cpus)
     if workers <= 1:
         return [run(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

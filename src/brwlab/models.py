@@ -29,10 +29,8 @@ from typing import Union
 
 import numpy as np
 
-from .convex_analysis import EvaluableFunction, GridSpec
 from .errors import ParamError
 
-CUMULANT_WINDOW = GridSpec(-1.0, 12.0, 1e-2)   # the grid a cumulant function stores
 INT64_MAX = int(np.iinfo(np.int64).max)
 POISSON_NEWTON_STEPS = 200   # the least float mean above 1 needs 52
 
@@ -262,11 +260,12 @@ class TwoPoint:
     def log_mgf(self, theta):
         theta = np.asarray(theta, dtype=float)
         p = self.prob_high
-        # log((1-p) e^{t*low} + p e^{t*high}), stabilized around the larger term
+        # log((1-p) e^{t*low} + p e^{t*high}), stabilized around the larger
+        # term, and exactly 0 at t = 0, where the sum rounds to +-1e-16
         a = theta * self.low + math.log1p(-p)
         b = theta * self.high + math.log(p)
         hi = np.maximum(a, b)
-        return hi + np.log(np.exp(a - hi) + np.exp(b - hi))
+        return np.where(theta == 0.0, 0.0, hi + np.log(np.exp(a - hi) + np.exp(b - hi)))
 
     def log_mgf_derivatives(self, theta):
         """First and second derivatives of ``log_mgf`` at ``theta``.
@@ -375,13 +374,6 @@ class ReproductionLaw:
         """(k', k'') of the cumulant at tilts ``theta >= 0``, in closed form."""
         return self.displacement.log_mgf_derivatives(np.atleast_1d(
             np.asarray(theta, dtype=float)))
-
-    def cumulant_function(self) -> EvaluableFunction:
-        """The cumulant wrapped for the convex-analysis machinery, sampled on
-        CUMULANT_WINDOW, with its closed-form derivatives."""
-        xs = CUMULANT_WINDOW.abscissae()
-        return EvaluableFunction(xs, self.cumulant(xs), self.cumulant,
-                                 derivatives=self.cumulant_derivatives)
 
 
 # --------------------------------------------------------------------------

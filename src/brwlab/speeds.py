@@ -25,7 +25,6 @@ from .convex_analysis import (
     _EPS,
     _NEWTON_STEPS,
     _THETA_CAP,
-    _default_dual_grid,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -67,9 +66,10 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
     it, plus reconciliation diagnostics.
     """
 
-    k = law.cumulant_function()
-    by_inf = speed_from_inf(k)
-    dual = fenchel_dual(k, _default_dual_grid(k, by_inf.speed))
+    by_inf = speed_from_inf(law)
+    # from below the zero-tilt slope k'(0) to past the speed
+    (s0,), _ = law.cumulant_derivatives(0.0)
+    dual = fenchel_dual(law, GridSpec(min(s0, by_inf.speed) - 1.0, by_inf.speed + 1.0))
     by_dual = speed_from_dual(dual)
     gap = abs(by_dual - by_inf.speed)
     diagnostics = dict(by_inf.diagnostics)
@@ -150,14 +150,13 @@ class TwoTypeAnalysis:
 
     def __init__(self, sys: TwoTypeSystem):
         self.sys = sys
-        self._cumulants = tuple(law.cumulant_function()
-                                for law in (sys.law_nu, sys.law_eta))
+        self._laws = (sys.law_nu, sys.law_eta)
 
     @cached_property
     def by_inf(self) -> tuple:
         """speed_from_inf of (nu, eta): the class speeds, the grid width
         and the formula route's argmins."""
-        return tuple(speed_from_inf(k) for k in self._cumulants)
+        return tuple(speed_from_inf(law) for law in self._laws)
 
     @cached_property
     def grid(self) -> GridSpec:
@@ -167,7 +166,7 @@ class TwoTypeAnalysis:
     @cached_property
     def duals(self) -> tuple:
         """The conjugates (d_nu, d_eta) on the working grid."""
-        return tuple(fenchel_dual(k, self.grid) for k in self._cumulants)
+        return tuple(fenchel_dual(law, self.grid) for law in self._laws)
 
     @cached_property
     def envelope(self) -> EvaluableFunction:

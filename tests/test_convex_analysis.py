@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from brwlab.convex_analysis import (
     EvaluableFunction,
     GridSpec,
-    _default_dual_grid,
     _hull_points,
     _lower_hull,
     convex_minorant,
@@ -43,17 +42,24 @@ def constant(value, xs):
     return sampled(lambda a: np.full(np.shape(a), value), xs)
 
 
-def gaussian_cumulant(log_mean, variance):
-    """Closed-form cumulant log_mean + variance * t^2 / 2 as an EvaluableFunction,
-    with its derivatives (variance * t, variance)."""
-    def rule(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0, np.inf, log_mean + 0.5 * variance * t * t)
+def gaussian_law(log_mean, variance):
+    """Geometric counts of mean e^log_mean with centred Gaussian steps: the
+    law whose cumulant is log_mean + variance * t^2 / 2."""
+    return ReproductionLaw(OffspringLaw("geometric", math.exp(log_mean)),
+                           Gaussian(0.0, variance))
 
-    def derivatives(t):
-        return variance * t, np.full(np.shape(t), variance)
-    xs = np.arange(-1.0, 10.0, 1e-2)
-    return EvaluableFunction(xs, rule(xs), rule, derivatives=derivatives)
+
+def dual_window(law):
+    """The window one_type_speed samples a conjugate on: from 1 below the
+    zero-tilt slope k'(0) and the speed to 1 past the speed."""
+    speed = speed_from_inf(law).speed
+    (s0,), _ = law.cumulant_derivatives(0.0)
+    return GridSpec(min(s0, speed) - 1.0, speed + 1.0)
+
+
+def default_dual(law):
+    """The conjugate of ``law`` on its ``dual_window``."""
+    return fenchel_dual(law, dual_window(law))
 
 
 def scan_conjugate(kappa, a, thetas):
@@ -66,7 +72,7 @@ class TestFenchelDual:
     def test_gaussian_closed_form(self):
         # conjugate of lam + V t^2/2 is -lam for a<0 and -lam + a^2/(2V) after
         lam, v = 3.0, 1.0 / 3.0
-        dual = fenchel_dual(gaussian_cumulant(lam, v))
+        dual = default_dual(gaussian_law(lam, v))
         a = np.arange(-1.0, 3.0001, 1e-3)
         exact = -lam + np.maximum(a, 0.0) ** 2 / (2.0 * v)
         assert float(np.max(np.abs(dual(a) - exact))) < 1e-4
@@ -74,45 +80,32 @@ class TestFenchelDual:
     def test_linear_cumulant_gives_indicator(self):
         mu = 0.8
         law = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(mu))
-        dual = fenchel_dual(law.cumulant_function())
+        dual = default_dual(law)
         assert dual(mu - 0.3) == pytest.approx(0.0, abs=1e-9)
         assert math.isinf(dual(mu + 0.3))
 
     def test_value_matches_dense_scan_oracle(self):
         # kappa = log2 + t^2/2 at a=1: maximizer t=a, value 1/2 - log 2
-        k = gaussian_cumulant(math.log(2.0), 1.0)
-        dual = fenchel_dual(k)
+        law = gaussian_law(math.log(2.0), 1.0)
+        dual = default_dual(law)
         thetas = np.linspace(0.0, 10.0, 400001)
-        oracle = scan_conjugate(k, 1.0, thetas)
+        oracle = scan_conjugate(law.cumulant, 1.0, thetas)
         assert oracle == pytest.approx(0.5 - math.log(2.0), abs=1e-9)
         assert dual(1.0) == pytest.approx(oracle, abs=1e-8)
 
     def test_minimum_is_minus_kappa_at_zero(self):
         for log_mean, v in ((1.0, 1.0), (math.log(2.0), 0.5), (3.0, 1.0 / 3.0)):
-            dual = fenchel_dual(gaussian_cumulant(log_mean, v))
+            dual = default_dual(gaussian_law(log_mean, v))
             finite = dual.ys[np.isfinite(dual.ys)]
             assert float(finite.min()) == pytest.approx(-log_mean, abs=1e-7)
 
     def test_dual_is_convex_and_eventually_nondecreasing(self):
-        dual = fenchel_dual(gaussian_cumulant(1.0, 1.0))
+        dual = default_dual(gaussian_law(1.0, 1.0))
         ys = dual.ys[np.isfinite(dual.ys)]
         slopes = np.diff(ys)
         i_min = int(np.argmin(ys))
         assert np.all(slopes[i_min:] >= -1e-12)
         assert np.all(np.diff(slopes) >= -1e-7)
-
-    def test_everywhere_infinite_raises(self):
-        bad = constant(np.inf, np.arange(0.0, 2.0, 1e-2))
-        with pytest.raises(DomainError):
-            fenchel_dual(bad)
-
-    def test_derivatives_are_required(self):
-        k = gaussian_cumulant(1.0, 1.0)
-        plain = sampled(k.rule, k.xs)
-        with pytest.raises(ValueError, match="derivatives"):
-            fenchel_dual(plain)
-        with pytest.raises(ValueError, match="derivatives"):
-            speed_from_inf(plain)
 
 
 def two_point_conjugate(a, law):
@@ -145,8 +138,7 @@ class TestConjugateCost:
 
     @staticmethod
     def counting(monkeypatch):
-        """Record each cumulant call as "k" and each derivative call as "d";
-        patch before ``cumulant_function`` binds the methods."""
+        """Record each cumulant call as "k" and each derivative call as "d"."""
         calls = []
         for name, tag in (("cumulant", "k"), ("cumulant_derivatives", "d")):
             real = getattr(ReproductionLaw, name)
@@ -163,9 +155,7 @@ class TestConjugateCost:
         # call sees a rounding-level residual; stopping on the step size
         # alone fell into ~50 bisection steps per conjugate
         calls = self.counting(monkeypatch)
-        k = self.UNIT.cumulant_function()
-        calls.clear()
-        dual = fenchel_dual(k, self.GRID)
+        dual = fenchel_dual(self.UNIT, self.GRID)
         assert calls.count("d") <= 6 and calls.count("k") <= 2
         exact = -1.0 + np.maximum(dual.xs, 0.0) ** 2 / 2.0
         assert float(np.max(np.abs(dual.ys - exact))) < 1e-14
@@ -174,16 +164,14 @@ class TestConjugateCost:
         # golden section made 107 cumulant calls, 50 of them doubling the
         # brackets of the +inf points up to the 2^48 cap
         calls = self.counting(monkeypatch)
-        k = self.TWO_POINT.cumulant_function()
-        calls.clear()
-        fenchel_dual(k, self.GRID)
+        fenchel_dual(self.TWO_POINT, self.GRID)
         assert len(calls) < 40
 
     def test_rule_evaluation_call_count(self, monkeypatch):
         # one 48-point probe vector, as speed_from_dual's multisection makes;
         # golden section made 59 calls
         calls = self.counting(monkeypatch)
-        dual = fenchel_dual(self.TWO_POINT.cumulant_function(), self.GRID)
+        dual = fenchel_dual(self.TWO_POINT, self.GRID)
         calls.clear()
         dual(np.linspace(0.0, 0.3, 48))
         assert len(calls) <= 6
@@ -195,9 +183,7 @@ class TestConjugateCost:
         # reported a spurious tilt root of 51.36 as attained.
         calls = self.counting(monkeypatch)
         law = ReproductionLaw(OffspringLaw("geometric", mean), TwoPoint(-0.3, 0.4, 0.5))
-        k = law.cumulant_function()
-        calls.clear()
-        res = speed_from_inf(k)
+        res = speed_from_inf(law)
         assert calls.count("k") <= 2
         assert res.speed == 0.4
         assert res.tilt_root is None and res.tilt_argmin is None
@@ -206,7 +192,7 @@ class TestConjugateCost:
     def test_top_atom_too_light_keeps_its_root(self):
         # m q = 0.95 < 1: the ratio has an interior minimum below the top
         law = ReproductionLaw(OffspringLaw("geometric", 1.9), TwoPoint(-0.3, 0.4, 0.5))
-        res = speed_from_inf(law.cumulant_function())
+        res = speed_from_inf(law)
         assert res.diagnostics["attained"] and res.tilt_root is not None
         assert res.speed < 0.4
         assert res.tilt_root * res.speed == pytest.approx(
@@ -218,7 +204,7 @@ class TestConjugateCost:
         ReproductionLaw(OffspringLaw("deterministic", 3), TwoPoint(-1.0, 0.2, 0.7)),
     ])
     def test_two_point_closed_form(self, law):
-        dual = fenchel_dual(law.cumulant_function(), self.GRID)
+        dual = fenchel_dual(law, self.GRID)
         xs = dual.xs[np.abs(dual.xs - law.displacement.high) > 1e-6]
         got, want = dual(xs), two_point_conjugate(xs, law)
         assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -228,7 +214,7 @@ class TestConjugateCost:
     @pytest.mark.parametrize("value, mean", [(0.3, 2.0), (-0.25, 1.5)])
     def test_point_mass_closed_form(self, value, mean):
         law = ReproductionLaw(OffspringLaw("geometric", mean), PointMass(value))
-        dual = fenchel_dual(law.cumulant_function(), self.GRID)
+        dual = fenchel_dual(law, self.GRID)
         xs = dual.xs[np.abs(dual.xs - value) > 1e-6]
         got = dual(xs)
         want = np.where(xs > value, np.inf, -math.log(mean))
@@ -365,14 +351,13 @@ class TestNewtonAgainstGolden:
 
     @pytest.mark.parametrize("law", CATALOGUE, ids=law_id)
     def test_conjugates_agree_up_to_the_step_bound(self, law):
-        k = law.cumulant_function()
         bound = step_bound(law)
-        for grid in (_default_dual_grid(k), GridSpec(-1.0, 1.5, 1e-3)):
+        for grid in (dual_window(law), GridSpec(-1.0, 1.5, 1e-3)):
             xs = grid.abscissae()
             if math.isfinite(bound):
                 xs = np.concatenate([xs, [np.nextafter(bound, -np.inf), bound,
                                           np.nextafter(bound, np.inf), bound + 1e-9]])
-            newton, ref = fenchel_dual(k, grid)(xs), golden_conjugate(k, xs)
+            newton, ref = fenchel_dual(law, grid)(xs), golden_conjugate(law.cumulant, xs)
             # just above the bound the golden rule is finite for 0 to 4 ulps,
             # as rounding decides; the Newton rule keeps the value at the
             # bound there, the limit -log(m p) of a two-point step
@@ -381,13 +366,12 @@ class TestNewtonAgainstGolden:
             fin = np.isfinite(ref)
             assert float(np.max(np.abs(newton[fin] - ref[fin]))) < 1e-9
             if edge.any():
-                assert np.allclose(newton[edge], fenchel_dual(k, grid)(bound), atol=1e-12)
+                assert np.allclose(newton[edge], fenchel_dual(law, grid)(bound), atol=1e-12)
 
     @pytest.mark.parametrize("law", CATALOGUE[::2], ids=law_id)
     def test_ratio_minimum_agrees(self, law):
-        k = law.cumulant_function()
-        newton = speed_from_inf(k)
-        ref_speed, ref_argmin, ref_attained = golden_ratio_minimum(k)
+        newton = speed_from_inf(law)
+        ref_speed, ref_argmin, ref_attained = golden_ratio_minimum(law.cumulant)
         assert newton.speed == pytest.approx(ref_speed, abs=1e-12)
         if abs(ref_speed - step_bound(law)) <= 1e-12:
             # at m p >= 1 the ratio decreases to its bound only as t -> inf;
@@ -407,7 +391,7 @@ class TestSweep:
         # swept conjugate of t^2/(2 lam) + lam at V = 1/lam:
         # -lam (1 - a^2/2) on [0, sqrt(2)], +inf beyond
         lam = 3.0
-        swept = sweep(fenchel_dual(gaussian_cumulant(lam, 1.0 / lam)))
+        swept = sweep(default_dual(gaussian_law(lam, 1.0 / lam)))
         for a in (0.0, 0.5, 1.0, 1.4):
             assert swept(a) == pytest.approx(-lam * (1 - a * a / 2.0), abs=1e-7)
         assert math.isinf(swept(SQRT2 + 1e-6))
@@ -441,8 +425,8 @@ class TestConvexMinorant:
         # envelope of the swept lam=3 conjugate and the unit one crosses
         # zero at 4/sqrt(6)
         lam = 3.0
-        f = sweep(fenchel_dual(gaussian_cumulant(lam, 1.0 / lam)))
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.0))
+        f = sweep(default_dual(gaussian_law(lam, 1.0 / lam)))
+        g = default_dual(gaussian_law(1.0, 1.0))
         cv = convex_minorant(f, g, GridSpec(-1.0, 5.0, 1e-3))
         assert speed_from_dual(cv) == pytest.approx(4.0 / math.sqrt(6.0), abs=1e-6)
 
@@ -463,8 +447,8 @@ class TestConvexMinorant:
         assert ok == 1
         assert a1 == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-10)
         assert a2 == pytest.approx(math.sqrt(6.0), abs=1e-10)
-        f = sweep(fenchel_dual(gaussian_cumulant(lam, 1.0 / lam)))
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.0))
+        f = sweep(default_dual(gaussian_law(lam, 1.0 / lam)))
+        g = default_dual(gaussian_law(1.0, 1.0))
         cv = convex_minorant(f, g, GridSpec(-1.0, 5.0, 1e-3))
         mid = 0.5 * (a1 + a2)
         tangent = f_par(a1) + 3.0 * a1 * (mid - a1)
@@ -475,13 +459,13 @@ class TestConvexMinorant:
 
     def test_idempotent_on_convex_input(self):
         grid = GridSpec(-1.0, 3.0, 1e-3)
-        f = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        f = fenchel_dual(gaussian_law(1.0, 1.0), grid)
         cv = convex_minorant(f, f, grid)
         assert float(np.max(np.abs(cv(f.xs) - f.ys))) < 1e-9
 
     def test_symmetric_and_below_min(self):
-        f = fenchel_dual(gaussian_cumulant(2.0, 0.5))
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.5))
+        f = default_dual(gaussian_law(2.0, 0.5))
+        g = default_dual(gaussian_law(1.0, 1.5))
         grid = GridSpec(-1.0, 4.0, 1e-3)
         cv_fg = convex_minorant(f, g, grid)
         cv_gf = convex_minorant(g, f, grid)
@@ -494,7 +478,7 @@ class TestConvexMinorant:
         # bounded steps: both conjugates are +inf past the top steps 0.4
         # and 0.5, a domain edge inside the grid
         f, g = (fenchel_dual(ReproductionLaw(OffspringLaw("geometric", m),
-                                             TwoPoint(lo, hi, p)).cumulant_function(), grid)
+                                             TwoPoint(lo, hi, p)), grid)
                 for m, lo, hi, p in ((4.0, -0.3, 0.4, 0.5), (5.0, -0.4, 0.5, 0.6)))
         cv = convex_minorant(sweep(f), g, grid)
         assert math.isfinite(cv(0.5 - 1e-6))
@@ -502,8 +486,8 @@ class TestConvexMinorant:
         assert speed_from_dual(sweep(cv)) == pytest.approx(0.5, abs=1e-8)
         # Gaussian steps: finite at the grid end (window truncation), so
         # the envelope goes on with its end slope
-        f = fenchel_dual(gaussian_cumulant(2.0, 0.5))
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.5))
+        f = default_dual(gaussian_law(2.0, 0.5))
+        g = default_dual(gaussian_law(1.0, 1.5))
         cv = convex_minorant(f, g, GridSpec(-1.0, 4.0, 1e-3))
         slope = (cv(4.0) - cv(4.0 - 1e-3)) / 1e-3
         assert cv(5.0) == pytest.approx(cv(4.0) + slope, rel=1e-9)
@@ -532,10 +516,9 @@ class TestConvexMinorant:
     def test_input_on_another_grid_is_evaluated(self):
         grid = GridSpec(-1.0, 2.0, 2e-3)
         xs = grid.abscissae()
-        k = ReproductionLaw(OffspringLaw("geometric", 2.0),
-                            TwoPoint(-0.3, 0.4, 0.5)).cumulant_function()
-        f = sweep(fenchel_dual(k, GridSpec(-1.5, 2.5, 1e-3)))
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        law = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5))
+        f = sweep(fenchel_dual(law, GridSpec(-1.5, 2.5, 1e-3)))
+        g = fenchel_dual(gaussian_law(1.0, 1.0), grid)
         resampled = EvaluableFunction(xs, f(xs), f.rule)
         probes = np.linspace(-1.2, 2.2, 301)
         for pair, on_grid in (((f, g), (resampled, g)), ((g, f), (g, resampled))):
@@ -613,7 +596,7 @@ class TestLowerHullOracle:
         # a conjugate is -k(0) below k'(0) = 0.5: one flat run
         grid = GridSpec(-1.0, 3.0, 2e-3)
         law = ReproductionLaw(OffspringLaw("geometric", 2.0), Gaussian(0.5, 1.0))
-        d = fenchel_dual(law.cumulant_function(), grid)
+        d = fenchel_dual(law, grid)
         px, py = _hull_points(d, d, grid.abscissae(), d.ys, d.ys)
         hx, hy = assert_hull_matches_chain(px, py)
         flat = hx[hy == d.ys[0]]
@@ -659,9 +642,9 @@ class TestLowerHullOracle:
 
 class TestSpeedFunctionals:
     def test_dual_route_examples(self):
-        dual = fenchel_dual(gaussian_cumulant(1.0, 1.0))
+        dual = default_dual(gaussian_law(1.0, 1.0))
         assert speed_from_dual(dual) == pytest.approx(SQRT2, abs=1e-8)
-        dual2 = fenchel_dual(gaussian_cumulant(math.log(2.0), 1.0))
+        dual2 = default_dual(gaussian_law(math.log(2.0), 1.0))
         # closed-form root of -log2 + a^2/2
         assert speed_from_dual(dual2) == pytest.approx(math.sqrt(2 * math.log(2.0)),
                                                        abs=1e-8)
@@ -669,11 +652,11 @@ class TestSpeedFunctionals:
     def test_degenerate_walk_crossing(self):
         mu = 0.6
         law = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(mu))
-        dual = fenchel_dual(law.cumulant_function())
+        dual = default_dual(law)
         assert speed_from_dual(dual) == pytest.approx(mu, abs=1e-8)
 
     def test_inf_route_examples(self):
-        r = speed_from_inf(gaussian_cumulant(1.0, 1.0))
+        r = speed_from_inf(gaussian_law(1.0, 1.0))
         assert r.speed == pytest.approx(SQRT2, abs=1e-9)
         assert r.tilt_root == pytest.approx(SQRT2, abs=1e-6)
         # scan oracle for the ratio minimum
@@ -683,13 +666,13 @@ class TestSpeedFunctionals:
 
     def test_no_displacement_means_no_spread(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.0))
-        r = speed_from_inf(law.cumulant_function())
+        r = speed_from_inf(law)
         assert abs(r.speed) < 1e-9
         assert r.tilt_root is None
 
     def test_scaled_gaussian_family(self):
         for lam, v in ((2.0, 0.7), (5.0, 0.2)):
-            r = speed_from_inf(gaussian_cumulant(lam, v))
+            r = speed_from_inf(gaussian_law(lam, v))
             assert r.speed == pytest.approx(math.sqrt(2 * v * lam), abs=1e-8)
 
     def test_positive_rate_function_raises(self):
@@ -717,12 +700,11 @@ class TestEvaluableFunction:
         # convex_minorant takes an input's stored values for its rule's
         # values on the working grid when the input was built on that grid
         grid = GridSpec(-1.0, 2.0, 2e-3)
-        k = ReproductionLaw(OffspringLaw("geometric", 2.0),
-                            TwoPoint(-0.3, 0.4, 0.5)).cumulant_function()
-        d = fenchel_dual(k, grid)
-        g = fenchel_dual(gaussian_cumulant(1.0, 1.0), grid)
+        law = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5))
+        d = fenchel_dual(law, grid)
+        g = fenchel_dual(gaussian_law(1.0, 1.0), grid)
         swept = sweep(d)
-        for f in (k, d, swept, convex_minorant(swept, g, grid)):
+        for f in (d, swept, convex_minorant(swept, g, grid)):
             assert np.array_equal(f(f.xs), f.ys)
 
     def test_csv_serializes_inf_literal(self, tmp_path):
@@ -740,6 +722,6 @@ def test_dual_and_inf_routes_agree_on_random_gaussians():
     for _ in range(25):
         log_mean = float(rng.uniform(0.1, 3.0))
         v = float(rng.uniform(0.1, 2.0))
-        k = gaussian_cumulant(log_mean, v)
-        assert speed_from_dual(fenchel_dual(k)) == pytest.approx(
-            speed_from_inf(k).speed, abs=1e-6)
+        law = gaussian_law(log_mean, v)
+        assert speed_from_dual(default_dual(law)) == pytest.approx(
+            speed_from_inf(law).speed, abs=1e-6)

@@ -302,6 +302,33 @@ def test_replicate_streams_are_independent_of_order():
     assert not np.array_equal(r5, r3)
 
 
+@pytest.mark.parametrize("jobs, cpus, pool", [(2, 8, 2), (50, 8, 8), (50, 1, None)])
+def test_replicate_pool_is_capped_by_jobs_and_cpus(monkeypatch, jobs, cpus, pool):
+    # a process pool forks all of its workers when it starts, so the size
+    # it is asked for must already be capped; a fake pool records it
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc_sim, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(mc_sim.os, "cpu_count", lambda: cpus)
+    assert mc_sim.map_replicates(abs, range(-jobs, 0), 100_000) == list(range(jobs, 0, -1))
+    assert sizes == ([] if pool is None else [pool])
+
+
 def _census_by_site_loop(law, n_max, seed, pitch):
     """The census as one multinomial call per occupied site: the oracle
     of the engine's one call per generation."""

@@ -76,6 +76,16 @@ class TestCumulant:
         assert d1[1] == 0.4 and d1[2] == 0.4
         assert d2[0] == pytest.approx(0.7 ** 2 / 4, abs=1e-16) and d2[2] == 0.0
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_two_point_transform_is_exact_at_zero_tilt(self, p):
+        # the stabilized sum rounded to -1.1e-16 at p = 0.3 and +4.2e-17 at
+        # p = 0.1, so a mean-one law read k(0) on either side of 0
+        step = TwoPoint(-0.4, 0.6, p)
+        assert step.log_mgf(0.0) == 0.0
+        assert np.all(step.log_mgf(np.array([0.0, 0.0])) == 0.0)
+        law = ReproductionLaw(OffspringLaw("geometric", 1.0), step)
+        assert law.cumulant(0.0) == 0.0
+
     def test_mean_matches_poisson_conditioning(self):
         off = OffspringLaw("poisson_positive", 3.0)
         # conditioned mean must be the requested one

@@ -79,6 +79,29 @@ class TestOneTypeSpeed:
         one_type_speed(law)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("offspring", [OffspringLaw("geometric", 1.0),
+                                           OffspringLaw("deterministic", 1)])
+    def test_mean_one_two_point_law_moves_at_its_step_mean(self, offspring, p):
+        # one daughter each: the single walk moves at the step mean.  With
+        # k(0) rounded below 0 (p = 0.3, 0.7) the rate function read
+        # positive everywhere and the run failed; rounded above it (p = 0.1,
+        # 0.9) the speed came out 3.7e-9 off the mean
+        step = TwoPoint(-0.4, 0.6, p)
+        r = one_type_speed(ReproductionLaw(offspring, step))
+        mean = step.low + (step.high - step.low) * p
+        assert r.speed == pytest.approx(mean, abs=1e-15)
+        assert r.tilt_root is None
+        assert r.diagnostics["formula_gap"] < 1e-8
+
+    def test_mean_one_two_point_speed_run_exits_zero(self, tmp_path):
+        law = {"offspring": "geometric", "mean": 1.0,
+               "displacement": {"kind": "two_point", "low": -0.4, "high": 0.6,
+                                "prob_high": 0.3}}
+        cfg = tmp_path / "mean_one.json"
+        cfg.write_text(json.dumps({"kind": "speed", "seed": 1, "law": law}))
+        assert main(["speed", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 class TestAnomalousSpeed:
     def test_worked_example(self):
@@ -129,15 +152,13 @@ class TestAnomalousSpeed:
 
     def test_anomaly_criterion_equivalence(self):
         # anomalous exactly when both rate functions are positive at the speed
-        from brwlab.convex_analysis import fenchel_dual
         rng = np.random.default_rng(23)
         for _ in range(25):
             lam = float(rng.uniform(1.0, 6.0))
             v = float(rng.uniform(0.1, 2.0))
-            sysm = skeleton_of_bbm(v, lam, 0.5)
-            rep = anomalous_speed(sysm)
-            knu_star = fenchel_dual(sysm.law_nu.cumulant_function())
-            keta_star = fenchel_dual(sysm.law_eta.cumulant_function())
+            analysis = TwoTypeAnalysis(skeleton_of_bbm(v, lam, 0.5))
+            rep = analysis.report
+            knu_star, keta_star = analysis.duals
             a, b = float(knu_star(rep.speed)), float(keta_star(rep.speed))
             if abs(a) < 1e-3 or abs(b) < 1e-3:
                 continue  # numerically at the boundary; the flag has a margin
