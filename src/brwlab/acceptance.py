@@ -327,7 +327,7 @@ def check_operator_axioms() -> CheckResult:
     ok = True
     detail = []
     # fixed points, away from the window's 1/0 boundary extensions
-    reach = int(math.ceil(8.0 / 0.02))
+    reach = int(law.displacement.lattice_cells(0.02)[-1])
     for const, name in ((1.0, "one"), (0.0, "zero")):
         u = heaviside_profile(h=0.02, width=40.0)
         u.values[:] = const

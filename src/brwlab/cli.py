@@ -342,7 +342,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
                      if not math.isnan(s.rightmost_eta[cfg.n_max])]
         mean_eta = float(np.mean(eta_final)) if eta_final else math.nan
         lines.append(f"mean_rightmost_eta_over_n={fmt(mean_eta)}")
-        ok = not eta_final or _expect_check(mean_eta, cfg.expect, lines)
+        ok = _expect_check(mean_eta, cfg.expect, lines)
     else:
         law = build_law(cfg.law)
         count_rows = []

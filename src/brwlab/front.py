@@ -130,14 +130,15 @@ class _Band:
 def _band(step: Displacement, h: float) -> Optional[_Band]:
     """The blocked kernel of a Gaussian ``step`` on pitch ``h``; None otherwise.
 
-    The weights are the trapezoid rule on the centred density over
-    +-8 standard deviations, scaled to unit mass so that constant
-    profiles are fixed points.
+    The weights are the trapezoid rule on the centred density over the
+    cells a centred step reaches (``Gaussian.lattice_cells``), scaled to
+    unit mass so that constant profiles are fixed points.
     """
     if not isinstance(step, Gaussian):
         return None
-    reach = int(math.ceil(8.0 * math.sqrt(step.variance) / h))
-    w = Gaussian(0.0, step.variance).density(h * np.arange(-reach, reach + 1)) * h
+    centred = Gaussian(0.0, step.variance)
+    taps = centred.lattice_cells(h)
+    w = centred.density(h * taps) * h
     w[0] *= 0.5   # trapezoidal end weights
     w[-1] *= 0.5
     w = w / w.sum()
@@ -148,7 +149,7 @@ def _band(step: Displacement, h: float) -> Optional[_Band]:
     t = sliding_window_view(z, _BLOCK)[:, ::-1]
     # one array per block: C small allocations, not one of C*B*B cells
     return _Band(blocks=tuple(np.ascontiguousarray(t[j:j + _BLOCK])
-                              for j in range(0, rows, _BLOCK)), reach=reach)
+                              for j in range(0, rows, _BLOCK)), reach=int(taps[-1]))
 
 
 def _band_sum(values: np.ndarray, band: _Band, left: float) -> np.ndarray:

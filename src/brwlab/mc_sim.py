@@ -13,11 +13,8 @@ discards, so the worked example (speed 4/sqrt 6 = 1.633) measures about
 1.399 at n=300.  ``front.coupled_front`` gives that law exactly.
 
 One branching step, ``_branch``, serves beams and two-type runs, and
-its child drawing, ``_children``, also serves exact batches.  Beams
-prune by value (``_prune``) except the eta beam, which prunes by index
-so its switch generations follow the kept children; an index prune on
-every beam would slow a one-type beam by about a third and change
-every beam stream.
+its child drawing, ``_children``, also serves exact batches.  Every
+beam prunes through ``_prune``.
 
 A beam generation born with more than ``THIN_GATE`` times its budget is
 thinned: every family size is drawn, but only the children that can
@@ -135,16 +132,13 @@ class TwoTypeTrajectoryStats:
     seed: int
     rightmost_nu: np.ndarray
     rightmost_eta: np.ndarray
-    switch_fraction: float                 # type-switch generation of the final
-    pruning: dict = field(default_factory=dict)   # rightmost eta, divided by n_max
+    pruning: dict = field(default_factory=dict)
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
-            rng: np.random.Generator, *labels: np.ndarray,
-            budget: Optional[int] = None,
-            rivals: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
-    """One branching step: the number of children born, the children, then
-    each per-parent array of ``labels`` repeated once per child.
+            rng: np.random.Generator, budget: Optional[int] = None,
+            rivals: Optional[np.ndarray] = None) -> Tuple[int, np.ndarray]:
+    """One branching step: the number of children born, and the children.
 
     Every family size is drawn.  A pruned beam passes its ``budget``;
     when its generation is born with more than ``THIN_GATE`` times that
@@ -154,22 +148,20 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
     Otherwise every child is drawn.  Either way the kept set, the top
     ``budget`` children within the caller's window, has its exact law.
 
-    Beams and two-type runs branch here and prune themselves: by value,
-    or by index in the eta beam, whose switch-generation label must
-    follow the kept children (see the module docstring for why the two
-    prunes stay apart).  An empty generation makes size-0 draws, which
-    leave ``rng`` where it was.
+    Beams and two-type runs branch here and prune themselves through
+    ``_prune``.  An empty generation makes size-0 draws, which leave
+    ``rng`` where it was.
     """
     counts = law.offspring.sample(rng, positions.size)
     born = int(counts.sum())
     if budget is not None and born > THIN_GATE * budget:
-        return (born,) + _thinned(law, positions, counts, rng, labels, budget, rivals)
-    return (born,) + _children(law, positions, counts, rng, labels)
+        return born, _thinned(law, positions, counts, rng, budget, rivals)
+    return born, _children(law, positions, counts, rng)
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-              rng: np.random.Generator, labels, **cut) -> Tuple[np.ndarray, ...]:
-    """``counts[i]`` children of each ``positions[i]``, with their labels.
+              rng: np.random.Generator, **cut) -> np.ndarray:
+    """``counts[i]`` children of each ``positions[i]``, in parent order.
 
     ``cut`` is empty, or ``above=c`` or ``below=c``: every child is then
     drawn conditioned on landing above c (or at or below it), through
@@ -180,7 +172,6 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     if cut and law.mechanism == "common":
         live = counts > 0
         positions, counts = positions[live], counts[live]
-        labels = [lab[live] for lab in labels]
     children = np.repeat(positions, counts)
     # in place, so at most two child-sized arrays are alive at a time
     if law.mechanism == "independent":
@@ -190,12 +181,12 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         children += np.repeat(law.displacement.sample(
             rng, positions.size, **{side: c - positions for side, c in cut.items()}),
             counts)
-    return (children,) + tuple(np.repeat(lab, counts) for lab in labels)
+    return children
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-             rng: np.random.Generator, labels, budget: int,
-             rivals: Optional[np.ndarray]) -> Tuple[np.ndarray, ...]:
+             rng: np.random.Generator, budget: int,
+             rivals: Optional[np.ndarray]) -> np.ndarray:
     """The children of a generation that can survive a prune to ``budget``.
 
     A cut c is placed so that about ``THIN_MARGIN * budget`` children are
@@ -215,12 +206,12 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         upper = rng.binomial(counts, prob)
     else:
         upper = np.where(rng.random(positions.size) < prob, counts, 0)
-    above = _children(law, positions, upper, rng, labels, above=cut)
-    contenders = above[0].size + (0 if rivals is None else int((rivals > cut).sum()))
+    above = _children(law, positions, upper, rng, above=cut)
+    contenders = above.size + (0 if rivals is None else int((rivals > cut).sum()))
     if contenders >= budget:
         return above
-    below = _children(law, positions, counts - upper, rng, labels, below=cut)
-    return tuple(np.concatenate(pair) for pair in zip(above, below))
+    below = _children(law, positions, counts - upper, rng, below=cut)
+    return np.concatenate([above, below])
 
 
 def _cut(step, positions: np.ndarray, counts: np.ndarray, target: float) -> float:
@@ -452,16 +443,13 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     """Simulate both classes from a single nu-ancestor at the origin.
 
     Each class is pruned against its own running maximum (under an
-    anomaly the eta front outruns the nu front).  Every eta particle
-    remembers the generation its ancestral line switched type, which
-    is all the dog-leg diagnostic needs.
+    anomaly the eta front outruns the nu front).
     """
 
     rng = replicate_rng(seed, 0)
     p = sys.seeding.prob
     pos_nu = np.zeros(1)
     pos_eta = np.empty(0)
-    switch = np.empty(0, dtype=np.int64)
     m_nu = np.full(n_max + 1, np.nan)
     m_eta = np.full(n_max + 1, np.nan)
     m_nu[0] = 0.0
@@ -476,12 +464,10 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
         seeded = rng.random(pos_nu.size) < p if p > 0 else np.zeros(pos_nu.size, bool)
         n_seeds = int(seeded.sum())
         seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
-        born_eta, children_eta, switch_children = _branch(
-            sys.law_eta, pos_eta, rng, switch, budget=budget, rivals=seed_pos)
+        born_eta, children_eta = _branch(sys.law_eta, pos_eta, rng, budget=budget,
+                                         rivals=seed_pos)
         born_eta += n_seeds
         children_eta = np.concatenate([children_eta, seed_pos])
-        switch_children = np.concatenate([switch_children,
-                                          np.full(n_seeds, n, dtype=np.int64)])
         drawn["nu"] += children_nu.size
         drawn["eta"] += children_eta.size
         m_nu[n] = children_nu.max()
@@ -491,25 +477,11 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
             children_nu = _prune(children_nu, budget, window)
             pruned["nu"] += born_nu - children_nu.size
         if born_eta > budget:
-            # by index, so that each kept child keeps its switch generation
-            top = children_eta.max()
-            keep_idx = np.flatnonzero(children_eta >= top - window)
-            if keep_idx.size > budget:
-                sel = np.argpartition(children_eta[keep_idx],
-                                      keep_idx.size - budget)[-budget:]
-                keep_idx = keep_idx[sel]
-            pruned["eta"] += born_eta - keep_idx.size
-            children_eta = children_eta[keep_idx]
-            switch_children = switch_children[keep_idx]
+            children_eta = _prune(children_eta, budget, window)
+            pruned["eta"] += born_eta - children_eta.size
         pos_nu = children_nu
         pos_eta = children_eta
-        switch = switch_children
-    if pos_eta.size:
-        frac = float(switch[int(np.argmax(pos_eta))]) / n_max
-    else:
-        frac = math.nan
     return TwoTypeTrajectoryStats(seed=seed, rightmost_nu=m_nu, rightmost_eta=m_eta,
-                                  switch_fraction=frac,
                                   pruning=dict(pruned, drawn=drawn))
 
 
@@ -536,7 +508,7 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
         for _ in range(n):
             counts = law.offspring.sample(rng, pos.size)
             sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
-            (pos,) = _children(law, pos, counts, rng, ())
+            pos = _children(law, pos, counts, rng)
             if pos.size > EXACT_POPULATION_CAP:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
                                   "reduce n")

@@ -432,6 +432,19 @@ class TestRunners:
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[2] == "nu" for r in rows)
 
+    def test_simulate_two_type_expect_without_eta_fails(self, tmp_path):
+        # no eta is ever present, so the mean eta speed is NaN: the check
+        # must run and fail, not be skipped
+        text = json.dumps({"kind": "simulate", "seed": 5, "n_max": 15,
+                           "budget": 2000, "replicates": 2,
+                           "system": {"skeleton": {"V": 1.0, "lambda": 1.0,
+                                                   "p": 0.0}},
+                           "expect": {"speed": 4 / math.sqrt(6)}})
+        assert run(parse_config(text), out=str(tmp_path)) == 1
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "mean_rightmost_eta_over_n=nan" in summary
+        assert "check speed=nan" in summary and "FAIL" in summary
+
     def test_simulate_byte_identical_across_runs(self, tmp_path):
         cfg = parse_config(minimal(kind="simulate", n_max=20, budget=1000,
                                    replicates=2))

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp, kstest, norm, truncnorm
 
 from brwlab.errors import ParamError
-from brwlab.mc_sim import _branch, replicate_rng, rightmost_batch
+from brwlab.mc_sim import _branch, _children, replicate_rng, rightmost_batch
 from brwlab.models import (
     Gaussian,
     OffspringLaw,
@@ -186,9 +186,10 @@ class TestSamplers:
         rng = replicate_rng(37, 0)
         reps = 150_000
         for theta in (0.0, 0.5, 1.0):
-            _, steps, family = _branch(law, np.zeros(reps), rng, np.arange(reps))
-            totals = np.bincount(family, weights=np.exp(theta * steps),
-                                 minlength=reps)
+            counts = law.offspring.sample(rng, reps)
+            steps = _children(law, np.zeros(reps), counts, rng)
+            totals = np.bincount(np.repeat(np.arange(reps), counts),
+                                 weights=np.exp(theta * steps), minlength=reps)
             target = math.exp(float(law.cumulant(theta)))
             se = totals.std(ddof=1) / math.sqrt(reps)
             # degenerate laws (point-mass steps, fixed counts) have se == 0
