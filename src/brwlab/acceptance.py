@@ -174,6 +174,21 @@ def check_mc_speed() -> CheckResult:
     return CheckResult(5, "monte carlo speed", ok, time.perf_counter() - t0, 120, detail)
 
 
+COUNT_A_VALUES = (0.0, 0.5, 1.0)
+COUNT_GENERATIONS = np.arange(10, 21)
+
+
+def _count_census_replicate(r: int):
+    """Check 6's replicate r: its counts at or beyond k a for each a (rows)
+    and k in COUNT_GENERATIONS (columns), or None if its census saturated."""
+    stats = run_count_census(_bbm_one_type(), int(COUNT_GENERATIONS[-1]),
+                             seed=MASTER_SEED + 200 + r, pitch=0.05)
+    if stats.pruning["saturated"]:  # stopped early: no late generations
+        return None
+    return np.array([[stats.census[k].count_at_least(k * a) for k in COUNT_GENERATIONS]
+                     for a in COUNT_A_VALUES])
+
+
 def check_count_profiles() -> CheckResult:
     """6: exact-census count growth rates against the analytic rate function.
 
@@ -186,31 +201,28 @@ def check_count_profiles() -> CheckResult:
     generations k in [10, 20].  That slope keeps only the prefactor's
     drift, about -(1/2) log(20/10)/10, which the detail lines print.
     Fails, without fitting, if any census saturated (stopped before
-    int64 overflow).
+    int64 overflow).  The censuses run one process per CPU.
     """
     t0 = time.perf_counter()
-    law = _bbm_one_type()
-    rate = one_type_speed(law).rate_function
-    n0, n, reps = 10, 20, 64
-    a_values = (0.0, 0.5, 1.0)
-    ks = np.arange(n0, n + 1)
-    mean_count = {a: np.zeros(ks.size) for a in a_values}
+    rate = one_type_speed(_bbm_one_type()).rate_function
+    ks = COUNT_GENERATIONS
+    n0, n, reps = int(ks[0]), int(ks[-1]), 64
+    counts = map_replicates(_count_census_replicate, range(reps), reps)
+    mean_count = np.zeros((len(COUNT_A_VALUES), ks.size))
     saturated = 0
-    for r in range(reps):
-        stats = run_count_census(law, n, seed=MASTER_SEED + 200 + r, pitch=0.05)
-        if stats.pruning["saturated"]:  # stopped early: no late generations
+    for c in counts:    # summed in replicate order, whatever the pool
+        if c is None:
             saturated += 1
-            continue
-        for a in a_values:
-            mean_count[a] += [stats.census[k].count_at_least(k * a) for k in ks]
+        else:
+            mean_count += c
     detail = [f"saturated censuses: {saturated}/{reps}"]
     if saturated:
         return CheckResult(6, "count profiles", False, time.perf_counter() - t0, 120,
                            detail)
     offset = -0.5 * math.log(n / n0) / (n - n0)
     ok = True
-    for a in a_values:
-        slope = float(np.polyfit(ks, np.log(mean_count[a] / reps), 1)[0])
+    for a, total in zip(COUNT_A_VALUES, mean_count):
+        slope = float(np.polyfit(ks, np.log(total / reps), 1)[0])
         target = -float(rate(a))
         good = abs(slope - target) <= 0.10 * abs(target)
         ok = ok and good
@@ -248,6 +260,14 @@ def check_centering_slope() -> CheckResult:
                        180, detail)
 
 
+def _reversed_replicate(r: int) -> float:
+    """M_eta/n at n=300 of check 8's reversed-role beam r."""
+    n = 300
+    s = run_two_type(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5).swap_roles(), n,
+                     budget=30_000, window=15.0, seed=MASTER_SEED + 500 + r)
+    return s.rightmost_eta[n] / n
+
+
 def check_anomaly_demonstration() -> CheckResult:
     """8: the anomalous eta front, its reversed-role and expected-count foils.
 
@@ -260,7 +280,7 @@ def check_anomaly_demonstration() -> CheckResult:
     pruning discards.  The recursion is tied to unpruned Monte Carlo by
     tail-probability z-scores at small n, as in check 9.  The
     reversed-role clause stays a particle run, since without an anomaly
-    pruning keeps the front.
+    pruning keeps the front; its beams run one process per CPU.
     """
     t0 = time.perf_counter()
     target = 4.0 / math.sqrt(6.0)
@@ -275,10 +295,7 @@ def check_anomaly_demonstration() -> CheckResult:
     rows = coupled_mc_consistency(sysm, 4, [3.0, 4.0, 5.0], 400,
                                   seed=MASTER_SEED + 800)
     z_ok = all(abs(z) <= 3.0 for _, _, _, z in rows)
-    reps = 8
-    rev = [run_two_type(sysm.swap_roles(), n, budget=30_000, window=15.0,
-                        seed=MASTER_SEED + 500 + r) for r in range(reps)]
-    eta_rev = float(np.mean([s.rightmost_eta[n] / n for s in rev]))
+    eta_rev = float(np.mean(map_replicates(_reversed_replicate, range(8), 8)))
     clause_c = _relative_ok(eta_rev, SQRT2, 0.05)
     exp_speed = expected_numbers_speed(sysm.swap_roles())
     clause_d = abs(exp_speed - target) <= 1e-4

@@ -14,7 +14,9 @@ discards, so the worked example (speed 4/sqrt 6 = 1.633) measures about
 
 One branching step, ``_branch``, serves beams and two-type runs, and
 its child drawing, ``_children``, also serves exact batches.  Every
-beam prunes through ``_prune``.
+beam prunes through ``_prune``, in place.  The last generation of a
+two-type run, read only for its maxima, is drawn as one rightmost
+child per family (``_family_maxima``).
 
 A beam generation born with more than ``THIN_GATE`` times its budget is
 thinned: every family size is drawn, but only the children that can
@@ -59,6 +61,7 @@ EXACT_POPULATION_CAP = 4_000_000
 # above the import; 2^18 ran 10% slower, and 2^20 no faster at 38 MB.
 BATCH_PARTICLES = 2 ** 19
 CENSUS_BLOCK = 64     # occupied sites per multinomial call of a census
+STEP_BLOCK = 2 ** 15  # independent steps drawn per call of a step sampler
 
 # Thinned branching (``_thinned``).  A beam generation born with more than
 # THIN_GATE times its budget draws only the children expected to survive
@@ -169,19 +172,40 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     condition falls on each family's one step, and the families with
     no children here draw none.
     """
-    if cut and law.mechanism == "common":
-        live = counts > 0
-        positions, counts = positions[live], counts[live]
+    if law.mechanism == "common":
+        if cut:
+            live = counts > 0
+            positions, counts = positions[live], counts[live]
+        steps = law.displacement.sample(
+            rng, positions.size, **{side: c - positions for side, c in cut.items()})
+        return np.repeat(positions + steps, counts)
     children = np.repeat(positions, counts)
-    # in place, so at most two child-sized arrays are alive at a time
-    if law.mechanism == "independent":
-        children += law.displacement.sample(
-            rng, children.size, **{side: c - children for side, c in cut.items()})
-    else:
-        children += np.repeat(law.displacement.sample(
-            rng, positions.size, **{side: c - positions for side, c in cut.items()}),
-            counts)
+    # Steps are drawn and added in place a block at a time, which uses
+    # the generator exactly as one call would: a child-sized array of
+    # steps would be fresh memory every generation, and its page faults
+    # cost a unit beam a tenth of its time.
+    for start in range(0, children.size, STEP_BLOCK):
+        block = children[start:start + STEP_BLOCK]
+        block += law.displacement.sample(
+            rng, block.size, **{side: c - block for side, c in cut.items()})
     return children
+
+
+def _family_maxima(law: ReproductionLaw, positions: np.ndarray,
+                   rng: np.random.Generator) -> Tuple[int, np.ndarray]:
+    """The number of children born, and the rightmost child of each family.
+
+    Every family size is drawn as in ``_branch``, then one maximum per
+    family, exactly in law: the largest of N independent steps through
+    the step law's ``sample_max``, or under ``common`` the family's one
+    step.  A generation read only for its maximum needs no more.
+    """
+    counts = law.offspring.sample(rng, positions.size)
+    if law.mechanism == "independent":
+        steps = law.displacement.sample_max(rng, counts)
+    else:
+        steps = law.displacement.sample(rng, positions.size)
+    return int(counts.sum()), positions + steps
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -249,12 +273,23 @@ def _cut(step, positions: np.ndarray, counts: np.ndarray, target: float) -> floa
 
 
 def _prune(children: np.ndarray, budget: int, window: float) -> np.ndarray:
-    """Keep the budget highest positions among those within the window of the max."""
-    top = children.max()
-    kept = children[children >= top - window]
-    if kept.size > budget:
-        kept = np.partition(kept, kept.size - budget)[-budget:]
-    return kept
+    """Keep the budget highest positions among those within the window of the max.
+
+    ``children`` is partitioned in place to its top ``budget``, which the
+    window then cuts at their maximum, the generation's: the window is a
+    threshold on value, so this keeps the same set as cutting first, in
+    another order, with no copy of the whole generation.  When the
+    window cuts none of them they are returned as a view of
+    ``children``, not copied: fresh memory every generation costs page
+    faults, and the view halved a unit beam's.
+    """
+    if children.size > budget:
+        children.partition(children.size - budget)
+        children = children[-budget:]
+    floor = children.max() - window
+    if children.min() >= floor:
+        return children
+    return children[children >= floor]
 
 
 def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
@@ -282,13 +317,13 @@ def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
             raise BudgetError(f"family size {born} exceeds budget {budget} "
                               "at generation 1")
         drawn += children.size
-        m[n] = children.max()
         if born > budget:
             children = _prune(children, budget, window)
             pruned_total += born - children.size
             if exact:
                 cap_bound_at = n
             exact = False
+        m[n] = children.max()    # a prune keeps the maximum
         positions = children
         if exact:
             exact_positions.append(children.copy())
@@ -443,7 +478,11 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     """Simulate both classes from a single nu-ancestor at the origin.
 
     Each class is pruned against its own running maximum (under an
-    anomaly the eta front outruns the nu front).
+    anomaly the eta front outruns the nu front).  Nothing reads the
+    positions of generation ``n_max``, only its maxima, so it is drawn
+    as one rightmost child per family (``_family_maxima``): it is
+    neither drawn in full nor pruned, and the ``pruning`` counts, ``nu``,
+    ``eta`` and ``drawn``, cover generations 1 to ``n_max - 1``.
     """
 
     rng = replicate_rng(seed, 0)
@@ -456,7 +495,11 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     pruned = {"nu": 0, "eta": 0}
     drawn = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        born_nu, children_nu = _branch(sys.law_nu, pos_nu, rng, budget=budget)
+        last = n == n_max
+        if last:
+            born_nu, children_nu = _family_maxima(sys.law_nu, pos_nu, rng)
+        else:
+            born_nu, children_nu = _branch(sys.law_nu, pos_nu, rng, budget=budget)
         if n == 1 and born_nu > budget:
             raise BudgetError(f"family size {born_nu} exceeds budget "
                               f"{budget} at generation 1")
@@ -464,21 +507,25 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
         seeded = rng.random(pos_nu.size) < p if p > 0 else np.zeros(pos_nu.size, bool)
         n_seeds = int(seeded.sum())
         seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
-        born_eta, children_eta = _branch(sys.law_eta, pos_eta, rng, budget=budget,
-                                         rivals=seed_pos)
+        if last:
+            born_eta, children_eta = _family_maxima(sys.law_eta, pos_eta, rng)
+        else:
+            born_eta, children_eta = _branch(sys.law_eta, pos_eta, rng, budget=budget,
+                                             rivals=seed_pos)
         born_eta += n_seeds
         children_eta = np.concatenate([children_eta, seed_pos])
-        drawn["nu"] += children_nu.size
-        drawn["eta"] += children_eta.size
-        m_nu[n] = children_nu.max()
+        if not last:
+            drawn["nu"] += children_nu.size
+            drawn["eta"] += children_eta.size
+            if born_nu > budget:
+                children_nu = _prune(children_nu, budget, window)
+                pruned["nu"] += born_nu - children_nu.size
+            if born_eta > budget:
+                children_eta = _prune(children_eta, budget, window)
+                pruned["eta"] += born_eta - children_eta.size
+        m_nu[n] = children_nu.max()    # a prune keeps the maximum
         if children_eta.size:
             m_eta[n] = children_eta.max()
-        if born_nu > budget:
-            children_nu = _prune(children_nu, budget, window)
-            pruned["nu"] += born_nu - children_nu.size
-        if born_eta > budget:
-            children_eta = _prune(children_eta, budget, window)
-            pruned["eta"] += born_eta - children_eta.size
         pos_nu = children_nu
         pos_eta = children_eta
     return TwoTypeTrajectoryStats(seed=seed, rightmost_nu=m_nu, rightmost_eta=m_eta,
@@ -495,7 +542,8 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
     one contiguous, nonempty run of ``sizes`` particles.  A chunk holds
     as many replicates as have about ``BATCH_PARTICLES`` particles
     between them at generation n, at least one.  Raises BudgetError when
-    the joint population of a chunk would exceed ``EXACT_POPULATION_CAP``.
+    the joint population of a chunk would exceed ``EXACT_POPULATION_CAP``,
+    judged from the family sizes before any child is drawn.
     """
 
     chunk = max(1, int(BATCH_PARTICLES * law.offspring.mean ** -n))
@@ -507,11 +555,12 @@ def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
         sizes = np.ones(r, dtype=np.int64)
         for _ in range(n):
             counts = law.offspring.sample(rng, pos.size)
-            sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
-            pos = _children(law, pos, counts, rng)
-            if pos.size > EXACT_POPULATION_CAP:
+            # summed in float64, which cannot wrap as int64 can
+            if counts.sum(dtype=np.float64) > EXACT_POPULATION_CAP:
                 raise BudgetError("joint population exceeds the exact-batch cap; "
                                   "reduce n")
+            sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+            pos = _children(law, pos, counts, rng)
         out[done:done + r] = np.maximum.reduceat(pos, np.cumsum(sizes) - sizes)
         done += r
     return out

@@ -12,6 +12,8 @@ from brwlab.front import expected_rightmost_curve
 from brwlab.mc_sim import (
     TrajectoryStats,
     _branch,
+    _children,
+    _family_maxima,
     _prune,
     centering_slope,
     count_profile,
@@ -240,6 +242,122 @@ class TestRunTwoType:
         assert s.pruning["eta"] > 0
         assert s.pruning["nu"] > 0
 
+    @pytest.mark.parametrize("n_max", [1, 2, 6])
+    def test_last_generation_adds_nothing_to_the_counts(self, n_max):
+        # point steps and certain seeding: every count follows from the
+        # family sizes, nu 2 and eta 3, so a loop over generations 1 to
+        # n_max - 1 gives them; all of generation k sits at 0.5 k (nu)
+        # and 0.5 (k - 1) (eta)
+        sysm = TwoTypeSystem(
+            ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.5)),
+            ReproductionLaw(OffspringLaw("deterministic", 3), PointMass(0.5)),
+            Seeding(1.0))
+        budget = 10
+        s = run_two_type(sysm, n_max, budget=budget, window=1.0, seed=3)
+        nu, eta = 1, 0
+        drawn, pruned = {"nu": 0, "eta": 0}, {"nu": 0, "eta": 0}
+        for _ in range(1, n_max):
+            born = {"nu": 2 * nu, "eta": 3 * eta + nu}
+            for c in born:
+                drawn[c] += born[c]
+                pruned[c] += max(born[c] - budget, 0)
+            nu, eta = min(born["nu"], budget), min(born["eta"], budget)
+        assert s.pruning == dict(pruned, drawn=drawn)
+        assert np.array_equal(s.rightmost_nu, 0.5 * np.arange(n_max + 1))
+        assert np.array_equal(s.rightmost_eta[1:], 0.5 * np.arange(n_max))
+
+    @pytest.mark.parametrize("sysm", [
+        skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5),
+        TwoTypeSystem(
+            ReproductionLaw(OffspringLaw("poisson_positive", 3.0),
+                            TwoPoint(-0.3, 0.4, 0.35)),
+            ReproductionLaw(OffspringLaw("geometric", 4.0), Gaussian(0.2, 0.5),
+                            "common"),
+            Seeding(0.5, Gaussian(0.0, 1.0)))], ids=["skeleton", "mixed"])
+    def test_last_generation_maxima_have_the_full_law(self, monkeypatch, sysm):
+        # the rightmost of each class at n against runs whose last
+        # generation is drawn in full
+        n, reps = 4, 300
+        ends = {}
+        for mode, seed in (("maxima", 100), ("full", 500)):
+            with monkeypatch.context() as m:
+                if mode == "full":
+                    m.setattr(mc_sim, "_family_maxima", _full_maxima)
+                runs = [run_two_type(sysm, n, budget=100_000, seed=seed + r)
+                        for r in range(reps)]
+            ends[mode] = np.array([(s.rightmost_nu[n], s.rightmost_eta[n])
+                                   for s in runs])
+        for col in range(2):
+            assert ks_2samp(ends["maxima"][:, col], ends["full"][:, col]).pvalue > 1e-3
+
+
+def _full_maxima(law, positions, rng):
+    """``_family_maxima`` by drawing every child: the oracle."""
+    counts = law.offspring.sample(rng, positions.size)
+    children = _children(law, positions, counts, rng)
+    if not children.size:
+        return 0, children
+    return int(counts.sum()), np.maximum.reduceat(children, np.cumsum(counts) - counts)
+
+
+@pytest.mark.parametrize("law", [
+    ReproductionLaw(OffspringLaw("geometric", math.exp(3.0)), Gaussian(0.0, 1 / 3)),
+    ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.5, 2.0), "common"),
+    ReproductionLaw(OffspringLaw("deterministic", 3), PointMass(0.5)),
+    ReproductionLaw(OffspringLaw("poisson_positive", 4.0), PointMass(-0.2), "common"),
+    ReproductionLaw(OffspringLaw("poisson_positive", 4.0), TwoPoint(-0.3, 0.4, 0.2)),
+    ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.2), "common"),
+], ids=["gaussian", "gaussian_common", "point", "point_common", "two_point",
+        "two_point_common"])
+def test_family_maxima_match_the_fully_drawn_children(law):
+    parents = np.linspace(-3.0, 0.0, 40)
+    got = [_family_maxima(law, parents, replicate_rng(21, r)) for r in range(500)]
+    ref = [_full_maxima(law, parents, replicate_rng(22, r)) for r in range(500)]
+    for runs in (got, ref):
+        assert all(m.size == parents.size for _, m in runs)
+    steps = {k: np.concatenate([m - parents for _, m in runs])
+             for k, runs in (("got", got), ("ref", ref))}
+    assert ks_2samp(steps["got"], steps["ref"]).pvalue > 1e-3
+    born = {k: [b for b, _ in runs] for k, runs in (("got", got), ("ref", ref))}
+    assert ks_2samp(born["got"], born["ref"]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("step", [Gaussian(0.2, 0.5), TwoPoint(-0.3, 0.4, 0.35)],
+                         ids=["gaussian", "two_point"])
+@pytest.mark.parametrize("cut", [{}, {"above": 0.5}, {"below": -0.5}],
+                         ids=["plain", "above", "below"])
+def test_step_blocks_use_the_stream_of_one_call(monkeypatch, step, cut):
+    law = ReproductionLaw(OffspringLaw("geometric", 3.0), step)
+    parents = np.linspace(-1.0, 1.0, 1000)
+    counts = law.offspring.sample(replicate_rng(5, 0), parents.size)
+    monkeypatch.setattr(mc_sim, "STEP_BLOCK", 10 ** 9)
+    whole = _children(law, parents, counts, replicate_rng(6, 0), **cut)
+    monkeypatch.setattr(mc_sim, "STEP_BLOCK", 7)     # about 430 blocks
+    blocked = _children(law, parents, counts, replicate_rng(6, 0), **cut)
+    assert whole.size == counts.sum()
+    assert np.array_equal(blocked, whole)
+
+
+def _window_then_partition(children, budget, window):
+    """The prune as first written: the window cut, then the top budget."""
+    kept = children[children >= children.max() - window]
+    if kept.size > budget:
+        kept = np.partition(kept, kept.size - budget)[-budget:]
+    return kept
+
+
+@pytest.mark.parametrize("size, budget, window", [
+    (50, 100, 1.0), (50, 100, 100.0), (5000, 100, 0.5), (5000, 100, 100.0),
+    (5000, 4000, 1.5), (100, 100, 2.0)])
+def test_prune_keeps_the_window_then_partition_set(size, budget, window):
+    rng = replicate_rng(4, size)
+    for _ in range(20):
+        children = rng.normal(0.0, 1.0, size)
+        children[: size // 5] = np.round(children[: size // 5], 1)    # ties
+        want = np.sort(_window_then_partition(children, budget, window))
+        got = np.sort(_prune(children.copy(), budget, window))
+        assert np.array_equal(got, want)
+
 
 class TestRightmostBatch:
     def test_matches_single_runs_in_distribution(self):
@@ -257,6 +375,16 @@ class TestRightmostBatch:
         law = ReproductionLaw(OffspringLaw("deterministic", 4), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
             rightmost_batch(law, 14, 1000, replicate_rng(0, 0))
+
+    @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
+    def test_cap_is_judged_before_any_child_is_drawn(self, monkeypatch, family):
+        def refuse(*args, **kwargs):
+            raise AssertionError("children drawn past the cap")
+
+        monkeypatch.setattr(mc_sim, "_children", refuse)
+        law = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
+        with pytest.raises(BudgetError):
+            rightmost_batch(law, 1, 4, replicate_rng(0, 0))
 
 
 def test_branch_children_follow_their_parents():

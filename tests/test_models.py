@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest, norm, truncnorm
+from scipy.stats import chisquare, geom, ks_2samp, kstest, norm, truncnorm
 
 from brwlab.errors import ParamError
 from brwlab.mc_sim import _branch, _children, replicate_rng, rightmost_batch
 from brwlab.models import (
+    INT64_MAX,
     Gaussian,
     OffspringLaw,
     PointMass,
@@ -170,6 +171,54 @@ class TestSamplers:
         draws = off.sample(rng, 100_000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 2.0) <= 3 * se
+
+    @pytest.mark.parametrize("mean", [1.05, math.e, math.exp(3.0), 50.0])
+    def test_geometric_law_by_inversion(self, mean):
+        # chi-square of the draws against r (1 - r)^(n - 1): sizes 1 and 2
+        # alone, then about 20 bins of equal mass, the last one the tail
+        r = 1.0 / mean
+        draws = OffspringLaw("geometric", mean).sample(replicate_rng(12, 0), 200_000)
+        assert draws.dtype == np.int64 and draws.min() >= 1
+        quantiles = geom.ppf(np.linspace(0.0, 1.0, 21)[1:-1], r).astype(int)
+        edges = np.unique(np.concatenate([[1, 2, 3], quantiles, [INT64_MAX]]))
+        observed = np.histogram(draws, bins=edges)[0]
+        mass = np.diff(geom.cdf(edges - 1, r))
+        assert observed.sum() == draws.size
+        assert chisquare(observed, draws.size * mass / mass.sum()).pvalue > 1e-3
+
+    def test_geometric_edge_means(self):
+        rng = replicate_rng(13, 0)
+        state = rng.bit_generator.state
+        assert np.array_equal(OffspringLaw("geometric", 1.0).sample(rng, 1000),
+                              np.ones(1000, dtype=np.int64))
+        assert rng.bit_generator.state == state          # mean 1 draws nothing
+        # past 2^63 a size is clipped to INT64_MAX, never cast to INT64_MIN
+        huge = OffspringLaw("geometric", 1e30).sample(rng, 1000)
+        assert np.all(huge == INT64_MAX)
+        # mean 1e19: about 40% of the sizes reach 2^63
+        big = OffspringLaw("geometric", 1e19).sample(rng, 1000)
+        assert big.min() >= 1 and 0.2 < np.mean(big == INT64_MAX) < 0.6
+
+    @pytest.mark.parametrize("count", [1, 2, 20, 500])
+    def test_gaussian_family_maximum_closed_form(self, count):
+        # the largest of N steps has distribution function Phi((x - mu) / sd)^N
+        step = Gaussian(0.3, 2.0)
+        got = step.sample_max(replicate_rng(14, count), np.full(20_000, count))
+        assert np.all(np.isfinite(got))
+        sd = math.sqrt(2.0)
+        assert kstest(got, lambda x: norm.cdf((x - 0.3) / sd) ** count).pvalue > 1e-3
+
+    def test_family_maxima_of_atoms(self):
+        counts = np.array([1, 2, 5, 40] * 25_000)
+        assert np.array_equal(PointMass(0.4).sample_max(replicate_rng(15, 0), counts),
+                              np.full(counts.size, 0.4))
+        step = TwoPoint(-0.3, 0.4, 0.35)
+        got = step.sample_max(replicate_rng(16, 0), counts)
+        assert set(np.unique(got)) <= {-0.3, 0.4}
+        for n in (1, 2, 5, 40):
+            high = np.mean(got[counts == n] == 0.4)
+            want = 1.0 - 0.65 ** n
+            assert abs(high - want) <= 4.0 * math.sqrt(want * (1 - want) / 25_000) + 1e-12
 
     def test_common_mechanism_shares_the_step(self):
         law = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
