@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import acceptance
+from .convex_analysis import speed_from_inf
 from .errors import BrwLabError, ParamError, SchemaError
 from .front import front_speed
 from .mc_sim import (centering_slope, count_profile, map_replicates,
@@ -203,14 +204,18 @@ def parse_config(text: str) -> ExperimentConfig:
     _walk(raw, _config, "", problems)
     if not problems:
         # The key and type checks passed, so the constructors can run; they
-        # catch what those checks do not (a fractional deterministic count,
-        # a positive-Poisson mean of 1, two-point values out of order).
+        # and the snapshot bound catch what those checks do not (a
+        # fractional deterministic count, a positive-Poisson mean of 1,
+        # two-point values out of order, a snapshot the run never reaches).
         for key, build in (("law", build_law), ("system", build_system)):
             if key in raw:
                 try:
                     build(raw[key])
                 except ParamError as exc:
                     problems.append((key, str(exc)))
+        n_max = raw.get("n_max", ExperimentConfig.n_max)
+        if any(n > n_max for n in raw.get("snapshots", ())):
+            problems.append(("snapshots", f"must not exceed n_max={n_max}"))
     if problems:
         raise SchemaError(problems)
     return ExperimentConfig(**dict(raw, **{
@@ -355,7 +360,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
                   ["replicate", "n", "type", "rightmost"], rows)
         write_csv(out_dir / "counts.csv",
                   ["replicate", "n", "a", "log_count_over_n"], count_rows)
-        speed = one_type_speed(law)
+        speed = speed_from_inf(law)
         fit = centering_slope(stats, speed.speed, speed.tilt_root)
         write_csv(out_dir / "slopes.csv",
                   ["slope", "stderr", "speed", "tilt_root"],

@@ -12,17 +12,16 @@ u^(n)(x) equal to the probability that the rightmost particle of
 generation n exceeds x, so the front position tracks the rightmost
 particle's median and its drift measures the spreading speed.
 
-Both recursions here convolve through one kernel, ``_convolve``: it
-convolves a profile with the centred part of a step (a trapezoid
-density kernel for a Gaussian, linear interpolation of both atoms for
-a two-point step, the identity for a point mass) and returns the
-step's translation apart.  ``apply_q`` iterates the one-type front on
-a moving window, extended by 1 on the left and 0 on the right, and adds
-the translation to the window offset exactly, so the degenerate
-single-walk case stays exact to float precision.  ``coupled_front``
-iterates the two-class version for a reducible two-type system on a
-fixed grid, where a translation is applied by linear interpolation:
-the exact law of the rightmost eta particle, anomalous front included.
+Both recursions step through one update, ``_update``: it convolves a
+profile with the centred part of a step (``_convolve``: a trapezoid
+density kernel for a Gaussian, both atoms interpolated for a two-point
+step, the identity for a point mass), takes the complement in closed
+form, and adds the step's translation to the window offset exactly.
+``apply_q`` iterates the one-type front on a window recentred by whole
+cells, extended by 1 on the left and 0 on the right.  ``coupled_front``
+iterates the reducible two-type version, each profile on its own window
+extended by its first value on the left and 0 on the right: the exact
+law of the rightmost eta, anomalous front included.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -225,18 +224,16 @@ def _band_product(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _convolve(values: np.ndarray, h: float, step: Displacement, left: float,
-              grid: Callable[[], np.ndarray],
+def _convolve(u: FrontProfile, step: Displacement, left: float,
               band: Optional[_Band] = None) -> Tuple[np.ndarray, float]:
-    """(u * f_c)(x_i) on a pitch-h grid, and the translation of ``step``.
+    """(u * f_c)(x_i) on u's cells, and the translation of ``step``.
 
     f_c is the step law centred by its translation, so that u * f is
     (u * f_c) moved right by the translation: the mean of a Gaussian,
     the value of a point mass (f_c is then the identity), 0 for a
     two-point step.  The profile is extended by ``left`` beyond its
-    first cell and by 0 beyond its last.  ``grid()`` gives the cell
-    positions, which only a two-point step reads; ``band`` is the
-    step's ``_band``, built here when not given.
+    first cell and by 0 beyond its last.  ``band`` is the step's
+    ``_band``, built here when not given.
 
     A Gaussian step is summed directly, with no fft: every output is a
     sum of K non-negative products, so in any summation order, the
@@ -249,44 +246,45 @@ def _convolve(values: np.ndarray, h: float, step: Displacement, left: float,
     returns 0.0.
     """
     if isinstance(step, PointMass):
-        return values, step.value
+        return u.values, step.value
     if isinstance(step, TwoPoint):
-        xs = grid()
-        low, high = (np.interp(xs - x, xs, values, left=left, right=0.0)
+        xs = u.grid()
+        low, high = (np.interp(xs - x, xs, u.values, left=left, right=0.0)
                      for x in (step.low, step.high))
         return (1.0 - step.prob_high) * low + step.prob_high * high, 0.0
     if band is None:
-        band = _band(step, h)
-    return _band_product(values, band, left), step.mean
+        band = _band(step, u.h)
+    return _band_product(u.values, band, left), step.mean
+
+
+def _update(u: FrontProfile, law: ReproductionLaw, band: Optional[_Band],
+            left: float) -> FrontProfile:
+    """1 - g(1 - u * f), u extended by ``left`` then 0, on u's cells moved by the
+    step's translation; the closed-form complement keeps the edge below 1e-16."""
+    if law.mechanism != "independent":
+        raise KernelError("front recursion requires independent displacements")
+    conv, shift = _convolve(u, law.displacement, left, band)
+    return FrontProfile(values=law.offspring.complement(conv), offset=u.offset + shift,
+                        h=u.h, generation=u.generation + 1)
 
 
 def apply_q(u: FrontProfile, law: ReproductionLaw, recenter: bool = True,
             band: Optional[_Band] = None) -> FrontProfile:
     """One front update: v = 1 - g(1 - (u * f)), then window recentering.
 
-    The update is evaluated as the offspring law's closed-form
-    complement, so the front's exponentially small leading edge is not
-    cut off at the ~1e-16 rounding floor of ``1 - pgf(1 - s)``.  The
-    step's translation moves the window offset exactly.  Requires
-    independent displacements.  Raises RangeError if the update leaves
-    [0, 1] by more than 1e-12 or breaks monotonicity.  A caller that
-    iterates passes ``band = _band(law.displacement, u.h)``, built once
-    for its run.
+    ``_update`` with the profile extended by 1 on the left.  Raises
+    RangeError if the update leaves [0, 1] by more than 1e-12 or breaks
+    monotonicity.  A caller that iterates passes
+    ``band = _band(law.displacement, u.h)``, built once for its run.
     """
 
-    if law.mechanism != "independent":
-        raise KernelError("front recursion requires independent displacements")
-    conv, shift = _convolve(u.values, u.h, law.displacement, 1.0, u.grid, band)
-    vals = law.offspring.complement(conv)
-    if float(vals.min()) < -RANGE_TOL or float(vals.max()) > 1.0 + RANGE_TOL:
+    v = _update(u, law, band, 1.0)
+    if float(v.values.min()) < -RANGE_TOL or float(v.values.max()) > 1.0 + RANGE_TOL:
         raise RangeError("front update left [0, 1]")
-    if np.any(np.diff(vals) > RANGE_TOL):
+    if np.any(np.diff(v.values) > RANGE_TOL):
         raise RangeError("front update broke monotonicity")
-    out = FrontProfile(values=np.clip(vals, 0.0, 1.0), offset=u.offset + shift,
-                       h=u.h, generation=u.generation + 1)
-    if recenter:
-        out = _recenter(out)
-    return out
+    v.values = np.clip(v.values, 0.0, 1.0)
+    return _recenter(v) if recenter else v
 
 
 def _recenter(u: FrontProfile) -> FrontProfile:
@@ -306,12 +304,21 @@ def _recenter(u: FrontProfile) -> FrontProfile:
                         generation=u.generation)
 
 
+def _profiles(law: ReproductionLaw, n_max: int, h: float, recenter: bool = True):
+    """Heaviside data, then the n_max profiles ``apply_q`` makes of it."""
+    u = heaviside_profile(h=h)
+    yield u
+    band = _band(law.displacement, h)
+    for _ in range(n_max):
+        u = apply_q(u, law, recenter, band)
+        yield u
+
+
 @dataclass
 class FrontResult:
     speed: float
     drift: List[Tuple[int, float, float]]   # (n, x_n, x_n - x_{n-1})
     sup_diffs: np.ndarray                   # centered profile stabilization
-    final: FrontProfile
 
 
 def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
@@ -327,32 +334,19 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
     generations to profiles.
     """
 
-    u = heaviside_profile(h=h)
-    positions = [u.front]
-    sup_diffs = np.empty(n_max)
-    drift = []
-    snapshots = {}
+    positions, drift, sup_diffs, snapshots = [], [], [], {}
     compare = np.arange(-WIDTH / 4, WIDTH / 4, h)
-    cells = h * np.arange(u.values.size)   # the window's grid less its offset
-
-    def centered_values(p: FrontProfile, front: float) -> np.ndarray:
-        # p.evaluate(front + compare), reusing one grid for every step
-        return np.interp(front + compare, p.offset + cells, p.values,
-                         left=1.0, right=0.0)
-
-    band = _band(law.displacement, h)
-    prev_centered = centered_values(u, positions[0])
-    for n in range(1, n_max + 1):
-        u = apply_q(u, law, band=band)
+    for u in _profiles(law, n_max, h):
         positions.append(u.front)   # a scan of the profile: read it once
-        centered = centered_values(u, positions[-1])
-        sup_diffs[n - 1] = float(np.max(np.abs(centered - prev_centered)))
+        centered = u.evaluate(positions[-1] + compare)
+        if u.generation:
+            drift.append((u.generation, positions[-1], positions[-1] - positions[-2]))
+            sup_diffs.append(float(np.max(np.abs(centered - prev_centered))))
         prev_centered = centered
-        drift.append((n, positions[-1], positions[-1] - positions[-2]))
-        if snapshot_at and n in snapshot_at:
-            snapshots[n] = FrontProfile(u.values.copy(), u.offset, u.h, u.generation)
+        if snapshot_at and u.generation in snapshot_at:
+            snapshots[u.generation] = u
     return FrontResult(speed=_second_half_slope(positions), drift=drift,
-                       sup_diffs=sup_diffs, final=u), snapshots
+                       sup_diffs=np.array(sup_diffs)), snapshots
 
 
 def _second_half_slope(positions: Sequence[float]) -> float:
@@ -383,14 +377,7 @@ def expected_rightmost_curve(law: ReproductionLaw, n_max: int,
     is linear in n and swamps the log n coefficient in a regression.
     """
 
-    u = heaviside_profile(h=h)
-    out = np.empty(n_max + 1)
-    out[0] = _profile_mean(u)
-    band = _band(law.displacement, h)
-    for n in range(1, n_max + 1):
-        u = apply_q(u, law, band=band)
-        out[n] = _profile_mean(u)
-    return out
+    return np.array([_profile_mean(u) for u in _profiles(law, n_max, h)])
 
 
 def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
@@ -403,11 +390,9 @@ def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
     using the binomial standard error at the recursion's value.
     """
 
-    u = heaviside_profile(h=h)
-    band = _band(law.displacement, h)
-    for _ in range(n):
-        u = apply_q(u, law, recenter=False, band=band)
-    del band   # freed for the Monte Carlo batch, which sets the call's peak memory
+    # the finished loop has freed its band before the batch sets the call's peak
+    for u in _profiles(law, n, h, recenter=False):
+        pass
     rng = replicate_rng(seed, 0)
     return _z_rows(u, rightmost_batch(law, n, replicates, rng), x_values)
 
@@ -428,7 +413,7 @@ def _z_rows(profile: FrontProfile, samples: np.ndarray,
 # coupled two-type front: the exact law of the rightmost eta
 # --------------------------------------------------------------------------
 
-# Left end of the fixed grid of ``coupled_front``.
+# Left end of the starting window of ``coupled_front``.
 COUPLED_X_MIN = -40.0
 
 
@@ -440,9 +425,16 @@ class CoupledFrontResult:
     origin exceeds x).
     """
 
-    speed: float            # slope of the nu profile's median over [n/2, n]
+    speed: float            # slope of the median given some eta, over [n/2, n]
     mean: float             # E[rightmost eta | some eta is present]
     nu: FrontProfile
+
+
+def _given_eta(nu: FrontProfile) -> Optional[FrontProfile]:
+    """The nu profile given some eta: over its first value, P(some eta); None at 0."""
+    present = float(nu.values[0])
+    return (None if present == 0.0 else nu if present == 1.0
+            else FrontProfile(nu.values / present, nu.offset, nu.h, nu.generation))
 
 
 def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
@@ -463,14 +455,16 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     either would seed the exponentially small leading edge and run
     ahead of the true front.
 
-    The profiles live on the fixed grid [COUPLED_X_MIN, x_max] and are
-    convolved by ``_convolve``, the kernel of ``apply_q``, extended by
-    their first value on the left and by 0 on the right; a step's
-    translation is applied by linear interpolation on the grid.  Either extension is exact only
-    while the profiles are flat at that edge, so RangeError is raised as
-    soon as either profile exceeds RANGE_TOL in its last cell, or varies
-    by more than RANGE_TOL within one kernel reach of its first cell.
-    Needs independent displacements.
+    A and u_eta' are ``_update``.  Both profiles start on the window
+    [COUPLED_X_MIN, x_max], extended by their first value on the left and
+    by 0 on the right; a translation moves its profile's window exactly,
+    and B is interpolated onto A's cells only when their windows differ.
+    An extension is exact only while its profile is flat at that edge, so
+    RangeError is raised as soon as either profile exceeds RANGE_TOL in
+    its last cell, or varies by more than RANGE_TOL within one kernel
+    reach of its first cell.  Medians are read given some eta (the nu
+    profile over its first value), NaN while there is none.  Needs
+    independent displacements.
 
     Range: the anomalous front rides on eta tail values far below
     1e-100, and float64 flushes values near 1e-308 to zero with no
@@ -482,46 +476,38 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     """
 
     if not x_max > 0.0:
-        raise ParamError("the grid [COUPLED_X_MIN, x_max] must contain the origin")
-    if any(law.mechanism != "independent" for law in (sys.law_nu, sys.law_eta)):
-        raise KernelError("front recursion requires independent displacements")
+        raise ParamError("the window [COUPLED_X_MIN, x_max] must contain the origin")
     xs = h * np.arange(math.floor(COUPLED_X_MIN / h), math.ceil(x_max / h) + 1)
-    steps = (sys.law_nu.displacement, sys.law_eta.displacement,
-             sys.seeding.displacement)
+    law_nu, law_eta, seeding = sys.law_nu, sys.law_eta, sys.seeding
+    steps = (law_nu.displacement, law_eta.displacement, seeding.displacement)
     # cells right of the first one that a step can carry into the left extension
     reach = min(max(max(int(d.lattice_cells(h)[-1]) for d in steps), 1),
                 xs.size - 1)
     bands = {d: _band(d, h) for d in steps}
-
-    def convolve(u: np.ndarray, step: Displacement) -> np.ndarray:
-        conv, shift = _convolve(u, h, step, u[0], lambda: xs, bands[step])
-        if shift == 0.0:
-            return conv
-        return np.interp(xs - shift, xs, conv, left=u[0], right=0.0)
-
-    u_eta = _heaviside(xs, h)
-    u_nu = np.zeros(xs.size)
-    p = sys.seeding.prob
-    medians = [0.0]
+    eta = FrontProfile(_heaviside(xs, h), float(xs[0]), h, 0)
+    nu = FrontProfile(np.zeros(xs.size), float(xs[0]), h, 0)
+    given, medians = None, [math.nan]   # no eta at generation 0
     for n in range(1, n_max + 1):
-        a = sys.law_nu.offspring.complement(convolve(u_nu, sys.law_nu.displacement))
-        b = p * convolve(u_eta, sys.seeding.displacement)
-        u_nu = a + b - a * b
+        a = _update(nu, law_nu, bands[law_nu.displacement], nu.values[0])
+        b, shift = _convolve(eta, seeding.displacement, eta.values[0],
+                             bands[seeding.displacement])
+        b = seeding.prob * (b if eta.offset + shift == a.offset else
+                            FrontProfile(b, eta.offset + shift, h, n).evaluate(a.grid()))
+        nu = FrontProfile(a.values + b - a.values * b, a.offset, h, n)
         del a, b   # before the eta convolution, the step's largest working set
-        u_eta = sys.law_eta.offspring.complement(
-            convolve(u_eta, sys.law_eta.displacement))
-        if max(u_nu[-1], u_eta[-1]) > RANGE_TOL:
-            raise RangeError(f"front mass reached the right grid edge {xs[-1]:g} "
-                             f"at generation {n}")
-        if max(abs(u_nu[0] - u_nu[reach]), abs(u_eta[0] - u_eta[reach])) > RANGE_TOL:
-            raise RangeError(f"front profile still varies at the left grid edge "
-                             f"{xs[0]:g} at generation {n}")
-        medians.append(FrontProfile(u_nu, xs[0], h, n).front)
-    nu = FrontProfile(u_nu, xs[0], h, n_max)
-    present = float(u_nu[0])
-    mean = (_profile_mean(FrontProfile(u_nu / present, xs[0], h, n_max))
-            if present > 0 else math.nan)
-    return CoupledFrontResult(speed=_second_half_slope(medians), mean=mean, nu=nu)
+        eta = _update(eta, law_eta, bands[law_eta.displacement], eta.values[0])
+        for u in (nu, eta):
+            if u.values[-1] > RANGE_TOL:
+                raise RangeError(f"front mass reached the right grid edge "
+                                 f"{u.offset + h * (xs.size - 1):g} at generation {n}")
+            if abs(u.values[0] - u.values[reach]) > RANGE_TOL:
+                raise RangeError(f"front profile still varies at the left grid edge "
+                                 f"{u.offset:g} at generation {n}")
+        given = _given_eta(nu)
+        medians.append(math.nan if given is None else given.front)
+    return CoupledFrontResult(speed=_second_half_slope(medians),
+                              mean=math.nan if given is None else _profile_mean(given),
+                              nu=nu)
 
 
 def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float],

@@ -33,9 +33,10 @@ For the large exact censuses the count-profile checks need (population
 way past any per-particle budget), a binned engine propagates exact
 particle counts on a position lattice instead of individual particles.
 
-Reproducibility: every replicate r draws from a stream derived from
-the master seed by counter-based splitting, so results are independent
-of scheduling and bit-identical across runs.
+Reproducibility: every run draws from the one stream
+``replicate_rng(seed, 0)`` of its own seed, and callers seed replicate r
+as ``replicate_rng(base + r, 0)``, so results are independent of
+scheduling and bit-identical across runs.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brwlab import cli
+from brwlab import cli, speeds
 from brwlab.cli import (
     ExperimentConfig,
     build_law,
@@ -254,8 +254,12 @@ class TestRejectedInputs:
             "kind": "point", "value": 0.0})}, "system.seed_displacement"),
         ({"kind": "front", "law": BBM_LAW, "n_max": 5, "snapshots": [True]},
          "snapshots"),
+        ({"kind": "front", "law": BBM_LAW, "n_max": 20, "snapshots": [10, 500]},
+         "snapshots"),
+        ({"kind": "front", "law": BBM_LAW, "snapshots": [201]}, "snapshots"),
     ], ids=["nu_with_skeleton", "eta_with_skeleton", "seed_prob_with_skeleton",
-            "seed_displacement_with_skeleton", "bool_snapshot"])
+            "seed_displacement_with_skeleton", "bool_snapshot",
+            "snapshot_past_n_max", "snapshot_past_default_n_max"])
     def test_ignored_key(self, tmp_path, capsys, cfg, path):
         assert run_main(tmp_path, cfg) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
@@ -421,6 +425,16 @@ class TestRunners:
         L = math.log(2000) + 3.0 * math.log(math.log(2000))
         assert float(summary["predicted_beam_deficit"]) == pytest.approx(
             math.pi ** 2 * math.sqrt(2.0) / (2.0 * L * L), rel=1e-12)
+
+    def test_simulate_one_type_builds_no_conjugate(self, tmp_path, monkeypatch):
+        # slopes.csv and the summary read the speed and its tilt root alone
+        def no_conjugate(*args, **kwargs):
+            raise AssertionError("simulate built a conjugate it does not read")
+
+        monkeypatch.setattr(speeds, "fenchel_dual", no_conjugate)
+        cfg = parse_config(minimal(kind="simulate", n_max=10, budget=500,
+                                   replicates=1))
+        assert run(cfg, out=str(tmp_path)) == 0
 
     def test_simulate_two_type_no_seeding_has_no_eta_rows(self, tmp_path):
         text = json.dumps({"kind": "simulate", "seed": 5, "n_max": 15,

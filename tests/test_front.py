@@ -39,11 +39,12 @@ DET2 = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
 BLOCKED_CONVOLVE = front._convolve
 
 
-def oracle_convolve(values, h, step, left, grid, band=None):
+def oracle_convolve(u, step, left, band=None):
     """``front._convolve`` by one ``np.convolve`` per step: the Gaussian
     branch as the package computed it before its blocked product."""
     if not isinstance(step, Gaussian):
-        return BLOCKED_CONVOLVE(values, h, step, left, grid)
+        return BLOCKED_CONVOLVE(u, step, left)
+    values, h = u.values, u.h
     sd = math.sqrt(step.variance)
     reach = int(math.ceil(8.0 * sd / h))
     z = h * np.arange(-reach, reach + 1)
@@ -122,9 +123,9 @@ class TestKernel:
 
     @staticmethod
     def both(values, h, var, left):
-        step = Gaussian(0.0, var)
-        got, shift = BLOCKED_CONVOLVE(values, h, step, left, None)
-        want, _ = oracle_convolve(values, h, step, left, None)
+        step, u = Gaussian(0.0, var), FrontProfile(values, 0.0, h, 0)
+        got, shift = BLOCKED_CONVOLVE(u, step, left)
+        want, _ = oracle_convolve(u, step, left)
         assert shift == step.mean
         return got, want
 
@@ -196,6 +197,17 @@ class TestKernel:
         built.clear()
         coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 5, x_max=30.0)
         assert len(built) == 3     # nu, eta and seeding steps
+
+    def test_both_recursions_step_through_one_update(self, monkeypatch):
+        laws = []
+        update = front._update
+        monkeypatch.setattr(front, "_update", lambda *a: laws.append(a[1]) or update(*a))
+        front_speed(BBM, 7, h=0.05)
+        assert laws == [BBM] * 7
+        laws.clear()
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        coupled_front(sysm, 5, x_max=30.0)
+        assert laws == [sysm.law_nu, sysm.law_eta] * 5
 
 
 class TestKernelPin:
@@ -328,6 +340,31 @@ class TestCoupledFront:
         res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.0), 20, x_max=60.0)
         assert not res.nu.values.any()
         assert math.isnan(res.mean)
+        assert math.isnan(res.speed)   # no eta, so no median to fit
+
+    def test_rare_seeding_reads_medians_given_some_eta(self):
+        # P(some eta) is below 1/2 early in the fit range [2, 4], where the
+        # unconditioned nu profile has no median (it read 20.6 from the
+        # window's left edge); given some eta, every generation has one
+        res = coupled_front(skeleton_of_bbm(1 / 3, 3.0, 1e-3), 4, x_max=60.0)
+        assert 0.0 < res.speed < 2.0
+
+    @pytest.mark.parametrize("mu", [0.53, -0.25, 0.3])
+    def test_translation_moves_the_windows_exactly(self, mu):
+        # every step moved by mu, off the h=0.02 lattice for 0.53 and 0.3:
+        # the speed moves by mu and the mean by mu n, with no interpolation
+        # error, and the windows follow the front past x_max
+        def moved(m):
+            base = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+            return TwoTypeSystem(
+                ReproductionLaw(base.law_nu.offspring, Gaussian(m, 1 / 3)),
+                ReproductionLaw(base.law_eta.offspring, Gaussian(m, 1.0)),
+                Seeding(0.5, PointMass(m)))
+
+        n = 100
+        still, shifted = (coupled_front(moved(m), n, x_max=200.0) for m in (0.0, mu))
+        assert shifted.speed == pytest.approx(still.speed + mu, abs=1e-12)
+        assert shifted.mean == pytest.approx(still.mean + mu * n, abs=1e-9)
 
     def test_mass_at_grid_edge_raises(self):
         with pytest.raises(RangeError):
