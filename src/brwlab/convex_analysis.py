@@ -16,10 +16,11 @@ k'(t) = a and t k'(t) = k(t), each solved by safeguarded Newton.
 
 Every function here is convex.  A cumulant is finite on [0, inf) and
 +inf for negative tilts; its conjugate, a swept conjugate or an envelope
-is +inf past the largest attainable speed of a bounded step.  Infinities
-are first class: comparisons treat +inf as absorbing, and values are
-never NaN.  Arithmetic that could produce NaN (inf - inf) is masked
-before it happens.
+is +inf past the largest attainable speed of a bounded step, and each
+``EvaluableFunction`` carries that end, set once where it is built.
+Infinities are first class: comparisons treat +inf as absorbing, and
+values are never NaN.  Arithmetic that could produce NaN (inf - inf) is
+masked before it happens.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ class EvaluableFunction:
 
     ``rule`` is the evaluation: it maps a 1-d array of abscissae to
     values in (-inf, +inf], where +inf marks points outside the
-    effective domain.  ``xs``/``ys`` are the rule sampled on strictly
+    effective domain, whose right end is ``end`` (+inf: finite through
+    the window).  ``xs``/``ys`` are the rule sampled on strictly
     increasing abscissae, so ``f(f.xs) == f.ys``; they serve window
     decisions, precomputed envelope inputs and CSV export.  Construction
-    rejects NaN and -inf values, and checks that the finite values form
-    one interval and are discretely convex up to TAU_CVX.
+    rejects NaN, -inf and finite samples right of ``end``, and checks
+    that the finite values form one interval and are discretely convex
+    up to TAU_CVX.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     rule: Callable[[np.ndarray], np.ndarray]
+    end: float = math.inf
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -85,6 +89,8 @@ class EvaluableFunction:
             raise ValueError("values must never be NaN")
         if np.isneginf(ys).any():
             raise ValueError("-inf is not a permitted value")
+        if np.any(np.isfinite(ys) & (xs > self.end)):
+            raise ValueError("a finite value lies right of the domain end")
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
@@ -204,40 +210,40 @@ def fenchel_dual(law, a_grid: GridSpec) -> EvaluableFunction:
     of ``law``, sampled on ``a_grid``.
 
     Each point's maximizer solves k'(t) = a by safeguarded Newton
-    (``_newton_conjugate``).
+    (``_newton_conjugate``), which also gives the end of the finite
+    values: a bounded step's top plus the rounding it allows.
     """
     xs = a_grid.abscissae()
-
-    def conjugate(avec: np.ndarray) -> np.ndarray:
-        return _newton_conjugate(law, np.atleast_1d(np.asarray(avec, dtype=float)))
-
-    return EvaluableFunction(xs, conjugate(xs), conjugate)
+    ys, end = _newton_conjugate(law, xs)
+    return EvaluableFunction(xs, ys, lambda avec: _newton_conjugate(law, avec)[0], end)
 
 
-def _newton_conjugate(law, avec: np.ndarray) -> np.ndarray:
-    """Conjugate values by safeguarded Newton on k'(t) = a, all points at once.
+def _newton_conjugate(law, avec: np.ndarray):
+    """Conjugate values by safeguarded Newton on k'(t) = a, all points at
+    once, and the right end of the finite values.
 
     k' rises from k'(0) to its supremum B, read at the 2^48 cap.  A
     point with a <= k'(0) has its supremum at t = 0, value -k(0).  If
     k'' = 0 at the cap, the tilted step law has become a point mass and
-    B is finite (a bounded step): a point more than rounding above B is
-    +inf, and one within rounding of B solves B - k'(t) = that rounding,
-    where t*a - k(t) equals the limit as t -> inf to rounding.  For
-    finite B, Newton runs on log(B - k'(t)), which is nearly linear where
-    k' nears B exponentially; otherwise on k'(t) - a.  Each point keeps
-    a bracket and bisects when a step leaves it (a step past the
-    saturation of k' does).  A point stops when the objective gain its
-    next step predicts, residual x step, is at rounding level, or when
-    the residual itself is.  Each step is one call of
-    ``law.cumulant_derivatives`` on the unfinished points; one call of
-    ``law.cumulant`` gives all the values.
+    B is finite (a bounded step): the end is B plus rounding, past which
+    a point is +inf, and a point within rounding of B solves B - k'(t) =
+    that rounding, where t*a - k(t) equals the limit as t -> inf to
+    rounding.  For finite B, Newton runs on log(B - k'(t)), which is
+    nearly linear where k' nears B exponentially; otherwise on
+    k'(t) - a.  Each point keeps a bracket and bisects when a step
+    leaves it (a step past the saturation of k' does).  A point stops
+    when the objective gain its next step predicts, residual x step, is
+    at rounding level, or when the residual itself is.  Each step is one
+    call of ``law.cumulant_derivatives`` on the unfinished points; one
+    call of ``law.cumulant`` gives all the values.
     """
     (s0, s_cap), (c0, c_cap) = law.cumulant_derivatives(np.array([0.0, _THETA_CAP]))
     vals = np.full(avec.shape, np.inf)
+    slack = 2.0 * _EPS * max(1.0, abs(s_cap))
+    end = s_cap + slack if c_cap == 0.0 else math.inf
+    finite = avec <= end
+    a = avec[finite]
     if c_cap == 0.0:
-        slack = 2.0 * _EPS * max(1.0, abs(s_cap))
-        finite = avec <= s_cap + slack
-        a = avec[finite]
         aim = s_cap - np.maximum(s_cap - a, slack)
 
         def residual(d1, d2, i):
@@ -246,8 +252,7 @@ def _newton_conjugate(law, avec: np.ndarray) -> np.ndarray:
                 r = np.where(gap > 0.0, np.log(s_cap - aim[i]) - np.log(gap), np.inf)
                 return r, d2 / gap
     else:
-        finite = np.ones(avec.shape, dtype=bool)
-        a = aim = avec
+        aim = a
 
         def residual(d1, d2, i):
             return d1 - aim[i], d2
@@ -280,43 +285,63 @@ def _newton_conjugate(law, avec: np.ndarray) -> np.ndarray:
         keep = ~done
         i, r, dr = i[keep], r[keep], dr[keep]
     vals[finite] = t * a - np.asarray(law.cumulant(t), dtype=float)
-    return vals
+    return vals, end
 
 
 def sweep(f: EvaluableFunction) -> EvaluableFunction:
     """Replace strictly positive values of f by +inf; values <= 0 are kept.
 
     Idempotent, and preserves convexity (the kept region is a sublevel
-    set of f).
+    set of f).  The kept region ends on the grid cell where f turns
+    positive, cut at f's own end: at the cut if f is nonpositive there,
+    else at ``_crossing``'s root.  Past the last node f counts as
+    nonpositive up to its end; with no nonpositive sample the end is -inf.
     """
 
     def rule(avec):
         v = np.asarray(f.rule(avec), dtype=float)
         return np.where(v <= 0, v, np.inf)
 
-    return EvaluableFunction(f.xs, np.where(f.ys <= 0, f.ys, np.inf), rule)
+    ys = np.where(f.ys <= 0, f.ys, np.inf)
+    kept = np.flatnonzero(ys <= 0)
+    end = -math.inf
+    if kept.size:
+        i = int(kept[-1])
+        hi, f_hi = ((float(f.xs[i + 1]), float(f.ys[i + 1])) if i + 1 < ys.size
+                    else (math.inf, 0.0))
+        if f.end < hi:
+            hi, f_hi = f.end, f(f.end)
+        end = hi if f_hi <= 0.0 else _crossing(f, float(f.xs[i]), hi, float(ys[i]), f_hi)
+    return EvaluableFunction(f.xs, ys, rule, end)
 
 
-_PROBES = 48              # points per round of _multisection
-_ROUNDS = 4
+def _crossing(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Right end of {f <= 0} in [lo, hi] for a convex f with f(lo) = f_lo
+    <= 0 < f(hi) = f_hi (+inf allowed): the bracket's left end once the
+    bracket is down to rounding, or a zero right of a negative value.
 
-
-def _multisection(fn, lo, hi, predicate):
-    """Refine the flip point of a monotone predicate along [lo, hi].
-
-    The predicate must hold at ``lo`` and fail at ``hi``; each of
-    ``_ROUNDS`` rounds evaluates ``fn`` once on ``_PROBES`` points (cheap
-    even when fn re-optimizes per point) and keeps the bracketing cell.
-    Returns the last abscissa where the predicate held.
+    Illinois secant in Anderson and Bjorck's form: each step scales the
+    kept end's value by 1 - f(x)/f(replaced end), or halves it, so a kink
+    at the root (an envelope's vertex) costs no more than a smooth root.
+    Steps stay a rounding unit inside the bracket, and bisect beside a
+    zero or infinite end value.
     """
-    for _ in range(_ROUNDS):
-        ts = np.linspace(lo, hi, _PROBES)
-        good = predicate(np.asarray(fn(ts)))
-        idx = np.flatnonzero(good)
-        k = int(idx[-1]) if idx.size else 0
-        lo = float(ts[k])
-        hi = float(ts[min(k + 1, _PROBES - 1)])
-    return lo, hi
+    tol = 2.0 * _EPS * max(1.0, abs(lo), abs(hi))
+    for _ in range(_NEWTON_STEPS):
+        if hi - lo <= 2.0 * tol:
+            break
+        x = (min(max(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo + tol), hi - tol)
+             if f_lo < 0.0 and f_hi < math.inf else 0.5 * (lo + hi))
+        fx = f(x)
+        if fx == 0.0 and f_lo < 0.0:
+            return x
+        if fx <= 0.0:
+            m, lo, f_lo = (1.0 - fx / f_lo if f_lo else 0.0), x, fx
+            f_hi *= m if m > 0.0 else 0.5
+        else:
+            m, hi, f_hi = 1.0 - fx / f_hi, x, fx
+            f_lo *= m if m > 0.0 else 0.5
+    return lo
 
 
 def _lower_hull(px: np.ndarray, py: np.ndarray):
@@ -383,34 +408,17 @@ def _bridge(hx: np.ndarray, hy: np.ndarray, cuts: np.ndarray):
 
 def _hull_points(f: EvaluableFunction, g: EvaluableFunction, xs: np.ndarray,
                  fy: np.ndarray, gy: np.ndarray):
-    """The finite points of min(f, g) on xs and the inputs' domain edges,
-    sorted by abscissa, then value.
-
-    Domain edges fall between grid points; they are located by
-    bisection and added, otherwise the hull snaps a swept boundary (and
-    the crossing read off it) to the grid pitch.
-    """
-    m = np.minimum(fy, gy)
-    fin = np.isfinite(m)
-    ex, ey = [], []
-    for fn, vals in ((f, fy), (g, gy)):
-        ok = np.isfinite(vals)
-        for i in np.flatnonzero(ok[:-1] != ok[1:]):
-            if ok[i]:
-                a_fin, _ = _multisection(fn, float(xs[i]), float(xs[i + 1]),
-                                         np.isfinite)
-            else:
-                hi, _ = _multisection(lambda t: fn(xs[i + 1] + xs[i] - t),
-                                      float(xs[i]), float(xs[i + 1]), np.isfinite)
-                a_fin = xs[i + 1] + xs[i] - hi
-            edge = float(np.minimum(f(a_fin), g(a_fin)))
-            if math.isfinite(edge):
-                ex.append(float(a_fin))
-                ey.append(edge)
-    px = np.concatenate((xs[fin], ex))
-    py = np.concatenate((m[fin], ey))
-    order = np.lexsort((py, px))
-    return px[order], py[order]
+    """The finite points of min(f, g) on xs and at the inputs' domain
+    ends inside the grid, sorted by abscissa, then value.  Without the
+    ends the hull would snap a swept boundary (and the crossing read off
+    it) to the grid pitch."""
+    ends = np.array([fn.end for fn in (f, g) if xs[0] < fn.end < xs[-1]])
+    px = np.concatenate((xs, ends))
+    py = np.concatenate((np.minimum(fy, gy),
+                         np.minimum(f(ends), g(ends)) if ends.size else ends))
+    fin = np.isfinite(py)
+    order = np.lexsort((py[fin], px[fin]))
+    return px[fin][order], py[fin][order]
 
 
 def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
@@ -418,29 +426,23 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
     """Lower convex envelope of min(f, g) over the working window.
 
     Built from the lower convex hull (``_lower_hull``) of the finite
-    points of min(f, g) on the grid, plus the inputs' domain edges
-    located between grid points (``_hull_points``); +inf points never
-    enter the hull, and the rule interpolates the hull linearly.  The
-    hull's vertices are those of a monotone chain over the same points:
-    collinear middle points are dropped, and at a duplicate abscissa the
-    lower value stays.  Both inputs are convex, so the hull departs from
-    min(f, g) only at a few reflex points, where the inputs cross and
-    at domain edges, and those are bridged by lower common tangents
-    found by array-wide slope searches.
+    points of min(f, g) on the grid and at the inputs' domain ends
+    (``_hull_points``); the rule interpolates the hull linearly.  Both
+    inputs are convex, so the hull departs from min(f, g) only at a few
+    reflex points, where the inputs cross and at domain ends.
 
-    The envelope is convex, and <= min(f, g) at the grid nodes and the
-    added edge points only: between nodes it can lie above the exact
-    inputs by the chord error pitch^2 f''/8.  Past a grid end where
-    min(f, g) is finite (window truncation) the envelope continues with
-    the end-segment slope; past a grid end where both inputs are +inf (a
-    domain edge) it is +inf beyond the hull.  It is the greatest such
-    function wherever the window is wide enough that the hull's support
-    is interior.
+    The envelope is convex, and <= min(f, g) at the hull's points only:
+    between nodes it can lie above the exact inputs by the chord error
+    pitch^2 f''/8.  Past a grid end where min(f, g) is finite (window
+    truncation) it continues with the end-segment slope; past one where
+    both inputs are +inf it is +inf, and the hull's last vertex is its
+    end.  It is the greatest such function wherever the window is wide
+    enough that the hull's support is interior.
 
     An input whose stored abscissae are the grid's (a conjugate built on
     the same grid) enters by its stored values, since ``f(f.xs) ==
-    f.ys``; its rule then only refines domain edges.  Any other input is
-    evaluated on the grid.
+    f.ys``, and its rule runs only at the domain ends.  Any other input
+    is evaluated on the grid.
     """
 
     xs = grid.abscissae()
@@ -455,8 +457,7 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
         hx = np.array([hx[0], hx[0] + grid.step])
         hy = np.array([hy[0], hy[0]])
 
-    def rule(avec):
-        a = np.atleast_1d(np.asarray(avec, dtype=float))
+    def rule(a):
         out = np.interp(a, hx, hy)
         sL = (hy[1] - hy[0]) / (hx[1] - hx[0])
         sR = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
@@ -466,11 +467,12 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
         out[right] = hy[-1] + sR * (a[right] - hx[-1]) if fin[-1] else np.inf
         return out
 
-    return EvaluableFunction(xs, rule(xs), rule)
+    return EvaluableFunction(xs, rule(xs), rule, math.inf if fin[-1] else float(hx[-1]))
 
 
 def speed_from_dual(fd: EvaluableFunction) -> float:
-    """Right edge of the nonpositive set of a convex rate function.
+    """Right end of the nonpositive set of a convex rate function: the
+    end of ``sweep(fd)``, read with one evaluation when fd is swept.
 
     For a conjugate with strictly negative minimum this is the zero
     crossing sup{a : fd(a) < 0}.  The boundary is kept weakly (values
@@ -478,16 +480,12 @@ def speed_from_dual(fd: EvaluableFunction) -> float:
     single-walk case where the rate function is an indicator.
     """
 
-    ys = fd.ys
-    le0 = np.flatnonzero(np.isfinite(ys) & (ys <= 0))
-    if le0.size == 0:
+    end = sweep(fd).end
+    if end == -math.inf:
         raise DomainError("rate function is positive everywhere; no crossing")
-    i = int(le0[-1])
-    if i == ys.size - 1:
+    if end == math.inf:
         raise ToleranceError("window does not bracket the zero crossing")
-    lo, hi = _multisection(fd, float(fd.xs[i]), float(fd.xs[i + 1]),
-                           lambda v: v <= 0)
-    return 0.5 * (lo + hi)
+    return end
 
 
 def speed_from_inf(law) -> SpeedResult:

@@ -393,7 +393,7 @@ def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
     # the finished loop has freed its band before the batch sets the call's peak
     for u in _profiles(law, n, h, recenter=False):
         pass
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed)
     return _z_rows(u, rightmost_batch(law, n, replicates, rng), x_values)
 
 

@@ -34,8 +34,8 @@ way past any per-particle budget), a binned engine propagates exact
 particle counts on a position lattice instead of individual particles.
 
 Reproducibility: every run draws from the one stream
-``replicate_rng(seed, 0)`` of its own seed, and callers seed replicate r
-as ``replicate_rng(base + r, 0)``, so results are independent of
+``replicate_rng(seed)`` of its own seed, and callers seed replicate r
+as ``replicate_rng(base + r)``, so results are independent of
 scheduling and bit-identical across runs.
 """
 
@@ -76,10 +76,9 @@ CUT_BINS = 128         # position cells the cut is placed from
 CUT_STEPS = 20         # bisection steps of the cut
 
 
-def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
-    """Stream for one replicate: counter-mixed split of the master seed."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed,
-                                                        spawn_key=(replicate,)))
+def replicate_rng(seed: int) -> np.random.Generator:
+    """The stream of one run: the first counter-mixed child of its seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
@@ -303,7 +302,7 @@ def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
     the budget at the first generation.
     """
 
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed)
     positions = np.zeros(1)
     m = np.empty(n_max + 1)
     m[0] = 0.0
@@ -354,7 +353,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     match.
     """
 
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed)
     j, q = law.displacement.lattice_pmf(pitch)
     offset = j - j[0]   # cells from a site's first destination
     start = 0
@@ -486,7 +485,7 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     ``eta`` and ``drawn``, cover generations 1 to ``n_max - 1``.
     """
 
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed)
     p = sys.seeding.prob
     pos_nu = np.zeros(1)
     pos_eta = np.empty(0)

@@ -69,8 +69,9 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
     by_inf = speed_from_inf(law)
     # from below the zero-tilt slope k'(0) to past the speed
     (s0,), _ = law.cumulant_derivatives(0.0)
-    dual = fenchel_dual(law, GridSpec(min(s0, by_inf.speed) - 1.0, by_inf.speed + 1.0))
-    by_dual = speed_from_dual(dual)
+    rate = sweep(fenchel_dual(law, GridSpec(min(s0, by_inf.speed) - 1.0,
+                                            by_inf.speed + 1.0)))
+    by_dual = speed_from_dual(rate)
     gap = abs(by_dual - by_inf.speed)
     diagnostics = dict(by_inf.diagnostics)
     diagnostics.update({
@@ -82,7 +83,7 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
                        tilt_root=by_inf.tilt_root,
                        tilt_argmin=by_inf.tilt_argmin,
                        diagnostics=diagnostics,
-                       rate_function=sweep(dual))
+                       rate_function=rate)
 
 
 def _formula_route(law_nu: ReproductionLaw, law_eta: ReproductionLaw,
@@ -195,10 +196,10 @@ class TwoTypeAnalysis:
 
     def reversed_speed(self) -> float:
         d_nu, d_eta = self.duals
-        return speed_from_dual(sweep(convex_minorant(sweep(d_eta), d_nu, self.grid)))
+        return speed_from_dual(convex_minorant(sweep(d_eta), d_nu, self.grid))
 
     def expected_numbers_speed(self) -> float:
-        return speed_from_dual(sweep(self.expected_rate))
+        return speed_from_dual(self.expected_rate)
 
     def figure_table(self):
         """The figure's rows on FIGURE_GRID as a 2-d array, each column one

@@ -33,9 +33,9 @@ from brwlab.speeds import TwoTypeAnalysis
 SQRT2 = math.sqrt(2.0)
 
 
-def sampled(rule, xs):
-    """The function with the given vectorized rule, sampled on xs."""
-    return EvaluableFunction(xs, rule(xs), rule)
+def sampled(rule, xs, end=math.inf):
+    """The function with the given vectorized rule and domain end, sampled on xs."""
+    return EvaluableFunction(xs, rule(xs), rule, end)
 
 
 def constant(value, xs):
@@ -168,8 +168,8 @@ class TestConjugateCost:
         assert len(calls) < 40
 
     def test_rule_evaluation_call_count(self, monkeypatch):
-        # one 48-point probe vector, as speed_from_dual's multisection makes;
-        # golden section made 59 calls
+        # one vector of 48 points costs a few calls in all, not a few per
+        # point; golden section made 59 calls
         calls = self.counting(monkeypatch)
         dual = fenchel_dual(self.TWO_POINT, self.GRID)
         calls.clear()
@@ -420,6 +420,63 @@ class TestSweep:
         assert np.array_equal(sweep(once)(probes), once(probes))
 
 
+class TestDomainEnds:
+    """Each function carries the right end of its finite values, set where
+    it is built: no search for an end is made afterwards."""
+
+    GRID = GridSpec(-1.0, 1.5, 1e-3)
+    EXTRA = [ReproductionLaw(OffspringLaw("geometric", 1.9), TwoPoint(-0.3, 0.4, 0.5)),
+             ReproductionLaw(OffspringLaw("poisson_positive", 2.5), TwoPoint(-0.4, 0.9, 0.3)),
+             ReproductionLaw(OffspringLaw("geometric", 4.0), TwoPoint(-0.4, 0.9, 0.3))]
+
+    @staticmethod
+    def top_and_mass(law):
+        step = law.displacement
+        return ((step.high, step.prob_high) if isinstance(step, TwoPoint)
+                else (step.value, 1.0) if isinstance(step, PointMass) else (math.inf, 0.0))
+
+    def test_conjugate_ends(self):
+        # a bounded step's top plus the rounding the rule allows, so the
+        # rule is finite at the end and +inf past it
+        for step, top in ((TwoPoint(-0.3, 0.4, 0.5), 0.4), (PointMass(0.3), 0.3)):
+            d = fenchel_dual(ReproductionLaw(OffspringLaw("geometric", 2.0), step), self.GRID)
+            assert top <= d.end <= top + 4.0 * np.finfo(float).eps
+            assert math.isfinite(d(d.end)) and np.isinf(d(np.nextafter(d.end, 2.0)))
+        assert fenchel_dual(gaussian_law(1.0, 1.0), self.GRID).end == math.inf
+
+    @pytest.mark.parametrize("law", CATALOGUE + EXTRA, ids=law_id)
+    def test_sweep_end_is_the_speed(self, law):
+        res = speed_from_inf(law)
+        d = default_dual(law)
+        end = sweep(d).end
+        if res.diagnostics["attained"]:
+            assert end == pytest.approx(res.speed, abs=1e-12)
+        top, q = self.top_and_mass(law)
+        if law.offspring.mean * q > 1.0:
+            assert end == d.end           # the conjugate is <= 0 at its end
+        elif law.offspring.mean * q == 1.0:
+            assert end == pytest.approx(top, abs=1e-12)
+        else:
+            assert end < top - 1e-6
+
+    def test_hull_holds_the_bounded_conjugates_end(self):
+        law = ReproductionLaw(OffspringLaw("geometric", 4.0), TwoPoint(-0.3, 0.4, 0.5))
+        d = fenchel_dual(law, self.GRID)
+        px, py = _hull_points(d, d, d.xs, d.ys, d.ys)
+        assert d.end == pytest.approx(0.4, abs=1e-15)
+        assert px[-1] == d.end and py[-1] == d(d.end) == pytest.approx(-math.log(2.0))
+        assert convex_minorant(d, d, self.GRID).end == d.end
+
+    def test_sweep_keeps_an_end_past_the_window(self):
+        # nonpositive through the grid's right end: +inf when finite
+        # through the window, the function's own end when it has one
+        xs = np.linspace(-1.0, 1.0, 21)
+        assert sweep(sampled(lambda a: a - 5.0, xs)).end == math.inf
+        assert sweep(sampled(lambda a: np.where(a <= 3.0, a - 5.0, np.inf), xs, 3.0)).end == 3.0
+        assert sweep(sampled(lambda a: np.where(a <= 3.0, a - 2.0, np.inf), xs, 3.0)).end == 2.0
+        assert sweep(constant(0.5, xs)).end == -math.inf
+
+
 class TestConvexMinorant:
     def test_crossing_of_worked_pair(self):
         # envelope of the swept lam=3 conjugate and the unit one crosses
@@ -499,7 +556,8 @@ class TestConvexMinorant:
 
     def test_conjugates_on_the_window_grid_enter_by_stored_values(self):
         # the working grid's conjugates are never evaluated on the whole
-        # grid: their rules run only on the edge-refinement probes
+        # grid: their rules run only at the domain ends and, one point at a
+        # time, in each sweep's crossing search
         analysis = TwoTypeAnalysis(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
         sizes = []
 
@@ -507,11 +565,11 @@ class TestConvexMinorant:
             def rule(a):
                 sizes.append(np.size(a))
                 return d.rule(a)
-            return EvaluableFunction(d.xs, d.ys, rule)
+            return EvaluableFunction(d.xs, d.ys, rule, d.end)
 
         analysis.duals = tuple(counted(d) for d in analysis.duals)
         analysis.envelope, analysis.expected_rate, analysis.reversed_speed()
-        assert sizes and max(sizes) <= 48
+        assert sizes and max(sizes) <= 2
 
     def test_input_on_another_grid_is_evaluated(self):
         grid = GridSpec(-1.0, 2.0, 2e-3)
@@ -519,7 +577,7 @@ class TestConvexMinorant:
         law = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.3, 0.4, 0.5))
         f = sweep(fenchel_dual(law, GridSpec(-1.5, 2.5, 1e-3)))
         g = fenchel_dual(gaussian_law(1.0, 1.0), grid)
-        resampled = EvaluableFunction(xs, f(xs), f.rule)
+        resampled = EvaluableFunction(xs, f(xs), f.rule, f.end)
         probes = np.linspace(-1.2, 2.2, 301)
         for pair, on_grid in (((f, g), (resampled, g)), ((g, f), (g, resampled))):
             cv, want = convex_minorant(*pair, grid), convex_minorant(*on_grid, grid)
@@ -624,20 +682,23 @@ class TestLowerHullOracle:
         assert cv(0.5) == -1.0 and np.isinf(cv(0.0)) and np.isinf(cv(1.0))
 
     def test_domain_edges_at_both_grid_ends(self):
-        # finite on (-0.9995, 0.9995): an edge between the first two and
-        # the last two nodes of the grid
+        # f ends at 0.9995, between the last two nodes of the grid, and g
+        # at -0.9995, between the first two; each end is carried by its
+        # function and joins the hull's points with no search
         grid = GridSpec(-1.0, 1.0, 1e-3)
         xs = grid.abscissae()
-        f = sampled(lambda a: np.where(np.abs(a) < 0.9995, a * a - 0.5, np.inf), xs)
-        g = sampled(lambda a: np.where(np.abs(a) < 0.9995, np.abs(a - 0.3) - 0.9, np.inf),
-                    xs)
+        f = sampled(lambda a: np.where(a <= 0.9995, a * a - 0.5, np.inf), xs, 0.9995)
+        g = sampled(lambda a: np.where(a <= -0.9995, np.abs(a - 0.3) - 0.9, np.inf), xs,
+                    -0.9995)
         px, py = _hull_points(f, g, xs, f.ys, g.ys)
-        assert px.size == np.isfinite(np.minimum(f.ys, g.ys)).sum() + 4
-        assert px[0] < xs[1] and px[-1] > xs[-2]
+        assert px.size == np.isfinite(np.minimum(f.ys, g.ys)).sum() + 2
+        assert px[-1] == 0.9995 and py[-1] == f(0.9995)
+        assert py[px == -0.9995].tolist() == [g(-0.9995)]
         hx, _ = assert_hull_matches_chain(px, py)
         cv = convex_minorant(f, g, grid)
-        assert np.isinf(cv(-0.99999)) and np.isinf(cv(0.99999))
-        assert cv(hx[0]) == pytest.approx(min(float(f(hx[0])), float(g(hx[0]))))
+        assert cv.end == hx[-1] == 0.9995
+        assert np.isinf(cv(0.99951)) and math.isfinite(cv(-1.5))
+        assert cv(hx[-1]) == pytest.approx(float(f(hx[-1])))
 
 
 class TestSpeedFunctionals:
@@ -688,6 +749,13 @@ class TestEvaluableFunction:
             EvaluableFunction(xs, np.array([0.0, np.nan, 1.0]), np.abs)
         with pytest.raises(ValueError):
             EvaluableFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3), np.abs)
+
+    def test_rejects_a_finite_sample_past_the_end(self):
+        xs = np.array([0.0, 1.0, 2.0])
+        ys = np.array([0.0, 1.0, np.inf])
+        assert EvaluableFunction(xs, ys, np.abs, 1.0).end == 1.0
+        with pytest.raises(ValueError, match="end"):
+            EvaluableFunction(xs, ys, np.abs, 0.5)
 
     def test_rejects_nonconvex_tag(self):
         xs = np.array([0.0, 1.0, 2.0])

@@ -284,7 +284,7 @@ class TestExpectedRightmost:
     def test_matches_batch_mc_at_small_n(self):
         from brwlab.mc_sim import replicate_rng, rightmost_batch
         curve = expected_rightmost_curve(DET2, 6, h=0.005)
-        rng = replicate_rng(314, 0)
+        rng = replicate_rng(314)
         m = rightmost_batch(DET2, 6, 40_000, rng)
         se = m.std(ddof=1) / math.sqrt(m.size)
         assert abs(curve[6] - m.mean()) <= 3 * se + 1e-3

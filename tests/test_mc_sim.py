@@ -39,6 +39,12 @@ SQRT2 = math.sqrt(2.0)
 BBM = ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0))
 
 
+def child_rng(seed, r):
+    """Child r of ``seed``'s seed sequence: distinct streams for a test's
+    repeated draws, as fixed as any seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+
+
 class TestRunOneType:
     def test_deterministic_walk_is_exact(self):
         mu = 0.8
@@ -78,7 +84,7 @@ class TestCensusAndCounts:
         m_census = np.array([run_count_census(BBM, 6, seed=1000 + r,
                                               pitch=0.05).rightmost[6]
                              for r in range(reps)])
-        rng = replicate_rng(55, 0)
+        rng = replicate_rng(55)
         m_exact = rightmost_batch(BBM, 6, reps, rng)
         se = math.sqrt(m_census.var(ddof=1) / reps + m_exact.var(ddof=1) / reps)
         assert abs(m_census.mean() - m_exact.mean()) <= 3 * se + 0.05
@@ -311,8 +317,8 @@ def _full_maxima(law, positions, rng):
         "two_point_common"])
 def test_family_maxima_match_the_fully_drawn_children(law):
     parents = np.linspace(-3.0, 0.0, 40)
-    got = [_family_maxima(law, parents, replicate_rng(21, r)) for r in range(500)]
-    ref = [_full_maxima(law, parents, replicate_rng(22, r)) for r in range(500)]
+    got = [_family_maxima(law, parents, child_rng(21, r)) for r in range(500)]
+    ref = [_full_maxima(law, parents, child_rng(22, r)) for r in range(500)]
     for runs in (got, ref):
         assert all(m.size == parents.size for _, m in runs)
     steps = {k: np.concatenate([m - parents for _, m in runs])
@@ -329,11 +335,11 @@ def test_family_maxima_match_the_fully_drawn_children(law):
 def test_step_blocks_use_the_stream_of_one_call(monkeypatch, step, cut):
     law = ReproductionLaw(OffspringLaw("geometric", 3.0), step)
     parents = np.linspace(-1.0, 1.0, 1000)
-    counts = law.offspring.sample(replicate_rng(5, 0), parents.size)
+    counts = law.offspring.sample(replicate_rng(5), parents.size)
     monkeypatch.setattr(mc_sim, "STEP_BLOCK", 10 ** 9)
-    whole = _children(law, parents, counts, replicate_rng(6, 0), **cut)
+    whole = _children(law, parents, counts, replicate_rng(6), **cut)
     monkeypatch.setattr(mc_sim, "STEP_BLOCK", 7)     # about 430 blocks
-    blocked = _children(law, parents, counts, replicate_rng(6, 0), **cut)
+    blocked = _children(law, parents, counts, replicate_rng(6), **cut)
     assert whole.size == counts.sum()
     assert np.array_equal(blocked, whole)
 
@@ -350,7 +356,7 @@ def _window_then_partition(children, budget, window):
     (50, 100, 1.0), (50, 100, 100.0), (5000, 100, 0.5), (5000, 100, 100.0),
     (5000, 4000, 1.5), (100, 100, 2.0)])
 def test_prune_keeps_the_window_then_partition_set(size, budget, window):
-    rng = replicate_rng(4, size)
+    rng = child_rng(4, size)
     for _ in range(20):
         children = rng.normal(0.0, 1.0, size)
         children[: size // 5] = np.round(children[: size // 5], 1)    # ties
@@ -362,7 +368,7 @@ def test_prune_keeps_the_window_then_partition_set(size, budget, window):
 class TestRightmostBatch:
     def test_matches_single_runs_in_distribution(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
-        rng = replicate_rng(123, 0)
+        rng = replicate_rng(123)
         batch = rightmost_batch(law, 6, 3000, rng)
         singles = np.array([run_one_type(law, 6, budget=10_000, window=50.0,
                                          seed=9000 + r).rightmost[6]
@@ -374,7 +380,7 @@ class TestRightmostBatch:
     def test_cap_guard(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 4), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
-            rightmost_batch(law, 14, 1000, replicate_rng(0, 0))
+            rightmost_batch(law, 14, 1000, replicate_rng(0))
 
     @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
     def test_cap_is_judged_before_any_child_is_drawn(self, monkeypatch, family):
@@ -384,14 +390,14 @@ class TestRightmostBatch:
         monkeypatch.setattr(mc_sim, "_children", refuse)
         law = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
-            rightmost_batch(law, 1, 4, replicate_rng(0, 0))
+            rightmost_batch(law, 1, 4, replicate_rng(0))
 
 
 def test_branch_children_follow_their_parents():
     # parents 100 apart, so rounding a child's position recovers its family
     positions = np.array([0.0, 100.0, 200.0, 300.0])
     point = ReproductionLaw(OffspringLaw("geometric", 3.0), PointMass(0.75))
-    born, children = _branch(point, positions, replicate_rng(1, 0))
+    born, children = _branch(point, positions, replicate_rng(1))
     family = np.round(children / 100.0).astype(np.int64)
     assert born == children.size >= positions.size
     assert np.all(np.diff(family) >= 0)                 # children in parent order
@@ -400,7 +406,7 @@ def test_branch_children_follow_their_parents():
 
     common = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
                              "common")
-    _, children = _branch(common, positions, replicate_rng(2, 0))
+    _, children = _branch(common, positions, replicate_rng(2))
     family = np.round(children / 100.0).astype(np.int64)
     steps = children - positions[family]
     for r in range(positions.size):
@@ -409,18 +415,23 @@ def test_branch_children_follow_their_parents():
     assert np.unique(steps).size == positions.size
 
     # an empty generation draws nothing
-    rng = replicate_rng(3, 0)
+    rng = replicate_rng(3)
     born, children = _branch(common, np.empty(0), rng)
     assert born == children.size == 0
-    assert rng.random() == replicate_rng(3, 0).random()
+    assert rng.random() == replicate_rng(3).random()
 
 
-def test_replicate_streams_are_independent_of_order():
-    r5 = replicate_rng(42, 5).normal(size=4)
-    r3 = replicate_rng(42, 3).normal(size=4)
-    r5_again = replicate_rng(42, 5).normal(size=4)
+def test_replicate_streams_are_split_by_seed():
+    # callers seed replicate r as replicate_rng(base + r): one seed gives
+    # one stream, whenever it is drawn, and distinct seeds differ
+    r5 = replicate_rng(42 + 5).normal(size=4)
+    r3 = replicate_rng(42 + 3).normal(size=4)
+    r5_again = replicate_rng(47).normal(size=4)
     assert np.array_equal(r5, r5_again)
     assert not np.array_equal(r5, r3)
+    # the stream is its seed's first spawned child
+    first = np.random.default_rng(np.random.SeedSequence(47, spawn_key=(0,)))
+    assert np.array_equal(r5, first.normal(size=4))
 
 
 @pytest.mark.parametrize("jobs, cpus, pool", [(2, 8, 2), (50, 8, 8), (50, 1, None)])
@@ -453,7 +464,7 @@ def test_replicate_pool_is_capped_by_jobs_and_cpus(monkeypatch, jobs, cpus, pool
 def _census_by_site_loop(law, n_max, seed, pitch):
     """The census as one multinomial call per occupied site: the oracle
     of the engine's one call per generation."""
-    rng = replicate_rng(seed, 0)
+    rng = replicate_rng(seed)
     j, q = law.displacement.lattice_pmf(pitch)
     counts = np.array([1], dtype=np.int64)
     out = [counts]
@@ -500,7 +511,7 @@ class TestThinnedBranching:
     that can survive the prune; the kept set keeps its law."""
 
     REVERSED = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5).swap_roles()
-    PARENTS = np.sort(replicate_rng(3, 0).uniform(-2.0, 0.0, 200))
+    PARENTS = np.sort(replicate_rng(3).uniform(-2.0, 0.0, 200))
     BUDGET = 150
 
     @staticmethod
@@ -515,7 +526,7 @@ class TestThinnedBranching:
     def kept_sets(self, law, reps, seed):
         out = []
         for r in range(reps):
-            born, children = _branch(law, self.PARENTS, replicate_rng(seed, r),
+            born, children = _branch(law, self.PARENTS, child_rng(seed, r),
                                      budget=self.BUDGET)
             assert born > mc_sim.THIN_GATE * self.BUDGET or mc_sim.THIN_GATE == math.inf
             kept = _prune(children, self.BUDGET, 15.0)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from brwlab import convex_analysis, speeds
+from brwlab import acceptance, convex_analysis, speeds
 from brwlab.cli import build_system, main, parse_config, run
 from brwlab.convex_analysis import convex_minorant, sweep
 from brwlab.models import (
@@ -38,6 +38,15 @@ class TestOneTypeSpeed:
         assert r.speed == pytest.approx(SQRT2, abs=1e-6)
         assert r.tilt_root == pytest.approx(SQRT2, abs=1e-12)
         assert r.diagnostics["formula_gap"] < 1e-6
+
+    def test_check_three_laws_agree_to_rounding(self):
+        # the dual route reads the swept conjugate's end, found by one
+        # bracketed root, so over check 3's random laws the formulas agree
+        # to rounding (a probe of the end on a grid left gaps of 1e-10)
+        rng = np.random.default_rng(acceptance.MASTER_SEED)
+        worst = max(one_type_speed(acceptance._random_one_type(rng)).diagnostics["formula_gap"]
+                    for _ in range(200))
+        assert worst <= 1e-12
 
     def test_single_walk_rate_indicator(self):
         mu = 0.4
