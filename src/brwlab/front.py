@@ -36,6 +36,7 @@ the cells between are summed.  Cells below 2^-900 are summed apart at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -64,7 +65,7 @@ class FrontProfile:
     generation: int
 
     def grid(self) -> np.ndarray:
-        return self.offset + self.h * np.arange(self.values.size)
+        return self.offset + _cell_offsets(self.values.size, self.h)
 
     @property
     def front(self) -> float:
@@ -83,6 +84,15 @@ class FrontProfile:
         """Profile value at arbitrary positions: the first value left of the
         window, 0 right of it."""
         return np.interp(np.asarray(x, dtype=float), self.grid(), self.values, right=0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_offsets(size: int, h: float) -> np.ndarray:
+    """``h * arange(size)``, read-only and shared by every profile of a
+    window: ``front_speed`` reads a profile's grid on each step."""
+    steps = h * np.arange(size)
+    steps.flags.writeable = False
+    return steps
 
 
 def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:

@@ -31,7 +31,9 @@ kept, and ``drawn`` those given a position.
 
 For the large exact censuses the count-profile checks need (population
 way past any per-particle budget), a binned engine propagates exact
-particle counts on a position lattice instead of individual particles.
+particle counts on a position lattice instead of individual particles:
+one multinomial call per block of occupied sites, for both mechanisms,
+with the step's cells in decreasing mass.
 
 Reproducibility: every run draws from the one stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
@@ -342,9 +344,15 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     Propagates particle counts per lattice site instead of particles,
     so populations far beyond any per-particle budget stay exact (the
     simulated law is the pitch-quantized law; its cumulant differs from
-    the continuum one by O(pitch^2)).  Offspring totals per site are
-    drawn in closed form, which restricts the engine to deterministic
-    and geometric counts.
+    the continuum one by O(pitch^2)).  Offspring totals are drawn in
+    closed form, which restricts the engine to deterministic and
+    geometric counts.
+
+    One loop serves both mechanisms: each site's children
+    (``independent``) or families (``common``, sized where they land)
+    spread over the step's cells by one multinomial call per block of
+    ``CENSUS_BLOCK`` sites, the cells in decreasing mass, so numpy's
+    chain of binomials stops after about the cells a site fills.
 
     ``pruning["saturated"]`` is set at the first generation whose
     expected total exceeds INT64_MAX / 4, where its int64 counts could
@@ -355,12 +363,13 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
 
     rng = replicate_rng(seed)
     j, q = law.displacement.lattice_pmf(pitch)
-    offset = j - j[0]   # cells from a site's first destination
+    order = np.argsort(-q, kind="stable")   # cells in decreasing mass
+    q, offset = q[order], (j - j[0])[order]   # cells from a site's first destination
+    common = law.mechanism == "common"
     start = 0
     counts = np.array([1], dtype=np.int64)
-    m = np.empty(n_max + 1)
-    m[0] = 0.0
-    censuses = [GenerationCensus(0, pitch, start, counts.copy())]
+    m = np.zeros(n_max + 1)
+    censuses = [GenerationCensus(0, pitch, start, counts)]
     saturated = False
     for n in range(1, n_max + 1):
         # Judged before the draw and summed in float64: once a total has
@@ -369,30 +378,23 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         if expected > INT64_MAX / 4:
             saturated = True
             break
-        width = counts.size + j[-1] - j[0]
-        new_start = start + int(j[0])
-        new_counts = np.zeros(width, dtype=np.int64)
+        new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
         nz = np.flatnonzero(counts)
-        if law.mechanism == "independent":
-            # one row of destinations per occupied site, drawn and scattered
-            # exactly a block of sites at a time, which bounds the memory
-            totals = law.offspring.sum_sample(rng, counts[nz])
-            for b in range(0, nz.size, CENSUS_BLOCK):
-                dest = rng.multinomial(totals[b:b + CENSUS_BLOCK], q)
-                np.add.at(new_counts, (nz[b:b + CENSUS_BLOCK, None] + offset).ravel(),
-                          dest.ravel())
-        else:
-            # one step per family: scatter families first, then size them
-            for b in nz:
-                fam_dest = rng.multinomial(int(counts[b]), q)
-                dz = np.flatnonzero(fam_dest)
-                sizes = law.offspring.sum_sample(rng, fam_dest[dz])
-                new_counts[b + offset[dz]] += sizes
-        start = new_start
+        # one row of destinations per occupied site, drawn and scattered
+        # a block of sites at a time, which bounds the memory
+        movers = counts[nz] if common else law.offspring.sum_sample(rng, counts[nz])
+        for b in range(0, nz.size, CENSUS_BLOCK):
+            dest = rng.multinomial(movers[b:b + CENSUS_BLOCK], q).ravel()
+            cells = (nz[b:b + CENSUS_BLOCK, None] + offset).ravel()
+            if common:
+                filled = np.flatnonzero(dest)
+                cells, dest = cells[filled], law.offspring.sum_sample(rng, dest[filled])
+            np.add.at(new_counts, cells, dest)
+            del dest, cells   # freed before the next block's draw: a lower peak
+        start += int(j[0])
         counts = new_counts
-        top = np.flatnonzero(counts)
-        m[n] = (start + int(top[-1])) * pitch
-        censuses.append(GenerationCensus(n, pitch, start, counts.copy()))
+        m[n] = (start + int(np.flatnonzero(counts)[-1])) * pitch
+        censuses.append(GenerationCensus(n, pitch, start, counts))
     last = len(censuses) - 1
     return TrajectoryStats(seed=seed, rightmost=m[:last + 1], exact_upto=last,
                            census=censuses,

@@ -233,13 +233,19 @@ class Gaussian:
         return np.arange(-reach, reach + 1)
 
     def lattice_pmf(self, h: float):
-        """``lattice_cells(h)`` and the probabilities of landing in them."""
+        """``lattice_cells(h)`` and the probabilities of landing in them.
+
+        A cell above the mean is read as a difference of upper tails,
+        ndtr(-lo) - ndtr(-hi): a difference of CDFs there cancels against
+        1, which leaves a 7-8 sd cell 12% off at pitch 0.05 and breaks the
+        mirror symmetry of a centred step."""
         ndtr = _normal()[0]
         sd = math.sqrt(self.variance)
         j = self.lattice_cells(h)
         edges_hi = ((j + 0.5) * h - self.mean) / sd
         edges_lo = ((j - 0.5) * h - self.mean) / sd
-        p = ndtr(edges_hi) - ndtr(edges_lo)
+        p = np.where(edges_lo > 0, ndtr(-edges_lo) - ndtr(-edges_hi),
+                     ndtr(edges_hi) - ndtr(edges_lo))
         return j, p / p.sum()
 
     def density(self, z):

@@ -462,10 +462,13 @@ def test_replicate_pool_is_capped_by_jobs_and_cpus(monkeypatch, jobs, cpus, pool
 
 
 def _census_by_site_loop(law, n_max, seed, pitch):
-    """The census as one multinomial call per occupied site: the oracle
-    of the engine's one call per generation."""
+    """The census as one multinomial call per occupied site, its cells in
+    the engine's order, decreasing mass: the oracle of the engine's one
+    call per block of sites."""
     rng = replicate_rng(seed)
     j, q = law.displacement.lattice_pmf(pitch)
+    order = np.argsort(-q, kind="stable")
+    offset = (j - j[0])[order]
     counts = np.array([1], dtype=np.int64)
     out = [counts]
     for _ in range(n_max):
@@ -473,7 +476,7 @@ def _census_by_site_loop(law, n_max, seed, pitch):
         nz = np.flatnonzero(counts)
         totals = law.offspring.sum_sample(rng, counts[nz])
         for b, tot in zip(nz, totals):
-            new_counts[b:b + j.size] += rng.multinomial(int(tot), q)
+            new_counts[b + offset] += rng.multinomial(int(tot), q[order])
         counts = new_counts
         out.append(counts)
     return out
@@ -487,6 +490,31 @@ def test_census_is_byte_identical_to_the_per_site_loop(seed):
     for census, counts in zip(s.census, oracle):
         assert census.counts.dtype == np.int64
         assert np.array_equal(census.counts, counts)
+
+
+@pytest.mark.parametrize("mechanism", ["independent", "common"])
+def test_census_mean_count_is_the_first_moment(mechanism):
+    # E Z_k[ka, inf) = m^k P(S_k >= ka), S_k the sum of k steps of the
+    # census's own lattice law: a census that drew its cells from another
+    # law, or lost or doubled children, would leave this band
+    law = ReproductionLaw(BBM.offspring, BBM.displacement, mechanism)
+    k, reps, pitch = 8, 300, 0.05
+    j, q = law.displacement.lattice_pmf(pitch)
+    s_k = np.ones(1)
+    for _ in range(k):
+        s_k = np.convolve(s_k, q)
+    first = k * int(j[0])       # the lattice cell of s_k[0]
+    counts = {a: [] for a in (0.0, 0.5, 1.0)}
+    for r in range(reps):
+        census = run_count_census(law, k, seed=6000 + r, pitch=pitch).census[k]
+        for a, got in counts.items():
+            got.append(census.count_at_least(k * a))
+    for a, got in counts.items():
+        cell = math.ceil(k * a / pitch - 1e-12)
+        expected = law.offspring.mean ** k * s_k[cell - first:].sum()
+        got = np.array(got, dtype=float)
+        z = (got.mean() - expected) / (got.std(ddof=1) / math.sqrt(reps))
+        assert abs(z) <= 4, (a, z)
 
 
 @pytest.mark.parametrize("mechanism", ["independent", "common"])

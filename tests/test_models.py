@@ -312,6 +312,29 @@ class TestConditionedSteps:
         assert np.all(below <= 2.0 - cut) and np.all(np.isfinite(below))
 
 
+class TestLatticePmf:
+    """The census's step law: a Gaussian's mass in each lattice cell."""
+
+    def test_centred_pmf_is_its_own_mirror_image(self):
+        j, q = Gaussian(0.0, 1.0).lattice_pmf(0.05)
+        assert np.array_equal(j, -j[::-1])
+        assert np.array_equal(q, q[::-1])
+
+    def test_every_cell_keeps_its_precision(self):
+        # reference cells from math.erfc, each read from the tail it lies in,
+        # so none cancels against 1; the far upper cells are the hard ones
+        step, h = Gaussian(0.3, 1.0), 0.05
+        j, q = step.lattice_pmf(h)
+        ref = []
+        for lo, hi in zip((j - 0.5) * h - step.mean, (j + 0.5) * h - step.mean):
+            if lo > 0:
+                ref.append(math.erfc(lo / math.sqrt(2)) - math.erfc(hi / math.sqrt(2)))
+            else:
+                ref.append(math.erfc(-hi / math.sqrt(2)) - math.erfc(-lo / math.sqrt(2)))
+        ref = np.array(ref) / math.fsum(ref)
+        np.testing.assert_allclose(q, ref, rtol=1e-12, atol=0)
+
+
 def test_coupling_common_vs_independent():
     """A common-displacement walk viewed family-as-particle is the
     independent-displacement walk started from a random origin: rightmost
