@@ -348,7 +348,7 @@ def check_operator_axioms() -> CheckResult:
     for const, name in ((1.0, "one"), (0.0, "zero")):
         u = heaviside_profile(h=0.02, width=40.0)
         u.values[:] = const
-        v = apply_q(u, law, recenter=False)
+        v = apply_q(u, law)
         err = float(np.max(np.abs(v.values[reach:-reach] - const)))
         ok = ok and err <= tol
         detail.append(f"fixed point {name}: max interior dev {err:.1e}")
@@ -366,14 +366,14 @@ def check_operator_axioms() -> CheckResult:
         uu.values[:] = base
         vv = heaviside_profile(h=0.02, width=40.0)
         vv.values[:] = lower
-        qu = apply_q(uu, law, recenter=False)
-        ql = apply_q(vv, law, recenter=False)
+        qu = apply_q(uu, law)
+        ql = apply_q(vv, law)
         worst_order = max(worst_order, float(np.max(ql.values - qu.values)))
         cells = int(rng.integers(1, q // 2))
         shifted = heaviside_profile(h=0.02, width=40.0)
         shifted.values[cells:] = base[:-cells]
         shifted.values[:cells] = 1.0
-        qs = apply_q(shifted, law, recenter=False)
+        qs = apply_q(shifted, law)
         worst_shift = max(worst_shift,
                           float(np.max(np.abs(qs.values[cells:] - qu.values[:-cells]))))
     ok = ok and worst_order <= tol and worst_shift <= tol

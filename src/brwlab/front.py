@@ -17,21 +17,17 @@ profile with the centred part of a step (``_convolve``: a trapezoid
 density kernel for a Gaussian, both atoms interpolated for a two-point
 step, the identity for a point mass), takes the complement in closed
 form, and adds the step's translation to the window offset exactly.
-``apply_q`` iterates the one-type front on a window recentred by whole
-cells, extended by 1 on the left and 0 on the right.  ``coupled_front``
-iterates the reducible two-type version, each profile on its own window
-extended by its first value on the left and 0 on the right: the exact
-law of the rightmost eta, anomalous front included.
+``apply_q`` is the one-type update, extended by 1 on the left and 0 on
+the right.  ``coupled_front`` iterates the reducible two-type version,
+each profile extended by its first value on the left and 0 on the
+right: the exact law of the rightmost eta, anomalous front included.
+Both move their windows by whole cells through ``_cells``.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
 sum of non-negative products, so its round-off stays relative to its
 own size in any summation order, down the exponentially small leading
-edge; there is no fft, whose absolute noise would seed that edge.  An
-output cell whose whole window holds the left extension value returns
-that value exactly, one whose whole window is 0.0 returns 0.0, and only
-the cells between are summed.  Cells below 2^-900 are summed apart at
-2^600 times their size, so that no product is a slow subnormal number.
+edge; there is no fft, whose absolute noise would seed that edge.
 """
 
 from __future__ import annotations
@@ -161,15 +157,22 @@ def _band(step: Displacement, h: float) -> Optional[_Band]:
                               for j in range(0, rows, _BLOCK)), reach=int(taps[-1]))
 
 
+def _cells(values: np.ndarray, lo: int, hi: int, left: float) -> np.ndarray:
+    """values[lo:hi] with either end past the array: cells before the first
+    take ``left``, cells after the last 0.  Every window moves through it."""
+    kept = values[max(lo, 0):max(hi, 0)]
+    pad = min(max(-lo, 0), hi - lo)
+    return np.concatenate([np.full(pad, left), kept, np.zeros(hi - lo - pad - kept.size)])
+
+
 def _band_sum(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
     """sum_j w[j] * u(x_i - (j - reach) h), u extended by ``left`` and then 0.
 
     Output cells whose whole window is ``left`` cells (the left
     extension included) are ``left`` exactly, and those whose whole
     window is 0.0 are 0.0 exactly; only the cells between are summed.
-    The padded cells of that span, cut into rows of B, are multiplied
-    block by block with the band, sum_c rows[c:c + nb] @ blocks[c], for
-    _ROWS rows of outputs at a time.
+    The padded cells of that span, in rows of B, times the band block by
+    block, sum_c rows[c:c + m] @ blocks[c], for _ROWS output rows at a time.
     """
     n, reach = values.size, band.reach
     nc, b = len(band.blocks), _BLOCK
@@ -185,18 +188,11 @@ def _band_sum(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
     nb = -(-(hi - lo) // b) if lo < hi else 0
     out = np.empty(n + b)   # room for the span's last row
     acc = out[lo:lo + nb * b].reshape(nb, b)
-    x = np.empty((min(nb, _ROWS) + nc - 1) * b)   # one chunk's padded cells
     for r in range(0, nb, _ROWS):
         chunk = acc[r:r + _ROWS]
         m = chunk.shape[0]
-        start = lo + r * b - reach   # profile index of x[0]
-        size = (m + nc - 1) * b
-        pad = min(max(-start, 0), size)   # cells of the left extension
-        first, last = start + pad, min(start + size, n)
-        x[:pad] = left
-        x[pad:pad + last - first] = values[first:last]
-        x[pad + max(last - first, 0):size] = 0.0
-        rows = x[:size].reshape(-1, b)
+        start = lo + r * b - reach   # profile index of the chunk's first padded cell
+        rows = _cells(values, start, start + (m + nc - 1) * b, left).reshape(-1, b)
         np.matmul(rows[:m], band.blocks[0], out=chunk)
         for c in range(1, nc):
             chunk += rows[c:c + m] @ band.blocks[c]
@@ -243,17 +239,10 @@ def _convolve(u: FrontProfile, step: Displacement, left: float,
     the value of a point mass (f_c is then the identity), 0 for a
     two-point step.  The profile is extended by ``left`` beyond its
     first cell and by 0 beyond its last.  ``band`` is the step's
-    ``_band``, built here when not given.
-
-    A Gaussian step is summed directly, with no fft: every output is a
-    sum of K non-negative products, so in any summation order, the
-    blocked one of ``_band_sum`` included, its round-off stays within
-    about K ulps of its own size, even on the exponentially small
-    leading edge.  An fft carries absolute noise of ~1e-16 of the
-    global max, which seeds that edge and, compounded over generations,
-    drags the measured front speed upward.  A window of ``left`` cells
-    alone returns ``left`` exactly, and a window of 0.0 cells alone
-    returns 0.0.
+    ``_band``, built here when not given.  A Gaussian step is summed
+    directly, so that each output's round-off stays within about K ulps
+    of its own size; an fft's absolute noise of ~1e-16 of the global max
+    would seed the leading edge and, compounded, drag the front ahead.
     """
     if isinstance(step, PointMass):
         return u.values, step.value
@@ -278,13 +267,13 @@ def _update(u: FrontProfile, law: ReproductionLaw, band: Optional[_Band],
                         h=u.h, generation=u.generation + 1)
 
 
-def apply_q(u: FrontProfile, law: ReproductionLaw, recenter: bool = True,
+def apply_q(u: FrontProfile, law: ReproductionLaw,
             band: Optional[_Band] = None) -> FrontProfile:
-    """One front update: v = 1 - g(1 - (u * f)), then window recentering.
+    """One front update, v = 1 - g(1 - (u * f)): ``_update`` with u extended
+    by 1 on the left, its window moved only by the step's translation.
 
-    ``_update`` with the profile extended by 1 on the left.  Raises
-    RangeError if the update leaves [0, 1] by more than 1e-12 or breaks
-    monotonicity.  A caller that iterates passes
+    Raises RangeError if the update leaves [0, 1] by more than 1e-12 or
+    breaks monotonicity.  A caller that iterates passes
     ``band = _band(law.displacement, u.h)``, built once for its run.
     """
 
@@ -294,33 +283,21 @@ def apply_q(u: FrontProfile, law: ReproductionLaw, recenter: bool = True,
     if np.any(np.diff(v.values) > RANGE_TOL):
         raise RangeError("front update broke monotonicity")
     v.values = np.clip(v.values, 0.0, 1.0)
-    return _recenter(v) if recenter else v
+    return v
 
 
-def _recenter(u: FrontProfile) -> FrontProfile:
-    """Shift the window by whole grid cells to keep the front near the center."""
-    center = u.offset + u.h * (u.values.size - 1) / 2
-    cells = int(round((u.front - center) / u.h))
-    if cells == 0:
-        return u
-    vals = np.empty_like(u.values)
-    if cells > 0:
-        vals[:-cells] = u.values[cells:]
-        vals[-cells:] = 0.0
-    else:
-        vals[-cells:] = u.values[:cells]
-        vals[:-cells] = 1.0
-    return FrontProfile(values=vals, offset=u.offset + cells * u.h, h=u.h,
-                        generation=u.generation)
-
-
-def _profiles(law: ReproductionLaw, n_max: int, h: float, recenter: bool = True):
-    """Heaviside data, then the n_max profiles ``apply_q`` makes of it."""
+def _profiles(law: ReproductionLaw, n_max: int, h: float):
+    """Heaviside data, then the n_max profiles ``apply_q`` makes of it, each
+    window moved by whole cells to keep the front near its centre."""
     u = heaviside_profile(h=h)
     yield u
     band = _band(law.displacement, h)
+    size = u.values.size
     for _ in range(n_max):
-        u = apply_q(u, law, recenter, band)
+        u = apply_q(u, law, band)
+        cells = int(round((u.front - (u.offset + h * (size - 1) / 2)) / h))
+        u = FrontProfile(_cells(u.values, cells, size + cells, 1.0), u.offset + cells * h,
+                         h, u.generation)
         yield u
 
 
@@ -394,14 +371,14 @@ def mc_consistency(law: ReproductionLaw, n: int, x_values: Sequence[float],
                    replicates: int, seed: int = 0, h: float = 0.01):
     """Compare iterated front values with exact Monte Carlo tail probabilities.
 
-    Runs the recursion n steps without recentering (so small-n profiles
-    stay on the original window), estimates P(rightmost at generation n
-    exceeds x) from exact replicates, and reports one z-score per x
-    using the binomial standard error at the recursion's value.
+    Runs the recursion n steps on the window ``front_speed`` uses,
+    estimates P(rightmost at generation n exceeds x) from exact
+    replicates, and reports one z-score per x using the binomial
+    standard error at the recursion's value.
     """
 
     # the finished loop has freed its band before the batch sets the call's peak
-    for u in _profiles(law, n, h, recenter=False):
+    for u in _profiles(law, n, h):
         pass
     rng = replicate_rng(seed)
     return _z_rows(u, rightmost_batch(law, n, replicates, rng), x_values)
@@ -423,10 +400,6 @@ def _z_rows(profile: FrontProfile, samples: np.ndarray,
 # coupled two-type front: the exact law of the rightmost eta
 # --------------------------------------------------------------------------
 
-# Left end of the starting window of ``coupled_front``.
-COUPLED_X_MIN = -40.0
-
-
 @dataclass
 class CoupledFrontResult:
     """Law of the rightmost eta particle of a two-type walk after ``n_max`` steps.
@@ -447,6 +420,13 @@ def _given_eta(nu: FrontProfile) -> Optional[FrontProfile]:
             else FrontProfile(nu.values / present, nu.offset, nu.h, nu.generation))
 
 
+def _flat_cells(values: np.ndarray) -> int:
+    """Cells before the first that differs from the first value by more than
+    RANGE_TOL of it: its size when none does."""
+    far = np.abs(values - values[0]) > RANGE_TOL * values[0]
+    return int(far.argmax()) if far.any() else values.size
+
+
 def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
                   h: float = 0.02) -> CoupledFrontResult:
     """Iterate the coupled front recursion of a reducible two-type system.
@@ -465,16 +445,18 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     either would seed the exponentially small leading edge and run
     ahead of the true front.
 
-    A and u_eta' are ``_update``.  Both profiles start on the window
-    [COUPLED_X_MIN, x_max], extended by their first value on the left and
-    by 0 on the right; a translation moves its profile's window exactly,
-    and B is interpolated onto A's cells only when their windows differ.
-    An extension is exact only while its profile is flat at that edge, so
-    RangeError is raised as soon as either profile exceeds RANGE_TOL in
-    its last cell, or varies by more than RANGE_TOL within one kernel
-    reach of its first cell.  Medians are read given some eta (the nu
-    profile over its first value), NaN while there is none.  Needs
-    independent displacements.
+    A and u_eta' are ``_update``, each profile extended by its first
+    value on the left and 0 on the right, its window moved by each
+    translation exactly.  A window's right end stays at ``x_max`` plus
+    those translations, and RangeError is raised once its profile
+    exceeds RANGE_TOL there.  After each step its left end moves to
+    ``reach`` cells, the most any step moves a value, before the first
+    cell differing from the profile's first value by more than RANGE_TOL
+    of it, so the left extension stays exact to that bound.  Windows
+    that coincide move together, so B reads u_eta by slicing; otherwise
+    it is interpolated.  Medians are read given some eta (the nu profile
+    over its first value), NaN while there is none.  Needs independent
+    displacements.
 
     Range: the anomalous front rides on eta tail values far below
     1e-100, and float64 flushes values near 1e-308 to zero with no
@@ -486,13 +468,12 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     """
 
     if not x_max > 0.0:
-        raise ParamError("the window [COUPLED_X_MIN, x_max] must contain the origin")
-    xs = h * np.arange(math.floor(COUPLED_X_MIN / h), math.ceil(x_max / h) + 1)
+        raise ParamError("x_max, the right end of the window, must lie right of the origin")
     law_nu, law_eta, seeding = sys.law_nu, sys.law_eta, sys.seeding
     steps = (law_nu.displacement, law_eta.displacement, seeding.displacement)
-    # cells right of the first one that a step can carry into the left extension
-    reach = min(max(max(int(d.lattice_cells(h)[-1]) for d in steps), 1),
-                xs.size - 1)
+    # both ends of the cells a step lands in, and one more for an interpolated atom
+    reach = 1 + max(abs(int(c)) for d in steps for c in d.lattice_cells(h)[[0, -1]])
+    xs = h * np.arange(-reach, math.ceil(x_max / h) + 1)
     bands = {d: _band(d, h) for d in steps}
     eta = FrontProfile(_heaviside(xs, h), float(xs[0]), h, 0)
     nu = FrontProfile(np.zeros(xs.size), float(xs[0]), h, 0)
@@ -501,7 +482,8 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
         a = _update(nu, law_nu, bands[law_nu.displacement], nu.values[0])
         b, shift = _convolve(eta, seeding.displacement, eta.values[0],
                              bands[seeding.displacement])
-        b = seeding.prob * (b if eta.offset + shift == a.offset else
+        sliced = eta.offset + shift == a.offset and b.size == a.values.size
+        b = seeding.prob * (b if sliced else
                             FrontProfile(b, eta.offset + shift, h, n).evaluate(a.grid()))
         nu = FrontProfile(a.values + b - a.values * b, a.offset, h, n)
         del a, b   # before the eta convolution, the step's largest working set
@@ -509,10 +491,12 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
         for u in (nu, eta):
             if u.values[-1] > RANGE_TOL:
                 raise RangeError(f"front mass reached the right grid edge "
-                                 f"{u.offset + h * (xs.size - 1):g} at generation {n}")
-            if abs(u.values[0] - u.values[reach]) > RANGE_TOL:
-                raise RangeError(f"front profile still varies at the left grid edge "
-                                 f"{u.offset:g} at generation {n}")
+                                 f"{u.offset + h * (u.values.size - 1):g} at generation {n}")
+        lo = [_flat_cells(u.values) - reach for u in (nu, eta)]
+        if nu.offset == eta.offset and nu.values.size == eta.values.size:
+            lo = [min(lo)] * 2
+        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size, u.values[0]),
+                                u.offset + c * h, h, n) for u, c in zip((nu, eta), lo))
         given = _given_eta(nu)
         medians.append(math.nan if given is None else given.front)
     return CoupledFrontResult(speed=_second_half_slope(medians),
@@ -531,7 +515,12 @@ def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float]
     BudgetError if any replicate was pruned.
     """
 
-    res = coupled_front(sys, n, x_max=40.0)
+    # in one generation no value moves right by more than a step's farthest
+    # cell and one more for an interpolated atom: the profile is 0 past n of those
+    h = 0.02
+    far = 1 + max(int(d.lattice_cells(h)[-1]) for d in (
+        sys.law_nu.displacement, sys.law_eta.displacement, sys.seeding.displacement))
+    res = coupled_front(sys, n, x_max=max(40.0, n * far * h), h=h)
     m = np.empty(replicates)
     for r in range(replicates):
         s = run_two_type(sys, n, budget=EXACT_POPULATION_CAP, seed=seed + r)

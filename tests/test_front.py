@@ -30,6 +30,7 @@ from brwlab.models import (
     TwoTypeSystem,
     skeleton_of_bbm,
 )
+from brwlab.speeds import anomalous_speed
 
 SQRT2 = math.sqrt(2.0)
 BBM = ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0))
@@ -73,7 +74,7 @@ class TestApplyQ:
         # v(x) = 1 - (1 - I(x))^2 with I(x) = int of the step density over
         # the region where the initial data is 1; independently integrated
         u = heaviside_profile(h=0.005)
-        v = apply_q(u, DET2, recenter=False)
+        v = apply_q(u, DET2)
         for x in (-1.0, 0.0, 1.0):
             integral, _ = quad(lambda z: norm.pdf(z), x, np.inf)
             want = 1.0 - (1.0 - integral) ** 2
@@ -86,7 +87,7 @@ class TestApplyQ:
         mu = 0.37
         law = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(mu))
         u = heaviside_profile(h=0.01)
-        v = apply_q(u, law, recenter=False)
+        v = apply_q(u, law)
         assert v.offset == pytest.approx(u.offset + mu, abs=0.0)
         assert np.array_equal(v.values, u.values)
 
@@ -100,21 +101,19 @@ class TestApplyQ:
         u = heaviside_profile(h=0.02, width=20.0)
         u.values[:] = np.linspace(0.0, 1.0, u.values.size)  # increasing: invalid
         with pytest.raises(RangeError):
-            apply_q(u, BBM, recenter=False)
+            apply_q(u, BBM)
 
     def test_two_point_step_mixture(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 1), TwoPoint(0.0, 1.0, 0.5))
         u = heaviside_profile(h=0.01)
-        v = apply_q(u, law, recenter=False)
+        v = apply_q(u, law)
         # single particle, step 0 or 1: P(M_1 > x) = 0.5 for x in (0, 1)
         assert float(v.evaluate(np.asarray([0.5]))[0]) == pytest.approx(0.5, abs=1e-9)
 
     def test_leading_edge_below_rounding_floor(self):
         # 1 - pgf(1 - s) cancels to 0 once s < ~1e-16, which cut the edge
         # off at a smallest positive value of exactly 4.44e-16
-        u = heaviside_profile(h=0.02)
-        for _ in range(60):
-            u = apply_q(u, BBM)
+        *_, u = front._profiles(BBM, 60, 0.02)
         assert float(u.values[u.values > 0].min()) < 1e-20
 
 
@@ -268,10 +267,10 @@ class TestFrontSpeed:
         assert abs(coarse.speed - fine.speed) < 1e-2
 
     def test_profile_grows_toward_one_on_compacts(self):
-        # without recentering, any fixed point is eventually overtaken
+        # on a fixed window, any fixed point is eventually overtaken
         u = heaviside_profile(h=0.02, width=60.0)
         for _ in range(60):
-            u = apply_q(u, BBM, recenter=False)
+            u = apply_q(u, BBM)
         assert float(u.evaluate(np.asarray([0.0]))[0]) >= 1 - 1e-3
 
     def test_snapshots_returned(self):
@@ -370,10 +369,35 @@ class TestCoupledFront:
         with pytest.raises(RangeError):
             coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 20, x_max=20.0)
 
-    def test_profile_varying_at_left_edge_raises(self, monkeypatch):
-        monkeypatch.setattr(front, "COUPLED_X_MIN", -3.0)
-        with pytest.raises(RangeError, match="left grid edge"):
-            coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 20, x_max=60.0)
+    def test_slowly_flattening_profiles_keep_their_left_ends(self):
+        # mean-1.2 families leave 1 - u_eta near 1e-5 far behind the front,
+        # where a fixed left window end once raised at generation 26
+        g = ReproductionLaw(OffspringLaw("geometric", 1.2), Gaussian(0.0, 1.0))
+        sysm = TwoTypeSystem(g, g, Seeding(0.5))
+        res = coupled_front(sysm, 300, x_max=250.0)
+        assert res.speed == pytest.approx(anomalous_speed(sysm).speed, rel=0.02)
+
+    @pytest.mark.parametrize("case", ["far_low_atom", "point_steps_to_n60"])
+    def test_windows_follow_the_steps(self, case):
+        single = OffspringLaw("deterministic", 1)
+        if case == "far_low_atom":
+            # the -2.0 atom carries values 100 cells left per step, further
+            # than any other step moves one: the left margin must cover it
+            sysm = TwoTypeSystem(
+                ReproductionLaw(single, Gaussian(0.0, 0.01)),
+                ReproductionLaw(OffspringLaw("deterministic", 2), TwoPoint(-2.0, 0.1, 0.5)),
+                Seeding(0.5))
+            n, xs, seed = 4, [-4.0, -1.0, 0.0], 1
+        else:
+            # the oldest eta has stepped 0.53 for 59 generations, past a
+            # horizon of 40 in its tail from generation 48 on
+            sysm = TwoTypeSystem(ReproductionLaw(single, PointMass(0.0)),
+                                 ReproductionLaw(single, Gaussian(0.53, 0.1)), Seeding(1.0))
+            n, xs, seed = 60, [31.0, 33.0, 35.0], 1000
+        rows = coupled_mc_consistency(sysm, n, xs, 400, seed=seed)
+        for x, q_val, p_hat, z in rows:
+            assert 0.05 < q_val < 0.95, rows
+            assert abs(z) <= 3.0, rows
 
     def test_worked_example_slope(self):
         # the anomalous speed of the worked example is 4/sqrt 6 exactly
