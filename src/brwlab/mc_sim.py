@@ -75,7 +75,8 @@ STEP_BLOCK = 2 ** 15  # independent steps drawn per call of a step sampler
 THIN_GATE = 4
 THIN_MARGIN = 1.3
 CUT_BINS = 128         # position cells the cut is placed from
-CUT_STEPS = 20         # bisection steps of the cut
+CUT_GRID = 32          # cuts tried at once, in each of CUT_ROUNDS
+CUT_ROUNDS = 2         # so the cut falls within 1/1024 of its bracket
 
 
 def replicate_rng(seed: int) -> np.random.Generator:
@@ -243,9 +244,12 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
 def _cut(step, positions: np.ndarray, counts: np.ndarray, target: float) -> float:
     """A position with about ``target`` children expected above it.
 
-    Bisects sum_i N_i P(X > c - x_i), with the parents binned into
-    ``CUT_BINS`` cells across their range and each cell read at its
-    centre.  The cut needs no more precision than that: the count it
+    Narrows a bracket on sum_i N_i P(X > c - x_i), with the parents
+    binned into ``CUT_BINS`` cells across their range and each cell read
+    at its centre: each round reads ``CUT_GRID + 1`` evenly spaced cuts
+    in one call of the step's ``sf`` and keeps the cell between the last
+    cut with at least ``target`` children expected above it and the next.
+    The cut needs no more precision than the cells give it: the count it
     leads to is drawn, not assumed.
     """
     lo, hi = float(positions.min()), float(positions.max())
@@ -256,22 +260,24 @@ def _cut(step, positions: np.ndarray, counts: np.ndarray, target: float) -> floa
     # every child is expected above -inf; a target past half of them is no cut
     target = min(target, 0.5 * mass.sum())
 
-    def expected(c):
-        return float(np.dot(mass, step.sf(c - centres)))
+    def expected(cuts):
+        """The children expected above each of ``cuts``, which falls as
+        the cut rises."""
+        return np.dot(step.sf(np.subtract.outer(cuts, centres)), mass)
 
     widen = 1.0
-    while expected(lo) < target:
+    while expected([lo])[0] < target:
         lo, widen = lo - widen, 2.0 * widen
     widen = 1.0
-    while expected(hi) > target:
+    while expected([hi])[0] > target:
         hi, widen = hi + widen, 2.0 * widen
-    for _ in range(CUT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if expected(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    for _ in range(CUT_ROUNDS):
+        cuts = np.linspace(lo, hi, CUT_GRID + 1)
+        # lo met the target when it was read alone; a sum that rounds
+        # otherwise here must not drop it from the bracket
+        k = max(1, int(np.count_nonzero(expected(cuts) >= target)))
+        lo, hi = cuts[k - 1], cuts[min(k, CUT_GRID)]
+    return float(lo)
 
 
 def _prune(children: np.ndarray, budget: int, window: float) -> np.ndarray:

@@ -15,16 +15,16 @@ or below per-step thresholds, which thinned beam branching needs, and
 the largest step of each of many families (``sample_max``), which the
 last generation of a two-type run needs.
 
-Only the normal distribution function and its inverse come from scipy,
-and only the samplers, thinned beams and censuses use them, so scipy is
-imported on their first call (``_normal``): cumulants, generating
-functions and lattice cell ranges run on numpy alone, and a ``speed``,
-``anomalous`` or ``front`` run never loads it.
+The samplers, thinned beams and censuses read the standard normal
+distribution function and its inverse, ``ndtr`` and ``ndtri``, from
+rational approximations evaluated on numpy arrays: Cody's for the error
+function (Math. Comp. 23, 1969) and Wichura's AS 241 (Appl. Statist. 37,
+1988), refined in the tails by one Newton step.  The package runs on
+numpy alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -35,14 +35,6 @@ from .errors import ParamError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 POISSON_NEWTON_STEPS = 200   # the least float mean above 1 needs 52
-
-
-@functools.cache
-def _normal():
-    """scipy's standard normal distribution function and its inverse,
-    (ndtr, ndtri), imported on the first call."""
-    from scipy.special import ndtr, ndtri
-    return ndtr, ndtri
 
 
 def _positive_poisson_rate(m: float) -> float:
@@ -200,7 +192,7 @@ class Gaussian:
     def sf(self, z):
         """P(X > z)."""
         z = np.asarray(z, dtype=float)
-        return _normal()[0]((self.mean - z) / math.sqrt(self.variance))
+        return ndtr((self.mean - z) / math.sqrt(self.variance))
 
     def sample(self, rng, size, above=None, below=None):
         """``size`` steps; with ``above`` (or ``below``), step i is drawn
@@ -224,7 +216,7 @@ class Gaussian:
         x /= counts
         np.expm1(x, out=x)
         np.negative(x, out=x)
-        return self.mean - math.sqrt(self.variance) * _normal()[1](x)
+        return self.mean - math.sqrt(self.variance) * ndtri(x)
 
     def lattice_cells(self, h: float) -> np.ndarray:
         """Indices j of the lattice cells [(j - 1/2) h, (j + 1/2) h) a step
@@ -239,7 +231,6 @@ class Gaussian:
         ndtr(-lo) - ndtr(-hi): a difference of CDFs there cancels against
         1, which leaves a 7-8 sd cell 12% off at pitch 0.05 and breaks the
         mirror symmetry of a centred step."""
-        ndtr = _normal()[0]
         sd = math.sqrt(self.variance)
         j = self.lattice_cells(h)
         edges_hi = ((j + 0.5) * h - self.mean) / sd
@@ -386,20 +377,242 @@ def _log_uniform(rng, size):
     return np.minimum(x, -2.0 ** -54, out=x)
 
 
-def _normal_above(z, u):
-    """Standard normals conditioned on exceeding ``z``, from uniforms ``u``.
+# --------------------------------------------------------------------------
+# the standard normal distribution function and its inverse
+# --------------------------------------------------------------------------
 
-    The draw with upper-tail mass (1 - u) P(Z > z) is read from whichever
-    tail of the inverse CDF keeps its precision: the upper one while that
-    mass is below 1/2, so a cut deep in the tail loses nothing, and the
-    lower one otherwise.
+def _ratio(num, den, y):
+    """P(y) / Q(y) by Horner's rule, for coefficients given highest
+    degree first."""
+    p = y * num[0]
+    p += num[1]
+    q = y * den[0]
+    q += den[1]
+    for a, b in zip(num[2:], den[2:]):
+        p *= y
+        p += a
+        q *= y
+        q += b
+    p /= q
+    return p
+
+
+def _halved(num):
+    return tuple(0.5 * c for c in num)
+
+
+def _rest(p, q, r):
+    """p - r q, rounded once from its exact value (floats are ratios of
+    integers, and dividing two integers rounds once)."""
+    (a, b), (c, d), (e, f) = (v.as_integer_ratio() for v in (p, q, r))
+    return (a * d * f - e * c * b) / (b * d * f)
+
+
+# Cody (1969), with the coefficients of his CALERF.  erf(y) = y P(y^2) /
+# Q(y^2) for |y| < 1/2; erfc(y) = exp(-y^2) P(y) / Q(y) for 1/2 <= y <= 4;
+# erfc(y) = exp(-y^2) (1/sqrt(pi) - z P(z) / Q(z)) / y with z = 1/y^2 above.
+# The numerators are halved, exactly, so that the ratios give the normal
+# tails, erf / 2 and erfc / 2.  The erf ratio is read as its value at 0,
+# ERF0 = 2 / sqrt(pi) to rounding, plus (P - ERF0 Q) / Q, whose
+# coefficients are rounded from their exact values: that rest stays below
+# a tenth of ERF0, so its rounding errors shrink tenfold.
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_Q = (1.0, 2.36012909523441209e1, 2.44024637934444173e2, 1.28261652607737228e3,
+          2.84423683343917062e3)
+ERF0 = _ERF_P[-1] / _ERF_Q[-1]
+_ERF_REST = (_halved([_rest(p, q, ERF0) for p, q in zip(_ERF_P, _ERF_Q)]), _ERF_Q)
+_ERFC_NEAR_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+                6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+                1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
+_ERFC_NEAR_Q = (1.0, 1.57449261107098347e1, 1.17693950891312499e2, 5.37181101862009858e2,
+                1.62138957456669019e3, 3.29079923573345963e3, 4.36261909014324716e3,
+                3.43936767414372164e3, 1.23033935480374942e3)
+_ERFC_NEAR = (_halved(_ERFC_NEAR_P), _ERFC_NEAR_Q)
+_ERFC_FAR_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+               1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ERFC_FAR_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0, 5.27905102951428412e-1,
+               6.05183413124413191e-2, 2.33520497626869185e-3)
+_ERFC_FAR = (_halved(_ERFC_FAR_P), _ERFC_FAR_Q)
+
+# Wichura (1988), AS 241 PPND16.  x = q P(r) / Q(r) with r = 0.180625 - q^2
+# for |q| = |p - 1/2| <= 0.425; past it r = sqrt(-log min(p, 1 - p)) and
+# |x| = P(r - 1.6) / Q(r - 1.6) for r <= 5, P(r - 5) / Q(r - 5) above.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0))
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0))
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0))
+
+SQRT1_2 = math.sqrt(0.5)
+NDTR_CENTRAL = 0.5 / SQRT1_2   # |x| below which ndtr reads erf
+NDTR_FAR = 4.0 / SQRT1_2       # |x| above which erfc takes its asymptotic form
+NDTR_ZERO = 40.0               # ndtr(-x) rounds to 0 from about 38.5 on
+NEWTON_MAX = 37.5              # exp(-x^2 / 2) is a normal float up to here
+NORMAL_BLOCK = 2 ** 14         # elements evaluated at once: temporaries stay in cache
+
+
+def _blockwise(f, x):
+    """``f(block, out)``, which writes into ``out``, over the flattened
+    float ``x`` a block at a time, shaped as ``x`` (a 0-d input gives a
+    scalar)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, NORMAL_BLOCK):
+        f(flat[start:start + NORMAL_BLOCK], out[start:start + NORMAL_BLOCK])
+    return out.reshape(x.shape)[()]
+
+
+def _apply(f, mask, x, out):
+    """``out[mask] = f(x[mask])``, with no call for an empty selection."""
+    i = mask.nonzero()[0]
+    if i.size:
+        out[i] = f(x.take(i))
+
+
+def ndtr(x):
+    """The standard normal distribution function P(Z <= x), elementwise.
+
+    Near 0 it is 1/2 + erf(x / sqrt 2) / 2; elsewhere the smaller tail,
+    read from erfc, keeps its relative precision down to the least
+    float.  ndtr(-inf) = 0, ndtr(inf) = 1, and nan stays nan.
     """
-    ndtr, ndtri = _normal()
-    upper = (1.0 - u) * ndtr(-z)
-    high = upper < 0.5
-    with np.errstate(divide="ignore"):
-        x = ndtri(np.where(high, upper, 1.0 - upper))
-    return np.where(high, -x, x)
+    return _blockwise(_ndtr_block, x)
+
+
+def _ndtr_block(x, out):
+    central = np.abs(x) < NDTR_CENTRAL
+    _apply(_ndtr_central, central, x, out)
+    _apply(_ndtr_tails, ~central, x, out)
+
+
+def _ndtr_central(x):
+    y = x * SQRT1_2
+    return 0.5 + (y * (0.5 * ERF0) + y * _ratio(*_ERF_REST, y * y))
+
+
+def _ndtr_tails(x):
+    a = np.minimum(np.abs(x), NDTR_ZERO)
+    t = _scaled_tail(a)
+    t *= _gauss(a)
+    return np.where(x < 0, t, 1.0 - t)
+
+
+def _gauss(a):
+    """exp(-a^2 / 2) for 0 <= a <= NDTR_ZERO, to the rounding of two exp.
+
+    It is exp(-b^2 / 2) exp(-(a - b)(a + b) / 2) with b = a cut down to
+    a multiple of 2^-20: b^2 is exact, where a^2 / 2, rounded, would be
+    off by up to 1e-13 of itself in the exponent, and the second factor
+    is just below 1, where floats are twice as fine as just above it.
+    """
+    b = np.trunc(a * 2.0 ** 20) * 2.0 ** -20
+    out = np.exp(-0.5 * b * b)
+    out *= np.exp(-0.5 * (a - b) * (a + b))
+    return out
+
+
+def _scaled_tail(a):
+    """ndtr(-a) exp(a^2 / 2), for a >= NDTR_CENTRAL (or nan)."""
+    out = np.empty(a.shape)
+    near = a <= NDTR_FAR
+    _apply(_erfc_near, near, a, out)
+    _apply(_erfc_far, ~near, a, out)
+    return out
+
+
+def _erfc_near(a):
+    return _ratio(*_ERFC_NEAR, a * SQRT1_2)
+
+
+def _erfc_far(a):
+    y = a * SQRT1_2
+    z = 1.0 / (y * y)
+    return (0.5 / math.sqrt(math.pi) - z * _ratio(*_ERFC_FAR, z)) / y
+
+
+def ndtri(p):
+    """The inverse of ``ndtr``: the x with ndtr(x) = p, elementwise.
+
+    ndtri(0) = -inf, ndtri(1) = inf, and p outside [0, 1] or nan gives
+    nan.  Past the central range the quantile is read from the smaller
+    tail, min(p, 1 - p) (``_upper_quantile``).
+    """
+    return _blockwise(_ndtri_block, p)
+
+
+def _ndtri_block(p, out):
+    central = np.abs(p - 0.5) <= 0.425
+    _apply(_ndtri_central, central, p, out)
+    _apply(_ndtri_tails, ~central, p, out)
+
+
+def _ndtri_central(p):
+    q = p - 0.5
+    return q * _ratio(*_AS241_CENTRAL, 0.180625 - q * q)
+
+
+def _ndtri_tails(p):
+    x = _upper_quantile(np.minimum(p, 1.0 - p))
+    return np.where(p < 0.5, -x, x)
+
+
+def _upper_quantile(m):
+    """The x with ndtr(-x) = m, for m below 0.075 (0 gives inf).
+
+    AS 241's estimate is off by up to 6e-16 of itself.  One Newton step
+    on ndtr(-x) = m divides the error of the tail it reads by about x^2,
+    which leaves the rounding of the result; past NEWTON_MAX, where m is
+    subnormal, the estimate stands.
+    """
+    x = np.empty(m.shape)
+    # m = 0 gives r = inf, read as x = inf; m < 0 gives nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_m = np.log(m)
+        r = np.sqrt(-log_m)
+        near = r <= 5.0
+        _apply(_as241_near, near, r, x)
+        _apply(_as241_far, ~near, r, x)
+    # the step (ndtr(-x) - m) / ndtr'(x) is sqrt(2 pi) times ndtr(-x) e^(x^2/2)
+    # less e^(x^2/2 + log m); rounding x^2 / 2 puts an error of about x^2
+    # ulp in the second term, which the step then divides by x^2
+    xs = np.minimum(x, NEWTON_MAX)
+    step = _scaled_tail(xs)
+    step -= np.exp(0.5 * xs * xs + log_m)
+    step *= math.sqrt(2.0 * math.pi)
+    return np.where(x < NEWTON_MAX, x + step, x)
+
+
+def _as241_near(r):
+    return _ratio(*_AS241_NEAR, r - 1.6)
+
+
+def _as241_far(r):
+    return np.where(r == np.inf, r, _ratio(*_AS241_FAR, r - 5.0))
+
+
+def _normal_above(z, u):
+    """Standard normals conditioned on exceeding ``z``, from uniforms ``u``:
+    the draw whose upper-tail mass is (1 - u) P(Z > z).  ``ndtri`` reads
+    it from the smaller tail, so a cut deep in the tail loses nothing."""
+    return -ndtri((1.0 - u) * ndtr(-z))
 
 
 # --------------------------------------------------------------------------

@@ -605,26 +605,47 @@ class TestReferenceBytes:
         assert len(outputs[0][0]) > 1
 
 
-def test_numpy_only_runs_never_load_scipy(tmp_path):
-    """``speed`` (a two-point step), ``anomalous``, ``front`` and
-    ``coupled_front`` run on numpy alone: scipy is loaded only by the
-    samplers that need the normal distribution function."""
+def test_no_route_loads_scipy(tmp_path):
+    """Every route runs on numpy alone: with scipy made unimportable,
+    ``speed`` (a two-point step), ``anomalous``, ``front``, a one-type and
+    a thinned two-type ``simulate``, the coupled front, the census and
+    both exact batches all succeed."""
     script = textwrap.dedent("""
-        import json, sys
+        import json, math, sys
+        sys.modules["scipy"] = None     # any import of scipy now raises
         import brwlab, brwlab.cli
+        from brwlab import mc_sim
         law = {"offspring": "poisson_positive", "mean": 2.5,
                "displacement": {"kind": "two_point", "low": -0.5, "high": 1.0,
                                 "prob_high": 0.3}}
-        gauss = {"offspring": "geometric", "mean": 2.718281828459045,
+        gauss = {"offspring": "geometric", "mean": math.e,
                  "displacement": {"kind": "gaussian", "mean": 0.0, "variance": 1.0}}
+        steep = {"offspring": "geometric", "mean": math.exp(3.0),
+                 "displacement": {"kind": "gaussian", "mean": 0.0, "variance": 1 / 3}}
         skeleton = {"skeleton": {"V": 1 / 3, "lambda": 3.0, "p": 0.5}}
+        # the reversed worked example: its eta beam, born about e^3 times its
+        # budget, passes THIN_GATE and is thinned
+        reversed_ = {"nu": gauss, "eta": steep, "seed_prob": 0.5}
+        thinned = []
+        branch = mc_sim._thinned
+        mc_sim._thinned = lambda *a, **k: thinned.append(1) or branch(*a, **k)
         for kind, cfg in (("speed", {"law": law}), ("anomalous", {"system": skeleton}),
-                          ("front", {"law": gauss, "n_max": 10, "h": 0.05})):
+                          ("front", {"law": gauss, "n_max": 10, "h": 0.05}),
+                          ("simulate", {"law": gauss, "n_max": 10, "budget": 200,
+                                        "replicates": 1}),
+                          ("simulate", {"system": reversed_, "n_max": 8, "budget": 200,
+                                        "replicates": 1})):
             with open(kind + ".json", "w") as fh:
                 json.dump(dict(cfg, kind=kind, seed=1), fh)
             code = brwlab.cli.main([kind, "--config", kind + ".json", "--out", kind])
             assert code == 0, (kind, code)
-        brwlab.coupled_front(brwlab.skeleton_of_bbm(1 / 3, 3.0, 0.5), 5, x_max=40.0)
+        assert thinned
+        system = brwlab.skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        brwlab.coupled_front(system, 5, x_max=40.0)
+        unit = brwlab.cli.build_law(gauss)
+        brwlab.run_count_census(unit, 5, seed=1)
+        brwlab.mc_consistency(unit, 3, [1.0, 2.0], 50, seed=1)
+        brwlab.front.coupled_mc_consistency(system, 2, [1.0, 2.0], 20, seed=1)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     src = Path(cli.__file__).resolve().parents[1]
@@ -633,4 +654,4 @@ def test_numpy_only_runs_never_load_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "['scipy']"   # the blocker alone

@@ -1,9 +1,13 @@
 """Law catalogue: exact cumulants, samplers, and the two-type system."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr as scipy_ndtr
+from scipy.special import ndtri as scipy_ndtri
 from scipy.stats import chisquare, geom, ks_2samp, kstest, norm, truncnorm
 
 from brwlab.errors import ParamError
@@ -17,7 +21,10 @@ from brwlab.models import (
     Seeding,
     TwoPoint,
     TwoTypeSystem,
+    NORMAL_BLOCK,
     _logistic_pair,
+    ndtr,
+    ndtri,
     skeleton_of_bbm,
 )
 
@@ -138,6 +145,97 @@ class TestNumpyNumerics:
 
 OFFSPRING_KINDS = [OffspringLaw("deterministic", 3), OffspringLaw("geometric", math.e),
                    OffspringLaw("poisson_positive", 2.5)]
+
+
+def _mp_rel_errors(values, refs):
+    return np.array([abs(float((mpmath.mpf(float(v)) - r) / r))
+                     for v, r in zip(values, refs)])
+
+
+def _mp_ndtr(xs):
+    with mpmath.workdps(50):
+        return [mpmath.ncdf(mpmath.mpf(float(x))) for x in xs]
+
+
+def _mp_ndtri(ps):
+    """Quantiles at 50 digits: two Newton steps from scipy's, which is
+    within 1e-15 of the root."""
+    out = []
+    with mpmath.workdps(50):
+        for p, x in zip(ps, scipy_ndtri(ps)):
+            p, x = mpmath.mpf(float(p)), mpmath.mpf(float(x))
+            for _ in range(2):
+                x -= (mpmath.ncdf(x) - p) / mpmath.npdf(x)
+            out.append(x)
+    return out
+
+
+class TestNormalFunctions:
+    """``ndtr`` and ``ndtri`` on numpy alone, against mpmath at 50 digits,
+    with scipy as a second oracle.  The bounds are scipy's own worst
+    relative errors on these grids, rounded up."""
+
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (-37.5, -20.0, 2.4e-13), (-20.0, -5.0, 5.7e-14), (-5.0, 0.0, 4.0e-15),
+        (0.0, 8.2, 1.7e-16)])
+    def test_ndtr_against_mpmath(self, lo, hi, bound):
+        xs = np.linspace(lo, hi, 2001)[:-1]
+        refs = _mp_ndtr(xs)
+        ours = _mp_rel_errors(ndtr(xs), refs).max()
+        theirs = _mp_rel_errors(scipy_ndtr(xs), refs).max()
+        assert ours <= bound, (ours, theirs)
+        if lo < 0:
+            # scipy rounds x^2 / 2 into the exponent; ndtr does not
+            assert ours <= theirs / 4, (ours, theirs)
+
+    def test_ndtri_against_mpmath(self):
+        ps = np.geomspace(1e-300, 0.49, 2000)
+        refs = _mp_ndtri(ps)
+        ours = _mp_rel_errors(ndtri(ps), refs).max()
+        theirs = _mp_rel_errors(scipy_ndtri(ps), refs).max()
+        assert ours <= 2.9e-16 and ours <= theirs, (ours, theirs)
+        # the central range, which a geometric grid barely samples
+        ps = np.linspace(0.075, 0.49, 2000)
+        refs = _mp_ndtri(ps)
+        ours = _mp_rel_errors(ndtri(ps), refs).max()
+        theirs = _mp_rel_errors(scipy_ndtri(ps), refs).max()
+        assert ours <= theirs, (ours, theirs)
+
+    def test_ndtri_inverts_ndtr(self):
+        # to the rounding of ndtr(x): an error of eps ndtr(x) in it moves
+        # the inverse by eps ndtr(x) / ndtr'(x)
+        x = np.linspace(-37.5, 8.2, 100_001)
+        p = ndtr(x)
+        slack = np.minimum(p, 1.0) * np.sqrt(2.0 * np.pi) * np.exp(0.5 * x * x) + np.abs(x)
+        assert np.all(np.abs(ndtri(p) - x) <= 3.0 * 2.0 ** -52 * slack)
+
+    def test_tails_sum_to_one(self):
+        x = np.linspace(0.0, 40.0, 100_001)
+        assert np.all(np.abs(ndtr(x) + ndtr(-x) - 1.0) <= 2.0 ** -52)
+
+    def test_special_values_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ndtr(np.array([0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, np.nan]))
+            assert list(got[:6]) == [0.5, 0.5, 1.0, 0.0, 1.0, 0.0] and np.isnan(got[6])
+            got = ndtri(np.array([0.0, 1.0, 0.5, np.nan, -0.5, 1.5, -np.inf, np.inf]))
+            assert list(got[:3]) == [-np.inf, np.inf, 0.0] and np.all(np.isnan(got[3:]))
+
+    def test_shapes(self):
+        assert isinstance(ndtr(0.3), np.float64) and isinstance(ndtri(0.3), np.float64)
+        assert ndtr(np.zeros((3, 4))).shape == (3, 4)
+        assert ndtri(np.zeros(0)).shape == (0,)
+
+    def test_each_value_is_independent_of_its_neighbours(self):
+        # every branch evaluates only its own elements, in blocks of
+        # NORMAL_BLOCK: a value must not depend on the array it sits in
+        rng = np.random.default_rng(8)
+        x = rng.choice([0.3, -3.0, 7.0, -30.0, 1.0], 3 * NORMAL_BLOCK + 5) * rng.random(
+            3 * NORMAL_BLOCK + 5)
+        p = rng.choice([0.5, 0.1, 1e-20, 1.0 - 1e-9], x.size) * rng.random(x.size)
+        for f, v in ((ndtr, x), (ndtri, p)):
+            alone = np.array([f(e) for e in v[::97]])
+            assert np.array_equal(f(v)[::97], alone)
 
 
 class TestComplement:
@@ -315,8 +413,12 @@ class TestConditionedSteps:
 class TestLatticePmf:
     """The census's step law: a Gaussian's mass in each lattice cell."""
 
-    def test_centred_pmf_is_its_own_mirror_image(self):
-        j, q = Gaussian(0.0, 1.0).lattice_pmf(0.05)
+    @pytest.mark.parametrize("variance, h", [
+        (1.0, 0.05), (1 / 3, 0.05), (2.0, 0.01), (0.5, 0.1), (1.0, 0.013)])
+    def test_centred_pmf_is_its_own_mirror_image(self, variance, h):
+        # bit for bit: the census orders cells by decreasing mass with a
+        # stable sort, so equal masses keep their mirror order
+        j, q = Gaussian(0.0, variance).lattice_pmf(h)
         assert np.array_equal(j, -j[::-1])
         assert np.array_equal(q, q[::-1])
 
