@@ -40,9 +40,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetError, KernelError, ParamError, RangeError
-from .mc_sim import (EXACT_POPULATION_CAP, replicate_rng, rightmost_batch,
-                     run_two_type)
+from .errors import KernelError, ParamError, RangeError
+from .mc_sim import replicate_rng, rightmost_batch
 from .models import (Displacement, Gaussian, PointMass, ReproductionLaw, TwoPoint,
                      TwoTypeSystem)
 
@@ -506,13 +505,15 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
 
 def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float],
                            replicates: int, seed: int = 0):
-    """Compare the coupled recursion with unpruned two-type Monte Carlo.
+    """Compare the coupled recursion with exact two-type Monte Carlo.
 
-    Runs ``replicates`` replicates of ``run_two_type`` (seeds ``seed``,
-    ``seed + 1``, ...) with a budget no replicate may reach, and reports
-    one binomial z-score per x for P(rightmost eta at generation n
-    exceeds x), as ``mc_consistency`` does for one type.  Raises
-    BudgetError if any replicate was pruned.
+    Draws the rightmost eta at generation n of ``replicates`` unpruned
+    replicates as one batch (``rightmost_batch``) from the one stream
+    ``replicate_rng(seed)``, and reports one binomial z-score per x for
+    P(rightmost eta at generation n exceeds x), as ``mc_consistency``
+    does for one type; a replicate with no eta exceeds no x.  Raises
+    BudgetError, before any child is drawn, when a batch chunk's joint
+    population would exceed the exact cap.
     """
 
     # in one generation no value moves right by more than a step's farthest
@@ -521,11 +522,5 @@ def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float]
     far = 1 + max(int(d.lattice_cells(h)[-1]) for d in (
         sys.law_nu.displacement, sys.law_eta.displacement, sys.seeding.displacement))
     res = coupled_front(sys, n, x_max=max(40.0, n * far * h), h=h)
-    m = np.empty(replicates)
-    for r in range(replicates):
-        s = run_two_type(sys, n, budget=EXACT_POPULATION_CAP, seed=seed + r)
-        if s.pruning["nu"] or s.pruning["eta"]:
-            raise BudgetError("a two-type replicate outgrew the exact cap; "
-                              "reduce n")
-        m[r] = s.rightmost_eta[n]
-    return _z_rows(res.nu, m, x_values)
+    return _z_rows(res.nu, rightmost_batch(sys, n, replicates, replicate_rng(seed)),
+                   x_values)

@@ -18,6 +18,13 @@ beam prunes through ``_prune``, in place.  The last generation of a
 two-type run, read only for its maxima, is drawn as one rightmost
 child per family (``_family_maxima``).
 
+One exact-batch engine, ``rightmost_batch``, draws many unpruned
+replicates of a law, or of a two-type system, jointly in chunks: the
+rightmost particle of each, or its rightmost eta (NaN where it has
+none), whose last generation is drawn as the seeds and eta's family
+maxima alone.  It raises before any child is drawn past its cap, so
+no replicate is ever pruned and none needs checking.
+
 A beam generation born with more than ``THIN_GATE`` times its budget is
 thinned: every family size is drawn, but only the children that can
 survive the prune get a position, from the step law conditioned above
@@ -38,7 +45,9 @@ with the step's cells in decreasing mass.
 Reproducibility: every run draws from the one stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
 as ``replicate_rng(base + r)``, so results are independent of
-scheduling and bit-identical across runs.
+scheduling and bit-identical across runs.  An exact batch draws all of
+its replicates from the one stream it is given, so batches of seeds s
+and s + 1 share none.
 """
 
 from __future__ import annotations
@@ -47,22 +56,24 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import BudgetError, StateError
-from .models import INT64_MAX, ReproductionLaw, TwoTypeSystem
+from .models import INT64_MAX, ReproductionLaw, Seeding, TwoTypeSystem
 
 # Particle cap of every exact (unpruned) population: the joint population
-# of a ``rightmost_batch`` chunk, and the budget of the unpruned two-type
-# replicates of ``front.coupled_mc_consistency``.
+# of a ``rightmost_batch`` chunk, both classes of a two-type one together.
 EXACT_POPULATION_CAP = 4_000_000
-# Expected joint population of a ``rightmost_batch`` chunk at its last
-# generation.  A chunk's arrays, not the batch's, set the peak memory: at
-# 2^19 particles check 9's batch (100,000 replicates, n = 8) holds 22 MB
-# above the import; 2^18 ran 10% slower, and 2^20 no faster at 38 MB.
-BATCH_PARTICLES = 2 ** 19
+# Expected population of a ``rightmost_batch`` chunk at its last drawn
+# generation, the larger class's.  Chunks this small reuse the heap's
+# memory: inside a ``particles`` round check 9's batch (100,000 replicates,
+# n = 8) took a median 0 minor faults against 94,000 at 2^19, whose chunks
+# the heap gave back and faulted in again, and 1.08 s against 1.25 s
+# normalized (BENCH_25).  In a fresh process 2^14 ran about 15% slower,
+# and 2^16 no faster, with 88,000 faults on its first call.
+BATCH_PARTICLES = 2 ** 15
 CENSUS_BLOCK = 64     # occupied sites per multinomial call of a census
 STEP_BLOCK = 2 ** 15  # independent steps drawn per call of a step sampler
 
@@ -166,12 +177,15 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-              rng: np.random.Generator, **cut) -> np.ndarray:
+              rng: np.random.Generator, tail: Optional[np.ndarray] = None,
+              **cut) -> np.ndarray:
     """``counts[i]`` children of each ``positions[i]``, in parent order.
 
     ``cut`` is empty, or ``above=c`` or ``below=c``: every child is then
     drawn conditioned on landing above c (or at or below it), through
-    the step law's ``sample``.  Under the ``common`` mechanism the
+    the step law's ``sample``.  With ``above``, ``tail`` may hold each
+    parent's P(X > c - x_i), which the step law then reads instead of
+    evaluating it per child.  Under the ``common`` mechanism the
     condition falls on each family's one step, and the families with
     no children here draw none.
     """
@@ -179,18 +193,23 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         if cut:
             live = counts > 0
             positions, counts = positions[live], counts[live]
+            tail = None if tail is None else tail[live]
         steps = law.displacement.sample(
-            rng, positions.size, **{side: c - positions for side, c in cut.items()})
+            rng, positions.size, tail=tail,
+            **{side: c - positions for side, c in cut.items()})
         return np.repeat(positions + steps, counts)
     children = np.repeat(positions, counts)
+    if tail is not None:
+        tail = np.repeat(tail, counts)
     # Steps are drawn and added in place a block at a time, which uses
     # the generator exactly as one call would: a child-sized array of
     # steps would be fresh memory every generation, and its page faults
     # cost a unit beam a tenth of its time.
     for start in range(0, children.size, STEP_BLOCK):
         block = children[start:start + STEP_BLOCK]
+        masses = None if tail is None else tail[start:start + STEP_BLOCK]
         block += law.displacement.sample(
-            rng, block.size, **{side: c - block for side, c in cut.items()})
+            rng, block.size, tail=masses, **{side: c - block for side, c in cut.items()})
     return children
 
 
@@ -220,9 +239,10 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     expected above it (``_cut``).  With s_i = P(X > c - x_i), parent i has
     Binomial(N_i, s_i) children above c (under ``common``, all N_i with
     probability s_i), and only those are drawn, from the step law
-    conditioned above c - x_i.  When they and the ``rivals`` above c
-    number at least ``budget``, every child of the top ``budget`` is
-    among them, so the prune keeps what it would keep from the full
+    conditioned above c - x_i, which reads s_i rather than evaluating it
+    again for every child.  When they and the ``rivals`` above c number
+    at least ``budget``, every child of the top ``budget`` is among
+    them, so the prune keeps what it would keep from the full
     generation.  Otherwise the rest of every family is drawn below the
     cut, which completes the full generation exactly, with no resampling.
     """
@@ -233,7 +253,7 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         upper = rng.binomial(counts, prob)
     else:
         upper = np.where(rng.random(positions.size) < prob, counts, 0)
-    above = _children(law, positions, upper, rng, above=cut)
+    above = _children(law, positions, upper, rng, tail=prob, above=cut)
     contenders = above.size + (0 if rivals is None else int((rivals > cut).sum()))
     if contenders >= budget:
         return above
@@ -286,18 +306,22 @@ def _prune(children: np.ndarray, budget: int, window: float) -> np.ndarray:
     ``children`` is partitioned in place to its top ``budget``, which the
     window then cuts at their maximum, the generation's: the window is a
     threshold on value, so this keeps the same set as cutting first, in
-    another order, with no copy of the whole generation.  When the
-    window cuts none of them they are returned as a view of
-    ``children``, not copied: fresh memory every generation costs page
-    faults, and the view halved a unit beam's.
+    another order, with no copy of the whole generation.  The kept set
+    is returned in an array of its own, never as a view of
+    ``children``, so a beam holds one generation's array at a time.  A
+    unit beam (n = 200, budget 1e5) that kept views held two, and unless
+    a larger array had raised glibc's trim threshold first, the heap
+    gave their pages back and faulted them in again: about 42,000 minor
+    faults a run in a fresh process, against 1,200 with the copy.
     """
+    top = children
     if children.size > budget:
         children.partition(children.size - budget)
-        children = children[-budget:]
-    floor = children.max() - window
-    if children.min() >= floor:
-        return children
-    return children[children >= floor]
+        top = children[-budget:]
+    floor = top.max() - window
+    if top.min() >= floor:
+        return top if top is children else top.copy()
+    return top[top >= floor]
 
 
 def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
@@ -494,7 +518,6 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
     """
 
     rng = replicate_rng(seed)
-    p = sys.seeding.prob
     pos_nu = np.zeros(1)
     pos_eta = np.empty(0)
     m_nu = np.full(n_max + 1, np.nan)
@@ -511,16 +534,13 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
         if n == 1 and born_nu > budget:
             raise BudgetError(f"family size {born_nu} exceeds budget "
                               f"{budget} at generation 1")
-        # one Bernoulli seed per nu-family, placed relative to the parent
-        seeded = rng.random(pos_nu.size) < p if p > 0 else np.zeros(pos_nu.size, bool)
-        n_seeds = int(seeded.sum())
-        seed_pos = pos_nu[seeded] + sys.seeding.displacement.sample(rng, n_seeds)
+        seed_pos = _seeds(sys.seeding, pos_nu, rng)[1]
         if last:
             born_eta, children_eta = _family_maxima(sys.law_eta, pos_eta, rng)
         else:
             born_eta, children_eta = _branch(sys.law_eta, pos_eta, rng, budget=budget,
                                              rivals=seed_pos)
-        born_eta += n_seeds
+        born_eta += seed_pos.size
         children_eta = np.concatenate([children_eta, seed_pos])
         if not last:
             drawn["nu"] += children_nu.size
@@ -540,35 +560,108 @@ def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
                                   pruning=dict(pruned, drawn=drawn))
 
 
-def rightmost_batch(law: ReproductionLaw, n: int, replicates: int,
-                    rng: np.random.Generator) -> np.ndarray:
+def _seeds(seeding: Seeding, nu: np.ndarray,
+           rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """One Bernoulli seed at most per nu family, placed relative to its
+    parent ``nu[i]``: which families seeded, and the seeds.  Without
+    seeding nothing is drawn."""
+    seeded = (rng.random(nu.size) < seeding.prob if seeding.prob > 0
+              else np.zeros(nu.size, dtype=bool))
+    return seeded, nu[seeded] + seeding.displacement.sample(rng, int(seeded.sum()))
+
+
+def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
+                    replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Exact rightmost positions at generation ``n`` for many replicates at once.
 
-    Replicates are simulated jointly in flat arrays, which is what makes
-    distributional checks at small n cheap.  Children follow their
-    parents' order and every family has a child, so each replicate stays
-    one contiguous, nonempty run of ``sizes`` particles.  A chunk holds
-    as many replicates as have about ``BATCH_PARTICLES`` particles
-    between them at generation n, at least one.  Raises BudgetError when
-    the joint population of a chunk would exceed ``EXACT_POPULATION_CAP``,
-    judged from the family sizes before any child is drawn.
+    ``model`` is a law, whose rightmost particle is read, or a two-type
+    system started from one nu at the origin, whose rightmost eta is
+    read, NaN in a replicate with no eta.  Replicates are simulated
+    jointly in flat arrays, which is what makes distributional checks at
+    small n cheap, and every draw comes from ``rng``.  A chunk holds as
+    many replicates as have about ``BATCH_PARTICLES`` particles between
+    them at its last drawn generation, by the larger class's expected
+    population, at least one.  Raises BudgetError when the joint
+    population of a chunk would exceed ``EXACT_POPULATION_CAP``, judged
+    from the family sizes before any child is drawn.
     """
 
-    chunk = max(1, int(BATCH_PARTICLES * law.offspring.mean ** -n))
+    two_type = isinstance(model, TwoTypeSystem)
+    last_drawn = n - 1 if two_type else n
+    chunk = max(1, int(BATCH_PARTICLES / _expected_population(model, last_drawn)))
     out = np.empty(replicates)
-    done = 0
-    while done < replicates:
+    for done in range(0, replicates, chunk):
         r = min(chunk, replicates - done)
-        pos = np.zeros(r)
-        sizes = np.ones(r, dtype=np.int64)
-        for _ in range(n):
-            counts = law.offspring.sample(rng, pos.size)
-            # summed in float64, which cannot wrap as int64 can
-            if counts.sum(dtype=np.float64) > EXACT_POPULATION_CAP:
-                raise BudgetError("joint population exceeds the exact-batch cap; "
-                                  "reduce n")
-            sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
-            pos = _children(law, pos, counts, rng)
-        out[done:done + r] = np.maximum.reduceat(pos, np.cumsum(sizes) - sizes)
-        done += r
+        out[done:done + r] = (_rightmost_eta(model, n, r, rng) if two_type
+                              else _rightmost(model, n, r, rng))
     return out
+
+
+def _expected_population(model: Union[ReproductionLaw, TwoTypeSystem],
+                         n: int) -> float:
+    """The expected size of the larger class at generation ``n`` of one
+    replicate (inf past the float range)."""
+    if isinstance(model, ReproductionLaw):
+        return math.prod([model.offspring.mean] * n)
+    nu, eta = 1.0, 0.0
+    for _ in range(n):
+        nu, eta = (nu * model.law_nu.offspring.mean,
+                   eta * model.law_eta.offspring.mean + model.seeding.prob * nu)
+    return max(nu, eta)
+
+
+def _judge_cap(*counts: np.ndarray) -> None:
+    """BudgetError when the children of a chunk's families, ``counts``
+    summed over every array, exceed ``EXACT_POPULATION_CAP``."""
+    # summed in float64, which cannot wrap as int64 can
+    if sum(c.sum(dtype=np.float64) for c in counts) > EXACT_POPULATION_CAP:
+        raise BudgetError("joint population exceeds the exact-batch cap; reduce n")
+
+
+def _rightmost(law: ReproductionLaw, n: int, r: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The rightmost particle at generation ``n`` of ``r`` replicates.
+
+    Children follow their parents' order and every family has a child,
+    so each replicate stays one contiguous, nonempty run of ``sizes``
+    particles.
+    """
+    pos = np.zeros(r)
+    sizes = np.ones(r, dtype=np.int64)
+    for _ in range(n):
+        counts = law.offspring.sample(rng, pos.size)
+        _judge_cap(counts)
+        sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
+        pos = _children(law, pos, counts, rng)
+    return np.maximum.reduceat(pos, np.cumsum(sizes) - sizes)
+
+
+def _rightmost_eta(sys: TwoTypeSystem, n: int, r: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The rightmost eta at generation ``n`` of ``r`` replicates, NaN where
+    there is none.
+
+    Each particle carries its replicate's index, since seeds join the
+    eta class out of their replicates' order.  Generation n is read only
+    for its maximum: it draws the seeds and one rightmost child per eta
+    family (``_family_maxima``), and no nu.
+    """
+    if n == 0:
+        return np.full(r, np.nan)
+    law_nu, law_eta = sys.law_nu, sys.law_eta
+    nu, nu_of = np.zeros(r), np.arange(r)
+    eta, eta_of = np.empty(0), np.empty(0, dtype=nu_of.dtype)
+    for _ in range(n - 1):
+        seeded, seeds = _seeds(sys.seeding, nu, rng)
+        counts_nu = law_nu.offspring.sample(rng, nu.size)
+        counts_eta = law_eta.offspring.sample(rng, eta.size)
+        _judge_cap(counts_nu, counts_eta, seeded)
+        eta = np.concatenate([_children(law_eta, eta, counts_eta, rng), seeds])
+        eta_of = np.concatenate([np.repeat(eta_of, counts_eta), nu_of[seeded]])
+        nu, nu_of = _children(law_nu, nu, counts_nu, rng), np.repeat(nu_of, counts_nu)
+    seeded, seeds = _seeds(sys.seeding, nu, rng)
+    top = np.full(r, -np.inf)
+    np.maximum.at(top, nu_of[seeded], seeds)
+    np.maximum.at(top, eta_of, _family_maxima(law_eta, eta, rng)[1])
+    top[top == -np.inf] = np.nan
+    return top

@@ -194,15 +194,17 @@ class Gaussian:
         z = np.asarray(z, dtype=float)
         return ndtr((self.mean - z) / math.sqrt(self.variance))
 
-    def sample(self, rng, size, above=None, below=None):
+    def sample(self, rng, size, above=None, below=None, tail=None):
         """``size`` steps; with ``above`` (or ``below``), step i is drawn
-        conditioned on X > above[i] (or X <= below[i]) by the inverse CDF."""
+        conditioned on X > above[i] (or X <= below[i]) by the inverse CDF.
+        A caller that holds the masses P(X > above[i]) passes them as
+        ``tail``, which the draw then reads instead of ``sf(above)``."""
         sd = math.sqrt(self.variance)
         if above is not None:
-            return self.mean + sd * _normal_above((above - self.mean) / sd,
-                                                  rng.random(size))
+            return self.mean + sd * _normal_above(
+                self.sf(above) if tail is None else tail, rng.random(size))
         if below is not None:
-            return self.mean - sd * _normal_above((self.mean - below) / sd,
+            return self.mean - sd * _normal_above(ndtr((below - self.mean) / sd),
                                                   rng.random(size))
         return rng.normal(self.mean, sd, size=size)
 
@@ -261,9 +263,10 @@ class PointMass:
         """P(X > z)."""
         return np.where(np.asarray(z, dtype=float) < self.value, 1.0, 0.0)
 
-    def sample(self, rng, size, above=None, below=None):
-        """``size`` copies of the value.  A condition (``above``/``below``, as
-        for ``Gaussian``) of positive probability leaves the law as it is."""
+    def sample(self, rng, size, above=None, below=None, tail=None):
+        """``size`` copies of the value.  A condition (``above``/``below``/
+        ``tail``, as for ``Gaussian``) of positive probability leaves the
+        law as it is."""
         return np.full(size, self.value, dtype=float)
 
     def sample_max(self, rng, counts):
@@ -321,10 +324,10 @@ class TwoPoint:
         z = np.asarray(z, dtype=float)
         return np.where(z < self.low, 1.0, np.where(z < self.high, self.prob_high, 0.0))
 
-    def sample(self, rng, size, above=None, below=None):
+    def sample(self, rng, size, above=None, below=None, tail=None):
         """``size`` steps, conditioned as for ``Gaussian``: a threshold in
         [low, high) leaves only ``high`` above it, or only ``low`` at or
-        below it."""
+        below it.  The thresholds alone decide, so ``tail`` is not read."""
         p = self.prob_high
         if above is not None:
             p = np.where(np.asarray(above) < self.low, p, 1.0)
@@ -608,11 +611,12 @@ def _as241_far(r):
     return np.where(r == np.inf, r, _ratio(*_AS241_FAR, r - 5.0))
 
 
-def _normal_above(z, u):
-    """Standard normals conditioned on exceeding ``z``, from uniforms ``u``:
-    the draw whose upper-tail mass is (1 - u) P(Z > z).  ``ndtri`` reads
-    it from the smaller tail, so a cut deep in the tail loses nothing."""
-    return -ndtri((1.0 - u) * ndtr(-z))
+def _normal_above(tail, u):
+    """Standard normals conditioned on their upper tail of mass ``tail``,
+    from uniforms ``u``: the draw whose upper-tail mass is (1 - u) tail.
+    ``ndtri`` reads it from the smaller tail, so a cut deep in the tail
+    loses nothing."""
+    return -ndtri((1.0 - u) * tail)
 
 
 # --------------------------------------------------------------------------

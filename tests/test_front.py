@@ -19,7 +19,7 @@ from brwlab.front import (
     heaviside_profile,
     mc_consistency,
 )
-from brwlab.mc_sim import TrajectoryStats, centering_slope
+from brwlab.mc_sim import TrajectoryStats, centering_slope, replicate_rng, rightmost_batch
 from brwlab.models import (
     Gaussian,
     OffspringLaw,
@@ -281,7 +281,6 @@ class TestFrontSpeed:
 
 class TestExpectedRightmost:
     def test_matches_batch_mc_at_small_n(self):
-        from brwlab.mc_sim import replicate_rng, rightmost_batch
         curve = expected_rightmost_curve(DET2, 6, h=0.005)
         rng = replicate_rng(314)
         m = rightmost_batch(DET2, 6, 40_000, rng)
@@ -323,6 +322,47 @@ class TestCoupledFront:
         for x, q_val, p_hat, z in rows:
             assert 0.05 < q_val < 0.95, rows    # informative, not saturated
             assert abs(z) <= 3.0, rows
+
+    @pytest.mark.parametrize("case", ["worked_example", "far_low_atom", "common_eta"])
+    def test_exact_batch_agrees_at_2000_replicates(self, case):
+        # the rightmost eta of 2,000 exact replicates against the recursion:
+        # the far_low_atom system moves values 2 left a step; families of
+        # one share their one step, so a common eta class has the law of
+        # its independent twin, which the recursion takes
+        single = OffspringLaw("deterministic", 1)
+        if case == "worked_example":
+            sysm = twin = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+            xs = [3.0, 4.0, 5.0]
+        elif case == "far_low_atom":
+            sysm = twin = TwoTypeSystem(
+                ReproductionLaw(single, Gaussian(0.0, 0.01)),
+                ReproductionLaw(OffspringLaw("deterministic", 2), TwoPoint(-2.0, 0.1, 0.5)),
+                Seeding(0.5))
+            xs = [-4.0, -1.0, 0.0]
+        else:
+            nu = ReproductionLaw(OffspringLaw("geometric", 2.0), Gaussian(0.0, 1 / 3))
+            sysm, twin = (TwoTypeSystem(nu, ReproductionLaw(single, Gaussian(0.5, 1.0), m),
+                                        Seeding(0.5, Gaussian(0.0, 0.25)))
+                          for m in ("common", "independent"))
+            xs = [1.0, 2.0, 3.0]
+        samples = rightmost_batch(sysm, 4, 2000, replicate_rng(25))
+        rows = front._z_rows(coupled_front(twin, 4, x_max=40.0).nu, samples, xs)
+        for x, q_val, p_hat, z in rows:
+            assert 0.05 < q_val < 0.95, rows    # informative, not saturated
+            assert abs(z) <= 4.0, rows
+
+    def test_seeds_give_unrelated_batches(self, monkeypatch):
+        # one stream per seed: seeds s and s + 1 share no replicate
+        batches = []
+        batch = front.rightmost_batch
+        monkeypatch.setattr(front, "rightmost_batch",
+                            lambda *a: batches.append(batch(*a)) or batches[-1])
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        for seed in (7, 8):
+            coupled_mc_consistency(sysm, 3, [3.0], 400, seed=seed)
+        a, b = (m[~np.isnan(m)] for m in batches)
+        assert a.size > 300 and b.size > 300
+        assert np.intersect1d(a, b).size == 0
 
     def test_profile_extends_by_its_first_value(self):
         profile = FrontProfile(np.array([0.4, 0.25, 0.0]), -1.0, 1.0, 3)

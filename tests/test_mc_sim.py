@@ -344,6 +344,24 @@ def test_step_blocks_use_the_stream_of_one_call(monkeypatch, step, cut):
     assert np.array_equal(blocked, whole)
 
 
+@pytest.mark.parametrize("step", [Gaussian(0.2, 0.5), TwoPoint(-0.3, 0.4, 0.35)],
+                         ids=["gaussian", "two_point"])
+@pytest.mark.parametrize("mechanism", ["independent", "common"])
+def test_thinned_tail_masses_keep_the_stream(step, mechanism):
+    # ``_thinned`` passes each parent's P(X > c - x), which it has read
+    # already, with the threshold: the children must be those the
+    # threshold alone draws, from the same generator state
+    law = ReproductionLaw(OffspringLaw("geometric", 3.0), step, mechanism)
+    parents = np.linspace(-1.0, 1.0, 1000)
+    counts = law.offspring.sample(replicate_rng(5), parents.size)
+    cut = 0.3
+    plain = _children(law, parents, counts, replicate_rng(6), above=cut)
+    tailed = _children(law, parents, counts, replicate_rng(6),
+                       tail=step.sf(cut - parents), above=cut)
+    assert plain.size == counts.sum()
+    assert np.array_equal(tailed, plain)
+
+
 def _window_then_partition(children, budget, window):
     """The prune as first written: the window cut, then the top budget."""
     kept = children[children >= children.max() - window]
@@ -391,6 +409,40 @@ class TestRightmostBatch:
         law = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
             rightmost_batch(law, 1, 4, replicate_rng(0))
+
+
+    @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
+    @pytest.mark.parametrize("role", ["nu", "eta"])
+    def test_two_type_cap_is_judged_before_any_child_is_drawn(self, monkeypatch,
+                                                              family, role):
+        # the nu families of generation 1, or the eta families of generation
+        # 2 (every nu seeds one eta), pass the cap: no child is drawn past it
+        drawn = []
+        children = mc_sim._children
+
+        def recording(law, positions, counts, rng, **cut):
+            drawn.append(int(counts.sum()))
+            return children(law, positions, counts, rng, **cut)
+
+        monkeypatch.setattr(mc_sim, "_children", recording)
+        single = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(0.0))
+        big = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
+        sysm = (TwoTypeSystem(big, single, Seeding(1.0)) if role == "nu"
+                else TwoTypeSystem(single, big, Seeding(1.0)))
+        with pytest.raises(BudgetError):
+            rightmost_batch(sysm, 3, 4, replicate_rng(0))
+        assert all(d <= mc_sim.EXACT_POPULATION_CAP for d in drawn)
+
+    def test_a_replicate_with_no_eta_reads_nan(self):
+        point = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(0.0))
+        sysm = TwoTypeSystem(point, point, Seeding(0.3, PointMass(0.5)))
+        got = rightmost_batch(sysm, 1, 4000, replicate_rng(8))
+        # generation 1 holds an eta exactly when the ancestor seeded one, at 0.5
+        assert set(got[~np.isnan(got)]) == {0.5}
+        assert abs(np.isnan(got).mean() - 0.7) <= 4 * math.sqrt(0.21 / got.size)
+        assert np.isnan(rightmost_batch(sysm, 0, 10, replicate_rng(8))).all()
+        never = TwoTypeSystem(point, point, Seeding(0.0))
+        assert np.isnan(rightmost_batch(never, 5, 100, replicate_rng(8))).all()
 
 
 def test_branch_children_follow_their_parents():

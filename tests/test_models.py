@@ -396,6 +396,17 @@ class TestConditionedSteps:
             a = (c - step.mean) / math.sqrt(step.variance)
             assert kstest(part, truncnorm(a, np.inf).cdf).pvalue > 1e-3
 
+    def test_tail_mass_and_threshold_give_the_same_draws(self):
+        # a thinned beam hands each parent's tail mass, read once by ``sf``,
+        # to the conditioned draw: from the same generator state it must
+        # draw what the thresholds alone give, deep tails included
+        step = Gaussian(0.3, 0.5)
+        cuts = np.linspace(-4.0, 25.0, 5001)
+        plain = step.sample(replicate_rng(4), cuts.size, above=cuts)
+        tailed = step.sample(replicate_rng(4), cuts.size, above=cuts, tail=step.sf(cuts))
+        assert np.all(np.isfinite(plain)) and np.all(plain > cuts)
+        assert np.array_equal(tailed, plain)
+
     @pytest.mark.parametrize("z", [9.0, 30.0])
     def test_gaussian_deep_tail_keeps_its_precision(self, z):
         # P(X > 30 sd) is 5e-198: read from the upper tail of the inverse
