@@ -37,7 +37,6 @@ from .front import (
 )
 from .mc_sim import (
     TrajectoryStats,
-    TwoTypeTrajectoryStats,
     centering_slope,
     count_profile,
     predicted_beam_deficit,

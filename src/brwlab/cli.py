@@ -321,43 +321,35 @@ def run_anomalous(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _replicate(job):
-    """Stats of replicate r: run_two_type for a config with a system,
-    run_one_type for one with a law."""
-    cfg, r = job
-    model, run_model = ((build_system(cfg.system), run_two_type) if cfg.system is not None
-                        else (build_law(cfg.law), run_one_type))
-    return run_model(model, cfg.n_max, budget=cfg.budget, window=cfg.window,
-                     seed=cfg.seed + 1000 + r)
+    """Stats of replicate r of ``model``, a law or a system, by ``run``."""
+    run, model, cfg, r = job
+    return run(model, cfg.n_max, budget=cfg.budget, window=cfg.window,
+               seed=cfg.seed + 1000 + r)
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
-    stats = map_replicates(_replicate, [(cfg, r) for r in range(cfg.replicates)],
-                           threads)
+    law = build_law(cfg.law) if cfg.system is None else None
+    run, model = ((run_one_type, law) if law is not None
+                  else (run_two_type, build_system(cfg.system)))
+    stats = map_replicates(_replicate, [(run, model, cfg, r)
+                                        for r in range(cfg.replicates)], threads)
     lines = [f"replicates={cfg.replicates} n_max={cfg.n_max}"]
     rows = []
-    if cfg.system is not None:
-        for r, s in enumerate(stats):
-            for n in range(cfg.n_max + 1):
-                rows.append([r, n, "nu", s.rightmost_nu[n]])
-                if not math.isnan(s.rightmost_eta[n]):
-                    rows.append([r, n, "eta", s.rightmost_eta[n]])
-        write_csv(out_dir / "trajectory.csv",
-                  ["replicate", "n", "type", "rightmost"], rows)
+    for r, s in enumerate(stats):
+        for n in range(cfg.n_max + 1):
+            rows.append([r, n, "nu", s.rightmost[n]])
+            if not math.isnan(s.rightmost_eta[n]):
+                rows.append([r, n, "eta", s.rightmost_eta[n]])
+    write_csv(out_dir / "trajectory.csv", ["replicate", "n", "type", "rightmost"], rows)
+    if law is None:
         eta_final = [s.rightmost_eta[cfg.n_max] / cfg.n_max for s in stats
                      if not math.isnan(s.rightmost_eta[cfg.n_max])]
         mean_eta = float(np.mean(eta_final)) if eta_final else math.nan
         lines.append(f"mean_rightmost_eta_over_n={fmt(mean_eta)}")
         ok = _expect_check(mean_eta, cfg.expect, lines)
     else:
-        law = build_law(cfg.law)
-        count_rows = []
-        for r, s in enumerate(stats):
-            for n in range(cfg.n_max + 1):
-                rows.append([r, n, "nu", s.rightmost[n]])
-            for a, n, val in count_profile(s, cfg.a_values):
-                count_rows.append([r, n, a, val])
-        write_csv(out_dir / "trajectory.csv",
-                  ["replicate", "n", "type", "rightmost"], rows)
+        count_rows = [[r, n, a, val] for r, s in enumerate(stats)
+                      for a, n, val in count_profile(s, cfg.a_values)]
         write_csv(out_dir / "counts.csv",
                   ["replicate", "n", "a", "log_count_over_n"], count_rows)
         speed = speed_from_inf(law)

@@ -12,17 +12,21 @@ eta lineages seeded far behind the running eta maximum, which the beam
 discards, so the worked example (speed 4/sqrt 6 = 1.633) measures about
 1.399 at n=300.  ``front.coupled_front`` gives that law exactly.
 
-One branching step, ``_branch``, serves beams and two-type runs, and
-its child drawing, ``_children``, also serves exact batches.  Every
-beam prunes through ``_prune``, in place.  The last generation of a
-two-type run, read only for its maxima, is drawn as one rightmost
-child per family (``_family_maxima``).
+A law runs as a two-type system with no eta class.  One beam,
+``_beam``, serves ``run_one_type`` and ``run_two_type``, and returns one
+record, ``TrajectoryStats``, whose ``rightmost_eta`` is all NaN for a
+law.  Each class branches through ``_branch`` and prunes through
+``_prune``, in place.  The last generation, read only for its maxima,
+is drawn in full while it fits the budget, so an exact one-type run
+keeps its positions, and past it as one rightmost child per family
+(``_family_maxima``).
 
 One exact-batch engine, ``rightmost_batch``, draws many unpruned
-replicates of a law, or of a two-type system, jointly in chunks: the
-rightmost particle of each, or its rightmost eta (NaN where it has
-none), whose last generation is drawn as the seeds and eta's family
-maxima alone.  It raises before any child is drawn past its cap, so
+replicates jointly in chunks, through one routine, ``_rightmost``: of a
+two-type system it reads the rightmost eta (NaN where there is none),
+of a law, run as a system with no eta class, the rightmost particle.
+Its last generation is drawn as the read class's family maxima (and
+seeds) alone.  It raises before any child is drawn past its cap, so
 no replicate is ever pruned and none needs checking.
 
 A beam generation born with more than ``THIN_GATE`` times its budget is
@@ -132,7 +136,11 @@ class GenerationCensus:
 
 @dataclass
 class TrajectoryStats:
-    """Per-replicate record of one run: rightmost positions and exact censuses."""
+    """Per-replicate record of one run: rightmost positions and exact censuses.
+
+    ``rightmost`` reads the nu class (a law's one class) and
+    ``rightmost_eta`` the eta class, NaN in generations with no eta, as
+    in every generation of a law."""
 
     seed: int
     rightmost: np.ndarray                  # index n -> M_n, n = 0..n_max
@@ -140,40 +148,45 @@ class TrajectoryStats:
     exact_positions: Optional[List[np.ndarray]] = None
     census: Optional[List[GenerationCensus]] = None
     pruning: dict = field(default_factory=dict)
+    rightmost_eta: Optional[np.ndarray] = None     # None: all NaN
 
-
-@dataclass
-class TwoTypeTrajectoryStats:
-    """Per-replicate record of a two-type run; NaN marks generations with no eta."""
-
-    seed: int
-    rightmost_nu: np.ndarray
-    rightmost_eta: np.ndarray
-    pruning: dict = field(default_factory=dict)
+    def __post_init__(self):
+        if self.rightmost_eta is None:
+            self.rightmost_eta = np.full(len(self.rightmost), np.nan)
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
             rng: np.random.Generator, budget: Optional[int] = None,
-            rivals: Optional[np.ndarray] = None) -> Tuple[int, np.ndarray]:
-    """One branching step: the number of children born, and the children.
+            rivals: Optional[np.ndarray] = None,
+            last: bool = False) -> Tuple[int, np.ndarray]:
+    """One branching step of a class: the number born, and the children.
 
-    Every family size is drawn.  A pruned beam passes its ``budget``;
-    when its generation is born with more than ``THIN_GATE`` times that
-    many children, only those that can survive the prune are drawn (see
-    ``_thinned``), and ``rivals``, candidates that compete with the
-    children for the budget (the eta beam's seeds), count towards it.
-    Otherwise every child is drawn.  Either way the kept set, the top
-    ``budget`` children within the caller's window, has its exact law.
+    ``rivals``, candidates that compete with the children for the budget
+    (the eta class's seeds), count as born and are appended to the
+    children.  Every family size is drawn.  The ``last`` generation, read only for
+    its maxima, gives one rightmost child per family (``_family_maxima``)
+    when more than ``budget`` are born.  Otherwise a pruned beam passes
+    its ``budget``; when its generation is born with more than
+    ``THIN_GATE`` times that many children, only those that can survive
+    the prune are drawn (see ``_thinned``).  Otherwise every child is
+    drawn.  Either way the kept set, the top ``budget`` children within
+    the caller's window, has its exact law.
 
-    Beams and two-type runs branch here and prune themselves through
-    ``_prune``.  An empty generation makes size-0 draws, which leave
-    ``rng`` where it was.
+    An empty generation makes size-0 draws, which leave ``rng`` where it
+    was.
     """
     counts = law.offspring.sample(rng, positions.size)
     born = int(counts.sum())
-    if budget is not None and born > THIN_GATE * budget:
-        return born, _thinned(law, positions, counts, rng, budget, rivals)
-    return born, _children(law, positions, counts, rng)
+    extra = 0 if rivals is None else rivals.size
+    if last and born + extra > budget:
+        children = _family_maxima(law, positions, counts, rng)
+    elif budget is not None and born > THIN_GATE * budget:
+        children = _thinned(law, positions, counts, rng, budget, rivals)
+    else:
+        children = _children(law, positions, counts, rng)
+    if rivals is None:
+        return born, children
+    return born + extra, np.concatenate([children, rivals])
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -213,21 +226,18 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     return children
 
 
-def _family_maxima(law: ReproductionLaw, positions: np.ndarray,
-                   rng: np.random.Generator) -> Tuple[int, np.ndarray]:
-    """The number of children born, and the rightmost child of each family.
+def _family_maxima(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """The rightmost of the ``counts[i]`` children of each ``positions[i]``.
 
-    Every family size is drawn as in ``_branch``, then one maximum per
-    family, exactly in law: the largest of N independent steps through
-    the step law's ``sample_max``, or under ``common`` the family's one
-    step.  A generation read only for its maximum needs no more.
+    One maximum per family, exactly in law: the largest of N independent
+    steps through the step law's ``sample_max``, or under ``common`` the
+    family's one step.  A generation read only for its maximum needs no
+    more.
     """
-    counts = law.offspring.sample(rng, positions.size)
     if law.mechanism == "independent":
-        steps = law.displacement.sample_max(rng, counts)
-    else:
-        steps = law.displacement.sample(rng, positions.size)
-    return int(counts.sum()), positions + steps
+        return positions + law.displacement.sample_max(rng, counts)
+    return positions + law.displacement.sample(rng, positions.size)
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -324,47 +334,77 @@ def _prune(children: np.ndarray, budget: int, window: float) -> np.ndarray:
     return top[top >= floor]
 
 
-def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
-                 window: float = 15.0, seed: int = 0) -> TrajectoryStats:
-    """Simulate one replicate of a one-type walk for ``n_max`` generations.
+def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
+          seed: int) -> TrajectoryStats:
+    """One replicate of both classes from a single nu-ancestor at the origin.
 
-    Branching is exact while the population fits the budget; exact
-    generations keep their full position lists for later count
-    profiles.  Raises BudgetError if a single family already overflows
-    the budget at the first generation.
+    Each class is pruned against its own running maximum (under an
+    anomaly the eta front outruns the nu front).  The nu class is exact
+    while every generation fits the budget, and exact generations keep
+    their positions for later count profiles.  Generation ``n_max`` is
+    read only for its maxima: it is drawn in full while it fits the
+    budget and as family maxima past it (``_branch`` with ``last``), is
+    never pruned, and the ``pruning`` counts, ``nu``, ``eta`` and
+    ``drawn``, cover generations 1 to ``n_max - 1``.  Raises BudgetError if a
+    single family already overflows the budget at the first generation.
     """
 
     rng = replicate_rng(seed)
-    positions = np.zeros(1)
-    m = np.empty(n_max + 1)
-    m[0] = 0.0
-    exact_positions: List[np.ndarray] = [positions.copy()]
-    exact = True
-    exact_upto = 0
-    pruned_total = drawn = 0
-    cap_bound_at = None
+    pos = {"nu": np.zeros(1), "eta": np.empty(0)}
+    m = {c: np.full(n_max + 1, np.nan) for c in pos}
+    m["nu"][0] = 0.0
+    exact_positions = [pos["nu"]]
+    pruned = {"nu": 0, "eta": 0}
+    drawn = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        born, children = _branch(law, positions, rng, budget=budget)
-        if n == 1 and born > budget:
-            raise BudgetError(f"family size {born} exceeds budget {budget} "
-                              "at generation 1")
-        drawn += children.size
-        if born > budget:
-            children = _prune(children, budget, window)
-            pruned_total += born - children.size
-            if exact:
-                cap_bound_at = n
-            exact = False
-        m[n] = children.max()    # a prune keeps the maximum
-        positions = children
-        if exact:
-            exact_positions.append(children.copy())
-            exact_upto = n
-    return TrajectoryStats(seed=seed, rightmost=m, exact_upto=exact_upto,
+        last = n == n_max
+        seeds = None
+        for c, law in (("nu", sys.law_nu), ("eta", sys.law_eta)):
+            born, children = _branch(law, pos[c], rng, budget, seeds, last)
+            if c == "nu":
+                if n == 1 and born > budget:
+                    raise BudgetError(f"family size {born} exceeds budget {budget} "
+                                      "at generation 1")
+                if len(exact_positions) == n and born <= budget:
+                    exact_positions.append(children)
+                seeds = _seeds(sys.seeding, pos["nu"], rng)[1]
+            if not last:
+                drawn[c] += children.size
+                if born > budget:
+                    children = _prune(children, budget, window)
+                    pruned[c] += born - children.size
+            if children.size:
+                m[c][n] = children.max()    # a prune keeps the maximum
+            pos[c] = children
+    return TrajectoryStats(seed=seed, rightmost=m["nu"], rightmost_eta=m["eta"],
+                           exact_upto=len(exact_positions) - 1,
                            exact_positions=exact_positions,
-                           pruning={"pruned": pruned_total, "drawn": drawn,
-                                    "cap_bound_at": cap_bound_at,
-                                    "budget": budget, "window": window})
+                           pruning=dict(pruned, drawn=drawn))
+
+
+def run_one_type(law: ReproductionLaw, n_max: int, budget: int = 100_000,
+                 window: float = 15.0, seed: int = 0) -> TrajectoryStats:
+    """Simulate one replicate of a one-type walk for ``n_max`` generations,
+    as a two-type system with no eta class (``_beam``)."""
+    return _beam(TwoTypeSystem(law, law, Seeding(0.0)), n_max, budget, window, seed)
+
+
+def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
+                 window: float = 15.0, seed: int = 0) -> TrajectoryStats:
+    """Simulate one replicate of a two-type system for ``n_max``
+    generations (``_beam``)."""
+    return _beam(sys, n_max, budget, window, seed)
+
+
+def _seeds(seeding: Seeding, nu: np.ndarray,
+           rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """One Bernoulli seed at most per nu family, placed relative to its
+    parent ``nu[i]``: which families seeded, and the seeds.  Without
+    seeding nothing is drawn."""
+    if not seeding.prob:
+        return np.zeros(nu.size, dtype=bool), np.empty(0)
+    seeded = rng.random(nu.size) < seeding.prob
+    return seeded, nu[seeded] + seeding.displacement.sample(rng, int(seeded.sum()))
 
 
 def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
@@ -428,8 +468,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     last = len(censuses) - 1
     return TrajectoryStats(seed=seed, rightmost=m[:last + 1], exact_upto=last,
                            census=censuses,
-                           pruning={"pruned": 0, "saturated": saturated,
-                                    "pitch": pitch})
+                           pruning={"saturated": saturated})
 
 
 def count_profile(stats: TrajectoryStats, a_values: Sequence[float]):
@@ -505,108 +544,40 @@ def predicted_beam_deficit(law: ReproductionLaw, tilt: Optional[float],
     return math.pi ** 2 * tilt * float(k2) / (2.0 * L * L)
 
 
-def run_two_type(sys: TwoTypeSystem, n_max: int, budget: int = 100_000,
-                 window: float = 15.0, seed: int = 0) -> TwoTypeTrajectoryStats:
-    """Simulate both classes from a single nu-ancestor at the origin.
-
-    Each class is pruned against its own running maximum (under an
-    anomaly the eta front outruns the nu front).  Nothing reads the
-    positions of generation ``n_max``, only its maxima, so it is drawn
-    as one rightmost child per family (``_family_maxima``): it is
-    neither drawn in full nor pruned, and the ``pruning`` counts, ``nu``,
-    ``eta`` and ``drawn``, cover generations 1 to ``n_max - 1``.
-    """
-
-    rng = replicate_rng(seed)
-    pos_nu = np.zeros(1)
-    pos_eta = np.empty(0)
-    m_nu = np.full(n_max + 1, np.nan)
-    m_eta = np.full(n_max + 1, np.nan)
-    m_nu[0] = 0.0
-    pruned = {"nu": 0, "eta": 0}
-    drawn = {"nu": 0, "eta": 0}
-    for n in range(1, n_max + 1):
-        last = n == n_max
-        if last:
-            born_nu, children_nu = _family_maxima(sys.law_nu, pos_nu, rng)
-        else:
-            born_nu, children_nu = _branch(sys.law_nu, pos_nu, rng, budget=budget)
-        if n == 1 and born_nu > budget:
-            raise BudgetError(f"family size {born_nu} exceeds budget "
-                              f"{budget} at generation 1")
-        seed_pos = _seeds(sys.seeding, pos_nu, rng)[1]
-        if last:
-            born_eta, children_eta = _family_maxima(sys.law_eta, pos_eta, rng)
-        else:
-            born_eta, children_eta = _branch(sys.law_eta, pos_eta, rng, budget=budget,
-                                             rivals=seed_pos)
-        born_eta += seed_pos.size
-        children_eta = np.concatenate([children_eta, seed_pos])
-        if not last:
-            drawn["nu"] += children_nu.size
-            drawn["eta"] += children_eta.size
-            if born_nu > budget:
-                children_nu = _prune(children_nu, budget, window)
-                pruned["nu"] += born_nu - children_nu.size
-            if born_eta > budget:
-                children_eta = _prune(children_eta, budget, window)
-                pruned["eta"] += born_eta - children_eta.size
-        m_nu[n] = children_nu.max()    # a prune keeps the maximum
-        if children_eta.size:
-            m_eta[n] = children_eta.max()
-        pos_nu = children_nu
-        pos_eta = children_eta
-    return TwoTypeTrajectoryStats(seed=seed, rightmost_nu=m_nu, rightmost_eta=m_eta,
-                                  pruning=dict(pruned, drawn=drawn))
-
-
-def _seeds(seeding: Seeding, nu: np.ndarray,
-           rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """One Bernoulli seed at most per nu family, placed relative to its
-    parent ``nu[i]``: which families seeded, and the seeds.  Without
-    seeding nothing is drawn."""
-    seeded = (rng.random(nu.size) < seeding.prob if seeding.prob > 0
-              else np.zeros(nu.size, dtype=bool))
-    return seeded, nu[seeded] + seeding.displacement.sample(rng, int(seeded.sum()))
-
-
 def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
                     replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Exact rightmost positions at generation ``n`` for many replicates at once.
 
-    ``model`` is a law, whose rightmost particle is read, or a two-type
-    system started from one nu at the origin, whose rightmost eta is
-    read, NaN in a replicate with no eta.  Replicates are simulated
-    jointly in flat arrays, which is what makes distributional checks at
-    small n cheap, and every draw comes from ``rng``.  A chunk holds as
-    many replicates as have about ``BATCH_PARTICLES`` particles between
-    them at its last drawn generation, by the larger class's expected
-    population, at least one.  Raises BudgetError when the joint
-    population of a chunk would exceed ``EXACT_POPULATION_CAP``, judged
-    from the family sizes before any child is drawn.
+    ``model`` is a two-type system started from one nu at the origin,
+    whose rightmost eta is read, NaN in a replicate with no eta, or a
+    law, run as a system with no eta class, whose rightmost particle is
+    read.  Replicates are simulated jointly in flat arrays, which is
+    what makes distributional checks at small n cheap, and every draw
+    comes from ``rng``.  A chunk holds as many replicates as have about
+    ``BATCH_PARTICLES`` particles between them at its last drawn
+    generation, n - 1, by the larger class's expected population, at
+    least one.  Raises BudgetError when the joint population of a chunk
+    would exceed ``EXACT_POPULATION_CAP``, judged from the family sizes
+    before any child is drawn.
     """
 
-    two_type = isinstance(model, TwoTypeSystem)
-    last_drawn = n - 1 if two_type else n
-    chunk = max(1, int(BATCH_PARTICLES / _expected_population(model, last_drawn)))
+    read_eta = isinstance(model, TwoTypeSystem)
+    sys = model if read_eta else TwoTypeSystem(model, model, Seeding(0.0))
+    chunk = max(1, int(BATCH_PARTICLES / _expected_population(sys, n - 1)))
     out = np.empty(replicates)
     for done in range(0, replicates, chunk):
         r = min(chunk, replicates - done)
-        out[done:done + r] = (_rightmost_eta(model, n, r, rng) if two_type
-                              else _rightmost(model, n, r, rng))
+        out[done:done + r] = _rightmost(sys, n, r, rng, read_eta)
     return out
 
 
-def _expected_population(model: Union[ReproductionLaw, TwoTypeSystem],
-                         n: int) -> float:
+def _expected_population(sys: TwoTypeSystem, n: int) -> float:
     """The expected size of the larger class at generation ``n`` of one
     replicate (inf past the float range)."""
-    if isinstance(model, ReproductionLaw):
-        return math.prod([model.offspring.mean] * n)
     nu, eta = 1.0, 0.0
     for _ in range(n):
-        nu, eta = (nu * model.law_nu.offspring.mean,
-                   eta * model.law_eta.offspring.mean + model.seeding.prob * nu)
+        nu, eta = (nu * sys.law_nu.offspring.mean,
+                   eta * sys.law_eta.offspring.mean + sys.seeding.prob * nu)
     return max(nu, eta)
 
 
@@ -618,36 +589,18 @@ def _judge_cap(*counts: np.ndarray) -> None:
         raise BudgetError("joint population exceeds the exact-batch cap; reduce n")
 
 
-def _rightmost(law: ReproductionLaw, n: int, r: int,
-               rng: np.random.Generator) -> np.ndarray:
-    """The rightmost particle at generation ``n`` of ``r`` replicates.
-
-    Children follow their parents' order and every family has a child,
-    so each replicate stays one contiguous, nonempty run of ``sizes``
-    particles.
-    """
-    pos = np.zeros(r)
-    sizes = np.ones(r, dtype=np.int64)
-    for _ in range(n):
-        counts = law.offspring.sample(rng, pos.size)
-        _judge_cap(counts)
-        sizes = np.add.reduceat(counts, np.cumsum(sizes) - sizes)
-        pos = _children(law, pos, counts, rng)
-    return np.maximum.reduceat(pos, np.cumsum(sizes) - sizes)
-
-
-def _rightmost_eta(sys: TwoTypeSystem, n: int, r: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The rightmost eta at generation ``n`` of ``r`` replicates, NaN where
-    there is none.
+def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
+               read_eta: bool) -> np.ndarray:
+    """The rightmost eta, or nu, at generation ``n`` of ``r`` replicates,
+    NaN where there is none.
 
     Each particle carries its replicate's index, since seeds join the
     eta class out of their replicates' order.  Generation n is read only
-    for its maximum: it draws the seeds and one rightmost child per eta
-    family (``_family_maxima``), and no nu.
+    for its maximum: it draws one rightmost child per family of the
+    class read (``_family_maxima``), with the seeds when that is eta.
     """
     if n == 0:
-        return np.full(r, np.nan)
+        return np.full(r, np.nan if read_eta else 0.0)
     law_nu, law_eta = sys.law_nu, sys.law_eta
     nu, nu_of = np.zeros(r), np.arange(r)
     eta, eta_of = np.empty(0), np.empty(0, dtype=nu_of.dtype)
@@ -659,9 +612,13 @@ def _rightmost_eta(sys: TwoTypeSystem, n: int, r: int,
         eta = np.concatenate([_children(law_eta, eta, counts_eta, rng), seeds])
         eta_of = np.concatenate([np.repeat(eta_of, counts_eta), nu_of[seeded]])
         nu, nu_of = _children(law_nu, nu, counts_nu, rng), np.repeat(nu_of, counts_nu)
-    seeded, seeds = _seeds(sys.seeding, nu, rng)
     top = np.full(r, -np.inf)
-    np.maximum.at(top, nu_of[seeded], seeds)
-    np.maximum.at(top, eta_of, _family_maxima(law_eta, eta, rng)[1])
+    law, parents, of = law_nu, nu, nu_of
+    if read_eta:
+        seeded, seeds = _seeds(sys.seeding, nu, rng)
+        np.maximum.at(top, nu_of[seeded], seeds)
+        law, parents, of = law_eta, eta, eta_of
+    counts = law.offspring.sample(rng, parents.size)
+    np.maximum.at(top, of, _family_maxima(law, parents, counts, rng))
     top[top == -np.inf] = np.nan
     return top

@@ -64,7 +64,7 @@ class TestRunOneType:
         small = run_one_type(BBM, 10, budget=10_000, window=50.0, seed=5)
         large = run_one_type(BBM, 10, budget=10_000_000, window=50.0, seed=5)
         assert np.array_equal(small.rightmost, large.rightmost)
-        assert small.pruning["pruned"] == 0
+        assert small.pruning["nu"] == 0
 
     def test_family_overflow_raises(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 50), Gaussian(0.0, 1.0))
@@ -75,6 +75,56 @@ class TestRunOneType:
         ms = [run_one_type(BBM, 80, budget=20_000, window=15.0, seed=200 + r
                            ).rightmost[80] / 80 for r in range(6)]
         assert np.mean(ms) == pytest.approx(SQRT2, rel=0.08)
+
+
+class TestOneBeam:
+    """A law runs as a two-type system with no eta class."""
+
+    COMMON = ReproductionLaw(OffspringLaw("poisson_positive", 2.5),
+                             TwoPoint(-0.4, 0.6, 0.3), "common")
+
+    @pytest.mark.parametrize("law", [BBM, COMMON], ids=["unit", "common"])
+    def test_law_beam_is_the_seedless_system_beam(self, law):
+        # exact for a few generations, then pruned
+        one = run_one_type(law, 12, budget=500, window=15.0, seed=7)
+        two = run_two_type(TwoTypeSystem(law, law, Seeding(0.0)), 12, budget=500,
+                           window=15.0, seed=7)
+        assert np.array_equal(one.rightmost, two.rightmost)
+        assert 0 < one.exact_upto == two.exact_upto < 12
+        assert len(one.exact_positions) == len(two.exact_positions) == one.exact_upto + 1
+        for a, b in zip(one.exact_positions, two.exact_positions):
+            assert np.array_equal(a, b)
+        assert one.pruning == two.pruning
+        assert one.pruning["nu"] > 0 and one.pruning["eta"] == 0
+        assert np.isnan(one.rightmost_eta).all() and one.rightmost_eta.size == 13
+
+    def test_exact_run_keeps_its_last_generation(self):
+        # 2^6 = 64 children at generation 6 fit a budget of 64
+        law = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
+        s = run_one_type(law, 6, budget=64, window=5.0, seed=0)
+        assert s.exact_upto == 6 and len(s.exact_positions) == 7
+        assert s.exact_positions[6].size == 64
+        assert s.rightmost[6] == s.exact_positions[6].max()
+
+    def test_pruned_last_generation_is_drawn_as_family_maxima(self, monkeypatch):
+        calls = []
+        maxima = mc_sim._family_maxima
+
+        def spy(law, positions, counts, rng):
+            calls.append((positions.size, int(counts.sum())))
+            return maxima(law, positions, counts, rng)
+
+        monkeypatch.setattr(mc_sim, "_family_maxima", spy)
+        s = run_one_type(BBM, 10, budget=200, window=15.0, seed=3)
+        # one call, for the families of generation 10, born past the budget
+        assert len(calls) == 1 and calls[0][1] > 200
+        assert calls[0][0] <= 200 and s.exact_upto < 10
+        # a last generation that fits the budget is drawn in full
+        run_one_type(BBM, 3, budget=10 ** 6, window=15.0, seed=3)
+        assert len(calls) == 1
+        # an exact batch reads a law's last generation from its family maxima
+        rightmost_batch(BBM, 3, 50, replicate_rng(3))
+        assert len(calls) == 2
 
 
 class TestCensusAndCounts:
@@ -231,7 +281,7 @@ class TestRunTwoType:
     def test_deterministic_and_seeded(self):
         a = run_two_type(self.SYS, 30, budget=3000, window=15.0, seed=4)
         b = run_two_type(self.SYS, 30, budget=3000, window=15.0, seed=4)
-        assert np.array_equal(a.rightmost_nu, b.rightmost_nu)
+        assert np.array_equal(a.rightmost, b.rightmost)
         assert np.array_equal(a.rightmost_eta, b.rightmost_eta, equal_nan=True)
         assert not math.isnan(a.rightmost_eta[30])
 
@@ -239,7 +289,7 @@ class TestRunTwoType:
         # nu-class speed within 5% of its one-type value
         reps = 4
         ms = [run_two_type(self.SYS, 120, budget=20_000, window=15.0,
-                           seed=300 + r).rightmost_nu[120] / 120
+                           seed=300 + r).rightmost[120] / 120
               for r in range(reps)]
         assert np.mean(ms) == pytest.approx(SQRT2, rel=0.05)
 
@@ -269,41 +319,49 @@ class TestRunTwoType:
                 pruned[c] += max(born[c] - budget, 0)
             nu, eta = min(born["nu"], budget), min(born["eta"], budget)
         assert s.pruning == dict(pruned, drawn=drawn)
-        assert np.array_equal(s.rightmost_nu, 0.5 * np.arange(n_max + 1))
+        assert np.array_equal(s.rightmost, 0.5 * np.arange(n_max + 1))
         assert np.array_equal(s.rightmost_eta[1:], 0.5 * np.arange(n_max))
 
-    @pytest.mark.parametrize("sysm", [
-        skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5),
-        TwoTypeSystem(
+    @pytest.mark.parametrize("sysm, budget", [
+        (skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5), 200),
+        (TwoTypeSystem(
             ReproductionLaw(OffspringLaw("poisson_positive", 3.0),
                             TwoPoint(-0.3, 0.4, 0.35)),
             ReproductionLaw(OffspringLaw("geometric", 4.0), Gaussian(0.2, 0.5),
                             "common"),
-            Seeding(0.5, Gaussian(0.0, 1.0)))], ids=["skeleton", "mixed"])
-    def test_last_generation_maxima_have_the_full_law(self, monkeypatch, sysm):
+            Seeding(0.5, Gaussian(0.0, 1.0))), 20)], ids=["skeleton", "mixed"])
+    def test_last_generation_maxima_have_the_full_law(self, monkeypatch, sysm, budget):
         # the rightmost of each class at n against runs whose last
-        # generation is drawn in full
+        # generation is drawn in full; at these budgets the last generation
+        # of both classes exceeds the budget in about nine runs of ten (the
+        # budget is above every family of generation 1), so it is drawn as
+        # family maxima
         n, reps = 4, 300
         ends = {}
         for mode, seed in (("maxima", 100), ("full", 500)):
             with monkeypatch.context() as m:
                 if mode == "full":
                     m.setattr(mc_sim, "_family_maxima", _full_maxima)
-                runs = [run_two_type(sysm, n, budget=100_000, seed=seed + r)
+                runs = [run_two_type(sysm, n, budget=budget, seed=seed + r)
                         for r in range(reps)]
-            ends[mode] = np.array([(s.rightmost_nu[n], s.rightmost_eta[n])
+            ends[mode] = np.array([(s.rightmost[n], s.rightmost_eta[n])
                                    for s in runs])
         for col in range(2):
             assert ks_2samp(ends["maxima"][:, col], ends["full"][:, col]).pvalue > 1e-3
 
 
-def _full_maxima(law, positions, rng):
+def _full_maxima(law, positions, counts, rng):
     """``_family_maxima`` by drawing every child: the oracle."""
-    counts = law.offspring.sample(rng, positions.size)
     children = _children(law, positions, counts, rng)
     if not children.size:
-        return 0, children
-    return int(counts.sum()), np.maximum.reduceat(children, np.cumsum(counts) - counts)
+        return children
+    return np.maximum.reduceat(children, np.cumsum(counts) - counts)
+
+
+def _born_and_maxima(maxima, law, parents, rng):
+    """The family sizes drawn from ``rng``, summed, and ``maxima`` of them."""
+    counts = law.offspring.sample(rng, parents.size)
+    return int(counts.sum()), maxima(law, parents, counts, rng)
 
 
 @pytest.mark.parametrize("law", [
@@ -317,8 +375,10 @@ def _full_maxima(law, positions, rng):
         "two_point_common"])
 def test_family_maxima_match_the_fully_drawn_children(law):
     parents = np.linspace(-3.0, 0.0, 40)
-    got = [_family_maxima(law, parents, child_rng(21, r)) for r in range(500)]
-    ref = [_full_maxima(law, parents, child_rng(22, r)) for r in range(500)]
+    got = [_born_and_maxima(_family_maxima, law, parents, child_rng(21, r))
+           for r in range(500)]
+    ref = [_born_and_maxima(_full_maxima, law, parents, child_rng(22, r))
+           for r in range(500)]
     for runs in (got, ref):
         assert all(m.size == parents.size for _, m in runs)
     steps = {k: np.concatenate([m - parents for _, m in runs])
@@ -405,10 +465,12 @@ class TestRightmostBatch:
         def refuse(*args, **kwargs):
             raise AssertionError("children drawn past the cap")
 
+        # generation 1 is drawn in full at n = 2; generation n, only its
+        # family maxima, is never judged against the cap
         monkeypatch.setattr(mc_sim, "_children", refuse)
         law = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
-            rightmost_batch(law, 1, 4, replicate_rng(0))
+            rightmost_batch(law, 2, 4, replicate_rng(0))
 
 
     @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
