@@ -23,9 +23,8 @@ from typing import Callable, List
 import numpy as np
 
 from .convex_analysis import GridSpec, fenchel_dual
-from .front import (apply_q, coupled_front, coupled_mc_consistency,
-                    expected_rightmost_curve, front_speed, heaviside_profile,
-                    mc_consistency)
+from .front import (FrontProfile, apply_q, coupled_front, coupled_mc_consistency,
+                    expected_rightmost_curve, front_speed, mc_consistency)
 from .mc_sim import (
     TrajectoryStats,
     centering_slope,
@@ -343,37 +342,26 @@ def check_operator_axioms() -> CheckResult:
     tol = 1e-12
     ok = True
     detail = []
-    # fixed points, away from the window's 1/0 boundary extensions
+    m, q = 2001, 500   # the cells of [-20, 20] at h = 0.02, and a quarter of them
+    # fixed points, away from the window's boundary extensions
     reach = int(law.displacement.lattice_cells(0.02)[-1])
     for const, name in ((1.0, "one"), (0.0, "zero")):
-        u = heaviside_profile(h=0.02, width=40.0)
-        u.values[:] = const
-        v = apply_q(u, law)
+        v = apply_q(FrontProfile(np.full(m, const), -20.0, 0.02), law)
         err = float(np.max(np.abs(v.values[reach:-reach] - const)))
         ok = ok and err <= tol
         detail.append(f"fixed point {name}: max interior dev {err:.1e}")
     # order preservation and translation invariance on random monotone profiles
     worst_order, worst_shift = 0.0, 0.0
     for _ in range(5):
-        u = heaviside_profile(h=0.02, width=40.0)
-        m = u.values.size
-        q = m // 4
         base = np.ones(m)
         base[q:-q] = np.sort(rng.random(m - 2 * q))[::-1]
         base[-q:] = 0.0   # flat ends make in-window shifts exact
         lower = base * rng.uniform(0.2, 0.8)
-        uu = heaviside_profile(h=0.02, width=40.0)
-        uu.values[:] = base
-        vv = heaviside_profile(h=0.02, width=40.0)
-        vv.values[:] = lower
-        qu = apply_q(uu, law)
-        ql = apply_q(vv, law)
+        qu, ql = (apply_q(FrontProfile(v, -20.0, 0.02), law) for v in (base, lower))
         worst_order = max(worst_order, float(np.max(ql.values - qu.values)))
         cells = int(rng.integers(1, q // 2))
-        shifted = heaviside_profile(h=0.02, width=40.0)
-        shifted.values[cells:] = base[:-cells]
-        shifted.values[:cells] = 1.0
-        qs = apply_q(shifted, law)
+        shifted = np.concatenate([np.ones(cells), base[:-cells]])
+        qs = apply_q(FrontProfile(shifted, -20.0, 0.02), law)
         worst_shift = max(worst_shift,
                           float(np.max(np.abs(qs.values[cells:] - qu.values[:-cells]))))
     ok = ok and worst_order <= tol and worst_shift <= tol

@@ -12,16 +12,17 @@ u^(n)(x) equal to the probability that the rightmost particle of
 generation n exceeds x, so the front position tracks the rightmost
 particle's median and its drift measures the spreading speed.
 
-Both recursions step through one update, ``_update``: it convolves a
-profile with the centred part of a step (``_convolve``: a trapezoid
-density kernel for a Gaussian, both atoms interpolated for a two-point
-step, the identity for a point mass), takes the complement in closed
-form, and adds the step's translation to the window offset exactly.
-``apply_q`` is the one-type update, extended by 1 on the left and 0 on
-the right.  ``coupled_front`` iterates the reducible two-type version,
-each profile extended by its first value on the left and 0 on the
-right: the exact law of the rightmost eta, anomalous front included.
-Both move their windows by whole cells through ``_cells``.
+A profile is its values on a window, extended by its own first value
+on the left and by 0 on the right; every helper reads that rule from
+the profile.  Both recursions step through one update, ``_update``: it
+convolves a profile with the centred part of a step (``_convolve``: a
+trapezoid density kernel for a Gaussian, both atoms interpolated for a
+two-point step, the identity for a point mass), takes the complement in
+closed form, and adds the step's translation to the window offset
+exactly.  ``apply_q`` is the one-type update; ``coupled_front`` iterates
+the reducible two-type version: the exact law of the rightmost eta,
+anomalous front included.  Both move their windows by whole cells
+through ``_cells``.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
@@ -52,12 +53,12 @@ WIDTH = 80.0  # the one-type window's width
 
 @dataclass
 class FrontProfile:
-    """Grid profile u on [offset, offset + h*(len-1)] with its front position."""
+    """Grid profile u on [offset, offset + h*(len-1)], extended by its first
+    value on the left and by 0 on the right, with its front position."""
 
     values: np.ndarray
     offset: float
     h: float
-    generation: int
 
     def grid(self) -> np.ndarray:
         return self.offset + _cell_offsets(self.values.size, self.h)
@@ -81,10 +82,11 @@ class FrontProfile:
         return np.interp(np.asarray(x, dtype=float), self.grid(), self.values, right=0.0)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _cell_offsets(size: int, h: float) -> np.ndarray:
     """``h * arange(size)``, read-only and shared by every profile of a
-    window: ``front_speed`` reads a profile's grid on each step."""
+    window: ``front_speed`` reads a profile's grid on each step.  A coupled
+    window changes size every step, so only the last window is kept."""
     steps = h * np.arange(size)
     steps.flags.writeable = False
     return steps
@@ -95,17 +97,17 @@ def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:
     return np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
 
 
-def heaviside_profile(h: float = 0.01, width: float = WIDTH) -> FrontProfile:
-    """Initial data: 1 left of the origin, 0 right of it.
+def heaviside_profile(h: float = 0.01) -> FrontProfile:
+    """Initial data on the one-type window: 1 left of the origin, 0 right of it.
 
     The grid cell at the jump carries the value 1/2, the usual quadrature
     convention for a step; without it every convolution against the jump
     would be off by half a kernel weight, an O(h) error.
     """
-    n = int(round(width / h))
-    offset = -width / 2
+    n = int(round(WIDTH / h))
+    offset = -WIDTH / 2
     xs = offset + h * np.arange(n + 1)
-    return FrontProfile(values=_heaviside(xs, h), offset=offset, h=h, generation=0)
+    return FrontProfile(values=_heaviside(xs, h), offset=offset, h=h)
 
 
 # Columns B of the blocked Toeplitz product, and rows per matrix product.
@@ -156,24 +158,26 @@ def _band(step: Displacement, h: float) -> Optional[_Band]:
                               for j in range(0, rows, _BLOCK)), reach=int(taps[-1]))
 
 
-def _cells(values: np.ndarray, lo: int, hi: int, left: float) -> np.ndarray:
+def _cells(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """values[lo:hi] with either end past the array: cells before the first
-    take ``left``, cells after the last 0.  Every window moves through it."""
+    take the first value, cells after the last 0.  Every window moves
+    through it."""
     kept = values[max(lo, 0):max(hi, 0)]
     pad = min(max(-lo, 0), hi - lo)
-    return np.concatenate([np.full(pad, left), kept, np.zeros(hi - lo - pad - kept.size)])
+    return np.concatenate([np.full(pad, values[0]), kept,
+                           np.zeros(hi - lo - pad - kept.size)])
 
 
-def _band_sum(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
-    """sum_j w[j] * u(x_i - (j - reach) h), u extended by ``left`` and then 0.
+def _band_sum(values: np.ndarray, band: _Band) -> np.ndarray:
+    """sum_j w[j] * u(x_i - (j - reach) h), u extended by its first value and then 0.
 
-    Output cells whose whole window is ``left`` cells (the left
-    extension included) are ``left`` exactly, and those whose whole
+    Output cells whose whole window is the first value (the left
+    extension included) are that value exactly, and those whose whole
     window is 0.0 are 0.0 exactly; only the cells between are summed.
     The padded cells of that span, in rows of B, times the band block by
     block, sum_c rows[c:c + m] @ blocks[c], for _ROWS output rows at a time.
     """
-    n, reach = values.size, band.reach
+    n, reach, left = values.size, band.reach, values[0]
     nc, b = len(band.blocks), _BLOCK
     # the first cell that is not ``left`` and the last one that is not 0.0,
     # the extensions included
@@ -191,7 +195,7 @@ def _band_sum(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
         chunk = acc[r:r + _ROWS]
         m = chunk.shape[0]
         start = lo + r * b - reach   # profile index of the chunk's first padded cell
-        rows = _cells(values, start, start + (m + nc - 1) * b, left).reshape(-1, b)
+        rows = _cells(values, start, start + (m + nc - 1) * b).reshape(-1, b)
         np.matmul(rows[:m], band.blocks[0], out=chunk)
         for c in range(1, nc):
             chunk += rows[c:c + m] @ band.blocks[c]
@@ -207,7 +211,7 @@ _TINY = 2.0 ** -900
 _SCALE = 2.0 ** 600
 
 
-def _band_product(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
+def _band_product(values: np.ndarray, band: _Band) -> np.ndarray:
     """``_band_sum`` clipped to [0, 1], with cells below _TINY summed apart.
 
     The cells below _TINY (about 1e-271) are multiplied by the power of
@@ -218,26 +222,27 @@ def _band_product(values: np.ndarray, band: _Band, left: float) -> np.ndarray:
     """
     small = (values > 0.0) & (values < _TINY)
     if not small.any():
-        out = _band_sum(values, band, left)
+        out = _band_sum(values, band)
     else:
-        out = _band_sum(np.where(small, 0.0, values), band, left)
+        out = _band_sum(np.where(small, 0.0, values), band)
         cells = np.flatnonzero(small)
         lo = max(int(cells[0]) - band.reach, 0)
         hi = min(int(cells[-1]) + band.reach + 1, values.size)
+        # its left extension is 0 unless the profile's first cell is below _TINY
         part = np.where(small[lo:hi], values[lo:hi] * _SCALE, 0.0)
-        out[lo:hi] += _band_sum(part, band, 0.0) * (1.0 / _SCALE)
+        out[lo:hi] += _band_sum(part, band) * (1.0 / _SCALE)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _convolve(u: FrontProfile, step: Displacement, left: float,
+def _convolve(u: FrontProfile, step: Displacement,
               band: Optional[_Band] = None) -> Tuple[np.ndarray, float]:
     """(u * f_c)(x_i) on u's cells, and the translation of ``step``.
 
     f_c is the step law centred by its translation, so that u * f is
     (u * f_c) moved right by the translation: the mean of a Gaussian,
     the value of a point mass (f_c is then the identity), 0 for a
-    two-point step.  The profile is extended by ``left`` beyond its
-    first cell and by 0 beyond its last.  ``band`` is the step's
+    two-point step.  The profile is extended by its first value beyond
+    its first cell and by 0 beyond its last.  ``band`` is the step's
     ``_band``, built here when not given.  A Gaussian step is summed
     directly, so that each output's round-off stays within about K ulps
     of its own size; an fft's absolute noise of ~1e-16 of the global max
@@ -247,36 +252,34 @@ def _convolve(u: FrontProfile, step: Displacement, left: float,
         return u.values, step.value
     if isinstance(step, TwoPoint):
         xs = u.grid()
-        low, high = (np.interp(xs - x, xs, u.values, left=left, right=0.0)
+        low, high = (np.interp(xs - x, xs, u.values, right=0.0)
                      for x in (step.low, step.high))
         return (1.0 - step.prob_high) * low + step.prob_high * high, 0.0
     if band is None:
         band = _band(step, u.h)
-    return _band_product(u.values, band, left), step.mean
+    return _band_product(u.values, band), step.mean
 
 
-def _update(u: FrontProfile, law: ReproductionLaw, band: Optional[_Band],
-            left: float) -> FrontProfile:
-    """1 - g(1 - u * f), u extended by ``left`` then 0, on u's cells moved by the
-    step's translation; the closed-form complement keeps the edge below 1e-16."""
+def _update(u: FrontProfile, law: ReproductionLaw, band: Optional[_Band]) -> FrontProfile:
+    """1 - g(1 - u * f) on u's cells moved by the step's translation; the
+    closed-form complement keeps the edge below 1e-16."""
     if law.mechanism != "independent":
         raise KernelError("front recursion requires independent displacements")
-    conv, shift = _convolve(u, law.displacement, left, band)
-    return FrontProfile(values=law.offspring.complement(conv), offset=u.offset + shift,
-                        h=u.h, generation=u.generation + 1)
+    conv, shift = _convolve(u, law.displacement, band)
+    return FrontProfile(law.offspring.complement(conv), u.offset + shift, u.h)
 
 
 def apply_q(u: FrontProfile, law: ReproductionLaw,
             band: Optional[_Band] = None) -> FrontProfile:
-    """One front update, v = 1 - g(1 - (u * f)): ``_update`` with u extended
-    by 1 on the left, its window moved only by the step's translation.
+    """One front update, v = 1 - g(1 - (u * f)): ``_update``, its window
+    moved only by the step's translation.
 
     Raises RangeError if the update leaves [0, 1] by more than 1e-12 or
     breaks monotonicity.  A caller that iterates passes
     ``band = _band(law.displacement, u.h)``, built once for its run.
     """
 
-    v = _update(u, law, band, 1.0)
+    v = _update(u, law, band)
     if float(v.values.min()) < -RANGE_TOL or float(v.values.max()) > 1.0 + RANGE_TOL:
         raise RangeError("front update left [0, 1]")
     if np.any(np.diff(v.values) > RANGE_TOL):
@@ -295,8 +298,7 @@ def _profiles(law: ReproductionLaw, n_max: int, h: float):
     for _ in range(n_max):
         u = apply_q(u, law, band)
         cells = int(round((u.front - (u.offset + h * (size - 1) / 2)) / h))
-        u = FrontProfile(_cells(u.values, cells, size + cells, 1.0), u.offset + cells * h,
-                         h, u.generation)
+        u = FrontProfile(_cells(u.values, cells, size + cells), u.offset + cells * h, h)
         yield u
 
 
@@ -322,15 +324,15 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
 
     positions, drift, sup_diffs, snapshots = [], [], [], {}
     compare = np.arange(-WIDTH / 4, WIDTH / 4, h)
-    for u in _profiles(law, n_max, h):
+    for n, u in enumerate(_profiles(law, n_max, h)):
         positions.append(u.front)   # a scan of the profile: read it once
         centered = u.evaluate(positions[-1] + compare)
-        if u.generation:
-            drift.append((u.generation, positions[-1], positions[-1] - positions[-2]))
+        if n:
+            drift.append((n, positions[-1], positions[-1] - positions[-2]))
             sup_diffs.append(float(np.max(np.abs(centered - prev_centered))))
         prev_centered = centered
-        if snapshot_at and u.generation in snapshot_at:
-            snapshots[u.generation] = u
+        if snapshot_at and n in snapshot_at:
+            snapshots[n] = u
     return FrontResult(speed=_second_half_slope(positions), drift=drift,
                        sup_diffs=np.array(sup_diffs)), snapshots
 
@@ -416,7 +418,13 @@ def _given_eta(nu: FrontProfile) -> Optional[FrontProfile]:
     """The nu profile given some eta: over its first value, P(some eta); None at 0."""
     present = float(nu.values[0])
     return (None if present == 0.0 else nu if present == 1.0
-            else FrontProfile(nu.values / present, nu.offset, nu.h, nu.generation))
+            else FrontProfile(nu.values / present, nu.offset, nu.h))
+
+
+def _reach(steps: Sequence[Displacement], h: float) -> int:
+    """The most cells any of ``steps`` moves a value in one generation: both
+    ends of the cells it lands in, and one more for an interpolated atom."""
+    return 1 + max(abs(int(c)) for d in steps for c in d.lattice_cells(h)[[0, -1]])
 
 
 def _flat_cells(values: np.ndarray) -> int:
@@ -444,18 +452,16 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     either would seed the exponentially small leading edge and run
     ahead of the true front.
 
-    A and u_eta' are ``_update``, each profile extended by its first
-    value on the left and 0 on the right, its window moved by each
-    translation exactly.  A window's right end stays at ``x_max`` plus
-    those translations, and RangeError is raised once its profile
+    A and u_eta' are ``_update``, each window moved by each translation
+    exactly, and B reads u_eta * f_seed on A's cells through
+    ``FrontProfile.evaluate``.  A window's right end stays at ``x_max``
+    plus those translations, and RangeError is raised once its profile
     exceeds RANGE_TOL there.  After each step its left end moves to
-    ``reach`` cells, the most any step moves a value, before the first
+    ``_reach`` cells, the most any step moves a value, before the first
     cell differing from the profile's first value by more than RANGE_TOL
-    of it, so the left extension stays exact to that bound.  Windows
-    that coincide move together, so B reads u_eta by slicing; otherwise
-    it is interpolated.  Medians are read given some eta (the nu profile
-    over its first value), NaN while there is none.  Needs independent
-    displacements.
+    of it, so the left extension stays exact to that bound.  Medians are
+    read given some eta (the nu profile over its first value), NaN while
+    there is none.  Needs independent displacements.
 
     Range: the anomalous front rides on eta tail values far below
     1e-100, and float64 flushes values near 1e-308 to zero with no
@@ -470,32 +476,26 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
         raise ParamError("x_max, the right end of the window, must lie right of the origin")
     law_nu, law_eta, seeding = sys.law_nu, sys.law_eta, sys.seeding
     steps = (law_nu.displacement, law_eta.displacement, seeding.displacement)
-    # both ends of the cells a step lands in, and one more for an interpolated atom
-    reach = 1 + max(abs(int(c)) for d in steps for c in d.lattice_cells(h)[[0, -1]])
+    reach = _reach(steps, h)
     xs = h * np.arange(-reach, math.ceil(x_max / h) + 1)
     bands = {d: _band(d, h) for d in steps}
-    eta = FrontProfile(_heaviside(xs, h), float(xs[0]), h, 0)
-    nu = FrontProfile(np.zeros(xs.size), float(xs[0]), h, 0)
+    eta = FrontProfile(_heaviside(xs, h), float(xs[0]), h)
+    nu = FrontProfile(np.zeros(xs.size), float(xs[0]), h)
     given, medians = None, [math.nan]   # no eta at generation 0
     for n in range(1, n_max + 1):
-        a = _update(nu, law_nu, bands[law_nu.displacement], nu.values[0])
-        b, shift = _convolve(eta, seeding.displacement, eta.values[0],
-                             bands[seeding.displacement])
-        sliced = eta.offset + shift == a.offset and b.size == a.values.size
-        b = seeding.prob * (b if sliced else
-                            FrontProfile(b, eta.offset + shift, h, n).evaluate(a.grid()))
-        nu = FrontProfile(a.values + b - a.values * b, a.offset, h, n)
+        a = _update(nu, law_nu, bands[law_nu.displacement])
+        b, shift = _convolve(eta, seeding.displacement, bands[seeding.displacement])
+        b = seeding.prob * FrontProfile(b, eta.offset + shift, h).evaluate(a.grid())
+        nu = FrontProfile(a.values + b - a.values * b, a.offset, h)
         del a, b   # before the eta convolution, the step's largest working set
-        eta = _update(eta, law_eta, bands[law_eta.displacement], eta.values[0])
+        eta = _update(eta, law_eta, bands[law_eta.displacement])
         for u in (nu, eta):
             if u.values[-1] > RANGE_TOL:
                 raise RangeError(f"front mass reached the right grid edge "
                                  f"{u.offset + h * (u.values.size - 1):g} at generation {n}")
         lo = [_flat_cells(u.values) - reach for u in (nu, eta)]
-        if nu.offset == eta.offset and nu.values.size == eta.values.size:
-            lo = [min(lo)] * 2
-        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size, u.values[0]),
-                                u.offset + c * h, h, n) for u, c in zip((nu, eta), lo))
+        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size), u.offset + c * h, h)
+                   for u, c in zip((nu, eta), lo))
         given = _given_eta(nu)
         medians.append(math.nan if given is None else given.front)
     return CoupledFrontResult(speed=_second_half_slope(medians),
@@ -516,11 +516,8 @@ def coupled_mc_consistency(sys: TwoTypeSystem, n: int, x_values: Sequence[float]
     population would exceed the exact cap.
     """
 
-    # in one generation no value moves right by more than a step's farthest
-    # cell and one more for an interpolated atom: the profile is 0 past n of those
     h = 0.02
-    far = 1 + max(int(d.lattice_cells(h)[-1]) for d in (
-        sys.law_nu.displacement, sys.law_eta.displacement, sys.seeding.displacement))
-    res = coupled_front(sys, n, x_max=max(40.0, n * far * h), h=h)
+    steps = (sys.law_nu.displacement, sys.law_eta.displacement, sys.seeding.displacement)
+    res = coupled_front(sys, n, x_max=max(40.0, n * _reach(steps, h) * h), h=h)
     return _z_rows(res.nu, rightmost_batch(sys, n, replicates, replicate_rng(seed)),
                    x_values)

@@ -40,11 +40,12 @@ DET2 = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
 BLOCKED_CONVOLVE = front._convolve
 
 
-def oracle_convolve(u, step, left, band=None):
+def oracle_convolve(u, step, band=None):
     """``front._convolve`` by one ``np.convolve`` per step: the Gaussian
-    branch as the package computed it before its blocked product."""
+    branch as the package computed it before its blocked product, the
+    profile extended by its first value on the left and by 0 on the right."""
     if not isinstance(step, Gaussian):
-        return BLOCKED_CONVOLVE(u, step, left)
+        return BLOCKED_CONVOLVE(u, step)
     values, h = u.values, u.h
     sd = math.sqrt(step.variance)
     reach = int(math.ceil(8.0 * sd / h))
@@ -53,16 +54,17 @@ def oracle_convolve(u, step, left, band=None):
     w[0] *= 0.5
     w[-1] *= 0.5
     w = w / w.sum()
-    padded = np.concatenate([np.full(reach, left), values, np.zeros(reach)])
+    padded = np.concatenate([np.full(reach, values[0]), values, np.zeros(reach)])
     return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0), step.mean
 
 
 def front_like(n, left, seed=0):
-    """A noisy profile falling from ``left``, geometric from 1e-3 to about
-    1e-100 over its third quarter and exactly 0.0 over its last."""
+    """A noisy profile falling from its first value ``left``, geometric from
+    1e-3 to about 1e-100 over its third quarter and exactly 0.0 over its last."""
     rng = np.random.default_rng(seed)
     x = np.linspace(-3.0, 3.0, n)
     v = left * 0.5 * (1.0 - np.tanh(x)) * rng.uniform(0.5, 1.0, n)
+    v[0] = left
     tail = n - n // 2
     v[n // 2:] = np.geomspace(1e-3, 1e-200, tail) * rng.uniform(0.5, 1.0, tail)
     v[3 * n // 4:] = 0.0
@@ -98,8 +100,7 @@ class TestApplyQ:
             apply_q(heaviside_profile(), law)
 
     def test_monotonicity_guard(self):
-        u = heaviside_profile(h=0.02, width=20.0)
-        u.values[:] = np.linspace(0.0, 1.0, u.values.size)  # increasing: invalid
+        u = FrontProfile(np.linspace(0.0, 1.0, 1001), -10.0, 0.02)  # increasing: invalid
         with pytest.raises(RangeError):
             apply_q(u, BBM)
 
@@ -118,13 +119,14 @@ class TestApplyQ:
 
 
 class TestKernel:
-    """The blocked kernel against ``np.convolve``, the direct sum it replaced."""
+    """The blocked kernel against ``np.convolve``, the direct sum it replaced;
+    each ``left`` is the profile's first value, which extends it."""
 
     @staticmethod
-    def both(values, h, var, left):
-        step, u = Gaussian(0.0, var), FrontProfile(values, 0.0, h, 0)
-        got, shift = BLOCKED_CONVOLVE(u, step, left)
-        want, _ = oracle_convolve(u, step, left)
+    def both(values, h, var):
+        step, u = Gaussian(0.0, var), FrontProfile(values, 0.0, h)
+        got, shift = BLOCKED_CONVOLVE(u, step)
+        want, _ = oracle_convolve(u, step)
         assert shift == step.mean
         return got, want
 
@@ -142,7 +144,7 @@ class TestKernel:
             assert k > n
         if var == 1e-4:
             assert k < front._BLOCK
-        got, want = self.both(front_like(n, left, seed=n), h, var, left)
+        got, want = self.both(front_like(n, left, seed=n), h, var)
         assert np.array_equal(got == 0.0, want == 0.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
@@ -152,7 +154,7 @@ class TestKernel:
         reach = front._band(Gaussian(0.0, var), h).reach
         v = front_like(5000, left)
         v[:800] = left
-        got, want = self.both(v, h, var, left)
+        got, want = self.both(v, h, var)
         # every window of all-``left`` cells returns ``left`` itself, which
         # a sum of K rounded products need not
         assert np.all(got[:800 - reach] == left)
@@ -166,7 +168,7 @@ class TestKernel:
     def test_constant_profile_stays_in_unit_interval(self, c):
         n, h, var = 3000, 0.01, 1.0
         reach = front._band(Gaussian(0.0, var), h).reach
-        got, want = self.both(np.full(n, c), h, var, c)
+        got, want = self.both(np.full(n, c), h, var)
         assert np.all((got >= 0.0) & (got <= 1.0))
         assert np.all(got[:n - reach] == c)
         assert np.all(np.abs(got - want) <= 1e-13 * want)
@@ -178,8 +180,8 @@ class TestKernel:
         v = front_like(3000, 1.0)
         v = v[v > 1e-12]
         scale = 2.0 ** -1000
-        got, _ = self.both(v * scale, h, var, 0.0)
-        want = self.both(v, h, var, 0.0)[0] * scale
+        got, _ = self.both(v * scale, h, var)
+        want = self.both(v, h, var)[0] * scale
         assert (v * scale < np.finfo(float).tiny).any()
         normal = want > np.finfo(float).tiny
         assert normal.sum() > 1000
@@ -244,6 +246,25 @@ class TestKernelPin:
         assert got.mean == pytest.approx(want.mean, rel=1e-12)
 
 
+def test_front_numbers_held():
+    # constants read before every profile took its own first value as its
+    # left extension: exact where that rule moved nothing, 1e-12 elsewhere
+    drift = ReproductionLaw(BBM.offspring, Gaussian(0.1, 1.0))
+    assert front_speed(drift, 300, h=0.01)[0].speed == 1.5096664545718885
+    curve = expected_rightmost_curve(BBM, 200, h=0.01)
+    slope = centering_slope([TrajectoryStats(seed=0, rightmost=curve, exact_upto=0)],
+                            SQRT2).slope
+    assert slope == pytest.approx(-0.9974908233560399, rel=1e-12)
+    rows = mc_consistency(DET2, 8, [6.0, 8.0], 10, h=0.005)   # check 9's profile
+    assert [q for _, q, _, _ in rows] == [0.7238798580254325, 0.23886569250541456]
+    sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+    for s, speed, mean in ((sysm, 1.6329931604913117, 487.20108454845484),
+                           (sysm.swap_roles(), 1.4126758694796555, 420.25137401943374)):
+        res = coupled_front(s, 300, x_max=560.0, h=0.02)
+        assert res.speed == pytest.approx(speed, rel=1e-12)
+        assert res.mean == pytest.approx(mean, rel=1e-12)
+
+
 class TestFrontSpeed:
     def test_unit_skeleton_speed(self):
         res, _ = front_speed(BBM, 150, h=0.02)
@@ -268,7 +289,7 @@ class TestFrontSpeed:
 
     def test_profile_grows_toward_one_on_compacts(self):
         # on a fixed window, any fixed point is eventually overtaken
-        u = heaviside_profile(h=0.02, width=60.0)
+        u = heaviside_profile(h=0.02)
         for _ in range(60):
             u = apply_q(u, BBM)
         assert float(u.evaluate(np.asarray([0.0]))[0]) >= 1 - 1e-3
@@ -276,7 +297,9 @@ class TestFrontSpeed:
     def test_snapshots_returned(self):
         _, snaps = front_speed(BBM, 30, h=0.05, snapshot_at=[10, 20])
         assert sorted(snaps) == [10, 20]
-        assert snaps[10].generation == 10
+        *_, tenth = front._profiles(BBM, 10, 0.05)
+        assert np.array_equal(snaps[10].values, tenth.values)
+        assert snaps[10].offset == tenth.offset
 
 
 class TestExpectedRightmost:
@@ -365,8 +388,19 @@ class TestCoupledFront:
         assert np.intersect1d(a, b).size == 0
 
     def test_profile_extends_by_its_first_value(self):
-        profile = FrontProfile(np.array([0.4, 0.25, 0.0]), -1.0, 1.0, 3)
+        profile = FrontProfile(np.array([0.4, 0.25, 0.0]), -1.0, 1.0)
         assert profile.evaluate([-5.0, -1.0, 0.0, 9.0]).tolist() == [0.4, 0.4, 0.25, 0.0]
+        # the same rule in the window move and in the update: a flat left
+        # part of 0.7 stays 0.7 past the window and updates to g's complement
+        c, h = 0.7, 0.02
+        values = np.concatenate([np.full(500, c), np.linspace(c, 0.0, 500), np.zeros(500)])
+        assert front._cells(values, -3, 4).tolist() == [c] * 7
+        reach = front._band(BBM.displacement, h).reach
+        flat = BBM.offspring.complement(c)
+        for v in (apply_q(FrontProfile(values, 0.0, h), BBM),
+                  front._update(FrontProfile(values, 0.0, h), BBM, None)):
+            assert np.all(v.values[:500 - reach] == flat)
+            assert not np.any(v.values == 1.0)
 
     def test_left_of_the_grid_with_rare_seeding(self):
         # the nu profile's left value is P(some eta is present), far below 1
