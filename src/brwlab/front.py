@@ -13,16 +13,19 @@ generation n exceeds x, so the front position tracks the rightmost
 particle's median and its drift measures the spreading speed.
 
 A profile is its values on a window, extended by its own first value
-on the left and by 0 on the right; every helper reads that rule from
-the profile.  Both recursions step through one update, ``_update``: it
-convolves a profile with the centred part of a step (``_convolve``: a
-trapezoid density kernel for a Gaussian, both atoms interpolated for a
+on the left and by 0 on the right.  One reader, ``_cells``, reads every
+window by that rule: both Heaviside starts (the cells ``[1, 1/2]``),
+every window move, a two-point step's atoms, the coupled seeding term
+and ``front_speed``'s centred comparison.  A window that starts between
+cells is the linear blend of the whole-cell windows around it.  Both
+recursions step through one update, ``_update``: it convolves a profile
+with the centred part of a step (``_convolve``: a trapezoid density
+kernel for a Gaussian, both atoms read through ``_cells`` for a
 two-point step, the identity for a point mass), takes the complement in
 closed form, and adds the step's translation to the window offset
 exactly.  ``apply_q`` is the one-type update; ``coupled_front`` iterates
 the reducible two-type version: the exact law of the rightmost eta,
-anomalous front included.  Both move their windows by whole cells
-through ``_cells``.
+anomalous front included.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
@@ -33,7 +36,6 @@ edge; there is no fft, whose absolute noise would seed that edge.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -61,7 +63,7 @@ class FrontProfile:
     h: float
 
     def grid(self) -> np.ndarray:
-        return self.offset + _cell_offsets(self.values.size, self.h)
+        return self.offset + self.h * np.arange(self.values.size)
 
     @property
     def front(self) -> float:
@@ -82,32 +84,18 @@ class FrontProfile:
         return np.interp(np.asarray(x, dtype=float), self.grid(), self.values, right=0.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _cell_offsets(size: int, h: float) -> np.ndarray:
-    """``h * arange(size)``, read-only and shared by every profile of a
-    window: ``front_speed`` reads a profile's grid on each step.  A coupled
-    window changes size every step, so only the last window is kept."""
-    steps = h * np.arange(size)
-    steps.flags.writeable = False
-    return steps
-
-
-def _heaviside(xs: np.ndarray, h: float) -> np.ndarray:
-    """1 left of the origin, 0 right of it, 1/2 in the grid cell at the jump."""
-    return np.where(xs < -h / 4, 1.0, np.where(xs > h / 4, 0.0, 0.5))
-
-
 def heaviside_profile(h: float = 0.01) -> FrontProfile:
     """Initial data on the one-type window: 1 left of the origin, 0 right of it.
 
-    The grid cell at the jump carries the value 1/2, the usual quadrature
-    convention for a step; without it every convolution against the jump
-    would be off by half a kernel weight, an O(h) error.
+    The window starts a whole number of cells, about WIDTH/2, left of the
+    origin, so that one cell sits at the jump and carries the value 1/2:
+    the two cells ``[1, 1/2]`` read on the window.  That is the usual
+    quadrature convention for a step; without it every convolution
+    against the jump would be off by half a kernel weight, an O(h) error.
     """
-    n = int(round(WIDTH / h))
-    offset = -WIDTH / 2
-    xs = offset + h * np.arange(n + 1)
-    return FrontProfile(values=_heaviside(xs, h), offset=offset, h=h)
+    behind = int(round(WIDTH / (2 * h)))
+    return FrontProfile(_cells(np.array([1.0, 0.5]), 1 - behind, int(round(WIDTH / h)) + 1),
+                        -behind * h, h)
 
 
 # Columns B of the blocked Toeplitz product, and rows per matrix product.
@@ -158,14 +146,20 @@ def _band(step: Displacement, h: float) -> Optional[_Band]:
                               for j in range(0, rows, _BLOCK)), reach=int(taps[-1]))
 
 
-def _cells(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """values[lo:hi] with either end past the array: cells before the first
-    take the first value, cells after the last 0.  Every window moves
-    through it."""
+def _cells(values: np.ndarray, start: float, size: int) -> np.ndarray:
+    """``size`` cells of a profile from its cell ``start`` on: cells before
+    the first take the first value, cells after the last 0.  A fractional
+    start reads the linear blend of the whole-cell windows on either side
+    of it, each extended by that rule.  Every window is read through it."""
+    lo = math.floor(start)
+    frac = start - lo
+    hi = lo + size + (frac > 0)
     kept = values[max(lo, 0):max(hi, 0)]
     pad = min(max(-lo, 0), hi - lo)
-    return np.concatenate([np.full(pad, values[0]), kept,
-                           np.zeros(hi - lo - pad - kept.size)])
+    cells = np.concatenate([np.full(pad, values[0]), kept,
+                            np.zeros(hi - lo - pad - kept.size)])
+    # as a difference, the blend of two equal cells is that value exactly
+    return cells[:-1] + frac * np.diff(cells) if frac else cells
 
 
 def _band_sum(values: np.ndarray, band: _Band) -> np.ndarray:
@@ -195,7 +189,7 @@ def _band_sum(values: np.ndarray, band: _Band) -> np.ndarray:
         chunk = acc[r:r + _ROWS]
         m = chunk.shape[0]
         start = lo + r * b - reach   # profile index of the chunk's first padded cell
-        rows = _cells(values, start, start + (m + nc - 1) * b).reshape(-1, b)
+        rows = _cells(values, start, (m + nc - 1) * b).reshape(-1, b)
         np.matmul(rows[:m], band.blocks[0], out=chunk)
         for c in range(1, nc):
             chunk += rows[c:c + m] @ band.blocks[c]
@@ -251,9 +245,7 @@ def _convolve(u: FrontProfile, step: Displacement,
     if isinstance(step, PointMass):
         return u.values, step.value
     if isinstance(step, TwoPoint):
-        xs = u.grid()
-        low, high = (np.interp(xs - x, xs, u.values, right=0.0)
-                     for x in (step.low, step.high))
+        low, high = (_cells(u.values, -x / u.h, u.values.size) for x in (step.low, step.high))
         return (1.0 - step.prob_high) * low + step.prob_high * high, 0.0
     if band is None:
         band = _band(step, u.h)
@@ -298,7 +290,7 @@ def _profiles(law: ReproductionLaw, n_max: int, h: float):
     for _ in range(n_max):
         u = apply_q(u, law, band)
         cells = int(round((u.front - (u.offset + h * (size - 1) / 2)) / h))
-        u = FrontProfile(_cells(u.values, cells, size + cells), u.offset + cells * h, h)
+        u = FrontProfile(_cells(u.values, cells, size), u.offset + cells * h, h)
         yield u
 
 
@@ -323,10 +315,10 @@ def front_speed(law: ReproductionLaw, n_max: int, h: float = 0.01,
     """
 
     positions, drift, sup_diffs, snapshots = [], [], [], {}
-    compare = np.arange(-WIDTH / 4, WIDTH / 4, h)
+    compared = math.ceil(WIDTH / 2 / h)   # cells from WIDTH/4 behind the front
     for n, u in enumerate(_profiles(law, n_max, h)):
         positions.append(u.front)   # a scan of the profile: read it once
-        centered = u.evaluate(positions[-1] + compare)
+        centered = _cells(u.values, (positions[-1] - WIDTH / 4 - u.offset) / h, compared)
         if n:
             drift.append((n, positions[-1], positions[-1] - positions[-2]))
             sup_diffs.append(float(np.max(np.abs(centered - prev_centered))))
@@ -453,15 +445,16 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     ahead of the true front.
 
     A and u_eta' are ``_update``, each window moved by each translation
-    exactly, and B reads u_eta * f_seed on A's cells through
-    ``FrontProfile.evaluate``.  A window's right end stays at ``x_max``
-    plus those translations, and RangeError is raised once its profile
-    exceeds RANGE_TOL there.  After each step its left end moves to
-    ``_reach`` cells, the most any step moves a value, before the first
-    cell differing from the profile's first value by more than RANGE_TOL
-    of it, so the left extension stays exact to that bound.  Medians are
-    read given some eta (the nu profile over its first value), NaN while
-    there is none.  Needs independent displacements.
+    exactly, and B reads u_eta * f_seed on A's cells through ``_cells``,
+    between cells where the windows' offsets differ by a fraction of one.
+    A window's right end stays at ``x_max`` plus those translations, and
+    RangeError is raised once its profile exceeds RANGE_TOL there.  After
+    each step its left end moves to ``_reach`` cells, the most any step
+    moves a value, before the first cell differing from the profile's
+    first value by more than RANGE_TOL of it, so the left extension stays
+    exact to that bound.  Medians are read given some eta (the nu profile
+    over its first value), NaN while there is none.  Needs independent
+    displacements.
 
     Range: the anomalous front rides on eta tail values far below
     1e-100, and float64 flushes values near 1e-308 to zero with no
@@ -477,15 +470,15 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     law_nu, law_eta, seeding = sys.law_nu, sys.law_eta, sys.seeding
     steps = (law_nu.displacement, law_eta.displacement, seeding.displacement)
     reach = _reach(steps, h)
-    xs = h * np.arange(-reach, math.ceil(x_max / h) + 1)
+    size = reach + math.ceil(x_max / h) + 1
     bands = {d: _band(d, h) for d in steps}
-    eta = FrontProfile(_heaviside(xs, h), float(xs[0]), h)
-    nu = FrontProfile(np.zeros(xs.size), float(xs[0]), h)
+    eta = FrontProfile(_cells(np.array([1.0, 0.5]), 1 - reach, size), -reach * h, h)
+    nu = FrontProfile(np.zeros(size), eta.offset, h)
     given, medians = None, [math.nan]   # no eta at generation 0
     for n in range(1, n_max + 1):
         a = _update(nu, law_nu, bands[law_nu.displacement])
         b, shift = _convolve(eta, seeding.displacement, bands[seeding.displacement])
-        b = seeding.prob * FrontProfile(b, eta.offset + shift, h).evaluate(a.grid())
+        b = seeding.prob * _cells(b, (a.offset - (eta.offset + shift)) / h, a.values.size)
         nu = FrontProfile(a.values + b - a.values * b, a.offset, h)
         del a, b   # before the eta convolution, the step's largest working set
         eta = _update(eta, law_eta, bands[law_eta.displacement])
@@ -494,7 +487,7 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
                 raise RangeError(f"front mass reached the right grid edge "
                                  f"{u.offset + h * (u.values.size - 1):g} at generation {n}")
         lo = [_flat_cells(u.values) - reach for u in (nu, eta)]
-        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size), u.offset + c * h, h)
+        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size - c), u.offset + c * h, h)
                    for u, c in zip((nu, eta), lo))
         given = _given_eta(nu)
         medians.append(math.nan if given is None else given.front)

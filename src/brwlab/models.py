@@ -70,7 +70,7 @@ class OffspringLaw:
 
     kind: str
     mean: float
-    _rate: float = field(default=0.0, repr=False)
+    _rate: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("deterministic", "geometric", "poisson_positive"):

@@ -58,6 +58,14 @@ def oracle_convolve(u, step, band=None):
     return np.clip(np.convolve(padded, w, mode="valid"), 0.0, 1.0), step.mean
 
 
+def oracle_cells(values, start, size):
+    """``front._cells`` by ``np.interp`` on unit cells: the profile and one
+    0.0 cell after it, linear between cells, its first value left of them
+    (``np.interp``'s default) and 0.0 right of them."""
+    cells = np.arange(values.size + 1.0)
+    return np.interp(start + np.arange(size), cells, np.append(values, 0.0), right=0.0)
+
+
 def front_like(n, left, seed=0):
     """A noisy profile falling from its first value ``left``, geometric from
     1e-3 to about 1e-100 over its third quarter and exactly 0.0 over its last."""
@@ -211,6 +219,53 @@ class TestKernel:
         assert laws == [sysm.law_nu, sysm.law_eta] * 5
 
 
+class TestReader:
+    """``_cells``, the one reader of every window, against ``np.interp``."""
+
+    N = 40
+
+    @pytest.mark.parametrize("left", [1.0, 0.3, 0.0])
+    @pytest.mark.parametrize("size", [1, 7, N + 25])
+    def test_agrees_with_interpolation(self, left, size):
+        values, n = front_like(self.N, left, seed=self.N), self.N
+        pad = 2 * n + 60
+        padded = np.concatenate([np.full(pad, left), values, np.zeros(pad)])
+        # whole starts, within, before and past the profile
+        for start in (0, 5, -3, n - 2, n + 4, -n - 30):
+            got = front._cells(values, start, size)
+            # a whole start copies cells: the profile padded and sliced
+            assert np.array_equal(got, padded[pad + start:pad + start + size])
+            assert np.array_equal(got, oracle_cells(values, start, size))
+        # fractional starts, within, before and past the profile
+        for start in (0.25, -2.75, 0.5, 17.3, -0.9, n - 0.5, n + 3.7, -n - 29.5):
+            got, want = front._cells(values, start, size), oracle_cells(values, start, size)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_flat_spans_read_exactly(self):
+        # a blend of two equal cells is that value, as np.interp returns it
+        values = np.concatenate([np.full(50, 0.3), np.linspace(0.3, 0.0, 50)])
+        got = front._cells(values, -7.37, 60)
+        assert np.all(got[:55] == 0.3)
+        assert np.all(front._cells(values, 100.6, 5) == 0.0)
+
+    def test_recursions_read_no_point_by_interpolation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.interp called")
+
+        monkeypatch.setattr(np, "interp", refuse)
+        single = OffspringLaw("deterministic", 1)
+        sysm = TwoTypeSystem(ReproductionLaw(single, PointMass(0.0)),
+                             ReproductionLaw(single, Gaussian(0.53, 0.1)),
+                             Seeding(1.0, PointMass(0.31)))
+        coupled_front(sysm, 5, x_max=30.0)
+        coupled_front(skeleton_of_bbm(1 / 3, 3.0, 0.5), 5, x_max=30.0)
+        front_speed(BBM, 5, h=0.05)
+        two_point = ReproductionLaw(OffspringLaw("geometric", 2.0), TwoPoint(-0.13, 0.5, 0.3))
+        front_speed(two_point, 5, h=0.05)
+        apply_q(heaviside_profile(h=0.01), two_point)
+
+
 class TestKernelPin:
     """End to end, the blocked kernel against the direct sum patched in."""
 
@@ -324,6 +379,17 @@ class TestMcConsistency:
         assert q1 == pytest.approx(1.0) and p1 == 1.0
         assert q2 == pytest.approx(0.0) and p2 == 0.0
 
+    @pytest.mark.parametrize("h", [0.03, 0.007, 0.015])
+    def test_heaviside_start_jumps_at_the_origin(self, h):
+        # h does not divide the half-width 40, yet one cell sits at the
+        # origin and carries the 1/2; a window missing it lost that half
+        # cell, an O(h) error in check 9's profile
+        u = heaviside_profile(h=h)
+        assert u.front == pytest.approx(0.0, abs=1e-12)
+        assert np.count_nonzero(u.values == 0.5) == 1
+        *_, u = front._profiles(DET2, 8, h)
+        assert float(u.evaluate([6.0])[0]) == pytest.approx(0.7238798580254325, abs=5e-5)
+
     def test_binary_gaussian_small_n(self):
         rows = mc_consistency(DET2, 8, [6.0, 8.0], 30_000, seed=77, h=0.005)
         for x, q_val, p_hat, z in rows:
@@ -394,7 +460,7 @@ class TestCoupledFront:
         # part of 0.7 stays 0.7 past the window and updates to g's complement
         c, h = 0.7, 0.02
         values = np.concatenate([np.full(500, c), np.linspace(c, 0.0, 500), np.zeros(500)])
-        assert front._cells(values, -3, 4).tolist() == [c] * 7
+        assert front._cells(values, -3, 7).tolist() == [c] * 7
         reach = front._band(BBM.displacement, h).reach
         flat = BBM.offspring.complement(c)
         for v in (apply_q(FrontProfile(values, 0.0, h), BBM),

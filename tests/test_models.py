@@ -252,6 +252,18 @@ class TestComplement:
                                                               rel=1e-12)
 
 
+def test_offspring_law_is_its_kind_and_mean():
+    # the positive-Poisson rate is derived from the mean: no third argument
+    # sets it, and laws that print the same compare and hash the same
+    with pytest.raises(TypeError):
+        OffspringLaw("geometric", 2.0, 3.0)
+    for kind, mean in (("geometric", 2.0), ("poisson_positive", 2.5), ("deterministic", 3)):
+        a, b = OffspringLaw(kind, mean), OffspringLaw(kind, mean)
+        object.__setattr__(b, "_rate", 7.0)   # a stale cache changes nothing
+        assert repr(a) == repr(b) == f"OffspringLaw(kind={kind!r}, mean={mean!r})"
+        assert a == b and hash(a) == hash(b)
+
+
 class TestSamplers:
     """Families are drawn through the engines' one branching step,
     each from a single parent at the origin."""
