@@ -1,10 +1,12 @@
 """Acceptance checks: one runnable check per release criterion.
 
 Each check pins its own parameters, tolerances and seeds, runs the
-relevant pipeline and returns a CheckResult whose ``detail`` lines make
-the measured numbers reviewable.  The CLI ``verify`` subcommand and the
-acceptance test module both run exactly these functions, so there is a
-single source of truth for what "passing" means.
+relevant pipeline and returns whether it passed and the ``detail`` lines
+that make the measured numbers reviewable.  ``ALL_CHECKS`` lists each
+check with its name and time budget, and a check's number is its place
+there.  ``run_check`` times one check and builds its CheckResult; the CLI
+``verify`` subcommand and the acceptance test module both run the checks
+through it, so there is a single source of truth for what "passing" means.
 
 Two checks measure their quantity by the route that is free of a known
 bias: count profiles (6) fit the growth rate over generations, which
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -70,32 +72,31 @@ def _relative_ok(value: float, target: float, rel: float) -> bool:
     return abs(value - target) <= rel * abs(target)
 
 
-def check_analytic_speeds() -> CheckResult:
-    """1: closed-form speed and tilt root of the unit branching-diffusion skeleton."""
-    t0 = time.perf_counter()
+Outcome = Tuple[bool, List[str]]   # (passed, detail lines)
+
+
+def check_analytic_speeds() -> Outcome:
+    """Closed-form speed and tilt root of the unit branching-diffusion skeleton."""
     r = one_type_speed(_bbm_one_type())
     ok = (abs(r.speed - SQRT2) <= 1e-6
           and r.tilt_root is not None and abs(r.tilt_root - SQRT2) <= 1e-6)
-    detail = [f"speed={r.speed:.9f} tilt_root={r.tilt_root} target={SQRT2:.9f}"]
-    return CheckResult(1, "analytic speeds", ok, time.perf_counter() - t0, 1, detail)
+    return ok, [f"speed={r.speed:.9f} tilt_root={r.tilt_root} target={SQRT2:.9f}"]
 
 
-def check_anomalous_worked_example() -> CheckResult:
-    """2: two-type worked example and its one-parameter family."""
-    t0 = time.perf_counter()
+def check_anomalous_worked_example() -> Outcome:
+    """Two-type worked example and its one-parameter family."""
     target = 4.0 / math.sqrt(6.0)
     rep = anomalous_speed(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
     ok = (abs(rep.route_formula - target) <= 1e-6
-          and abs(rep.route_minorant - target) <= 1e-4)
-    detail = [f"lam=3: formula={rep.route_formula:.9f} minorant={rep.route_minorant:.9f} "
+          and abs(rep.speed - target) <= 1e-4)
+    detail = [f"lam=3: formula={rep.route_formula:.9f} minorant={rep.speed:.9f} "
               f"target={target:.9f} anomalous={rep.anomalous}"]
     for lam in (1.5, 2.0, 3.0, 5.0):
         want = (1.0 + lam) / math.sqrt(2.0 * lam)
         got = anomalous_speed(skeleton_of_bbm(1.0 / lam, lam, 0.5)).route_formula
         ok = ok and abs(got - want) <= 1e-6
         detail.append(f"lam={lam}: formula={got:.9f} closed_form={want:.9f}")
-    return CheckResult(2, "anomalous speed, worked example", ok,
-                       time.perf_counter() - t0, 5, detail)
+    return ok, detail
 
 
 def _random_one_type(rng: np.random.Generator) -> ReproductionLaw:
@@ -117,9 +118,8 @@ def _random_one_type(rng: np.random.Generator) -> ReproductionLaw:
     return ReproductionLaw(off, disp, mech)
 
 
-def check_formula_cross_validation() -> CheckResult:
-    """3: both speed formulas agree over randomized laws and systems."""
-    t0 = time.perf_counter()
+def check_formula_cross_validation() -> Outcome:
+    """Both speed formulas agree over randomized laws and systems."""
     rng = np.random.default_rng(MASTER_SEED)
     worst_one = 0.0
     for _ in range(200):
@@ -130,17 +130,14 @@ def check_formula_cross_validation() -> CheckResult:
         lam = float(rng.uniform(1.0, 6.0))
         v = float(rng.uniform(0.1, 2.0))
         rep = anomalous_speed(skeleton_of_bbm(v, lam, 0.5))
-        worst_two = max(worst_two, abs(rep.route_minorant - rep.route_formula))
-    ok = worst_one <= 1e-4 and worst_two <= 1e-4
-    detail = [f"worst one-type gap={worst_one:.2e}",
-              f"worst two-type route gap={worst_two:.2e}"]
-    return CheckResult(3, "formula cross-validation", ok,
-                       time.perf_counter() - t0, 60, detail)
+        worst_two = max(worst_two, abs(rep.speed - rep.route_formula))
+    return (worst_one <= 1e-4 and worst_two <= 1e-4,
+            [f"worst one-type gap={worst_one:.2e}",
+             f"worst two-type route gap={worst_two:.2e}"])
 
 
-def check_fenchel_accuracy() -> CheckResult:
-    """4: numerical conjugate of a Gaussian cumulant vs its closed form."""
-    t0 = time.perf_counter()
+def check_fenchel_accuracy() -> Outcome:
+    """Numerical conjugate of a Gaussian cumulant vs its closed form."""
     a = np.arange(-1.0, 3.0 + 1e-12, 1e-3)
     worst = 0.0
     for lam, v in ((3.0, 1.0 / 3.0), (1.0, 1.0)):
@@ -148,9 +145,7 @@ def check_fenchel_accuracy() -> CheckResult:
         dual = fenchel_dual(law, GridSpec(-1.0, 3.0))
         exact = -lam + np.maximum(a, 0.0) ** 2 / (2.0 * v)
         worst = max(worst, float(np.max(np.abs(dual(a) - exact))))
-    ok = worst <= 1e-4
-    return CheckResult(4, "fenchel accuracy", ok, time.perf_counter() - t0, 1,
-                       [f"sup error={worst:.2e} on [-1, 3] at step 1e-3"])
+    return worst <= 1e-4, [f"sup error={worst:.2e} on [-1, 3] at step 1e-3"]
 
 
 def _mc_speed_replicate(r: int) -> float:
@@ -161,16 +156,14 @@ def _mc_speed_replicate(r: int) -> float:
     return s.rightmost[n] / n
 
 
-def check_mc_speed() -> CheckResult:
-    """5: rightmost-particle speed from budgeted Monte Carlo, one process
+def check_mc_speed() -> Outcome:
+    """Rightmost-particle speed from budgeted Monte Carlo, one process
     per CPU."""
-    t0 = time.perf_counter()
     reps = 32
     ms = map_replicates(_mc_speed_replicate, range(reps), reps)
     mean = float(np.mean(ms))
-    ok = _relative_ok(mean, SQRT2, 0.05)
-    detail = [f"mean M_n/n={mean:.4f} over {reps} replicates, target {SQRT2:.4f} +-5%"]
-    return CheckResult(5, "monte carlo speed", ok, time.perf_counter() - t0, 120, detail)
+    return (_relative_ok(mean, SQRT2, 0.05),
+            [f"mean M_n/n={mean:.4f} over {reps} replicates, target {SQRT2:.4f} +-5%"])
 
 
 COUNT_A_VALUES = (0.0, 0.5, 1.0)
@@ -188,8 +181,8 @@ def _count_census_replicate(r: int):
                      for a in COUNT_A_VALUES])
 
 
-def check_count_profiles() -> CheckResult:
-    """6: exact-census count growth rates against the analytic rate function.
+def check_count_profiles() -> Outcome:
+    """Exact-census count growth rates against the analytic rate function.
 
     Biggins' theorem gives (1/k) log Z_k[ka, inf) -> -rate(a), and below
     the speed the expected count grows at the same rate.  The expected
@@ -202,7 +195,6 @@ def check_count_profiles() -> CheckResult:
     Fails, without fitting, if any census saturated (stopped before
     int64 overflow).  The censuses run one process per CPU.
     """
-    t0 = time.perf_counter()
     rate = one_type_speed(_bbm_one_type()).rate_function
     ks = COUNT_GENERATIONS
     n0, n, reps = int(ks[0]), int(ks[-1]), 64
@@ -216,8 +208,7 @@ def check_count_profiles() -> CheckResult:
             mean_count += c
     detail = [f"saturated censuses: {saturated}/{reps}"]
     if saturated:
-        return CheckResult(6, "count profiles", False, time.perf_counter() - t0, 120,
-                           detail)
+        return False, detail
     offset = -0.5 * math.log(n / n0) / (n - n0)
     ok = True
     for a, total in zip(COUNT_A_VALUES, mean_count):
@@ -229,11 +220,11 @@ def check_count_profiles() -> CheckResult:
         detail.append(f"a={a}: slope={slope:.4f} target={target:.4f} "
                       f"({(slope - target) / abs(target):+.1%}; predicted offset "
                       f"{predicted:+.4f}) {'ok' if good else 'OUT OF BAND'}")
-    return CheckResult(6, "count profiles", ok, time.perf_counter() - t0, 120, detail)
+    return ok, detail
 
 
-def check_centering_slope() -> CheckResult:
-    """7: logarithmic centering correction has the predicted slope scale.
+def check_centering_slope() -> Outcome:
+    """Logarithmic centering correction has the predicted slope scale.
 
     mean(M_n) is computed exactly from the iterated front profile (the
     tail probability of the rightmost particle), which is free of the
@@ -243,7 +234,6 @@ def check_centering_slope() -> CheckResult:
     tested; the beam-measured slope is pinned separately in the test
     suite as documented behavior.
     """
-    t0 = time.perf_counter()
     law = _bbm_one_type()
     tilt = SQRT2
     n = 200
@@ -253,10 +243,8 @@ def check_centering_slope() -> CheckResult:
     ref = -3.0 / (2.0 * tilt)
     lo, hi = -3.0 / tilt, 0.0
     ok = (lo <= fit.slope < hi) and (2 * ref <= fit.slope <= ref / 2)
-    detail = [f"slope={fit.slope:.3f} (se {fit.stderr:.3f}), reference {ref:.3f}, "
-              f"bands [{lo:.3f}, 0) and [{2*ref:.3f}, {ref/2:.3f}]"]
-    return CheckResult(7, "logarithmic centering", ok, time.perf_counter() - t0,
-                       180, detail)
+    return ok, [f"slope={fit.slope:.3f} (se {fit.stderr:.3f}), reference {ref:.3f}, "
+                f"bands [{lo:.3f}, 0) and [{2*ref:.3f}, {ref/2:.3f}]"]
 
 
 def _reversed_replicate(r: int) -> float:
@@ -267,8 +255,8 @@ def _reversed_replicate(r: int) -> float:
     return s.rightmost_eta[n] / n
 
 
-def check_anomaly_demonstration() -> CheckResult:
-    """8: the anomalous eta front, its reversed-role and expected-count foils.
+def check_anomaly_demonstration() -> Outcome:
+    """The anomalous eta front, its reversed-role and expected-count foils.
 
     The forward clauses read the exact law of the rightmost eta from the
     coupled front recursion: its mean at n=300 must reach the anomalous
@@ -281,7 +269,6 @@ def check_anomaly_demonstration() -> CheckResult:
     reversed-role clause stays a particle run, since without an anomaly
     pruning keeps the front; its beams run one process per CPU.
     """
-    t0 = time.perf_counter()
     target = 4.0 / math.sqrt(6.0)
     sysm = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)
     n, h = 300, 0.02
@@ -299,7 +286,7 @@ def check_anomaly_demonstration() -> CheckResult:
     exp_speed = expected_numbers_speed(sysm.swap_roles())
     clause_d = abs(exp_speed - target) <= 1e-4
     ok = clause_a and clause_b and z_ok and clause_c and clause_d
-    detail = [
+    return ok, [
         f"forward mean M_eta/n={mean_eta:.4f} (coupled front, h={h:g}) target "
         f"{target:.4f} +-5% {'ok' if clause_a else 'OUT OF BAND'}; median "
         f"slope over [{n // 2}, {n}]={fine.speed:.6f}",
@@ -312,13 +299,10 @@ def check_anomaly_demonstration() -> CheckResult:
         f"expected-numbers speed={exp_speed:.6f} (trap value {target:.6f}) "
         f"{'ok' if clause_d else 'WRONG'}",
     ]
-    return CheckResult(8, "anomaly demonstration", ok, time.perf_counter() - t0,
-                       300, detail)
 
 
-def check_front_recursion() -> CheckResult:
-    """9: front speed, travelling-wave stabilization, and MC agreement."""
-    t0 = time.perf_counter()
+def check_front_recursion() -> Outcome:
+    """Front speed, travelling-wave stabilization, and MC agreement."""
     law = _bbm_one_type()
     res, _ = front_speed(law, 300, h=0.01)
     speed_ok = _relative_ok(res.speed, SQRT2, 0.01)
@@ -327,16 +311,14 @@ def check_front_recursion() -> CheckResult:
     rows = mc_consistency(det2, 8, [6.0, 8.0], 100_000,
                           seed=MASTER_SEED + 600, h=0.005)
     z_ok = all(abs(z) <= 3.0 for _, _, _, z in rows)
-    ok = speed_ok and stab_ok and z_ok
-    detail = [f"front speed={res.speed:.5f} target {SQRT2:.5f} +-1%",
-              f"final centered sup-diff={res.sup_diffs[-1]:.2e}",
-              "z-scores: " + ", ".join(f"{x:g}:{z:+.2f}" for x, _, _, z in rows)]
-    return CheckResult(9, "front recursion", ok, time.perf_counter() - t0, 120, detail)
+    return (speed_ok and stab_ok and z_ok,
+            [f"front speed={res.speed:.5f} target {SQRT2:.5f} +-1%",
+             f"final centered sup-diff={res.sup_diffs[-1]:.2e}",
+             "z-scores: " + ", ".join(f"{x:g}:{z:+.2f}" for x, _, _, z in rows)])
 
 
-def check_operator_axioms() -> CheckResult:
-    """10: order preservation, translation invariance, fixed points of the update."""
-    t0 = time.perf_counter()
+def check_operator_axioms() -> Outcome:
+    """Order preservation, translation invariance, fixed points of the update."""
     law = _bbm_one_type()
     rng = np.random.default_rng(MASTER_SEED + 700)
     tol = 1e-12
@@ -367,27 +349,37 @@ def check_operator_axioms() -> CheckResult:
     ok = ok and worst_order <= tol and worst_shift <= tol
     detail.append(f"order preservation worst violation {worst_order:.1e}")
     detail.append(f"translation invariance worst deviation {worst_shift:.1e}")
-    return CheckResult(10, "operator axioms", ok, time.perf_counter() - t0, 10, detail)
+    return ok, detail
 
 
-ALL_CHECKS: List[Callable[[], CheckResult]] = [
-    check_analytic_speeds,
-    check_anomalous_worked_example,
-    check_formula_cross_validation,
-    check_fenchel_accuracy,
-    check_mc_speed,
-    check_count_profiles,
-    check_centering_slope,
-    check_anomaly_demonstration,
-    check_front_recursion,
-    check_operator_axioms,
+# (check, name, budget in seconds); a check's number is its place here, from 1
+ALL_CHECKS: List[Tuple[Callable[[], Outcome], str, float]] = [
+    (check_analytic_speeds, "analytic speeds", 1),
+    (check_anomalous_worked_example, "anomalous speed, worked example", 5),
+    (check_formula_cross_validation, "formula cross-validation", 60),
+    (check_fenchel_accuracy, "fenchel accuracy", 1),
+    (check_mc_speed, "monte carlo speed", 120),
+    (check_count_profiles, "count profiles", 120),
+    (check_centering_slope, "logarithmic centering", 180),
+    (check_anomaly_demonstration, "anomaly demonstration", 300),
+    (check_front_recursion, "front recursion", 120),
+    (check_operator_axioms, "operator axioms", 10),
 ]
+
+
+def run_check(number: int) -> CheckResult:
+    """Run check ``number`` of ALL_CHECKS, timed."""
+    check, name, budget_seconds = ALL_CHECKS[number - 1]
+    t0 = time.perf_counter()
+    passed, detail = check()
+    return CheckResult(number, name, passed, time.perf_counter() - t0, budget_seconds,
+                       detail)
 
 
 def run_all(emit=print) -> List[CheckResult]:
     results = []
-    for fn in ALL_CHECKS:
-        res = fn()
+    for number in range(1, len(ALL_CHECKS) + 1):
+        res = run_check(number)
         emit(res.line())
         for d in res.detail:
             emit(f"         {d}")

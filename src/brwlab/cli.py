@@ -271,7 +271,12 @@ def _expect_check(value: float, expect: Optional[dict], lines: List[str]) -> boo
     return ok
 
 
-def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
+# Each runner writes its CSVs and returns its summary lines and the number
+# an ``expect`` block checks; ``run`` checks it, writes summary.txt and exits.
+Summary = Tuple[List[str], float]
+
+
+def run_speed(cfg: ExperimentConfig, out_dir: Path) -> Summary:
     law = build_law(cfg.law)
     res = one_type_speed(law)
     write_csv(out_dir / "speed_report.csv",
@@ -281,7 +286,7 @@ def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
                 math.nan if res.tilt_root is None else res.tilt_root,
                 math.nan if res.tilt_argmin is None else res.tilt_argmin,
                 res.diagnostics["speed_from_dual"],
-                res.diagnostics["speed_from_inf"]]])
+                res.speed]])
     rate = res.rate_function
     write_csv(out_dir / "rate_function.csv", ["a", "value"],
               np.column_stack((rate.xs, rate.ys)))
@@ -290,34 +295,23 @@ def run_speed(cfg: ExperimentConfig, out_dir: Path) -> int:
              f"tilt_root={fmt(res.tilt_root) if res.tilt_root is not None else 'absent'}",
              f"formula_gap={fmt(res.diagnostics['formula_gap'])}",
              f"root_residual={fmt(residual) if residual is not None else 'absent'}"]
-    ok = _expect_check(res.speed, cfg.expect, lines)
-    _summary(out_dir, lines)
-    return 0 if ok else 1
+    return lines, res.speed
 
 
-def run_anomalous(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_anomalous(cfg: ExperimentConfig, out_dir: Path) -> Summary:
     analysis = TwoTypeAnalysis(build_system(cfg.system))
     rep = analysis.report
-    rev = analysis.reversed_speed()
-    exp = analysis.expected_numbers_speed()
-    write_csv(out_dir / "anomalous_report.csv",
-              ["speed_nu", "speed_eta", "speed", "route_minorant",
-               "route_formula", "reversed_speed", "expected_numbers_speed",
-               "anomalous"],
-              [[rep.speed_nu, rep.speed_eta, rep.speed, rep.route_minorant,
-                rep.route_formula, rev, exp, rep.anomalous]])
+    # one name per number, in the order of the CSV columns and summary lines;
+    # route_minorant is the route that gives speed
+    report = {"speed_nu": rep.speed_nu, "speed_eta": rep.speed_eta, "speed": rep.speed,
+              "route_minorant": rep.speed, "route_formula": rep.route_formula,
+              "reversed_speed": analysis.reversed_speed(),
+              "expected_numbers_speed": analysis.expected_numbers_speed(),
+              "anomalous": rep.anomalous}
+    write_csv(out_dir / "anomalous_report.csv", list(report), [list(report.values())])
     write_csv(out_dir / "figure71.csv", ["a", "kswept_nu", "kdual_eta", "cv"],
               analysis.figure_table())
-    lines = [f"speed_nu={fmt(rep.speed_nu)}", f"speed_eta={fmt(rep.speed_eta)}",
-             f"speed={fmt(rep.speed)}",
-             f"route_minorant={fmt(rep.route_minorant)}",
-             f"route_formula={fmt(rep.route_formula)}",
-             f"reversed_speed={fmt(rev)}",
-             f"expected_numbers_speed={fmt(exp)}",
-             f"anomalous={fmt(rep.anomalous)}"]
-    ok = _expect_check(rep.speed, cfg.expect, lines)
-    _summary(out_dir, lines)
-    return 0 if ok else 1
+    return [f"{name}={fmt(value)}" for name, value in report.items()], rep.speed
 
 
 def _replicate(job):
@@ -327,7 +321,7 @@ def _replicate(job):
                seed=cfg.seed + 1000 + r)
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
+def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> Summary:
     law = build_law(cfg.law) if cfg.system is None else None
     run, model = ((run_one_type, law) if law is not None
                   else (run_two_type, build_system(cfg.system)))
@@ -345,30 +339,26 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
         eta_final = [s.rightmost_eta[cfg.n_max] / cfg.n_max for s in stats
                      if not math.isnan(s.rightmost_eta[cfg.n_max])]
         mean_eta = float(np.mean(eta_final)) if eta_final else math.nan
-        lines.append(f"mean_rightmost_eta_over_n={fmt(mean_eta)}")
-        ok = _expect_check(mean_eta, cfg.expect, lines)
-    else:
-        count_rows = [[r, n, a, val] for r, s in enumerate(stats)
-                      for a, n, val in count_profile(s, cfg.a_values)]
-        write_csv(out_dir / "counts.csv",
-                  ["replicate", "n", "a", "log_count_over_n"], count_rows)
-        speed = speed_from_inf(law)
-        fit = centering_slope(stats, speed.speed, speed.tilt_root)
-        write_csv(out_dir / "slopes.csv",
-                  ["slope", "stderr", "speed", "tilt_root"],
-                  [[fit.slope, fit.stderr, speed.speed,
-                    math.nan if speed.tilt_root is None else speed.tilt_root]])
-        mean_final = float(np.mean([s.rightmost[cfg.n_max] for s in stats])) / cfg.n_max
-        lines.append(f"mean_rightmost_over_n={fmt(mean_final)}")
-        lines.append(f"centering_slope={fmt(fit.slope)} stderr={fmt(fit.stderr)}")
-        lines.append("predicted_beam_deficit="
-                     + fmt(predicted_beam_deficit(law, speed.tilt_root, cfg.budget)))
-        ok = _expect_check(mean_final, cfg.expect, lines)
-    _summary(out_dir, lines)
-    return 0 if ok else 1
+        return lines + [f"mean_rightmost_eta_over_n={fmt(mean_eta)}"], mean_eta
+    count_rows = [[r, n, a, val] for r, s in enumerate(stats)
+                  for a, n, val in count_profile(s, cfg.a_values)]
+    write_csv(out_dir / "counts.csv",
+              ["replicate", "n", "a", "log_count_over_n"], count_rows)
+    speed = speed_from_inf(law)
+    fit = centering_slope(stats, speed.speed, speed.tilt_root)
+    write_csv(out_dir / "slopes.csv",
+              ["slope", "stderr", "speed", "tilt_root"],
+              [[fit.slope, fit.stderr, speed.speed,
+                math.nan if speed.tilt_root is None else speed.tilt_root]])
+    mean_final = float(np.mean([s.rightmost[cfg.n_max] for s in stats])) / cfg.n_max
+    lines += [f"mean_rightmost_over_n={fmt(mean_final)}",
+              f"centering_slope={fmt(fit.slope)} stderr={fmt(fit.stderr)}",
+              "predicted_beam_deficit="
+              + fmt(predicted_beam_deficit(law, speed.tilt_root, cfg.budget))]
+    return lines, mean_final
 
 
-def run_front(cfg: ExperimentConfig, out_dir: Path) -> int:
+def run_front(cfg: ExperimentConfig, out_dir: Path) -> Summary:
     law = build_law(cfg.law)
     res, snaps = front_speed(law, cfg.n_max, h=cfg.h, snapshot_at=cfg.snapshots)
     rows = [[n, x, dx, res.sup_diffs[n - 1]] for n, x, dx in res.drift]
@@ -376,11 +366,8 @@ def run_front(cfg: ExperimentConfig, out_dir: Path) -> int:
     for n, prof in snaps.items():
         write_csv(out_dir / f"profile_{n}.csv", ["x", "u"],
                   np.column_stack((prof.grid(), prof.values)))
-    lines = [f"front_speed={fmt(res.speed)}",
-             f"final_sup_diff={fmt(float(res.sup_diffs[-1]))}"]
-    ok = _expect_check(res.speed, cfg.expect, lines)
-    _summary(out_dir, lines)
-    return 0 if ok else 1
+    return [f"front_speed={fmt(res.speed)}",
+            f"final_sup_diff={fmt(float(res.sup_diffs[-1]))}"], res.speed
 
 
 def run_verify(out_dir: Path) -> int:
@@ -392,15 +379,14 @@ def run_verify(out_dir: Path) -> int:
 
 def run(cfg: ExperimentConfig, out: Optional[str] = None, threads: int = 1) -> int:
     out_dir = Path(out if out is not None else cfg.out)
-    if cfg.kind == "speed":
-        return run_speed(cfg, out_dir)
-    if cfg.kind == "anomalous":
-        return run_anomalous(cfg, out_dir)
-    if cfg.kind == "simulate":
-        return run_simulate(cfg, out_dir, threads)
-    if cfg.kind == "front":
-        return run_front(cfg, out_dir)
-    return run_verify(out_dir)
+    if cfg.kind == "verify":
+        return run_verify(out_dir)
+    runner = {"speed": run_speed, "anomalous": run_anomalous, "front": run_front,
+              "simulate": functools.partial(run_simulate, threads=threads)}[cfg.kind]
+    lines, value = runner(cfg, out_dir)
+    ok = _expect_check(value, cfg.expect, lines)
+    _summary(out_dir, lines)
+    return 0 if ok else 1
 
 
 @functools.cache

@@ -498,7 +498,7 @@ def speed_from_inf(law) -> SpeedResult:
     """
 
     value, argmin, attained = _ratio_root(law)
-    diagnostics = {"formula": "inf k(t)/t", "attained": attained}
+    diagnostics = {"attained": attained}
     tilt_root = None
     if attained and argmin is not None:
         residual = abs(argmin * value - law.cumulant(argmin))

@@ -120,7 +120,6 @@ def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
 class GenerationCensus:
     """Exact particle counts on a position lattice of pitch ``h``."""
 
-    generation: int
     h: float
     start_index: int
     counts: np.ndarray  # int64, counts[i] particles at (start_index + i) * h
@@ -439,7 +438,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     start = 0
     counts = np.array([1], dtype=np.int64)
     m = np.zeros(n_max + 1)
-    censuses = [GenerationCensus(0, pitch, start, counts)]
+    censuses = [GenerationCensus(pitch, start, counts)]
     saturated = False
     for n in range(1, n_max + 1):
         # Judged before the draw and summed in float64: once a total has
@@ -464,7 +463,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         start += int(j[0])
         counts = new_counts
         m[n] = (start + int(np.flatnonzero(counts)[-1])) * pitch
-        censuses.append(GenerationCensus(n, pitch, start, counts))
+        censuses.append(GenerationCensus(pitch, start, counts))
     last = len(censuses) - 1
     return TrajectoryStats(seed=seed, rightmost=m[:last + 1], exact_upto=last,
                            census=censuses,

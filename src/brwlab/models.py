@@ -81,9 +81,8 @@ class OffspringLaw:
             if not 1 <= k <= INT64_MAX or k != int(k):
                 raise ParamError("deterministic offspring count must be an integer "
                                  "in [1, 2^63 - 1]")
-        else:
-            if self.mean < 1.0:
-                raise ParamError("offspring mean must be >= 1")
+        elif not 1.0 <= self.mean < math.inf:
+            raise ParamError("offspring mean must be a finite number >= 1")
         if self.kind == "poisson_positive":
             m = self.mean
             if m <= 1.0:
@@ -177,8 +176,10 @@ class Gaussian:
     variance: float = 1.0
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ParamError("gaussian variance must be positive")
+        if not -math.inf < self.mean < math.inf:
+            raise ParamError("gaussian mean must be finite")
+        if not 0 < self.variance < math.inf:
+            raise ParamError("gaussian variance must be positive and finite")
 
     def log_mgf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -251,6 +252,10 @@ class Gaussian:
 class PointMass:
     value: float = 0.0
 
+    def __post_init__(self):
+        if not -math.inf < self.value < math.inf:
+            raise ParamError("point-mass value must be finite")
+
     def log_mgf(self, theta):
         return np.asarray(theta, dtype=float) * self.value
 
@@ -292,8 +297,8 @@ class TwoPoint:
     def __post_init__(self):
         if not 0.0 < self.prob_high < 1.0:
             raise ParamError("two-point mixture weight must be in (0, 1)")
-        if self.low >= self.high:
-            raise ParamError("two-point values must satisfy low < high")
+        if not -math.inf < self.low < self.high < math.inf:
+            raise ParamError("two-point values must be finite with low < high")
 
     def log_mgf(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -709,8 +714,8 @@ def skeleton_of_bbm(V: float, lam: float, p: float) -> TwoTypeSystem:
     ``p`` at the parent's position.
     """
 
-    if V <= 0 or lam <= 0:
-        raise ParamError("V and lam must be positive")
+    if not (0 < V < math.inf and 0 < lam < math.inf):
+        raise ParamError("V and lam must be positive and finite")
     if not 0.0 <= p <= 1.0:
         raise ParamError("seed probability must lie in [0, 1]")
     try:

@@ -42,8 +42,8 @@ FIGURE_GRID = GridSpec(-0.5, 2.0, 1e-3)   # the abscissae of the figure table
 class AnomalousReport:
     """Terminal-class speed of a reducible two-type system, both routes.
 
-    ``speed`` is the reconciled value (the minorant route is the
-    reference); ``anomalous`` flags a speed strictly above both
+    ``speed`` is the reconciled value, read by the minorant route;
+    ``route_formula`` is the min-max tilt route's.  ``anomalous`` flags a speed strictly above both
     single-class speeds, which happens exactly when the envelope
     bridges the two rate functions linearly across zero.  The un-swept
     envelope governing expected counts is ``TwoTypeAnalysis.expected_rate``.
@@ -52,7 +52,6 @@ class AnomalousReport:
     speed_nu: float
     speed_eta: float
     speed: float
-    route_minorant: float
     route_formula: float
     rate: EvaluableFunction
     anomalous: bool
@@ -72,13 +71,8 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
     rate = sweep(fenchel_dual(law, GridSpec(min(s0, by_inf.speed) - 1.0,
                                             by_inf.speed + 1.0)))
     by_dual = speed_from_dual(rate)
-    gap = abs(by_dual - by_inf.speed)
-    diagnostics = dict(by_inf.diagnostics)
-    diagnostics.update({
-        "speed_from_dual": by_dual,
-        "speed_from_inf": by_inf.speed,
-        "formula_gap": gap,
-    })
+    diagnostics = dict(by_inf.diagnostics, speed_from_dual=by_dual,
+                       formula_gap=abs(by_dual - by_inf.speed))
     return SpeedResult(speed=by_inf.speed,
                        tilt_root=by_inf.tilt_root,
                        tilt_argmin=by_inf.tilt_argmin,
@@ -191,8 +185,7 @@ class TwoTypeAnalysis:
         speed_nu, speed_eta = (r.speed for r in self.by_inf)
         anomalous = crossing > max(speed_nu, speed_eta) + TAU_SPEED_ANALYTIC
         return AnomalousReport(speed_nu=speed_nu, speed_eta=speed_eta, speed=crossing,
-                               route_minorant=crossing, route_formula=formula, rate=rate,
-                               anomalous=anomalous)
+                               route_formula=formula, rate=rate, anomalous=anomalous)
 
     def reversed_speed(self) -> float:
         d_nu, d_eta = self.duals

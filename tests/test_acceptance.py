@@ -12,11 +12,11 @@ import pytest
 from brwlab import acceptance
 
 
-@pytest.mark.parametrize("check", acceptance.ALL_CHECKS,
-                         ids=[fn.__name__.removeprefix("check_")
-                              for fn in acceptance.ALL_CHECKS])
-def test_criterion(check):
-    result = check()
+@pytest.mark.parametrize("number", range(1, len(acceptance.ALL_CHECKS) + 1),
+                         ids=[check.__name__.removeprefix("check_")
+                              for check, _, _ in acceptance.ALL_CHECKS])
+def test_criterion(number):
+    result = acceptance.run_check(number)
     print(result.line())
     for line in result.detail:
         print("   ", line)

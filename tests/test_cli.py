@@ -543,14 +543,8 @@ class TestMain:
         # the real acceptance suite runs in its own test module; here only
         # the wiring and exit-code semantics are exercised
         from brwlab import acceptance as acc
-        from brwlab.acceptance import CheckResult
-
-        def ok():
-            return CheckResult(1, "stub ok", True, 0.0, 1.0, ["fine"])
-
-        def bad():
-            return CheckResult(2, "stub bad", False, 0.0, 1.0, ["broken"])
-
+        ok = (lambda: (True, ["fine"])), "stub ok", 1.0
+        bad = (lambda: (False, ["broken"])), "stub bad", 1.0
         monkeypatch.setattr(acc, "ALL_CHECKS", [ok])
         assert main(["verify", "--out", str(tmp_path / "ok")]) == 0
         summary = (tmp_path / "ok" / "summary.txt").read_text()
@@ -558,6 +552,35 @@ class TestMain:
         monkeypatch.setattr(acc, "ALL_CHECKS", [ok, bad])
         assert main(["verify", "--out", str(tmp_path / "bad")]) == 1
         assert "[FAIL]" in (tmp_path / "bad" / "summary.txt").read_text()
+
+
+class TestOneExit:
+    """Every kind but verify leaves through ``run``: the ``expect`` check
+    picks the exit code, its line closes summary.txt, and stdout repeats
+    summary.txt."""
+
+    @pytest.mark.parametrize("scale, code", [(1.0, 0), (10.0, 1)], ids=["pass", "fail"])
+    @pytest.mark.parametrize("cfg, value", [
+        ({"kind": "speed", "law": BBM_LAW}, math.sqrt(2)),
+        ({"kind": "anomalous", "system": SKELETON}, 4 / math.sqrt(6)),
+        ({"kind": "simulate", "law": BBM_LAW, "n_max": 20, "budget": 500,
+          "replicates": 2}, math.sqrt(2)),
+        ({"kind": "simulate", "system": SKELETON, "n_max": 15, "budget": 500,
+          "replicates": 2}, 4 / math.sqrt(6)),
+        ({"kind": "front", "law": BBM_LAW, "n_max": 20, "h": 0.05}, math.sqrt(2)),
+    ], ids=["speed", "anomalous", "simulate_law", "simulate_system", "front"])
+    def test_expect_decides_the_exit(self, tmp_path, capsys, cfg, value, scale, code):
+        # within half of the speed passes; ten times the speed fails
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, seed=3,
+                                     expect={"speed": scale * value, "rel_tol": 0.5})))
+        out = tmp_path / "out"
+        assert main([cfg["kind"], "--config", str(p), "--out", str(out)]) == code
+        summary = (out / "summary.txt").read_text()
+        last = summary.splitlines()[-1]
+        assert last.startswith("check speed=")
+        assert last.endswith(": PASS" if code == 0 else ": FAIL")
+        assert capsys.readouterr().out == summary
 
 
 def reference_write_csv(path, header, rows):

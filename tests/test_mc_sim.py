@@ -187,9 +187,9 @@ class TestCensusAndCounts:
         stats = run_count_census(law, 20, seed=0, pitch=0.5)
         assert stats.exact_upto == 15
         monkeypatch.setattr(acceptance, "run_count_census", lambda *a, **k: stats)
-        result = acceptance.check_count_profiles()
-        assert not result.passed
-        assert result.detail == ["saturated censuses: 64/64"]
+        passed, detail = acceptance.check_count_profiles()
+        assert not passed
+        assert detail == ["saturated censuses: 64/64"]
 
     def test_census_rejects_positive_poisson(self):
         law = ReproductionLaw(OffspringLaw("poisson_positive", 2.0),
@@ -679,7 +679,12 @@ class TestThinnedBranching:
         ReproductionLaw(OffspringLaw("geometric", math.exp(3.0)), Gaussian(0.0, 1 / 3)),
         ReproductionLaw(OffspringLaw("geometric", math.exp(3.0)), Gaussian(0.0, 1 / 3),
                         "common"),
-        ReproductionLaw(OffspringLaw("poisson_positive", 8.0), TwoPoint(-0.3, 0.4, 0.35)),
+        # scipy's exact KS p-value fails on one of this law's comparisons,
+        # and it warns as it falls back to the asymptotic p-value
+        pytest.param(
+            ReproductionLaw(OffspringLaw("poisson_positive", 8.0), TwoPoint(-0.3, 0.4, 0.35)),
+            marks=pytest.mark.filterwarnings(
+                "ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")),
     ], ids=["gaussian", "common", "two_point"])
     def test_kept_set_has_one_law_on_every_path(self, monkeypatch, law):
         stats = {}

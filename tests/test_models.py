@@ -478,6 +478,34 @@ def test_coupling_common_vs_independent():
     assert abs(m_common.mean() - m_indep.mean()) <= 3 * se
 
 
+@pytest.mark.parametrize("build, args", [
+    (OffspringLaw, ("geometric", math.nan)),
+    (OffspringLaw, ("geometric", math.inf)),
+    (OffspringLaw, ("poisson_positive", math.nan)),
+    (OffspringLaw, ("poisson_positive", math.inf)),
+    (OffspringLaw, ("deterministic", math.nan)),
+    (Gaussian, (math.nan, 1.0)),
+    (Gaussian, (math.inf, 1.0)),
+    (Gaussian, (0.0, math.inf)),
+    (Gaussian, (0.0, math.nan)),
+    (PointMass, (-math.inf,)),
+    (PointMass, (math.nan,)),
+    (TwoPoint, (math.nan, 1.0, 0.5)),
+    (TwoPoint, (-math.inf, 1.0, 0.5)),
+    (TwoPoint, (0.0, math.inf, 0.5)),
+    (Seeding, (math.nan,)),
+    (skeleton_of_bbm, (1.0, math.inf, 0.5)),
+    (skeleton_of_bbm, (1.0, math.nan, 0.5)),
+    (skeleton_of_bbm, (math.inf, 1.0, 0.5)),
+    (skeleton_of_bbm, (math.nan, 1.0, 0.5)),
+], ids=lambda v: getattr(v, "__name__", None) or repr(v).replace(" ", ""))
+def test_non_finite_parameter_is_a_param_error(build, args):
+    # the CLI schema rejects these values; the Python API must too, before
+    # a speed or a sampler fails on them with an error of another kind
+    with pytest.raises(ParamError):
+        build(*args)
+
+
 class TestTwoTypeSystem:
     def test_skeleton_cumulants(self):
         sysm = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)

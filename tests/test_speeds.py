@@ -117,7 +117,7 @@ class TestAnomalousSpeed:
         rep = anomalous_speed(skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5))
         target = 4.0 / math.sqrt(6.0)
         assert rep.route_formula == pytest.approx(target, abs=1e-6)
-        assert rep.route_minorant == pytest.approx(target, abs=1e-4)
+        assert rep.speed == pytest.approx(target, abs=1e-4)
         assert rep.speed_nu == pytest.approx(SQRT2, abs=1e-6)
         assert rep.speed_eta == pytest.approx(SQRT2, abs=1e-6)
         assert rep.anomalous
@@ -134,7 +134,7 @@ class TestAnomalousSpeed:
             rep = anomalous_speed(skeleton_of_bbm(1.0 / lam, lam, 0.5))
             want = (1.0 + lam) / math.sqrt(2.0 * lam)
             assert abs(rep.route_formula - want) <= 1e-14
-            assert rep.route_minorant == pytest.approx(want, abs=1e-4)
+            assert rep.speed == pytest.approx(want, abs=1e-4)
 
     def test_speed_never_below_either_class(self):
         rng = np.random.default_rng(3)
@@ -151,7 +151,7 @@ class TestAnomalousSpeed:
             lam = float(rng.uniform(1.0, 6.0))
             v = float(rng.uniform(0.1, 2.0))
             rep = anomalous_speed(skeleton_of_bbm(v, lam, 0.5))
-            assert abs(rep.route_minorant - rep.route_formula) <= 1e-4
+            assert abs(rep.speed - rep.route_formula) <= 1e-4
 
     def test_monotone_in_branching_rate_along_family(self):
         # closed form (1+lam)/sqrt(2 lam) increases in lam past 1
@@ -220,7 +220,7 @@ class TestReversedAndExpected:
             v = float(rng.uniform(0.1, 2.0))
             sysm = skeleton_of_bbm(v, lam, 0.5)
             rep = anomalous_speed(sysm)
-            assert expected_numbers_speed(sysm) >= rep.route_minorant - 1e-6
+            assert expected_numbers_speed(sysm) >= rep.speed - 1e-6
 
 
 def test_figure_table_crosses_zero_at_the_anomalous_speed():
@@ -244,7 +244,7 @@ def test_bounded_steps_meet_the_support_bound_by_both_routes():
         ReproductionLaw(OffspringLaw("geometric", 5.0), TwoPoint(-0.4, 0.5, 0.6)),
         Seeding(0.5))
     rep = anomalous_speed(sysm)
-    assert rep.route_minorant == pytest.approx(0.5, abs=1e-8)
+    assert rep.speed == pytest.approx(0.5, abs=1e-8)
     assert rep.route_formula == pytest.approx(0.5, abs=1e-8)
     assert not rep.anomalous
 
@@ -285,7 +285,7 @@ def test_mean_one_class_on_either_side(tmp_path, nu, eta, want, anomalous):
     # disagree by 0.469 (nu_slower) and the anomalous run exit 3
     system = {"nu": nu, "eta": eta, "seed_prob": 0.5}
     rep = anomalous_speed(build_system(system))
-    assert abs(rep.route_minorant - rep.route_formula) <= 10 * speeds.TAU_CROSS
+    assert abs(rep.speed - rep.route_formula) <= 10 * speeds.TAU_CROSS
     assert rep.route_formula == pytest.approx(want, abs=1e-12)
     assert rep.anomalous == anomalous
     cfg = tmp_path / "mean_one.json"
