@@ -42,9 +42,11 @@ kept, and ``drawn`` those given a position.
 
 For the large exact censuses the count-profile checks need (population
 way past any per-particle budget), a binned engine propagates exact
-particle counts on a position lattice instead of individual particles:
-one multinomial call per block of occupied sites, for both mechanisms,
-with the step's cells in decreasing mass.
+particle counts on a position lattice instead of individual particles,
+for both mechanisms: a site with fewer movers than the step has cells
+draws each mover's cell from an alias table, and the others spread by
+one multinomial call per block of sites, with the step's cells in
+decreasing mass (``_land``).
 
 Reproducibility: every run draws from the one stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
@@ -78,7 +80,10 @@ EXACT_POPULATION_CAP = 4_000_000
 # normalized (BENCH_25).  In a fresh process 2^14 ran about 15% slower,
 # and 2^16 no faster, with 88,000 faults on its first call.
 BATCH_PARTICLES = 2 ** 15
-CENSUS_BLOCK = 64     # occupied sites per multinomial call of a census
+CENSUS_BLOCK = 64     # dense sites per multinomial call of a census
+# A cell of a census row is conditioned on numpy's running remainder only
+# while that remainder is within this (relative) of the exact tail mass.
+REMAINDER_DRIFT = 1e-9
 STEP_BLOCK = 2 ** 15  # independent steps drawn per call of a step sampler
 
 # Thinned branching (``_thinned``).  A beam generation born with more than
@@ -406,6 +411,116 @@ def _seeds(seeding: Seeding, nu: np.ndarray,
     return seeded, nu[seeded] + seeding.displacement.sample(rng, int(seeded.sum()))
 
 
+@dataclass(frozen=True)
+class _Cells:
+    """A step's lattice cells in decreasing mass, prepared for a census.
+
+    ``offset`` holds each cell's lattice offset from a site's first
+    destination, ``keep`` and ``alias`` the pmf's alias table
+    (``_alias_table``), and ``pvals`` what a dense site hands numpy's
+    ``multinomial``.  numpy conditions cell i on its running remainder,
+    1 - pvals[0] - ... - pvals[i-1] summed in this order, which drifts
+    from the exact tail mass as the cells shrink.  Past the first cell
+    where it has drifted by more than ``REMAINDER_DRIFT`` the cells are
+    drawn as one bucket, ``pvals``' last column, holding their exact
+    mass, and ``tail`` spreads the bucket's movers over them by the same
+    rule.  Without a ``tail``, ``pvals`` holds every cell.
+    """
+
+    offset: np.ndarray
+    keep: np.ndarray
+    alias: np.ndarray
+    pvals: np.ndarray
+    tail: Optional["_Cells"]
+
+
+def _census_cells(q: np.ndarray, offset: np.ndarray) -> _Cells:
+    """The ``_Cells`` of the pmf ``q`` over cells at ``offset``, both in
+    decreasing mass."""
+    live = np.count_nonzero(q)          # a cell of no mass gets no mover
+    q, offset = q[:live], offset[:live]
+    rest = np.cumsum(q[::-1])[::-1]     # the exact tail masses, summed smallest first
+    remainder = np.subtract.accumulate(np.concatenate([[1.0], q[:-1]]))
+    drifted = np.flatnonzero(np.abs(remainder - rest) > REMAINDER_DRIFT * rest)
+    keep, alias = _alias_table(q, offset)
+    head = int(drifted[0]) if drifted.size else q.size
+    if head >= q.size - 1:              # a bucket of one cell is that cell
+        return _Cells(offset, keep, alias, q, None)
+    return _Cells(offset, keep, alias, np.append(q[:head], rest[head]),
+                  _census_cells(q[head:] / rest[head], offset[head:]))
+
+
+def _alias_table(q: np.ndarray, offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table of the pmf ``q`` over cells at ``offset`` (IEEE
+    TSE 17, 1991): column i, drawn with probability 1/len(q), keeps its
+    own cell with probability ``keep[i]`` and otherwise takes the cell at
+    ``alias[i]``."""
+    k = q.size
+    keep = (q * (k / q.sum())).tolist()
+    alias = list(range(k))
+    small = [i for i in range(k) if keep[i] < 1.0]
+    large = [i for i in range(k) if keep[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        alias[s] = g
+        keep[g] = (keep[g] + keep[s]) - 1.0
+        (small if keep[g] < 1.0 else large).append(g)
+    for i in small + large:             # within rounding of 1
+        keep[i] = 1.0
+    return np.array(keep), offset[alias]
+
+
+def _alias_draw(cells: _Cells, sources: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """The destination of one mover from each of ``sources``: a column by
+    one uniform, then its own cell or its alias by a second, so a cell's
+    mass is resolved to 2^-53 rather than to len(q) 2^-53.  Each mover's
+    two uniforms are consecutive in the stream."""
+    u = rng.random((sources.size, 2))
+    col = (u[:, 0] * cells.keep.size).astype(np.intp)
+    return sources + np.where(u[:, 1] < cells.keep[col], cells.offset[col],
+                              cells.alias[col])
+
+
+def _land(cells: _Cells, sites: np.ndarray, movers: np.ndarray,
+          rng: np.random.Generator, size: int) -> np.ndarray:
+    """The movers landed on each of ``size`` sites, ``movers[i]`` of them
+    from each of ``sites``, spread over ``cells``.
+
+    A site with fewer movers than the cells number is sparse: each of
+    its movers draws its cell from the alias table (``_alias_draw``), in
+    O(1).  The dense sites spread by one multinomial call per block of
+    ``CENSUS_BLOCK`` sites, whose chain of binomials stops at the last
+    cell to get a mover, up to one per cell; their buckets pass to the
+    ``tail`` cells, dense and sparse by the same rule.  Every dense call
+    is drawn first, then every sparse mover, level by level and site by
+    site, summed by one ``np.bincount``.
+    """
+    landed = np.zeros(size, dtype=np.int64)
+    sparse = []
+    while sites.size:
+        few = movers < cells.keep.size
+        sparse.append((cells, np.repeat(sites[few], movers[few])))
+        sites, movers = sites[~few], movers[~few]
+        bucket = np.empty(sites.size, dtype=np.int64)
+        for b in range(0, sites.size, CENSUS_BLOCK):
+            block = sites[b:b + CENSUS_BLOCK]
+            dest = rng.multinomial(movers[b:b + CENSUS_BLOCK], cells.pvals)
+            if cells.tail is not None:
+                bucket[b:b + block.size] = dest[:, -1]
+                dest = dest[:, :-1]
+            np.add.at(landed, (block[:, None] + cells.offset[:dest.shape[1]]).ravel(),
+                      dest.ravel())
+            del dest    # freed before the next block's draw: a lower peak
+        if cells.tail is None:
+            break
+        filled = bucket > 0
+        sites, movers, cells = sites[filled], bucket[filled], cells.tail
+    moved = [_alias_draw(c, sources, rng) for c, sources in sparse]
+    landed += np.bincount(np.concatenate(moved), minlength=size)
+    return landed
+
+
 def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
                      pitch: float = 0.05) -> TrajectoryStats:
     """Exact generation censuses on a position lattice of the given pitch.
@@ -417,11 +532,13 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     closed form, which restricts the engine to deterministic and
     geometric counts.
 
-    One loop serves both mechanisms: each site's children
-    (``independent``) or families (``common``, sized where they land)
-    spread over the step's cells by one multinomial call per block of
-    ``CENSUS_BLOCK`` sites, the cells in decreasing mass, so numpy's
-    chain of binomials stops after about the cells a site fills.
+    One loop serves both mechanisms: each site's movers, its children
+    (``independent``) or its families (``common``), land on the step's
+    cells through ``_land``, which draws a sparse site's movers one by
+    one from the step's alias table and a dense site's by a multinomial
+    call, with no cell conditioned on a drifted remainder.  Under
+    ``common`` the families landed on each site are then sized together
+    by one ``sum_sample`` call: totals of independent families add.
 
     ``pruning["saturated"]`` is set at the first generation whose
     expected total exceeds INT64_MAX / 4, where its int64 counts could
@@ -433,7 +550,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     rng = replicate_rng(seed)
     j, q = law.displacement.lattice_pmf(pitch)
     order = np.argsort(-q, kind="stable")   # cells in decreasing mass
-    q, offset = q[order], (j - j[0])[order]   # cells from a site's first destination
+    cells = _census_cells(q[order], (j - j[0])[order])   # from a site's first destination
     common = law.mechanism == "common"
     start = 0
     counts = np.array([1], dtype=np.int64)
@@ -447,21 +564,13 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
         if expected > INT64_MAX / 4:
             saturated = True
             break
-        new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
         nz = np.flatnonzero(counts)
-        # one row of destinations per occupied site, drawn and scattered
-        # a block of sites at a time, which bounds the memory
         movers = counts[nz] if common else law.offspring.sum_sample(rng, counts[nz])
-        for b in range(0, nz.size, CENSUS_BLOCK):
-            dest = rng.multinomial(movers[b:b + CENSUS_BLOCK], q).ravel()
-            cells = (nz[b:b + CENSUS_BLOCK, None] + offset).ravel()
-            if common:
-                filled = np.flatnonzero(dest)
-                cells, dest = cells[filled], law.offspring.sum_sample(rng, dest[filled])
-            np.add.at(new_counts, cells, dest)
-            del dest, cells   # freed before the next block's draw: a lower peak
+        counts = _land(cells, nz, movers, rng, counts.size + j[-1] - j[0])
+        if common:
+            filled = np.flatnonzero(counts)
+            counts[filled] = law.offspring.sum_sample(rng, counts[filled])
         start += int(j[0])
-        counts = new_counts
         m[n] = (start + int(np.flatnonzero(counts)[-1])) * pitch
         censuses.append(GenerationCensus(pitch, start, counts))
     last = len(censuses) - 1

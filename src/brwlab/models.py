@@ -37,6 +37,15 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 POISSON_NEWTON_STEPS = 200   # the least float mean above 1 needs 52
 
 
+def _finite(*values) -> bool:
+    """Whether every value is a finite number.  An integer past the float
+    range is not, though it compares between -inf and inf."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
+
+
 def _positive_poisson_rate(m: float) -> float:
     """The rate c > 0 of the Poisson law whose conditioning on N >= 1 has
     mean m > 1, that is the positive root of f(c) = c + m expm1(-c).
@@ -81,7 +90,7 @@ class OffspringLaw:
             if not 1 <= k <= INT64_MAX or k != int(k):
                 raise ParamError("deterministic offspring count must be an integer "
                                  "in [1, 2^63 - 1]")
-        elif not 1.0 <= self.mean < math.inf:
+        elif not (_finite(self.mean) and self.mean >= 1.0):
             raise ParamError("offspring mean must be a finite number >= 1")
         if self.kind == "poisson_positive":
             m = self.mean
@@ -176,9 +185,9 @@ class Gaussian:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not -math.inf < self.mean < math.inf:
+        if not _finite(self.mean):
             raise ParamError("gaussian mean must be finite")
-        if not 0 < self.variance < math.inf:
+        if not (_finite(self.variance) and self.variance > 0):
             raise ParamError("gaussian variance must be positive and finite")
 
     def log_mgf(self, theta):
@@ -253,7 +262,7 @@ class PointMass:
     value: float = 0.0
 
     def __post_init__(self):
-        if not -math.inf < self.value < math.inf:
+        if not _finite(self.value):
             raise ParamError("point-mass value must be finite")
 
     def log_mgf(self, theta):
@@ -297,7 +306,7 @@ class TwoPoint:
     def __post_init__(self):
         if not 0.0 < self.prob_high < 1.0:
             raise ParamError("two-point mixture weight must be in (0, 1)")
-        if not -math.inf < self.low < self.high < math.inf:
+        if not (_finite(self.low, self.high) and self.low < self.high):
             raise ParamError("two-point values must be finite with low < high")
 
     def log_mgf(self, theta):

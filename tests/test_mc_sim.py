@@ -1,6 +1,7 @@
 """Monte Carlo engines: determinism, pruning, censuses, and diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -575,22 +576,50 @@ def test_replicate_pool_is_capped_by_jobs_and_cpus(monkeypatch, jobs, cpus, pool
     assert sizes == ([] if pool is None else [pool])
 
 
-def _census_by_site_loop(law, n_max, seed, pitch):
-    """The census as one multinomial call per occupied site, its cells in
-    the engine's order, decreasing mass: the oracle of the engine's one
-    call per block of sites."""
-    rng = replicate_rng(seed)
-    j, q = law.displacement.lattice_pmf(pitch)
+def _sorted_pmf(step, pitch):
+    """The step's lattice pmf in decreasing mass, and each cell's offset
+    from a site's first destination."""
+    j, q = step.lattice_pmf(pitch)
     order = np.argsort(-q, kind="stable")
-    offset = (j - j[0])[order]
+    return q[order], (j - j[0])[order]
+
+
+def _census_by_site_loop(law, n_max, seed, pitch):
+    """The census site by site and mover by mover: the oracle of the
+    engine's block calls and vectorized alias draws.  Level by level of
+    its cells, each site with at least as many movers as the level has
+    cells makes one multinomial call, whose bucket passes to the next
+    level; then every other site's movers, level by level, each draw a
+    column and its keep-or-alias uniform by two scalar draws."""
+    rng = replicate_rng(seed)
+    j, _ = law.displacement.lattice_pmf(pitch)
+    top = mc_sim._census_cells(*_sorted_pmf(law.displacement, pitch))
     counts = np.array([1], dtype=np.int64)
     out = [counts]
     for _ in range(n_max):
         new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
         nz = np.flatnonzero(counts)
-        totals = law.offspring.sum_sample(rng, counts[nz])
-        for b, tot in zip(nz, totals):
-            new_counts[b + offset] += rng.multinomial(int(tot), q[order])
+        sites = list(zip(nz.tolist(), law.offspring.sum_sample(rng, counts[nz]).tolist()))
+        sparse, cells = [], top
+        while sites:
+            sparse.append((cells, [(b, t) for b, t in sites if t < cells.keep.size]))
+            buckets = []
+            for b, t in sites:
+                if t >= cells.keep.size:
+                    dest = rng.multinomial(t, cells.pvals)
+                    if cells.tail is not None:
+                        buckets.append((b, int(dest[-1])))
+                        dest = dest[:-1]
+                    new_counts[b + cells.offset[:dest.size]] += dest
+            if cells.tail is None:
+                break
+            sites, cells = [(b, t) for b, t in buckets if t > 0], cells.tail
+        for cells, movers in sparse:
+            for b, t in movers:
+                for _ in range(t):
+                    col = int(rng.random() * cells.keep.size)
+                    keep = rng.random() < cells.keep[col]
+                    new_counts[b + (cells.offset[col] if keep else cells.alias[col])] += 1
         counts = new_counts
         out.append(counts)
     return out
@@ -604,6 +633,123 @@ def test_census_is_byte_identical_to_the_per_site_loop(seed):
     for census, counts in zip(s.census, oracle):
         assert census.counts.dtype == np.int64
         assert np.array_equal(census.counts, counts)
+
+
+# steps and pitches: the unit step, two atoms 14 cells apart, and 2,325 cells
+CENSUS_STEPS = [(Gaussian(0.0, 1.0), 0.05), (TwoPoint(-0.3, 0.4, 0.5), 0.05),
+                (Gaussian(0.3, 2.0), 0.01)]
+STEP_IDS = ["gaussian", "two_point", "gaussian_wide"]
+
+
+def _levels(step, pitch):
+    """Each level of the step's census cells, with its own pmf: the
+    step's in decreasing mass, then each bucket's cells over its mass."""
+    q, offset = _sorted_pmf(step, pitch)
+    cells = mc_sim._census_cells(q, offset)
+    out = []
+    while cells is not None:
+        out.append((cells, q))
+        if cells.tail is not None:
+            head = cells.pvals.size - 1
+            q = q[head:] / math.fsum(q[head:])
+        cells = cells.tail
+    return out
+
+
+@pytest.mark.parametrize("step, pitch", CENSUS_STEPS, ids=STEP_IDS)
+def test_alias_tables_rebuild_each_cell_mass(step, pitch):
+    for cells, q in _levels(step, pitch):
+        k = q.size
+        mass = cells.keep / k
+        at = {int(o): i for i, o in enumerate(cells.offset)}
+        for i, a in enumerate(cells.alias):
+            mass[at[int(a)]] += (1.0 - cells.keep[i]) / k
+        assert np.all((cells.keep >= 0) & (cells.keep <= 1))
+        np.testing.assert_allclose(mass, q, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("step, pitch", CENSUS_STEPS, ids=STEP_IDS)
+def test_no_census_cell_is_conditioned_on_a_drifted_remainder(step, pitch):
+    # numpy's multinomial conditions cell i on 1 - pvals[0] - ... -
+    # pvals[i-1], summed in order; the bucket, pvals' last column, gets
+    # the movers left
+    for cells, q in _levels(step, pitch):
+        remainder = 1.0
+        for i, p in enumerate(cells.pvals[:-1]):
+            exact = q[i] / math.fsum(q[i:])
+            assert p / remainder == pytest.approx(exact, rel=1e-9, abs=0), i
+            remainder -= p
+        if cells.tail is not None:
+            head = cells.pvals.size - 1
+            assert cells.pvals[-1] == pytest.approx(math.fsum(q[head:]), rel=1e-12)
+    # without the bucket the unit step's row would condition a cell on a
+    # remainder off by more than that: the replay is not vacuous
+    q, _ = _sorted_pmf(*CENSUS_STEPS[0])
+    drift = np.subtract.accumulate(np.concatenate([[1.0], q[:-1]]))
+    exact = np.array([math.fsum(q[i:]) for i in range(q.size)])
+    assert np.max(np.abs(drift / exact - 1.0)) > 1e-9
+
+
+def _pooled_site(law, movers, pitch, reps):
+    """The movers of one site of ``movers`` movers, pooled over ``reps``
+    censuses, per step cell (in lattice order): under ``independent`` the
+    root's children, under ``common`` the families landed from the one
+    site of generation 1, counted by their children."""
+    j, _ = law.displacement.lattice_pmf(pitch)
+    common = law.mechanism == "common"
+    n = 2 if common else 1
+    pooled = np.zeros(j[-1] - j[0] + 1, dtype=np.int64)
+    for r in range(reps):
+        s = run_count_census(law, n, seed=9000 + r, pitch=pitch)
+        site = 0
+        if common:
+            first = s.census[1]
+            site = first.start_index + int(np.flatnonzero(first.counts)[0])
+        last = s.census[n]
+        filled = np.flatnonzero(last.counts)
+        pooled[last.start_index + filled - site - j[0]] += \
+            last.counts[filled] // (movers if common else 1)
+    return pooled
+
+
+@pytest.mark.parametrize("mechanism", ["independent", "common"])
+@pytest.mark.parametrize("below", [1, 0], ids=["cut-1", "cut"])
+@pytest.mark.parametrize("step, pitch", CENSUS_STEPS[:2], ids=STEP_IDS[:2])
+def test_one_site_lands_by_the_step_pmf(monkeypatch, step, pitch, below, mechanism):
+    # a site with fewer movers than the step has cells draws them one by
+    # one, and one with as many draws by multinomial rows; either way its
+    # cells have the pmf's law
+    from scipy.stats import chisquare
+    j, q = step.lattice_pmf(pitch)
+    movers = q.size - below
+    law = ReproductionLaw(OffspringLaw("deterministic", movers), step, mechanism)
+    one_by_one = []
+    draw = mc_sim._alias_draw
+
+    def spy(cells, sources, rng):
+        if cells.keep.size == q.size:
+            one_by_one.append(sources.size)
+        return draw(cells, sources, rng)
+
+    monkeypatch.setattr(mc_sim, "_alias_draw", spy)
+    reps = 4000 // movers
+    pooled = _pooled_site(law, movers, pitch, reps)
+    # under common, generation 1's one family lands one by one too
+    assert sum(one_by_one) == movers * reps * below + (reps if mechanism == "common" else 0)
+    expected = np.zeros(pooled.size)
+    expected[j - j[0]] = q * pooled.sum()
+    assert pooled.sum() == movers * reps and pooled[expected == 0].sum() == 0
+    # cells pooled in lattice order until each bin expects at least 5
+    obs, exp, o, e = [], [], 0, 0.0
+    for i in np.flatnonzero(expected):
+        o, e = o + pooled[i], e + expected[i]
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    assert chisquare(obs, exp).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("mechanism", ["independent", "common"])
@@ -646,6 +792,24 @@ def test_census_places_two_point_steps_on_their_atoms(mechanism):
             assert set(cells.tolist()) <= allowed
             assert int(c.counts.sum()) == 3 ** n
             assert s.rightmost[n] == pytest.approx(cells.max() * 0.05)
+
+
+def test_census_lands_no_mover_on_a_cell_of_no_mass():
+    # a narrow step between two cells leaves the others' masses exactly 0
+    # (8 sd of reach past the mean spans five cells); their tail sums are
+    # then 0 and must build no bucket
+    step = Gaussian(0.075, 1e-8)
+    j, q = step.lattice_pmf(0.05)
+    assert (q == 0).sum() == 3
+    law = ReproductionLaw(OffspringLaw("deterministic", 3), step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a 0/0 tail is a RuntimeWarning
+        s = run_count_census(law, 4, seed=0, pitch=0.05)
+    for n in range(1, 5):
+        c = s.census[n]
+        cells = c.start_index + np.flatnonzero(c.counts)
+        assert int(c.counts.sum()) == 3 ** n
+        assert set(cells.tolist()) <= set(range(n, 2 * n + 1))
 
 
 class TestThinnedBranching:

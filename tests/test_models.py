@@ -506,6 +506,28 @@ def test_non_finite_parameter_is_a_param_error(build, args):
         build(*args)
 
 
+BIG = 10 ** 400   # an integer past the float range, between -inf and inf
+
+
+@pytest.mark.parametrize("build, args", [
+    (OffspringLaw, ("geometric", BIG)),
+    (OffspringLaw, ("poisson_positive", BIG)),
+    (Gaussian, (0.0, BIG)),
+    (Gaussian, (BIG, 1.0)),
+    (PointMass, (BIG,)),
+    (PointMass, (-BIG,)),
+    (TwoPoint, (0, BIG, 0.5)),
+    (TwoPoint, (-BIG, 0, 0.5)),
+    (skeleton_of_bbm, (BIG, 1.0, 0.5)),
+], ids=["geometric", "poisson_positive", "gaussian_variance", "gaussian_mean",
+        "point_mass", "point_mass_negative", "two_point_high", "two_point_low",
+        "skeleton_V"])
+def test_integer_past_the_float_range_is_a_param_error(build, args):
+    # compared exactly, such an integer passes a guard -inf < v < inf
+    with pytest.raises(ParamError):
+        build(*args)
+
+
 class TestTwoTypeSystem:
     def test_skeleton_cumulants(self):
         sysm = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)
