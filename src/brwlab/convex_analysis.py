@@ -472,7 +472,7 @@ def convex_minorant(f: EvaluableFunction, g: EvaluableFunction,
 
 def speed_from_dual(fd: EvaluableFunction) -> float:
     """Right end of the nonpositive set of a convex rate function: the
-    end of ``sweep(fd)``, read with one evaluation when fd is swept.
+    end of ``sweep(fd)`` (``_swept_speed``).
 
     For a conjugate with strictly negative minimum this is the zero
     crossing sup{a : fd(a) < 0}.  The boundary is kept weakly (values
@@ -480,12 +480,17 @@ def speed_from_dual(fd: EvaluableFunction) -> float:
     single-walk case where the rate function is an indicator.
     """
 
-    end = sweep(fd).end
-    if end == -math.inf:
+    return _swept_speed(sweep(fd))
+
+
+def _swept_speed(rate: EvaluableFunction) -> float:
+    """``speed_from_dual`` of a rate function already swept: its end,
+    which sweeping again would give back, checked to be a crossing."""
+    if rate.end == -math.inf:
         raise DomainError("rate function is positive everywhere; no crossing")
-    if end == math.inf:
+    if rate.end == math.inf:
         raise ToleranceError("window does not bracket the zero crossing")
-    return end
+    return rate.end
 
 
 def speed_from_inf(law) -> SpeedResult:

@@ -15,17 +15,19 @@ particle's median and its drift measures the spreading speed.
 A profile is its values on a window, extended by its own first value
 on the left and by 0 on the right.  One reader, ``_cells``, reads every
 window by that rule: both Heaviside starts (the cells ``[1, 1/2]``),
-every window move, a two-point step's atoms, the coupled seeding term
-and ``front_speed``'s centred comparison.  A window that starts between
-cells is the linear blend of the whole-cell windows around it.  Both
-recursions step through one update, ``_update``: it convolves a profile
-with the centred part of a step (``_convolve``: a trapezoid density
-kernel for a Gaussian, both atoms read through ``_cells`` for a
-two-point step, the identity for a point mass), takes the complement in
-closed form, and adds the step's translation to the window offset
-exactly.  ``apply_q`` is the one-type update; ``coupled_front`` iterates
-the reducible two-type version: the exact law of the rightmost eta,
-anomalous front included.
+every window move, a two-point step's low atom, the coupled seeding
+term and ``front_speed``'s centred comparison.  A window that starts
+between cells is the linear blend of the whole-cell windows around it.
+Both recursions step through one update, ``_update``: it convolves a
+profile with the centred part of a step (``_convolve``: a trapezoid
+density kernel for a Gaussian, the low atom read through ``_cells``
+behind the high one for a two-point step, the identity for a point
+mass), takes the complement in closed form, and adds the step's
+translation (a two-point step's high atom) to the window offset
+exactly, so that no atom's mass is blended ahead of it.  ``apply_q``
+is the one-type update; ``coupled_front`` iterates the reducible
+two-type version: the exact law of the rightmost eta, anomalous front
+included.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
@@ -234,9 +236,10 @@ def _convolve(u: FrontProfile, step: Displacement,
 
     f_c is the step law centred by its translation, so that u * f is
     (u * f_c) moved right by the translation: the mean of a Gaussian,
-    the value of a point mass (f_c is then the identity), 0 for a
-    two-point step.  The profile is extended by its first value beyond
-    its first cell and by 0 beyond its last.  ``band`` is the step's
+    the value of a point mass (f_c is then the identity), the high atom
+    of a two-point step (its low atom reads ``(high - low) / h`` cells
+    ahead).  The profile is extended by its first value beyond its first
+    cell and by 0 beyond its last.  ``band`` is the step's
     ``_band``, built here when not given.  A Gaussian step is summed
     directly, so that each output's round-off stays within about K ulps
     of its own size; an fft's absolute noise of ~1e-16 of the global max
@@ -245,8 +248,8 @@ def _convolve(u: FrontProfile, step: Displacement,
     if isinstance(step, PointMass):
         return u.values, step.value
     if isinstance(step, TwoPoint):
-        low, high = (_cells(u.values, -x / u.h, u.values.size) for x in (step.low, step.high))
-        return (1.0 - step.prob_high) * low + step.prob_high * high, 0.0
+        low = _cells(u.values, (step.high - step.low) / u.h, u.values.size)
+        return (1.0 - step.prob_high) * low + step.prob_high * u.values, step.high
     if band is None:
         band = _band(step, u.h)
     return _band_product(u.values, band), step.mean
@@ -415,8 +418,12 @@ def _given_eta(nu: FrontProfile) -> Optional[FrontProfile]:
 
 def _reach(steps: Sequence[Displacement], h: float) -> int:
     """The most cells any of ``steps`` moves a value in one generation: both
-    ends of the cells it lands in, and one more for an interpolated atom."""
-    return 1 + max(abs(int(c)) for d in steps for c in d.lattice_cells(h)[[0, -1]])
+    ends of the cells it lands in, or for a two-point step, translated by
+    its high atom, the cells its low atom lies behind; and one more for an
+    interpolated atom."""
+    return 1 + max(math.ceil((d.high - d.low) / h) if isinstance(d, TwoPoint)
+                   else max(abs(int(c)) for c in d.lattice_cells(h)[[0, -1]])
+                   for d in steps)
 
 
 def _flat_cells(values: np.ndarray) -> int:

@@ -17,17 +17,16 @@ A law runs as a two-type system with no eta class.  One beam,
 record, ``TrajectoryStats``, whose ``rightmost_eta`` is all NaN for a
 law.  Each class branches through ``_branch`` and prunes through
 ``_prune``, in place.  The last generation, read only for its maxima,
-is drawn in full while it fits the budget, so an exact one-type run
-keeps its positions, and past it as one rightmost child per family
-(``_family_maxima``).
+is drawn as every other is, so an exact one-type run keeps its
+positions, but never pruned.
 
 One exact-batch engine, ``rightmost_batch``, draws many unpruned
 replicates jointly in chunks, through one routine, ``_rightmost``: of a
 two-type system it reads the rightmost eta (NaN where there is none),
 of a law, run as a system with no eta class, the rightmost particle.
-Its last generation is drawn as the read class's family maxima (and
-seeds) alone.  It raises before any child is drawn past its cap, so
-no replicate is ever pruned and none needs checking.
+Its last generation draws the read class (and seeds) alone.  It raises
+before any child is drawn past its cap, so no replicate is ever pruned
+and none needs checking.
 
 A beam generation born with more than ``THIN_GATE`` times its budget is
 thinned: every family size is drawn, but only the children that can
@@ -72,11 +71,12 @@ from .models import INT64_MAX, ReproductionLaw, Seeding, TwoTypeSystem
 # Particle cap of every exact (unpruned) population: the joint population
 # of a ``rightmost_batch`` chunk, both classes of a two-type one together.
 EXACT_POPULATION_CAP = 4_000_000
-# Expected population of a ``rightmost_batch`` chunk at its last drawn
-# generation, the larger class's.  Chunks this small reuse the heap's
-# memory: inside a ``particles`` round check 9's batch (100,000 replicates,
-# n = 8) took a median 0 minor faults against 94,000 at 2^19, whose chunks
-# the heap gave back and faulted in again, and 1.08 s against 1.25 s
+# Expected population of a ``rightmost_batch`` chunk at generation n - 1,
+# the larger class's; the read class's last generation is about its mean
+# family size times as large.  Chunks this small reuse the heap's memory:
+# inside a ``particles`` round check 9's batch (100,000 replicates, n = 8)
+# took a median 0 minor faults against 94,000 at 2^19, whose chunks the
+# heap gave back and faulted in again, and 1.08 s against 1.25 s
 # normalized (BENCH_25).  In a fresh process 2^14 ran about 15% slower,
 # and 2^16 no faster, with 88,000 faults on its first call.
 BATCH_PARTICLES = 2 ** 15
@@ -161,36 +161,30 @@ class TrajectoryStats:
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
             rng: np.random.Generator, budget: Optional[int] = None,
-            rivals: Optional[np.ndarray] = None,
-            last: bool = False) -> Tuple[int, np.ndarray]:
+            rivals: Optional[np.ndarray] = None) -> Tuple[int, np.ndarray]:
     """One branching step of a class: the number born, and the children.
 
     ``rivals``, candidates that compete with the children for the budget
     (the eta class's seeds), count as born and are appended to the
-    children.  Every family size is drawn.  The ``last`` generation, read only for
-    its maxima, gives one rightmost child per family (``_family_maxima``)
-    when more than ``budget`` are born.  Otherwise a pruned beam passes
-    its ``budget``; when its generation is born with more than
-    ``THIN_GATE`` times that many children, only those that can survive
-    the prune are drawn (see ``_thinned``).  Otherwise every child is
-    drawn.  Either way the kept set, the top ``budget`` children within
-    the caller's window, has its exact law.
+    children.  Every family size is drawn.  A pruned beam passes its
+    ``budget``; when its generation is born with more than ``THIN_GATE``
+    times that many children, only those that can survive the prune are
+    drawn (see ``_thinned``).  Otherwise every child is drawn.  Either way
+    the kept set, the top ``budget`` children within the caller's window,
+    has its exact law, and so has the generation's maximum.
 
     An empty generation makes size-0 draws, which leave ``rng`` where it
     was.
     """
     counts = law.offspring.sample(rng, positions.size)
     born = int(counts.sum())
-    extra = 0 if rivals is None else rivals.size
-    if last and born + extra > budget:
-        children = _family_maxima(law, positions, counts, rng)
-    elif budget is not None and born > THIN_GATE * budget:
+    if budget is not None and born > THIN_GATE * budget:
         children = _thinned(law, positions, counts, rng, budget, rivals)
     else:
         children = _children(law, positions, counts, rng)
     if rivals is None:
         return born, children
-    return born + extra, np.concatenate([children, rivals])
+    return born + rivals.size, np.concatenate([children, rivals])
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -228,20 +222,6 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         block += law.displacement.sample(
             rng, block.size, tail=masses, **{side: c - block for side, c in cut.items()})
     return children
-
-
-def _family_maxima(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """The rightmost of the ``counts[i]`` children of each ``positions[i]``.
-
-    One maximum per family, exactly in law: the largest of N independent
-    steps through the step law's ``sample_max``, or under ``common`` the
-    family's one step.  A generation read only for its maximum needs no
-    more.
-    """
-    if law.mechanism == "independent":
-        return positions + law.displacement.sample_max(rng, counts)
-    return positions + law.displacement.sample(rng, positions.size)
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -346,10 +326,9 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
     anomaly the eta front outruns the nu front).  The nu class is exact
     while every generation fits the budget, and exact generations keep
     their positions for later count profiles.  Generation ``n_max`` is
-    read only for its maxima: it is drawn in full while it fits the
-    budget and as family maxima past it (``_branch`` with ``last``), is
-    never pruned, and the ``pruning`` counts, ``nu``, ``eta`` and
-    ``drawn``, cover generations 1 to ``n_max - 1``.  Raises BudgetError if a
+    read only for its maxima: it is drawn as every other is, but never
+    pruned, and the ``pruning`` counts, ``nu``, ``eta`` and ``drawn``,
+    cover generations 1 to ``n_max - 1``.  Raises BudgetError if a
     single family already overflows the budget at the first generation.
     """
 
@@ -361,10 +340,9 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
     pruned = {"nu": 0, "eta": 0}
     drawn = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        last = n == n_max
         seeds = None
         for c, law in (("nu", sys.law_nu), ("eta", sys.law_eta)):
-            born, children = _branch(law, pos[c], rng, budget, seeds, last)
+            born, children = _branch(law, pos[c], rng, budget, seeds)
             if c == "nu":
                 if n == 1 and born > budget:
                     raise BudgetError(f"family size {born} exceeds budget {budget} "
@@ -372,7 +350,7 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
                 if len(exact_positions) == n and born <= budget:
                     exact_positions.append(children)
                 seeds = _seeds(sys.seeding, pos["nu"], rng)[1]
-            if not last:
+            if n < n_max:
                 drawn[c] += children.size
                 if born > budget:
                     children = _prune(children, budget, window)
@@ -662,11 +640,11 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
     read.  Replicates are simulated jointly in flat arrays, which is
     what makes distributional checks at small n cheap, and every draw
     comes from ``rng``.  A chunk holds as many replicates as have about
-    ``BATCH_PARTICLES`` particles between them at its last drawn
-    generation, n - 1, by the larger class's expected population, at
-    least one.  Raises BudgetError when the joint population of a chunk
-    would exceed ``EXACT_POPULATION_CAP``, judged from the family sizes
-    before any child is drawn.
+    ``BATCH_PARTICLES`` particles between them at generation n - 1, by
+    the larger class's expected population, at least one.  Raises
+    BudgetError when the joint population of a chunk, or its read class
+    at generation n, would exceed ``EXACT_POPULATION_CAP``, judged from
+    the family sizes before any child is drawn.
     """
 
     read_eta = isinstance(model, TwoTypeSystem)
@@ -704,8 +682,8 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
 
     Each particle carries its replicate's index, since seeds join the
     eta class out of their replicates' order.  Generation n is read only
-    for its maximum: it draws one rightmost child per family of the
-    class read (``_family_maxima``), with the seeds when that is eta.
+    for its maximum: it draws the children of the class read alone, with
+    the seeds when that is eta.
     """
     if n == 0:
         return np.full(r, np.nan if read_eta else 0.0)
@@ -727,6 +705,7 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
         np.maximum.at(top, nu_of[seeded], seeds)
         law, parents, of = law_eta, eta, eta_of
     counts = law.offspring.sample(rng, parents.size)
-    np.maximum.at(top, of, _family_maxima(law, parents, counts, rng))
+    _judge_cap(counts)
+    np.maximum.at(top, np.repeat(of, counts), _children(law, parents, counts, rng))
     top[top == -np.inf] = np.nan
     return top

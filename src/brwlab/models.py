@@ -11,9 +11,7 @@ which the acceptance machinery requires to be exact.
 Laws are immutable; samplers take an explicit numpy Generator so
 concurrent simulation shards never share state.  Each displacement law
 also has its survival function ``sf`` and draws steps conditioned above
-or below per-step thresholds, which thinned beam branching needs, and
-the largest step of each of many families (``sample_max``), which the
-last generation of a two-type run needs.
+or below per-step thresholds, which thinned beam branching needs.
 
 The samplers, thinned beams and censuses read the standard normal
 distribution function and its inverse, ``ndtr`` and ``ndtri``, from
@@ -130,7 +128,7 @@ class OffspringLaw:
         """``size`` family sizes, in int64.
 
         Geometric sizes are drawn by inversion, N = 1 + floor(log U /
-        log(1 - r)) with U uniform on (0, 1) (``_log_uniform``), as array
+        log(1 - r)) with U = 1 - random() on (0, 1], as array
         operations: numpy's ``geometric`` inverts the same way only for
         r < 1/3 and searches sequentially above, which made families of
         mean e cost three times as much.  Sizes past int64 are clipped to
@@ -142,7 +140,9 @@ class OffspringLaw:
         if self.kind == "geometric":
             if self.mean == 1.0:
                 return np.ones(size, dtype=np.int64)
-            x = _log_uniform(rng, size)
+            x = rng.random(size)
+            np.subtract(1.0, x, out=x)
+            np.log(x, out=x)
             x /= math.log1p(-1.0 / self.mean)
             np.floor(x, out=x)
             x += 1.0
@@ -218,18 +218,6 @@ class Gaussian:
                                                   rng.random(size))
         return rng.normal(self.mean, sd, size=size)
 
-    def sample_max(self, rng, counts):
-        """One draw per family of the largest of ``counts[i]`` independent
-        steps, by inversion: the largest of N is at most x with
-        probability F(x)^N, so it is the step whose upper-tail mass is
-        1 - U^(1/N) = -expm1(log U / N), read from the upper tail of the
-        inverse CDF."""
-        x = _log_uniform(rng, counts.size)
-        x /= counts
-        np.expm1(x, out=x)
-        np.negative(x, out=x)
-        return self.mean - math.sqrt(self.variance) * ndtri(x)
-
     def lattice_cells(self, h: float) -> np.ndarray:
         """Indices j of the lattice cells [(j - 1/2) h, (j + 1/2) h) a step
         lands in, in increasing order: all within 8 sd + |mean| of 0."""
@@ -282,10 +270,6 @@ class PointMass:
         ``tail``, as for ``Gaussian``) of positive probability leaves the
         law as it is."""
         return np.full(size, self.value, dtype=float)
-
-    def sample_max(self, rng, counts):
-        """The largest step of each family: the value, without a draw."""
-        return np.full(counts.size, self.value, dtype=float)
 
     def lattice_cells(self, h: float) -> np.ndarray:
         """The index of the lattice cell of pitch h holding the value."""
@@ -350,12 +334,6 @@ class TwoPoint:
         picks = rng.random(size) < p
         return np.where(picks, self.high, self.low)
 
-    def sample_max(self, rng, counts):
-        """One draw per family of the largest of ``counts[i]`` independent
-        steps: ``high`` unless every step is ``low``."""
-        p = -np.expm1(counts * math.log1p(-self.prob_high))
-        return np.where(rng.random(counts.size) < p, self.high, self.low)
-
     def lattice_cells(self, h: float) -> np.ndarray:
         """Indices of the lattice cells of pitch h holding the two values,
         one index when both fall in the same cell."""
@@ -379,19 +357,6 @@ def _logistic_pair(z):
     near, far = 1.0 / (1.0 + e), e / (1.0 + e)
     up = z >= 0
     return np.where(up, near, far), np.where(up, far, near)
-
-
-def _log_uniform(rng, size):
-    """log U for ``size`` uniforms U in (0, 1), below 0 and finite.
-
-    U = 1 - random() lies on the grid k 2^-53, k = 1..2^53; its top point
-    stands for the cell (1 - 2^-53, 1] and is read at the cell's middle,
-    where log U = -2^-54, so that no maximum drawn from it is infinite.
-    """
-    x = rng.random(size)
-    np.subtract(1.0, x, out=x)
-    np.log(x, out=x)
-    return np.minimum(x, -2.0 ** -54, out=x)
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .convex_analysis import (
     _EPS,
     _NEWTON_STEPS,
     _THETA_CAP,
+    _swept_speed,
     convex_minorant,
     fenchel_dual,
     speed_from_dual,
@@ -70,7 +71,7 @@ def one_type_speed(law: ReproductionLaw) -> SpeedResult:
     (s0,), _ = law.cumulant_derivatives(0.0)
     rate = sweep(fenchel_dual(law, GridSpec(min(s0, by_inf.speed) - 1.0,
                                             by_inf.speed + 1.0)))
-    by_dual = speed_from_dual(rate)
+    by_dual = _swept_speed(rate)
     diagnostics = dict(by_inf.diagnostics, speed_from_dual=by_dual,
                        formula_gap=abs(by_dual - by_inf.speed))
     return SpeedResult(speed=by_inf.speed,
@@ -177,7 +178,7 @@ class TwoTypeAnalysis:
     @cached_property
     def report(self) -> AnomalousReport:
         rate = sweep(self.envelope)
-        crossing = speed_from_dual(rate)
+        crossing = _swept_speed(rate)
         formula = _formula_route(self.sys.law_nu, self.sys.law_eta, *self.by_inf)
         gap = abs(crossing - formula)
         if gap > 10 * TAU_CROSS:

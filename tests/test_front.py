@@ -337,6 +337,16 @@ class TestFrontSpeed:
         res, _ = front_speed(DET2, 150, h=0.02)
         assert res.speed == pytest.approx(math.sqrt(2 * math.log(2.0)), rel=0.02)
 
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    def test_two_point_front_runs_at_its_high_atom(self, h):
+        # 4 x 0.848 > 1 children a generation take the high atom, so the
+        # speed is the atom itself, which no particle can outrun; a high
+        # atom blended over two cells ran ahead, at 1.4800 and 1.4796
+        law = ReproductionLaw(OffspringLaw("deterministic", 4),
+                              TwoPoint(0.3395, 1.4724, 0.848))
+        res, _ = front_speed(law, 300, h=h)
+        assert res.speed == pytest.approx(1.4724, abs=1e-6)
+
     def test_grid_refinement_stability(self):
         coarse, _ = front_speed(BBM, 120, h=0.04)
         fine, _ = front_speed(BBM, 120, h=0.02)

@@ -14,7 +14,6 @@ from brwlab.mc_sim import (
     TrajectoryStats,
     _branch,
     _children,
-    _family_maxima,
     _prune,
     centering_slope,
     count_profile,
@@ -107,25 +106,23 @@ class TestOneBeam:
         assert s.exact_positions[6].size == 64
         assert s.rightmost[6] == s.exact_positions[6].max()
 
-    def test_pruned_last_generation_is_drawn_as_family_maxima(self, monkeypatch):
-        calls = []
-        maxima = mc_sim._family_maxima
+    def test_pruned_last_generation_is_drawn_in_full(self, monkeypatch):
+        drawn = []
+        children = mc_sim._children
 
-        def spy(law, positions, counts, rng):
-            calls.append((positions.size, int(counts.sum())))
-            return maxima(law, positions, counts, rng)
+        def spy(law, positions, counts, rng, *args, **kwargs):
+            out = children(law, positions, counts, rng, *args, **kwargs)
+            drawn.append((int(counts.sum()), out))
+            return out
 
-        monkeypatch.setattr(mc_sim, "_family_maxima", spy)
+        monkeypatch.setattr(mc_sim, "_children", spy)
         s = run_one_type(BBM, 10, budget=200, window=15.0, seed=3)
-        # one call, for the families of generation 10, born past the budget
-        assert len(calls) == 1 and calls[0][1] > 200
-        assert calls[0][0] <= 200 and s.exact_upto < 10
-        # a last generation that fits the budget is drawn in full
-        run_one_type(BBM, 3, budget=10 ** 6, window=15.0, seed=3)
-        assert len(calls) == 1
-        # an exact batch reads a law's last generation from its family maxima
-        rightmost_batch(BBM, 3, 50, replicate_rng(3))
-        assert len(calls) == 2
+        # generation 10 is born past the budget, under THIN_GATE budgets:
+        # every child is drawn, none is pruned, and the maximum is theirs
+        born, last = [d for d in drawn if d[0]][-1]     # the eta class is empty
+        assert 200 < born <= mc_sim.THIN_GATE * 200 and last.size == born
+        assert s.rightmost[10] == last.max() and s.exact_upto < 10
+        assert s.pruning["drawn"]["nu"] == sum(b for b, _ in drawn) - born
 
 
 class TestCensusAndCounts:
@@ -323,46 +320,49 @@ class TestRunTwoType:
         assert np.array_equal(s.rightmost, 0.5 * np.arange(n_max + 1))
         assert np.array_equal(s.rightmost_eta[1:], 0.5 * np.arange(n_max))
 
-    @pytest.mark.parametrize("sysm, budget", [
-        (skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5), 200),
-        (TwoTypeSystem(
+    @pytest.mark.parametrize("sysm", [
+        skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5),
+        TwoTypeSystem(
             ReproductionLaw(OffspringLaw("poisson_positive", 3.0),
                             TwoPoint(-0.3, 0.4, 0.35)),
             ReproductionLaw(OffspringLaw("geometric", 4.0), Gaussian(0.2, 0.5),
                             "common"),
-            Seeding(0.5, Gaussian(0.0, 1.0))), 20)], ids=["skeleton", "mixed"])
-    def test_last_generation_maxima_have_the_full_law(self, monkeypatch, sysm, budget):
-        # the rightmost of each class at n against runs whose last
-        # generation is drawn in full; at these budgets the last generation
-        # of both classes exceeds the budget in about nine runs of ten (the
-        # budget is above every family of generation 1), so it is drawn as
-        # family maxima
-        n, reps = 4, 300
-        ends = {}
-        for mode, seed in (("maxima", 100), ("full", 500)):
-            with monkeypatch.context() as m:
-                if mode == "full":
-                    m.setattr(mc_sim, "_family_maxima", _full_maxima)
-                runs = [run_two_type(sysm, n, budget=budget, seed=seed + r)
-                        for r in range(reps)]
-            ends[mode] = np.array([(s.rightmost[n], s.rightmost_eta[n])
-                                   for s in runs])
-        for col in range(2):
-            assert ks_2samp(ends["maxima"][:, col], ends["full"][:, col]).pvalue > 1e-3
+            Seeding(0.5, Gaussian(0.0, 1.0)))], ids=["skeleton", "mixed"])
+    def test_last_generation_maxima_have_the_full_law(self, sysm):
+        # a beam whose budget never binds is exact: the maximum of each
+        # class at n, seeds among the eta, against the exact batch's
+        n, reps = 3, 300
+        runs = [run_two_type(sysm, n, budget=10 ** 6, seed=100 + r) for r in range(reps)]
+        assert all(s.pruning["nu"] == s.pruning["eta"] == 0 for s in runs)
+        beam = {"nu": np.array([s.rightmost[n] for s in runs]),
+                "eta": np.array([s.rightmost_eta[n] for s in runs])}
+        batch = {"nu": rightmost_batch(sysm.law_nu, n, 3000, replicate_rng(500)),
+                 "eta": rightmost_batch(sysm, n, 3000, replicate_rng(501))}
+        for c in ("nu", "eta"):
+            got, want = beam[c], batch[c]
+            none = np.isnan(want).mean()
+            assert abs(np.isnan(got).mean() - none) <= 4.0 * math.sqrt(
+                none * (1 - none) / reps) + 2.0 / reps, c
+            got, want = got[~np.isnan(got)], want[~np.isnan(want)]
+            assert ks_2samp(got, want, method="asymp").pvalue > 1e-3, c
 
 
-def _full_maxima(law, positions, counts, rng):
-    """``_family_maxima`` by drawing every child: the oracle."""
-    children = _children(law, positions, counts, rng)
-    if not children.size:
-        return children
-    return np.maximum.reduceat(children, np.cumsum(counts) - counts)
-
-
-def _born_and_maxima(maxima, law, parents, rng):
-    """The family sizes drawn from ``rng``, summed, and ``maxima`` of them."""
-    counts = law.offspring.sample(rng, parents.size)
-    return int(counts.sum()), maxima(law, parents, counts, rng)
+def _fully_drawn_maxima(law, n, reps, rng):
+    """The rightmost particle at generation ``n`` of ``reps`` replicates,
+    each drawn alone, every child of every family: the oracle."""
+    top = np.empty(reps)
+    for r in range(reps):
+        positions = np.zeros(1)
+        for _ in range(n):
+            counts = law.offspring.sample(rng, positions.size)
+            if law.mechanism == "common":
+                families = positions + law.displacement.sample(rng, positions.size)
+                positions = np.repeat(families, counts)
+            else:
+                parents = np.repeat(positions, counts)
+                positions = parents + law.displacement.sample(rng, parents.size)
+        top[r] = positions.max()
+    return top
 
 
 @pytest.mark.parametrize("law", [
@@ -375,18 +375,12 @@ def _born_and_maxima(maxima, law, parents, rng):
 ], ids=["gaussian", "gaussian_common", "point", "point_common", "two_point",
         "two_point_common"])
 def test_family_maxima_match_the_fully_drawn_children(law):
-    parents = np.linspace(-3.0, 0.0, 40)
-    got = [_born_and_maxima(_family_maxima, law, parents, child_rng(21, r))
-           for r in range(500)]
-    ref = [_born_and_maxima(_full_maxima, law, parents, child_rng(22, r))
-           for r in range(500)]
-    for runs in (got, ref):
-        assert all(m.size == parents.size for _, m in runs)
-    steps = {k: np.concatenate([m - parents for _, m in runs])
-             for k, runs in (("got", got), ("ref", ref))}
-    assert ks_2samp(steps["got"], steps["ref"]).pvalue > 1e-3
-    born = {k: [b for b, _ in runs] for k, runs in (("got", got), ("ref", ref))}
-    assert ks_2samp(born["got"], born["ref"]).pvalue > 1e-3
+    # at n = 2 a batch replicate's maximum is that of its generation-1
+    # families' maxima, reduced over replicates drawn jointly
+    got = rightmost_batch(law, 2, 1000, child_rng(21, 0))
+    ref = _fully_drawn_maxima(law, 2, 1000, child_rng(22, 0))
+    assert np.all(np.isfinite(got))
+    assert ks_2samp(got, ref, method="asymp").pvalue > 1e-3
 
 
 @pytest.mark.parametrize("step", [Gaussian(0.2, 0.5), TwoPoint(-0.3, 0.4, 0.35)],
@@ -466,12 +460,31 @@ class TestRightmostBatch:
         def refuse(*args, **kwargs):
             raise AssertionError("children drawn past the cap")
 
-        # generation 1 is drawn in full at n = 2; generation n, only its
-        # family maxima, is never judged against the cap
+        # generation 1 is drawn in full at n = 2
         monkeypatch.setattr(mc_sim, "_children", refuse)
         law = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
         with pytest.raises(BudgetError):
             rightmost_batch(law, 2, 4, replicate_rng(0))
+
+    @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
+    def test_last_generation_is_judged_against_the_cap(self, monkeypatch, family):
+        # the read class's last generation is drawn as every other is, so
+        # its families pass the cap before any child is drawn: a law's at
+        # n = 1, and at n = 2 those of the eta each nu seeds at generation 1
+        drawn = []
+        children = mc_sim._children
+
+        def recording(law, positions, counts, rng, **cut):
+            drawn.append(int(counts.sum()))
+            return children(law, positions, counts, rng, **cut)
+
+        monkeypatch.setattr(mc_sim, "_children", recording)
+        single = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(0.0))
+        big = ReproductionLaw(OffspringLaw("deterministic", family), Gaussian(0.0, 1.0))
+        for model, n in ((big, 1), (TwoTypeSystem(single, big, Seeding(1.0)), 2)):
+            with pytest.raises(BudgetError):
+                rightmost_batch(model, n, 4, replicate_rng(0))
+        assert all(d <= mc_sim.EXACT_POPULATION_CAP for d in drawn)
 
 
     @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])

@@ -311,25 +311,27 @@ class TestSamplers:
 
     @pytest.mark.parametrize("count", [1, 2, 20, 500])
     def test_gaussian_family_maximum_closed_form(self, count):
-        # the largest of N steps has distribution function Phi((x - mu) / sd)^N
-        step = Gaussian(0.3, 2.0)
+        # the largest of N steps has distribution function Phi((x - mu) / sd)^N;
+        # at generation 1 each replicate of a batch is one family
+        law = ReproductionLaw(OffspringLaw("deterministic", count), Gaussian(0.3, 2.0))
         rng = np.random.default_rng(np.random.SeedSequence(14, spawn_key=(count,)))
-        got = step.sample_max(rng, np.full(20_000, count))
+        got = rightmost_batch(law, 1, 5_000, rng)
         assert np.all(np.isfinite(got))
         sd = math.sqrt(2.0)
         assert kstest(got, lambda x: norm.cdf((x - 0.3) / sd) ** count).pvalue > 1e-3
 
     def test_family_maxima_of_atoms(self):
-        counts = np.array([1, 2, 5, 40] * 25_000)
-        assert np.array_equal(PointMass(0.4).sample_max(replicate_rng(15), counts),
-                              np.full(counts.size, 0.4))
-        step = TwoPoint(-0.3, 0.4, 0.35)
-        got = step.sample_max(replicate_rng(16), counts)
-        assert set(np.unique(got)) <= {-0.3, 0.4}
+        reps = 25_000
         for n in (1, 2, 5, 40):
-            high = np.mean(got[counts == n] == 0.4)
+            point = ReproductionLaw(OffspringLaw("deterministic", n), PointMass(0.4))
+            assert np.array_equal(rightmost_batch(point, 1, reps, replicate_rng(15)),
+                                  np.full(reps, 0.4))
+            two = ReproductionLaw(OffspringLaw("deterministic", n), TwoPoint(-0.3, 0.4, 0.35))
+            got = rightmost_batch(two, 1, reps, replicate_rng(16 + n))
+            assert set(np.unique(got)) <= {-0.3, 0.4}
+            high = np.mean(got == 0.4)
             want = 1.0 - 0.65 ** n
-            assert abs(high - want) <= 4.0 * math.sqrt(want * (1 - want) / 25_000) + 1e-12
+            assert abs(high - want) <= 4.0 * math.sqrt(want * (1 - want) / reps) + 1e-12
 
     def test_common_mechanism_shares_the_step(self):
         law = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),

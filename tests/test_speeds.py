@@ -353,6 +353,23 @@ class TestTwoTypeAnalysis:
         anomalous_speed(self.SYS)
         assert len(built) == 1
 
+    def test_no_rate_function_is_swept_twice(self, monkeypatch):
+        # the crossing of a swept rate function is its end: sweeping it
+        # again gave the same end for another evaluation of its rule
+        swept = []
+        real = convex_analysis.sweep
+
+        def recording(f):
+            assert not any(f is g for g in swept), "a swept function swept again"
+            swept.append(real(f))
+            return swept[-1]
+
+        monkeypatch.setattr(convex_analysis, "sweep", recording)
+        monkeypatch.setattr(speeds, "sweep", recording)
+        one_type_speed(ReproductionLaw(OffspringLaw("geometric", math.e), Gaussian(0.0, 1.0)))
+        anomalous_speed(self.SYS)
+        assert len(swept) == 3   # the law's conjugate, d_nu and the envelope
+
     def test_figure_table_evaluates_rules_array_wide(self, monkeypatch):
         # one scalar golden-section search per row and column made 527,673
         # cumulant calls; array-wide columns make 1,443
