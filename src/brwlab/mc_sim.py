@@ -81,9 +81,6 @@ EXACT_POPULATION_CAP = 4_000_000
 # and 2^16 no faster, with 88,000 faults on its first call.
 BATCH_PARTICLES = 2 ** 15
 CENSUS_BLOCK = 64     # dense sites per multinomial call of a census
-# A cell of a census row is conditioned on numpy's running remainder only
-# while that remainder is within this (relative) of the exact tail mass.
-REMAINDER_DRIFT = 1e-9
 STEP_BLOCK = 2 ** 15  # independent steps drawn per call of a step sampler
 
 # Thinned branching (``_thinned``).  A beam generation born with more than
@@ -396,20 +393,17 @@ class _Cells:
     ``offset`` holds each cell's lattice offset from a site's first
     destination, ``keep`` and ``alias`` the pmf's alias table
     (``_alias_table``), and ``pvals`` what a dense site hands numpy's
-    ``multinomial``.  numpy conditions cell i on its running remainder,
-    1 - pvals[0] - ... - pvals[i-1] summed in this order, which drifts
-    from the exact tail mass as the cells shrink.  Past the first cell
-    where it has drifted by more than ``REMAINDER_DRIFT`` the cells are
-    drawn as one bucket, ``pvals``' last column, holding their exact
-    mass, and ``tail`` spreads the bucket's movers over them by the same
-    rule.  Without a ``tail``, ``pvals`` holds every cell.
+    ``multinomial``.  numpy conditions cell i on pvals[i] / r_i, with
+    r_0 = 1 and r_i = r_(i-1) - pvals[i-1] in float64, so ``pvals[i]``
+    is r_i times cell i's exact conditional, q_i over the exact tail
+    mass q_i + q_(i+1) + ..., and every cell is conditioned on its own
+    tail however far numpy's remainder has drifted from it.
     """
 
     offset: np.ndarray
     keep: np.ndarray
     alias: np.ndarray
     pvals: np.ndarray
-    tail: Optional["_Cells"]
 
 
 def _census_cells(q: np.ndarray, offset: np.ndarray) -> _Cells:
@@ -418,14 +412,11 @@ def _census_cells(q: np.ndarray, offset: np.ndarray) -> _Cells:
     live = np.count_nonzero(q)          # a cell of no mass gets no mover
     q, offset = q[:live], offset[:live]
     rest = np.cumsum(q[::-1])[::-1]     # the exact tail masses, summed smallest first
-    remainder = np.subtract.accumulate(np.concatenate([[1.0], q[:-1]]))
-    drifted = np.flatnonzero(np.abs(remainder - rest) > REMAINDER_DRIFT * rest)
-    keep, alias = _alias_table(q, offset)
-    head = int(drifted[0]) if drifted.size else q.size
-    if head >= q.size - 1:              # a bucket of one cell is that cell
-        return _Cells(offset, keep, alias, q, None)
-    return _Cells(offset, keep, alias, np.append(q[:head], rest[head]),
-                  _census_cells(q[head:] / rest[head], offset[head:]))
+    pvals, r = [], 1.0
+    for c in (q / rest).tolist():       # numpy's remainder, replayed
+        pvals.append(r * c)
+        r -= pvals[-1]
+    return _Cells(offset, *_alias_table(q, offset), np.array(pvals))
 
 
 def _alias_table(q: np.ndarray, offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -469,33 +460,19 @@ def _land(cells: _Cells, sites: np.ndarray, movers: np.ndarray,
     its movers draws its cell from the alias table (``_alias_draw``), in
     O(1).  The dense sites spread by one multinomial call per block of
     ``CENSUS_BLOCK`` sites, whose chain of binomials stops at the last
-    cell to get a mover, up to one per cell; their buckets pass to the
-    ``tail`` cells, dense and sparse by the same rule.  Every dense call
-    is drawn first, then every sparse mover, level by level and site by
-    site, summed by one ``np.bincount``.
+    cell to get a mover.  Every dense call is drawn first, then every
+    sparse mover, site by site, summed by one ``np.bincount``.
     """
     landed = np.zeros(size, dtype=np.int64)
-    sparse = []
-    while sites.size:
-        few = movers < cells.keep.size
-        sparse.append((cells, np.repeat(sites[few], movers[few])))
-        sites, movers = sites[~few], movers[~few]
-        bucket = np.empty(sites.size, dtype=np.int64)
-        for b in range(0, sites.size, CENSUS_BLOCK):
-            block = sites[b:b + CENSUS_BLOCK]
-            dest = rng.multinomial(movers[b:b + CENSUS_BLOCK], cells.pvals)
-            if cells.tail is not None:
-                bucket[b:b + block.size] = dest[:, -1]
-                dest = dest[:, :-1]
-            np.add.at(landed, (block[:, None] + cells.offset[:dest.shape[1]]).ravel(),
-                      dest.ravel())
-            del dest    # freed before the next block's draw: a lower peak
-        if cells.tail is None:
-            break
-        filled = bucket > 0
-        sites, movers, cells = sites[filled], bucket[filled], cells.tail
-    moved = [_alias_draw(c, sources, rng) for c, sources in sparse]
-    landed += np.bincount(np.concatenate(moved), minlength=size)
+    few = movers < cells.keep.size
+    dense, rows = sites[~few], movers[~few]
+    for b in range(0, dense.size, CENSUS_BLOCK):
+        dest = rng.multinomial(rows[b:b + CENSUS_BLOCK], cells.pvals)
+        np.add.at(landed, (dense[b:b + CENSUS_BLOCK, None] + cells.offset).ravel(),
+                  dest.ravel())
+        del dest    # freed before the next block's draw: a lower peak
+    moved = _alias_draw(cells, np.repeat(sites[few], movers[few]), rng)
+    landed += np.bincount(moved, minlength=size)
     return landed
 
 
@@ -514,7 +491,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     (``independent``) or its families (``common``), land on the step's
     cells through ``_land``, which draws a sparse site's movers one by
     one from the step's alias table and a dense site's by a multinomial
-    call, with no cell conditioned on a drifted remainder.  Under
+    call, each cell conditioned on its exact tail mass.  Under
     ``common`` the families landed on each site are then sized together
     by one ``sum_sample`` call: totals of independent families add.
 
@@ -640,8 +617,9 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
     read.  Replicates are simulated jointly in flat arrays, which is
     what makes distributional checks at small n cheap, and every draw
     comes from ``rng``.  A chunk holds as many replicates as have about
-    ``BATCH_PARTICLES`` particles between them at generation n - 1, by
-    the larger class's expected population, at least one.  Raises
+    ``BATCH_PARTICLES`` particles between them at generation n - 1, and
+    at most half of ``EXACT_POPULATION_CAP`` at generation n, by the
+    larger class's expected population, at least one.  Raises
     BudgetError when the joint population of a chunk, or its read class
     at generation n, would exceed ``EXACT_POPULATION_CAP``, judged from
     the family sizes before any child is drawn.
@@ -649,7 +627,8 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
 
     read_eta = isinstance(model, TwoTypeSystem)
     sys = model if read_eta else TwoTypeSystem(model, model, Seeding(0.0))
-    chunk = max(1, int(BATCH_PARTICLES / _expected_population(sys, n - 1)))
+    chunk = max(1, int(min(BATCH_PARTICLES / _expected_population(sys, n - 1),
+                           EXACT_POPULATION_CAP / 2 / _expected_population(sys, n))))
     out = np.empty(replicates)
     for done in range(0, replicates, chunk):
         r = min(chunk, replicates - done)
@@ -672,7 +651,8 @@ def _judge_cap(*counts: np.ndarray) -> None:
     summed over every array, exceed ``EXACT_POPULATION_CAP``."""
     # summed in float64, which cannot wrap as int64 can
     if sum(c.sum(dtype=np.float64) for c in counts) > EXACT_POPULATION_CAP:
-        raise BudgetError("joint population exceeds the exact-batch cap; reduce n")
+        raise BudgetError("joint population exceeds the exact-batch cap; "
+                          "reduce n or replicates")
 
 
 def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,

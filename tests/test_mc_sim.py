@@ -1,6 +1,7 @@
 """Monte Carlo engines: determinism, pruning, censuses, and diagnostics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -188,6 +189,22 @@ class TestCensusAndCounts:
         passed, detail = acceptance.check_count_profiles()
         assert not passed
         assert detail == ["saturated censuses: 64/64"]
+
+    def test_count_check_prints_each_margin_to_its_band(self, monkeypatch):
+        from brwlab import acceptance
+        # stubbed censuses whose mean counts grow at chosen slopes: 5% above
+        # the a=0 target, 4% below a=0.5's, 12% below a=1's (out of band)
+        targets = np.array([1.0, 0.875, 0.5])      # -rate(a) of the unit law
+        slopes = targets * np.array([1.05, 0.96, 0.88])
+        counts = np.exp(np.outer(slopes, acceptance.COUNT_GENERATIONS))
+        monkeypatch.setattr(acceptance, "map_replicates",
+                            lambda run, jobs, workers: [counts] * len(jobs))
+        passed, detail = acceptance.check_count_profiles()
+        assert not passed
+        margins = [float(re.search(r"margin ([-+][0-9.]+) ", line).group(1))
+                   for line in detail[1:]]
+        np.testing.assert_allclose(margins, [0.05, 0.0525, -0.01], atol=1e-4)
+        assert [line.endswith(" ok") for line in detail[1:]] == [True, True, False]
 
     def test_census_rejects_positive_poisson(self):
         law = ReproductionLaw(OffspringLaw("poisson_positive", 2.0),
@@ -455,6 +472,15 @@ class TestRightmostBatch:
         with pytest.raises(BudgetError):
             rightmost_batch(law, 14, 1000, replicate_rng(0))
 
+    def test_chunks_are_capped_by_their_last_generation(self):
+        # 20,000 replicates of 500 children fit the cap only in chunks
+        # sized by generation n as well as n - 1: as one chunk they would
+        # be 10,000,000 children
+        law = ReproductionLaw(OffspringLaw("deterministic", 500), Gaussian(0.0, 1.0))
+        got = rightmost_batch(law, 1, 20_000, replicate_rng(5))
+        # the maximum of 500 standard normals has mean 3.0367 and sd 0.3704
+        assert abs(got.mean() - 3.0367) <= 4 * 0.3704 / math.sqrt(got.size)
+
     @pytest.mark.parametrize("family", [5_000_000, 2 ** 40])
     def test_cap_is_judged_before_any_child_is_drawn(self, monkeypatch, family):
         def refuse(*args, **kwargs):
@@ -599,36 +625,24 @@ def _sorted_pmf(step, pitch):
 
 def _census_by_site_loop(law, n_max, seed, pitch):
     """The census site by site and mover by mover: the oracle of the
-    engine's block calls and vectorized alias draws.  Level by level of
-    its cells, each site with at least as many movers as the level has
-    cells makes one multinomial call, whose bucket passes to the next
-    level; then every other site's movers, level by level, each draw a
-    column and its keep-or-alias uniform by two scalar draws."""
+    engine's block calls and vectorized alias draws.  Each site with at
+    least as many movers as the step has cells makes one multinomial
+    call; then every other site's movers each draw a column and its
+    keep-or-alias uniform by two scalar draws."""
     rng = replicate_rng(seed)
     j, _ = law.displacement.lattice_pmf(pitch)
-    top = mc_sim._census_cells(*_sorted_pmf(law.displacement, pitch))
+    cells = mc_sim._census_cells(*_sorted_pmf(law.displacement, pitch))
     counts = np.array([1], dtype=np.int64)
     out = [counts]
     for _ in range(n_max):
         new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
         nz = np.flatnonzero(counts)
         sites = list(zip(nz.tolist(), law.offspring.sum_sample(rng, counts[nz]).tolist()))
-        sparse, cells = [], top
-        while sites:
-            sparse.append((cells, [(b, t) for b, t in sites if t < cells.keep.size]))
-            buckets = []
-            for b, t in sites:
-                if t >= cells.keep.size:
-                    dest = rng.multinomial(t, cells.pvals)
-                    if cells.tail is not None:
-                        buckets.append((b, int(dest[-1])))
-                        dest = dest[:-1]
-                    new_counts[b + cells.offset[:dest.size]] += dest
-            if cells.tail is None:
-                break
-            sites, cells = [(b, t) for b, t in buckets if t > 0], cells.tail
-        for cells, movers in sparse:
-            for b, t in movers:
+        for b, t in sites:
+            if t >= cells.keep.size:
+                new_counts[b + cells.offset] += rng.multinomial(t, cells.pvals)
+        for b, t in sites:
+            if t < cells.keep.size:
                 for _ in range(t):
                     col = int(rng.random() * cells.keep.size)
                     keep = rng.random() < cells.keep[col]
@@ -654,53 +668,77 @@ CENSUS_STEPS = [(Gaussian(0.0, 1.0), 0.05), (TwoPoint(-0.3, 0.4, 0.5), 0.05),
 STEP_IDS = ["gaussian", "two_point", "gaussian_wide"]
 
 
-def _levels(step, pitch):
-    """Each level of the step's census cells, with its own pmf: the
-    step's in decreasing mass, then each bucket's cells over its mass."""
+def _cells(step, pitch):
+    """The step's census cells, and its pmf over them in decreasing mass."""
     q, offset = _sorted_pmf(step, pitch)
     cells = mc_sim._census_cells(q, offset)
-    out = []
-    while cells is not None:
-        out.append((cells, q))
-        if cells.tail is not None:
-            head = cells.pvals.size - 1
-            q = q[head:] / math.fsum(q[head:])
-        cells = cells.tail
-    return out
+    return cells, q[:cells.keep.size]
 
 
 @pytest.mark.parametrize("step, pitch", CENSUS_STEPS, ids=STEP_IDS)
 def test_alias_tables_rebuild_each_cell_mass(step, pitch):
-    for cells, q in _levels(step, pitch):
-        k = q.size
-        mass = cells.keep / k
-        at = {int(o): i for i, o in enumerate(cells.offset)}
-        for i, a in enumerate(cells.alias):
-            mass[at[int(a)]] += (1.0 - cells.keep[i]) / k
-        assert np.all((cells.keep >= 0) & (cells.keep <= 1))
-        np.testing.assert_allclose(mass, q, rtol=1e-12, atol=0)
+    cells, q = _cells(step, pitch)
+    k = q.size
+    mass = cells.keep / k
+    at = {int(o): i for i, o in enumerate(cells.offset)}
+    for i, a in enumerate(cells.alias):
+        mass[at[int(a)]] += (1.0 - cells.keep[i]) / k
+    assert np.all((cells.keep >= 0) & (cells.keep <= 1))
+    np.testing.assert_allclose(mass, q, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("step, pitch", CENSUS_STEPS, ids=STEP_IDS)
 def test_no_census_cell_is_conditioned_on_a_drifted_remainder(step, pitch):
-    # numpy's multinomial conditions cell i on 1 - pvals[0] - ... -
-    # pvals[i-1], summed in order; the bucket, pvals' last column, gets
-    # the movers left
-    for cells, q in _levels(step, pitch):
-        remainder = 1.0
-        for i, p in enumerate(cells.pvals[:-1]):
-            exact = q[i] / math.fsum(q[i:])
-            assert p / remainder == pytest.approx(exact, rel=1e-9, abs=0), i
-            remainder -= p
-        if cells.tail is not None:
-            head = cells.pvals.size - 1
-            assert cells.pvals[-1] == pytest.approx(math.fsum(q[head:]), rel=1e-12)
-    # without the bucket the unit step's row would condition a cell on a
-    # remainder off by more than that: the replay is not vacuous
+    # numpy's multinomial conditions cell i on pvals[i] / (1 - pvals[0] -
+    # ... - pvals[i-1]), summed in order: each must be the cell's mass
+    # over its exact tail
+    cells, q = _cells(step, pitch)
+    remainder = 1.0
+    for i, p in enumerate(cells.pvals):
+        exact = q[i] / math.fsum(q[i:])
+        assert p / remainder == pytest.approx(exact, rel=1e-13, abs=0), i
+        remainder -= p
+    # handed plain q, the unit step's row would condition a cell on a
+    # remainder off by more than 1e-9: the replay is not vacuous
     q, _ = _sorted_pmf(*CENSUS_STEPS[0])
     drift = np.subtract.accumulate(np.concatenate([[1.0], q[:-1]]))
     exact = np.array([math.fsum(q[i:]) for i in range(q.size)])
     assert np.max(np.abs(drift / exact - 1.0)) > 1e-9
+
+
+@pytest.mark.parametrize("n", [5, 400, 10 ** 7, 10 ** 9])
+def test_multinomial_is_numpys_chain_of_binomials(n):
+    # the census's pvals rest on this: numpy draws cell i as
+    # Binomial(movers left, pvals[i] / r_i), r_i = r_(i-1) - pvals[i-1],
+    # stops once no mover is left, and gives the last cell the rest
+    cells, _ = _cells(*CENSUS_STEPS[0])
+    got = replicate_rng(31).multinomial(n, cells.pvals)
+    rng = replicate_rng(31)
+    want = np.zeros_like(got)
+    left, remainder = n, 1.0
+    for i, p in enumerate(cells.pvals[:-1]):
+        want[i] = rng.binomial(left, p / remainder)
+        left -= want[i]
+        if left <= 0:
+            break
+        remainder -= p
+    want[-1] += left
+    assert np.array_equal(got, want)
+
+
+def test_census_row_ends_where_a_conditional_rounds_to_one():
+    # a narrow asymmetric step: its sixth conditional rounds to exactly 1,
+    # so numpy's remainder after it is 0 and the cells past it get pvals
+    # of 0; the chain ends there, with no 0/0
+    step = Gaussian(0.024, 1e-4)
+    cells, q = _cells(step, 0.05)
+    conditional = q / np.cumsum(q[::-1])[::-1]
+    assert conditional[5] == 1.0 and q.size > 6 and not cells.pvals[6:].any()
+    law = ReproductionLaw(OffspringLaw("deterministic", 3), step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = run_count_census(law, 8, seed=0, pitch=0.05)
+    assert [int(c.counts.sum()) for c in s.census] == [3 ** n for n in range(9)]
 
 
 def _pooled_site(law, movers, pitch, reps):
@@ -810,7 +848,7 @@ def test_census_places_two_point_steps_on_their_atoms(mechanism):
 def test_census_lands_no_mover_on_a_cell_of_no_mass():
     # a narrow step between two cells leaves the others' masses exactly 0
     # (8 sd of reach past the mean spans five cells); their tail sums are
-    # then 0 and must build no bucket
+    # then 0 and must enter no conditional
     step = Gaussian(0.075, 1e-8)
     j, q = step.lattice_pmf(0.05)
     assert (q == 0).sum() == 3
