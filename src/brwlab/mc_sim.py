@@ -50,16 +50,22 @@ decreasing mass (``_land``).
 Reproducibility: every run draws from the one stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
 as ``replicate_rng(base + r)``, so results are independent of
-scheduling and bit-identical across runs.  An exact batch draws all of
-its replicates from the one stream it is given, so batches of seeds s
-and s + 1 share none.
+scheduling and bit-identical across runs.  A census draws from two
+streams: its own and that stream's first spawned child, which draws
+the second half of each generation's dense blocks, on a worker thread
+when a second CPU is usable; the split is fixed by the blocks alone,
+so a census does not depend on the CPU count.  An exact batch draws
+all of its replicates from the one stream it is given, so batches of
+seeds s and s + 1 share none.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -101,6 +107,12 @@ def replicate_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
     """``[run(job) for job in jobs]``, in a pool of processes when more than
     one is used, so ``run`` must then be a module-level function.
@@ -109,9 +121,7 @@ def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
     it starts them all at once, so an uncapped ``workers`` would fork
     that many.  Every replicate seeds its own stream, so the results do
     not depend on the pool size."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(workers, len(jobs), cpus)
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
         return [run(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -451,29 +461,67 @@ def _alias_draw(cells: _Cells, sources: np.ndarray,
                               cells.alias[col])
 
 
+def _spread(cells: _Cells, sites: np.ndarray, rows: np.ndarray,
+            rng: np.random.Generator, size: int) -> np.ndarray:
+    """The movers landed on each of ``size`` sites, ``rows[i]`` of them
+    from each of the dense ``sites``, by one multinomial call per block
+    of ``CENSUS_BLOCK`` sites, whose chain of binomials stops at the last
+    cell to get a mover."""
+    landed = np.zeros(size, dtype=np.int64)
+    for b in range(0, sites.size, CENSUS_BLOCK):
+        dest = rng.multinomial(rows[b:b + CENSUS_BLOCK], cells.pvals)
+        np.add.at(landed, (sites[b:b + CENSUS_BLOCK, None] + cells.offset).ravel(),
+                  dest.ravel())
+        del dest    # freed before the next block's draw: a lower peak
+    return landed
+
+
 def _land(cells: _Cells, sites: np.ndarray, movers: np.ndarray,
-          rng: np.random.Generator, size: int) -> np.ndarray:
+          rngs: Tuple[np.random.Generator, np.random.Generator],
+          pool: Optional[Executor], size: int) -> np.ndarray:
     """The movers landed on each of ``size`` sites, ``movers[i]`` of them
     from each of ``sites``, spread over ``cells``.
 
     A site with fewer movers than the cells number is sparse: each of
     its movers draws its cell from the alias table (``_alias_draw``), in
-    O(1).  The dense sites spread by one multinomial call per block of
-    ``CENSUS_BLOCK`` sites, whose chain of binomials stops at the last
-    cell to get a mover.  Every dense call is drawn first, then every
-    sparse mover, site by site, summed by one ``np.bincount``.
+    O(1).  The dense sites, in site order, spread by blocks (``_spread``):
+    the first ceil(blocks / 2) blocks draw from the first of ``rngs``
+    and the rest from the second, so a generation of one dense block or
+    none draws nothing from the second.  The first stream then draws
+    every sparse mover, site by site, summed by one ``np.bincount``.
+    With a ``pool``, the second half runs on its worker thread while
+    this one draws the first stream's share: numpy's multinomial
+    releases the GIL, so the two draw at once.  Without one, it runs
+    last.  Either way the counts are the same.
     """
-    landed = np.zeros(size, dtype=np.int64)
     few = movers < cells.keep.size
     dense, rows = sites[~few], movers[~few]
-    for b in range(0, dense.size, CENSUS_BLOCK):
-        dest = rng.multinomial(rows[b:b + CENSUS_BLOCK], cells.pvals)
-        np.add.at(landed, (dense[b:b + CENSUS_BLOCK, None] + cells.offset).ravel(),
-                  dest.ravel())
-        del dest    # freed before the next block's draw: a lower peak
-    moved = _alias_draw(cells, np.repeat(sites[few], movers[few]), rng)
+    half = -(-dense.size // (2 * CENSUS_BLOCK)) * CENSUS_BLOCK   # ceil(blocks / 2) blocks
+
+    def second():
+        return _spread(cells, dense[half:], rows[half:], rngs[1], size)
+
+    if pool is not None and half < dense.size:
+        second = pool.submit(second).result
+    landed = _spread(cells, dense[:half], rows[:half], rngs[0], size)
+    moved = _alias_draw(cells, np.repeat(sites[few], movers[few]), rngs[0])
     landed += np.bincount(moved, minlength=size)
+    landed += second()
     return landed
+
+
+@functools.lru_cache(maxsize=1)
+def _step_cells(step, pitch: float) -> Tuple[int, int, _Cells]:
+    """The first and last of the step's lattice cells at ``pitch``, and
+    its ``_Cells``, offset from a site's first destination.  The last
+    step and pitch asked for are kept: a round of censuses, like check
+    6's 64, runs one step at one pitch."""
+    j, q = step.lattice_pmf(pitch)
+    order = np.argsort(-q, kind="stable")   # cells in decreasing mass
+    cells = _census_cells(q[order], (j - j[0])[order])
+    for table in (cells.offset, cells.keep, cells.alias, cells.pvals):
+        table.flags.writeable = False       # every census of the pair shares it
+    return int(j[0]), int(j[-1]), cells
 
 
 def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
@@ -481,11 +529,14 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     """Exact generation censuses on a position lattice of the given pitch.
 
     Propagates particle counts per lattice site instead of particles,
-    so populations far beyond any per-particle budget stay exact (the
-    simulated law is the pitch-quantized law; its cumulant differs from
-    the continuum one by O(pitch^2)).  Offspring totals are drawn in
-    closed form, which restricts the engine to deterministic and
-    geometric counts.
+    so populations far beyond any per-particle budget stay exact.  The
+    simulated law is the pitch-quantized law.  A Gaussian step's
+    cumulant differs from the continuum one by O(pitch^2), but
+    ``lattice_pmf`` rounds each atom of a point-mass or two-point step
+    to its cell, which moves the cumulant by O(pitch):
+    ``TwoPoint(-0.2416, 0.8238)`` at pitch 0.05 runs as (-0.25, 0.80).
+    Offspring totals are drawn in closed form, which restricts the
+    engine to deterministic and geometric counts.
 
     One loop serves both mechanisms: each site's movers, its children
     (``independent``) or its families (``common``), land on the step's
@@ -495,6 +546,13 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     ``common`` the families landed on each site are then sized together
     by one ``sum_sample`` call: totals of independent families add.
 
+    The run draws from ``replicate_rng(seed)`` and, for the second half
+    of each generation's dense blocks only, from that stream's first
+    spawned child.  When a second CPU is usable, that half runs on a
+    worker thread of this call's own, which ends with it: a process
+    forked later, as ``map_replicates`` forks, would inherit a pool whose
+    thread is gone.
+
     ``pruning["saturated"]`` is set at the first generation whose
     expected total exceeds INT64_MAX / 4, where its int64 counts could
     wrap; that generation is not drawn, and the run returns the
@@ -502,32 +560,40 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     match.
     """
 
-    rng = replicate_rng(seed)
-    j, q = law.displacement.lattice_pmf(pitch)
-    order = np.argsort(-q, kind="stable")   # cells in decreasing mass
-    cells = _census_cells(q[order], (j - j[0])[order])   # from a site's first destination
+    # loaded by the first census rather than at import
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the second is replicate_rng(seed).spawn(1)[0], built as numpy 1.24
+    # allows, which has no Generator.spawn
+    rngs = (replicate_rng(seed),
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0))))
+    rng = rngs[0]
+    first_cell, last_cell, cells = _step_cells(law.displacement, pitch)
     common = law.mechanism == "common"
     start = 0
     counts = np.array([1], dtype=np.int64)
     m = np.zeros(n_max + 1)
     censuses = [GenerationCensus(pitch, start, counts)]
     saturated = False
-    for n in range(1, n_max + 1):
-        # Judged before the draw and summed in float64: once a total has
-        # wrapped in int64 it can no longer tell that it did.
-        expected = float(counts.sum(dtype=np.float64)) * law.offspring.mean
-        if expected > INT64_MAX / 4:
-            saturated = True
-            break
-        nz = np.flatnonzero(counts)
-        movers = counts[nz] if common else law.offspring.sum_sample(rng, counts[nz])
-        counts = _land(cells, nz, movers, rng, counts.size + j[-1] - j[0])
-        if common:
-            filled = np.flatnonzero(counts)
-            counts[filled] = law.offspring.sum_sample(rng, counts[filled])
-        start += int(j[0])
-        m[n] = (start + int(np.flatnonzero(counts)[-1])) * pitch
-        censuses.append(GenerationCensus(pitch, start, counts))
+    with (ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1
+          else contextlib.nullcontext()) as pool:
+        for n in range(1, n_max + 1):
+            # Judged before the draw and summed in float64: once a total has
+            # wrapped in int64 it can no longer tell that it did.
+            expected = float(counts.sum(dtype=np.float64)) * law.offspring.mean
+            if expected > INT64_MAX / 4:
+                saturated = True
+                break
+            nz = np.flatnonzero(counts)
+            movers = counts[nz] if common else law.offspring.sum_sample(rng, counts[nz])
+            counts = _land(cells, nz, movers, rngs, pool,
+                           counts.size + last_cell - first_cell)
+            if common:
+                filled = np.flatnonzero(counts)
+                counts[filled] = law.offspring.sum_sample(rng, counts[filled])
+            start += first_cell
+            m[n] = (start + int(np.flatnonzero(counts)[-1])) * pitch
+            censuses.append(GenerationCensus(pitch, start, counts))
     last = len(censuses) - 1
     return TrajectoryStats(seed=seed, rightmost=m[:last + 1], exact_upto=last,
                            census=censuses,

@@ -1,5 +1,7 @@
 """Monte Carlo engines: determinism, pruning, censuses, and diagnostics."""
 
+import concurrent.futures
+import faulthandler
 import math
 import re
 import warnings
@@ -625,11 +627,14 @@ def _sorted_pmf(step, pitch):
 
 def _census_by_site_loop(law, n_max, seed, pitch):
     """The census site by site and mover by mover: the oracle of the
-    engine's block calls and vectorized alias draws.  Each site with at
-    least as many movers as the step has cells makes one multinomial
-    call; then every other site's movers each draw a column and its
-    keep-or-alias uniform by two scalar draws."""
+    engine's block calls, its two streams and its vectorized alias draws.
+    Each site with at least as many movers as the step has cells makes
+    one multinomial call: the sites of the first ceil(blocks / 2) blocks
+    of ``CENSUS_BLOCK`` from the run's stream, the rest from its first
+    spawned child.  Then every other site's movers each draw a column and
+    its keep-or-alias uniform by two scalar draws from the run's stream."""
     rng = replicate_rng(seed)
+    second = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     j, _ = law.displacement.lattice_pmf(pitch)
     cells = mc_sim._census_cells(*_sorted_pmf(law.displacement, pitch))
     counts = np.array([1], dtype=np.int64)
@@ -638,9 +643,11 @@ def _census_by_site_loop(law, n_max, seed, pitch):
         new_counts = np.zeros(counts.size + j[-1] - j[0], dtype=np.int64)
         nz = np.flatnonzero(counts)
         sites = list(zip(nz.tolist(), law.offspring.sum_sample(rng, counts[nz]).tolist()))
-        for b, t in sites:
-            if t >= cells.keep.size:
-                new_counts[b + cells.offset] += rng.multinomial(t, cells.pvals)
+        dense = [(b, t) for b, t in sites if t >= cells.keep.size]
+        half = math.ceil(math.ceil(len(dense) / mc_sim.CENSUS_BLOCK) / 2) * mc_sim.CENSUS_BLOCK
+        for i, (b, t) in enumerate(dense):
+            new_counts[b + cells.offset] += (rng if i < half else second).multinomial(
+                t, cells.pvals)
         for b, t in sites:
             if t < cells.keep.size:
                 for _ in range(t):
@@ -660,6 +667,93 @@ def test_census_is_byte_identical_to_the_per_site_loop(seed):
     for census, counts in zip(s.census, oracle):
         assert census.counts.dtype == np.int64
         assert np.array_equal(census.counts, counts)
+
+
+@pytest.mark.skipif(not hasattr(np.random.Generator, "spawn"),
+                    reason="numpy before 1.25 has no Generator.spawn")
+def test_census_second_stream_is_the_first_spawned_child():
+    spawned = replicate_rng(7).spawn(1)[0]
+    built = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0, 0)))
+    assert np.array_equal(spawned.random(8), built.random(8))
+
+
+CPU_LAWS = [BBM, ReproductionLaw(BBM.offspring, BBM.displacement, "common"),
+            ReproductionLaw(BBM.offspring, TwoPoint(-0.3, 0.4, 0.5))]
+
+
+@pytest.mark.parametrize("law", CPU_LAWS, ids=["independent", "common", "two_point"])
+def test_census_does_not_depend_on_the_cpu_count(monkeypatch, law):
+    # one usable CPU draws both halves of the dense blocks on this thread,
+    # two draw the second half on a worker; a two-point step reaches at
+    # most n + 1 sites, never two blocks, so it never hands one over
+    handed = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            handed.append(cpus)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(mc_sim.os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        runs[cpus] = run_count_census(law, 20, seed=11, pitch=0.05)
+    assert len(runs[1].census) == len(runs[2].census) == 21
+    for one, two in zip(runs[1].census, runs[2].census):
+        assert np.array_equal(one.counts, two.counts)
+    assert set(handed) == (set() if isinstance(law.displacement, TwoPoint) else {2})
+
+
+def test_census_draws_on_its_second_stream_only_past_one_dense_block(monkeypatch):
+    land, seen = mc_sim._land, []
+
+    def spy(cells, sites, movers, rngs, pool, size):
+        dense = np.count_nonzero(movers >= cells.keep.size)
+        before = rngs[1].bit_generator.state
+        landed = land(cells, sites, movers, rngs, pool, size)
+        seen.append((math.ceil(dense / mc_sim.CENSUS_BLOCK),
+                     rngs[1].bit_generator.state != before))
+        return landed
+
+    monkeypatch.setattr(mc_sim, "_land", spy)
+    run_count_census(BBM, 20, seed=0, pitch=0.05)
+    assert {0, 1} < {blocks for blocks, _ in seen} and max(seen)[0] >= 2
+    assert all(drew == (blocks >= 2) for blocks, drew in seen)
+
+
+def _unit_census(seed):
+    return run_count_census(BBM, 20, seed=seed, pitch=0.05).census[-1].counts
+
+
+def test_census_after_a_census_runs_in_forked_workers(monkeypatch):
+    # a census here first, then two in forked processes: a worker thread
+    # kept past its census would leave them a pool whose thread is gone,
+    # and they would wait on it forever (the dump ends such a run)
+    monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    serial = [_unit_census(seed) for seed in (1, 2)]
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        forked = mc_sim.map_replicates(_unit_census, [1, 2], 2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert all(np.array_equal(a, b) for a, b in zip(serial, forked))
+
+
+def test_two_censuses_of_one_step_build_its_cells_once(monkeypatch):
+    built, build = [], mc_sim._census_cells
+    monkeypatch.setattr(mc_sim, "_census_cells",
+                        lambda q, offset: built.append(q.size) or build(q, offset))
+    mc_sim._step_cells.cache_clear()
+    first = run_count_census(BBM, 6, seed=0, pitch=0.05)
+    again = run_count_census(BBM, 6, seed=0, pitch=0.05)
+    run_count_census(BBM, 6, seed=1, pitch=0.05)
+    assert len(built) == 1
+    assert all(np.array_equal(a.counts, b.counts) for a, b in zip(first.census, again.census))
+    assert not mc_sim._step_cells(BBM.displacement, 0.05)[2].pvals.flags.writeable
+    run_count_census(BBM, 6, seed=0, pitch=0.1)     # another pitch: its own cells
+    assert len(built) == 2
 
 
 # steps and pitches: the unit step, two atoms 14 cells apart, and 2,325 cells
