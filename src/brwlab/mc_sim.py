@@ -52,16 +52,15 @@ Reproducibility: every run draws from the one stream
 as ``replicate_rng(base + r)``, so results are independent of
 scheduling and bit-identical across runs.  A census draws from two
 streams: its own and that stream's first spawned child, which draws
-the second half of each generation's dense blocks, on a worker thread
-when a second CPU is usable; the split is fixed by the blocks alone,
-so a census does not depend on the CPU count.  An exact batch draws
-all of its replicates from the one stream it is given, so batches of
-seeds s and s + 1 share none.
+the second half of each generation's dense blocks on a worker thread;
+the split is fixed by the blocks alone, so a census does not depend on
+the threads' timing or the CPU count.  An exact batch draws all of
+its replicates from the one stream it is given, so batches of seeds s
+and s + 1 share none.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -107,12 +106,6 @@ def replicate_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
     """``[run(job) for job in jobs]``, in a pool of processes when more than
     one is used, so ``run`` must then be a module-level function.
@@ -121,7 +114,9 @@ def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
     it starts them all at once, so an uncapped ``workers`` would fork
     that many.  Every replicate seeds its own stream, so the results do
     not depend on the pool size."""
-    workers = min(workers, len(jobs), _usable_cpus())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(workers, len(jobs), cpus)
     if workers <= 1:
         return [run(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -478,7 +473,7 @@ def _spread(cells: _Cells, sites: np.ndarray, rows: np.ndarray,
 
 def _land(cells: _Cells, sites: np.ndarray, movers: np.ndarray,
           rngs: Tuple[np.random.Generator, np.random.Generator],
-          pool: Optional[Executor], size: int) -> np.ndarray:
+          pool: Executor, size: int) -> np.ndarray:
     """The movers landed on each of ``size`` sites, ``movers[i]`` of them
     from each of ``sites``, spread over ``cells``.
 
@@ -489,24 +484,19 @@ def _land(cells: _Cells, sites: np.ndarray, movers: np.ndarray,
     and the rest from the second, so a generation of one dense block or
     none draws nothing from the second.  The first stream then draws
     every sparse mover, site by site, summed by one ``np.bincount``.
-    With a ``pool``, the second half runs on its worker thread while
-    this one draws the first stream's share: numpy's multinomial
-    releases the GIL, so the two draw at once.  Without one, it runs
-    last.  Either way the counts are the same.
+    The second half runs on the ``pool``'s worker thread while this one
+    draws the first stream's share: numpy's multinomial releases the
+    GIL, so on two CPUs the two draw at once.  Each half has its own
+    stream, so the counts do not depend on how the threads interleave.
     """
     few = movers < cells.keep.size
     dense, rows = sites[~few], movers[~few]
     half = -(-dense.size // (2 * CENSUS_BLOCK)) * CENSUS_BLOCK   # ceil(blocks / 2) blocks
-
-    def second():
-        return _spread(cells, dense[half:], rows[half:], rngs[1], size)
-
-    if pool is not None and half < dense.size:
-        second = pool.submit(second).result
+    second = pool.submit(_spread, cells, dense[half:], rows[half:], rngs[1], size)
     landed = _spread(cells, dense[:half], rows[:half], rngs[0], size)
     moved = _alias_draw(cells, np.repeat(sites[few], movers[few]), rngs[0])
     landed += np.bincount(moved, minlength=size)
-    landed += second()
+    landed += second.result()
     return landed
 
 
@@ -548,10 +538,10 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
 
     The run draws from ``replicate_rng(seed)`` and, for the second half
     of each generation's dense blocks only, from that stream's first
-    spawned child.  When a second CPU is usable, that half runs on a
-    worker thread of this call's own, which ends with it: a process
-    forked later, as ``map_replicates`` forks, would inherit a pool whose
-    thread is gone.
+    spawned child.  That half runs on a worker thread of this call's
+    own, which ends with it: a process forked later, as
+    ``map_replicates`` forks, would inherit a pool whose thread is
+    gone.
 
     ``pruning["saturated"]`` is set at the first generation whose
     expected total exceeds INT64_MAX / 4, where its int64 counts could
@@ -575,8 +565,7 @@ def run_count_census(law: ReproductionLaw, n_max: int, seed: int = 0,
     m = np.zeros(n_max + 1)
     censuses = [GenerationCensus(pitch, start, counts)]
     saturated = False
-    with (ThreadPoolExecutor(max_workers=1) if _usable_cpus() > 1
-          else contextlib.nullcontext()) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for n in range(1, n_max + 1):
             # Judged before the draw and summed in float64: once a total has
             # wrapped in int64 it can no longer tell that it did.

@@ -5,6 +5,7 @@ import faulthandler
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -677,32 +678,37 @@ def test_census_second_stream_is_the_first_spawned_child():
     assert np.array_equal(spawned.random(8), built.random(8))
 
 
-CPU_LAWS = [BBM, ReproductionLaw(BBM.offspring, BBM.displacement, "common"),
-            ReproductionLaw(BBM.offspring, TwoPoint(-0.3, 0.4, 0.5))]
+class _Inline(concurrent.futures.Executor):
+    """A pool that runs each job on the calling thread: at ``submit``, or,
+    when ``deferred``, only once its result is asked for."""
+
+    def __init__(self, deferred):
+        self.deferred = deferred
+
+    def submit(self, fn, *args):
+        if self.deferred:
+            return SimpleNamespace(result=lambda: fn(*args))
+        landed = fn(*args)
+        return SimpleNamespace(result=lambda: landed)
 
 
-@pytest.mark.parametrize("law", CPU_LAWS, ids=["independent", "common", "two_point"])
-def test_census_does_not_depend_on_the_cpu_count(monkeypatch, law):
-    # one usable CPU draws both halves of the dense blocks on this thread,
-    # two draw the second half on a worker; a two-point step reaches at
-    # most n + 1 sites, never two blocks, so it never hands one over
-    handed = []
+HALF_ORDER_LAWS = [BBM, ReproductionLaw(BBM.offspring, BBM.displacement, "common"),
+                   ReproductionLaw(BBM.offspring, TwoPoint(-0.3, 0.4, 0.5))]
 
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            handed.append(cpus)
-            return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(mc_sim.os, "sched_getaffinity",
-                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
-        runs[cpus] = run_count_census(law, 20, seed=11, pitch=0.05)
-    assert len(runs[1].census) == len(runs[2].census) == 21
-    for one, two in zip(runs[1].census, runs[2].census):
-        assert np.array_equal(one.counts, two.counts)
-    assert set(handed) == (set() if isinstance(law.displacement, TwoPoint) else {2})
+@pytest.mark.parametrize("law", HALF_ORDER_LAWS, ids=["independent", "common", "two_point"])
+def test_census_does_not_depend_on_when_its_second_half_runs(monkeypatch, law):
+    # on its worker thread, wholly before this thread's share, or wholly
+    # after it: how the threads interleave, which the CPU count sets,
+    # must not move a count
+    threaded = run_count_census(law, 20, seed=11, pitch=0.05)
+    for deferred in (False, True):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda max_workers: _Inline(deferred))
+        inline = run_count_census(law, 20, seed=11, pitch=0.05)
+        assert len(inline.census) == len(threaded.census) == 21
+        for one, two in zip(inline.census, threaded.census):
+            assert np.array_equal(one.counts, two.counts)
 
 
 def test_census_draws_on_its_second_stream_only_past_one_dense_block(monkeypatch):
@@ -729,7 +735,8 @@ def _unit_census(seed):
 def test_census_after_a_census_runs_in_forked_workers(monkeypatch):
     # a census here first, then two in forked processes: a worker thread
     # kept past its census would leave them a pool whose thread is gone,
-    # and they would wait on it forever (the dump ends such a run)
+    # and they would wait on it forever (the dump ends such a run); two
+    # CPUs seen, so map_replicates forks on a one-CPU machine too
     monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     serial = [_unit_census(seed) for seed in (1, 2)]
