@@ -18,16 +18,16 @@ window by that rule: both Heaviside starts (the cells ``[1, 1/2]``),
 every window move, a two-point step's low atom, the coupled seeding
 term and ``front_speed``'s centred comparison.  A window that starts
 between cells is the linear blend of the whole-cell windows around it.
-Both recursions step through one update, ``_update``: it convolves a
-profile with the centred part of a step (``_convolve``: a trapezoid
-density kernel for a Gaussian, the low atom read through ``_cells``
-behind the high one for a two-point step, the identity for a point
-mass), takes the complement in closed form, and adds the step's
-translation (a two-point step's high atom) to the window offset
-exactly, so that no atom's mass is blended ahead of it.  ``apply_q``
-is the one-type update; ``coupled_front`` iterates the reducible
-two-type version: the exact law of the rightmost eta, anomalous front
-included.
+Every update, one-type and coupled, is one guarded step, ``apply_q``:
+it convolves a profile with the centred part of a step (``_convolve``:
+a trapezoid density kernel for a Gaussian, the low atom read through
+``_cells`` behind the high one for a two-point step, the identity for a
+point mass), takes the complement in closed form, raises if the result
+leaves [0, 1] or breaks monotonicity, and adds the step's translation
+(a two-point step's high atom) to the window offset exactly, so that no
+atom's mass is blended ahead of it.  ``_profiles`` iterates it for
+one type; ``coupled_front`` iterates the reducible two-type version:
+the exact law of the rightmost eta, anomalous front included.
 
 A Gaussian step is summed directly, as a blocked Toeplitz matrix
 product whose band each run builds once (``_band``).  Every output is a
@@ -255,32 +255,27 @@ def _convolve(u: FrontProfile, step: Displacement,
     return _band_product(u.values, band), step.mean
 
 
-def _update(u: FrontProfile, law: ReproductionLaw, band: Optional[_Band]) -> FrontProfile:
-    """1 - g(1 - u * f) on u's cells moved by the step's translation; the
-    closed-form complement keeps the edge below 1e-16."""
+def apply_q(u: FrontProfile, law: ReproductionLaw,
+            band: Optional[_Band] = None) -> FrontProfile:
+    """One front update, v = 1 - g(1 - (u * f)), on u's cells, the window
+    moved by the step's translation; the closed-form complement keeps the
+    edge below 1e-16.  Every front update, one-type and both coupled
+    halves, is this one guarded step.
+
+    Raises RangeError if the update leaves [0, 1] by more than 1e-12 or
+    breaks monotonicity, and clips it to [0, 1] otherwise.  A caller
+    that iterates passes ``band = _band(law.displacement, u.h)``, built
+    once for its run.
+    """
     if law.mechanism != "independent":
         raise KernelError("front recursion requires independent displacements")
     conv, shift = _convolve(u, law.displacement, band)
-    return FrontProfile(law.offspring.complement(conv), u.offset + shift, u.h)
-
-
-def apply_q(u: FrontProfile, law: ReproductionLaw,
-            band: Optional[_Band] = None) -> FrontProfile:
-    """One front update, v = 1 - g(1 - (u * f)): ``_update``, its window
-    moved only by the step's translation.
-
-    Raises RangeError if the update leaves [0, 1] by more than 1e-12 or
-    breaks monotonicity.  A caller that iterates passes
-    ``band = _band(law.displacement, u.h)``, built once for its run.
-    """
-
-    v = _update(u, law, band)
-    if float(v.values.min()) < -RANGE_TOL or float(v.values.max()) > 1.0 + RANGE_TOL:
+    v = law.offspring.complement(conv)
+    if float(v.min()) < -RANGE_TOL or float(v.max()) > 1.0 + RANGE_TOL:
         raise RangeError("front update left [0, 1]")
-    if np.any(np.diff(v.values) > RANGE_TOL):
+    if np.any(np.diff(v) > RANGE_TOL):
         raise RangeError("front update broke monotonicity")
-    v.values = np.clip(v.values, 0.0, 1.0)
-    return v
+    return FrontProfile(np.clip(v, 0.0, 1.0, out=v), u.offset + shift, u.h)
 
 
 def _profiles(law: ReproductionLaw, n_max: int, h: float):
@@ -451,17 +446,20 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     either would seed the exponentially small leading edge and run
     ahead of the true front.
 
-    A and u_eta' are ``_update``, each window moved by each translation
-    exactly, and B reads u_eta * f_seed on A's cells through ``_cells``,
-    between cells where the windows' offsets differ by a fraction of one.
-    A window's right end stays at ``x_max`` plus those translations, and
-    RangeError is raised once its profile exceeds RANGE_TOL there.  After
-    each step its left end moves to ``_reach`` cells, the most any step
-    moves a value, before the first cell differing from the profile's
-    first value by more than RANGE_TOL of it, so the left extension stays
-    exact to that bound.  Medians are read given some eta (the nu profile
-    over its first value), NaN while there is none.  Needs independent
-    displacements.
+    A and u_eta' are ``apply_q``, the guarded step, each window moved by
+    its step's translation exactly.  The two profiles keep one window
+    size: after each step both left ends move right by one count of
+    cells, ``_reach`` cells (the most any step moves a value) fewer than
+    the shorter of their two flat runs (``_flat_cells``), so each left
+    extension stays exact to RANGE_TOL of its first value.  B reads
+    u_eta * f_seed on A's cells through ``_cells``.  Where the three
+    steps share a translation (every ``skeleton_of_bbm`` system) the two
+    windows keep one offset bit for bit and that read is a whole-cell
+    copy; otherwise it blends the cells around a fractional start.  A
+    window's right end stays at ``x_max`` plus its translations, and
+    RangeError is raised once either profile exceeds RANGE_TOL there.
+    Medians are read given some eta (the nu profile over its first
+    value), NaN while there is none.  Needs independent displacements.
 
     Range: the anomalous front rides on eta tail values far below
     1e-100, and float64 flushes values near 1e-308 to zero with no
@@ -483,19 +481,20 @@ def coupled_front(sys: TwoTypeSystem, n_max: int, x_max: float,
     nu = FrontProfile(np.zeros(size), eta.offset, h)
     given, medians = None, [math.nan]   # no eta at generation 0
     for n in range(1, n_max + 1):
-        a = _update(nu, law_nu, bands[law_nu.displacement])
+        a = apply_q(nu, law_nu, bands[law_nu.displacement])
         b, shift = _convolve(eta, seeding.displacement, bands[seeding.displacement])
-        b = seeding.prob * _cells(b, (a.offset - (eta.offset + shift)) / h, a.values.size)
+        b = seeding.prob * _cells(b, (a.offset - (eta.offset + shift)) / h, size)
         nu = FrontProfile(a.values + b - a.values * b, a.offset, h)
         del a, b   # before the eta convolution, the step's largest working set
-        eta = _update(eta, law_eta, bands[law_eta.displacement])
+        eta = apply_q(eta, law_eta, bands[law_eta.displacement])
         for u in (nu, eta):
             if u.values[-1] > RANGE_TOL:
                 raise RangeError(f"front mass reached the right grid edge "
-                                 f"{u.offset + h * (u.values.size - 1):g} at generation {n}")
-        lo = [_flat_cells(u.values) - reach for u in (nu, eta)]
-        nu, eta = (FrontProfile(_cells(u.values, c, u.values.size - c), u.offset + c * h, h)
-                   for u, c in zip((nu, eta), lo))
+                                 f"{u.offset + h * (size - 1):g} at generation {n}")
+        c = min(_flat_cells(nu.values), _flat_cells(eta.values)) - reach
+        size -= c
+        nu, eta = (FrontProfile(_cells(u.values, c, size), u.offset + c * h, h)
+                   for u in (nu, eta))
         given = _given_eta(nu)
         medians.append(math.nan if given is None else given.front)
     return CoupledFrontResult(speed=_second_half_slope(medians),

@@ -162,18 +162,15 @@ class TrajectoryStats:
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
-            rng: np.random.Generator, budget: Optional[int] = None,
-            rivals: Optional[np.ndarray] = None) -> Tuple[int, np.ndarray]:
+            rng: np.random.Generator, budget: Optional[int] = None) -> Tuple[int, np.ndarray]:
     """One branching step of a class: the number born, and the children.
 
-    ``rivals``, candidates that compete with the children for the budget
-    (the eta class's seeds), count as born and are appended to the
-    children.  Every family size is drawn.  A pruned beam passes its
-    ``budget``; when its generation is born with more than ``THIN_GATE``
-    times that many children, only those that can survive the prune are
-    drawn (see ``_thinned``).  Otherwise every child is drawn.  Either way
-    the kept set, the top ``budget`` children within the caller's window,
-    has its exact law, and so has the generation's maximum.
+    Every family size is drawn.  A pruned beam passes its ``budget``;
+    when its generation is born with more than ``THIN_GATE`` times that
+    many children, only those that can survive the prune are drawn (see
+    ``_thinned``).  Otherwise every child is drawn.  Either way the kept
+    set, the top ``budget`` children within the caller's window, has its
+    exact law, and so has the generation's maximum.
 
     An empty generation makes size-0 draws, which leave ``rng`` where it
     was.
@@ -181,12 +178,8 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
     counts = law.offspring.sample(rng, positions.size)
     born = int(counts.sum())
     if budget is not None and born > THIN_GATE * budget:
-        children = _thinned(law, positions, counts, rng, budget, rivals)
-    else:
-        children = _children(law, positions, counts, rng)
-    if rivals is None:
-        return born, children
-    return born + rivals.size, np.concatenate([children, rivals])
+        return born, _thinned(law, positions, counts, rng, budget)
+    return born, _children(law, positions, counts, rng)
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
@@ -227,8 +220,7 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-             rng: np.random.Generator, budget: int,
-             rivals: Optional[np.ndarray]) -> np.ndarray:
+             rng: np.random.Generator, budget: int) -> np.ndarray:
     """The children of a generation that can survive a prune to ``budget``.
 
     A cut c is placed so that about ``THIN_MARGIN * budget`` children are
@@ -236,11 +228,13 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     Binomial(N_i, s_i) children above c (under ``common``, all N_i with
     probability s_i), and only those are drawn, from the step law
     conditioned above c - x_i, which reads s_i rather than evaluating it
-    again for every child.  When they and the ``rivals`` above c number
-    at least ``budget``, every child of the top ``budget`` is among
-    them, so the prune keeps what it would keep from the full
-    generation.  Otherwise the rest of every family is drawn below the
-    cut, which completes the full generation exactly, with no resampling.
+    again for every child.  When they number at least ``budget``, a child
+    below c is beaten by at least ``budget`` children above it, so every
+    child of the top ``budget`` is among them and the prune keeps what it
+    would keep from the full generation, whatever is added to it (the
+    eta seeds of ``_beam``).  Otherwise the rest of every family is drawn
+    below the cut, which completes the full generation exactly, with no
+    resampling.
     """
     step = law.displacement
     cut = _cut(step, positions, counts, THIN_MARGIN * budget)
@@ -250,8 +244,7 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     else:
         upper = np.where(rng.random(positions.size) < prob, counts, 0)
     above = _children(law, positions, upper, rng, tail=prob, above=cut)
-    contenders = above.size + (0 if rivals is None else int((rivals > cut).sum()))
-    if contenders >= budget:
+    if above.size >= budget:
         return above
     below = _children(law, positions, counts - upper, rng, below=cut)
     return np.concatenate([above, below])
@@ -325,9 +318,11 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
     """One replicate of both classes from a single nu-ancestor at the origin.
 
     Each class is pruned against its own running maximum (under an
-    anomaly the eta front outruns the nu front).  The nu class is exact
-    while every generation fits the budget, and exact generations keep
-    their positions for later count profiles.  Generation ``n_max`` is
+    anomaly the eta front outruns the nu front).  Each class branches
+    alone; a generation's eta seeds join its eta children, as born,
+    before the prune.  The nu class is exact while every generation fits
+    the budget, and exact generations keep their positions for later
+    count profiles.  Generation ``n_max`` is
     read only for its maxima: it is drawn as every other is, but never
     pruned, and the ``pruning`` counts, ``nu``, ``eta`` and ``drawn``,
     cover generations 1 to ``n_max - 1``.  Raises BudgetError if a
@@ -342,9 +337,8 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
     pruned = {"nu": 0, "eta": 0}
     drawn = {"nu": 0, "eta": 0}
     for n in range(1, n_max + 1):
-        seeds = None
         for c, law in (("nu", sys.law_nu), ("eta", sys.law_eta)):
-            born, children = _branch(law, pos[c], rng, budget, seeds)
+            born, children = _branch(law, pos[c], rng, budget)
             if c == "nu":
                 if n == 1 and born > budget:
                     raise BudgetError(f"family size {born} exceeds budget {budget} "
@@ -352,6 +346,9 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
                 if len(exact_positions) == n and born <= budget:
                     exact_positions.append(children)
                 seeds = _seeds(sys.seeding, pos["nu"], rng)[1]
+            else:
+                born += seeds.size
+                children = np.concatenate([children, seeds])
             if n < n_max:
                 drawn[c] += children.size
                 if born > budget:

@@ -209,8 +209,8 @@ class TestKernel:
 
     def test_both_recursions_step_through_one_update(self, monkeypatch):
         laws = []
-        update = front._update
-        monkeypatch.setattr(front, "_update", lambda *a: laws.append(a[1]) or update(*a))
+        update = front.apply_q
+        monkeypatch.setattr(front, "apply_q", lambda *a: laws.append(a[1]) or update(*a))
         front_speed(BBM, 7, h=0.05)
         assert laws == [BBM] * 7
         laws.clear()
@@ -474,7 +474,7 @@ class TestCoupledFront:
         reach = front._band(BBM.displacement, h).reach
         flat = BBM.offspring.complement(c)
         for v in (apply_q(FrontProfile(values, 0.0, h), BBM),
-                  front._update(FrontProfile(values, 0.0, h), BBM, None)):
+                  apply_q(FrontProfile(values, 0.0, h), BBM, None)):
             assert np.all(v.values[:500 - reach] == flat)
             assert not np.any(v.values == 1.0)
 
@@ -514,6 +514,59 @@ class TestCoupledFront:
         still, shifted = (coupled_front(moved(m), n, x_max=200.0) for m in (0.0, mu))
         assert shifted.speed == pytest.approx(still.speed + mu, abs=1e-12)
         assert shifted.mean == pytest.approx(still.mean + mu * n, abs=1e-9)
+
+    def test_coupled_update_is_guarded(self, monkeypatch):
+        # a bump in the nu convolution breaks the monotonicity of A, which
+        # the coupled step checks as the one-type step does
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+
+        def bumped(u, step, band=None):
+            conv, shift = BLOCKED_CONVOLVE(u, step, band)
+            if step == sysm.law_nu.displacement:
+                conv = conv.copy()
+                conv[conv.size // 2] += 0.1
+            return conv, shift
+
+        monkeypatch.setattr(front, "_convolve", bumped)
+        with pytest.raises(RangeError, match="monotonicity"):
+            coupled_front(sysm, 5, x_max=30.0)
+
+    @pytest.mark.parametrize("nu_mu, eta_mu", [(0.0, 0.0), (0.53, 0.53), (0.0, -0.25)])
+    def test_windows_keep_one_size(self, monkeypatch, nu_mu, eta_mu):
+        # both profiles enter every step on windows of one size, and where
+        # every step moves by one translation, at one offset, bit for bit
+        base = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        sysm = TwoTypeSystem(
+            ReproductionLaw(base.law_nu.offspring, Gaussian(nu_mu, 1 / 3)),
+            ReproductionLaw(base.law_eta.offspring, Gaussian(eta_mu, 1.0)),
+            Seeding(0.5, PointMass(nu_mu)))
+        windows = []
+        update = front.apply_q
+        monkeypatch.setattr(front, "apply_q", lambda u, *a: windows.append(
+            (u.values.size, u.offset)) or update(u, *a))
+        coupled_front(sysm, 100, x_max=200.0)
+        nu, eta = windows[::2], windows[1::2]
+        assert len(nu) == len(eta) == 100
+        assert [s for s, _ in nu] == [s for s, _ in eta]
+        assert len({s for s, _ in nu}) > 1    # the windows were trimmed
+        same = [a == b for (_, a), (_, b) in zip(nu, eta)]
+        assert all(same) if nu_mu == eta_mu else not any(same[1:])
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_skeleton_reads_whole_cells(self, monkeypatch, swap):
+        # no window read starts a rounding error off a whole cell, where
+        # it would blend in the neighbouring cell by that error
+        sysm = skeleton_of_bbm(1 / 3, 3.0, 0.5)
+        if swap:
+            sysm = sysm.swap_roles()
+        starts = []
+        cells = front._cells
+        monkeypatch.setattr(front, "_cells",
+                            lambda v, start, size: starts.append(start) or cells(v, start, size))
+        coupled_front(sysm, 300, x_max=560.0, h=0.02)
+        off = [s for s in starts if 0.0 < abs(s - round(s)) < 1e-6]
+        assert len(starts) > 2000
+        assert off == []
 
     def test_mass_at_grid_edge_raises(self):
         with pytest.raises(RangeError):
