@@ -47,16 +47,19 @@ draws each mover's cell from an alias table, and the others spread by
 one multinomial call per block of sites, with the step's cells in
 decreasing mass (``_land``).
 
-Reproducibility: every run draws from the one stream
+Reproducibility: every run draws from the stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
 as ``replicate_rng(base + r)``, so results are independent of
-scheduling and bit-identical across runs.  A census draws from two
-streams: its own and that stream's first spawned child, which draws
-the second half of each generation's dense blocks on a worker thread;
-the split is fixed by the blocks alone, so a census does not depend on
-the threads' timing or the CPU count.  An exact batch draws all of
-its replicates from the one stream it is given, so batches of seeds s
-and s + 1 share none.
+scheduling and bit-identical across runs.  Beams and censuses also
+draw from that stream's first spawned child, an exact batch from the
+stream it is given jumped ahead (numpy's ``jumped``): the second
+stream draws the second half of a generation's uncut steps (beams and
+batches, ``_children``) or dense blocks (censuses, ``_land``) on a
+worker thread of the engine call's own, once that generation has two
+blocks or more.  The split is fixed by the blocks alone, so a run does
+not depend on the threads' timing or the CPU count.  An exact batch
+draws all of its replicates from the streams of the one generator it
+is given, so batches of seeds s and s + 1 share none.
 """
 
 from __future__ import annotations
@@ -64,14 +67,16 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import BudgetError, StateError
 from .models import INT64_MAX, ReproductionLaw, Seeding, TwoTypeSystem
+
+if TYPE_CHECKING:      # the pools are loaded by the first call that runs one
+    from concurrent.futures import Executor
 
 # Particle cap of every exact (unpruned) population: the joint population
 # of a ``rightmost_batch`` chunk, both classes of a two-type one together.
@@ -119,6 +124,7 @@ def map_replicates(run: Callable, jobs: Sequence, workers: int) -> list:
     workers = min(workers, len(jobs), cpus)
     if workers <= 1:
         return [run(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, jobs))   # in the order of jobs
 
@@ -162,65 +168,91 @@ class TrajectoryStats:
 
 
 def _branch(law: ReproductionLaw, positions: np.ndarray,
-            rng: np.random.Generator, budget: Optional[int] = None) -> Tuple[int, np.ndarray]:
+            rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
+            budget: Optional[int] = None) -> Tuple[int, np.ndarray]:
     """One branching step of a class: the number born, and the children.
 
-    Every family size is drawn.  A pruned beam passes its ``budget``;
-    when its generation is born with more than ``THIN_GATE`` times that
-    many children, only those that can survive the prune are drawn (see
-    ``_thinned``).  Otherwise every child is drawn.  Either way the kept
-    set, the top ``budget`` children within the caller's window, has its
-    exact law, and so has the generation's maximum.
+    Every family size is drawn, from the first of ``rngs``.  A pruned
+    beam passes its ``budget``; when its generation is born with more
+    than ``THIN_GATE`` times that many children, only those that can
+    survive the prune are drawn (see ``_thinned``).  Otherwise every
+    child is drawn (``_children``).  Either way the kept set, the top
+    ``budget`` children within the caller's window, has its exact law,
+    and so has the generation's maximum.
 
-    An empty generation makes size-0 draws, which leave ``rng`` where it
-    was.
+    An empty generation makes size-0 draws, which leave ``rngs`` where
+    they were.
     """
-    counts = law.offspring.sample(rng, positions.size)
+    counts = law.offspring.sample(rngs[0], positions.size)
     born = int(counts.sum())
     if budget is not None and born > THIN_GATE * budget:
-        return born, _thinned(law, positions, counts, rng, budget)
-    return born, _children(law, positions, counts, rng)
+        return born, _thinned(law, positions, counts, rngs, pool, budget)
+    return born, _children(law, positions, counts, rngs, pool)
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-              rng: np.random.Generator, tail: Optional[np.ndarray] = None,
-              **cut) -> np.ndarray:
+              rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
+              tail: Optional[np.ndarray] = None, **cut) -> np.ndarray:
     """``counts[i]`` children of each ``positions[i]``, in parent order.
 
-    ``cut`` is empty, or ``above=c`` or ``below=c``: every child is then
-    drawn conditioned on landing above c (or at or below it), through
-    the step law's ``sample``.  With ``above``, ``tail`` may hold each
-    parent's P(X > c - x_i), which the step law then reads instead of
-    evaluating it per child.  Under the ``common`` mechanism the
-    condition falls on each family's one step, and the families with
-    no children here draw none.
+    Each child takes its own step (``independent``), or each family one
+    step that its children share (``common``).  ``cut`` is empty, or
+    ``above=c`` or ``below=c``: every step is then drawn conditioned on
+    landing above c (or at or below it), through the step law's
+    ``sample``.  With ``above``, ``tail`` may hold each parent's
+    P(X > c - x_i), which the step law then reads instead of evaluating
+    it per child.  Under ``common`` the condition falls on each family's
+    one step, and the families with no children here draw none.
+
+    Conditioned steps all draw from the first of ``rngs``.  Uncut steps
+    split at a whole ``STEP_BLOCK``: the first ceil(blocks / 2) blocks
+    draw from the first stream and the rest from the second, so a
+    generation of one block or none draws nothing from the second.  The
+    second half runs on the ``pool``'s worker thread while this one
+    draws the first: numpy's ``normal`` and ``random`` release the GIL,
+    so on two CPUs the two draw at once.  Each half has its own stream,
+    so the children do not depend on how the threads interleave.
     """
+    step = law.displacement
     if law.mechanism == "common":
         if cut:
             live = counts > 0
             positions, counts = positions[live], counts[live]
             tail = None if tail is None else tail[live]
-        steps = law.displacement.sample(
-            rng, positions.size, tail=tail,
-            **{side: c - positions for side, c in cut.items()})
-        return np.repeat(positions + steps, counts)
-    children = np.repeat(positions, counts)
-    if tail is not None:
-        tail = np.repeat(tail, counts)
-    # Steps are drawn and added in place a block at a time, which uses
-    # the generator exactly as one call would: a child-sized array of
-    # steps would be fresh memory every generation, and its page faults
-    # cost a unit beam a tenth of its time.
-    for start in range(0, children.size, STEP_BLOCK):
-        block = children[start:start + STEP_BLOCK]
+        moved = positions.copy()
+    else:
+        moved = np.repeat(positions, counts)
+        if tail is not None:
+            tail = np.repeat(tail, counts)
+    if cut:
+        _add_steps(step, moved, rngs[0], tail, **cut)
+    else:
+        half = -(-moved.size // (2 * STEP_BLOCK)) * STEP_BLOCK  # ceil(blocks / 2) blocks
+        second = (pool.submit(_add_steps, step, moved[half:], rngs[1])
+                  if half < moved.size else None)
+        _add_steps(step, moved[:half], rngs[0])
+        if second is not None:
+            second.result()
+    return np.repeat(moved, counts) if law.mechanism == "common" else moved
+
+
+def _add_steps(step, moved: np.ndarray, rng: np.random.Generator,
+               tail: Optional[np.ndarray] = None, **cut) -> None:
+    """Add one step to each of ``moved``, in place, drawn a block of
+    ``STEP_BLOCK`` at a time, which uses ``rng`` exactly as one call
+    would: a step array as large as the generation would be fresh memory
+    every generation, and its page faults cost a unit beam a tenth of
+    its time."""
+    for start in range(0, moved.size, STEP_BLOCK):
+        block = moved[start:start + STEP_BLOCK]
         masses = None if tail is None else tail[start:start + STEP_BLOCK]
-        block += law.displacement.sample(
-            rng, block.size, tail=masses, **{side: c - block for side, c in cut.items()})
-    return children
+        block += step.sample(rng, block.size, tail=masses,
+                             **{side: c - block for side, c in cut.items()})
 
 
 def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-             rng: np.random.Generator, budget: int) -> np.ndarray:
+             rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
+             budget: int) -> np.ndarray:
     """The children of a generation that can survive a prune to ``budget``.
 
     A cut c is placed so that about ``THIN_MARGIN * budget`` children are
@@ -234,19 +266,20 @@ def _thinned(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     would keep from the full generation, whatever is added to it (the
     eta seeds of ``_beam``).  Otherwise the rest of every family is drawn
     below the cut, which completes the full generation exactly, with no
-    resampling.
+    resampling.  Every draw here comes from the first of ``rngs``: the
+    conditioned steps stay on one thread (``_children``).
     """
     step = law.displacement
     cut = _cut(step, positions, counts, THIN_MARGIN * budget)
     prob = step.sf(cut - positions)
     if law.mechanism == "independent":
-        upper = rng.binomial(counts, prob)
+        upper = rngs[0].binomial(counts, prob)
     else:
-        upper = np.where(rng.random(positions.size) < prob, counts, 0)
-    above = _children(law, positions, upper, rng, tail=prob, above=cut)
+        upper = np.where(rngs[0].random(positions.size) < prob, counts, 0)
+    above = _children(law, positions, upper, rngs, pool, tail=prob, above=cut)
     if above.size >= budget:
         return above
-    below = _children(law, positions, counts - upper, rng, below=cut)
+    below = _children(law, positions, counts - upper, rngs, pool, below=cut)
     return np.concatenate([above, below])
 
 
@@ -327,36 +360,47 @@ def _beam(sys: TwoTypeSystem, n_max: int, budget: int, window: float,
     pruned, and the ``pruning`` counts, ``nu``, ``eta`` and ``drawn``,
     cover generations 1 to ``n_max - 1``.  Raises BudgetError if a
     single family already overflows the budget at the first generation.
+
+    The run draws from ``replicate_rng(seed)`` and, for the second half
+    of each generation's uncut steps only (``_children``), from that
+    stream's first spawned child, the census's second stream.  That half
+    runs on a worker thread of this call's own, which ends with it, as a
+    census's does (``run_count_census``).
     """
 
-    rng = replicate_rng(seed)
+    # loaded by the first beam rather than at import
+    from concurrent.futures import ThreadPoolExecutor
+
+    rngs = (replicate_rng(seed),
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, 0))))
     pos = {"nu": np.zeros(1), "eta": np.empty(0)}
     m = {c: np.full(n_max + 1, np.nan) for c in pos}
     m["nu"][0] = 0.0
     exact_positions = [pos["nu"]]
     pruned = {"nu": 0, "eta": 0}
     drawn = {"nu": 0, "eta": 0}
-    for n in range(1, n_max + 1):
-        for c, law in (("nu", sys.law_nu), ("eta", sys.law_eta)):
-            born, children = _branch(law, pos[c], rng, budget)
-            if c == "nu":
-                if n == 1 and born > budget:
-                    raise BudgetError(f"family size {born} exceeds budget {budget} "
-                                      "at generation 1")
-                if len(exact_positions) == n and born <= budget:
-                    exact_positions.append(children)
-                seeds = _seeds(sys.seeding, pos["nu"], rng)[1]
-            else:
-                born += seeds.size
-                children = np.concatenate([children, seeds])
-            if n < n_max:
-                drawn[c] += children.size
-                if born > budget:
-                    children = _prune(children, budget, window)
-                    pruned[c] += born - children.size
-            if children.size:
-                m[c][n] = children.max()    # a prune keeps the maximum
-            pos[c] = children
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for n in range(1, n_max + 1):
+            for c, law in (("nu", sys.law_nu), ("eta", sys.law_eta)):
+                born, children = _branch(law, pos[c], rngs, pool, budget)
+                if c == "nu":
+                    if n == 1 and born > budget:
+                        raise BudgetError(f"family size {born} exceeds budget {budget} "
+                                          "at generation 1")
+                    if len(exact_positions) == n and born <= budget:
+                        exact_positions.append(children)
+                    seeds = _seeds(sys.seeding, pos["nu"], rngs[0])[1]
+                else:
+                    born += seeds.size
+                    children = np.concatenate([children, seeds])
+                if n < n_max:
+                    drawn[c] += children.size
+                    if born > budget:
+                        children = _prune(children, budget, window)
+                        pruned[c] += born - children.size
+                if children.size:
+                    m[c][n] = children.max()    # a prune keeps the maximum
+                pos[c] = children
     return TrajectoryStats(seed=seed, rightmost=m["nu"], rightmost_eta=m["eta"],
                            exact_upto=len(exact_positions) - 1,
                            exact_positions=exact_positions,
@@ -667,24 +711,35 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
     whose rightmost eta is read, NaN in a replicate with no eta, or a
     law, run as a system with no eta class, whose rightmost particle is
     read.  Replicates are simulated jointly in flat arrays, which is
-    what makes distributional checks at small n cheap, and every draw
-    comes from ``rng``.  A chunk holds as many replicates as have about
-    ``BATCH_PARTICLES`` particles between them at generation n - 1, and
-    at most half of ``EXACT_POPULATION_CAP`` at generation n, by the
-    larger class's expected population, at least one.  Raises
-    BudgetError when the joint population of a chunk, or its read class
-    at generation n, would exceed ``EXACT_POPULATION_CAP``, judged from
-    the family sizes before any child is drawn.
+    what makes distributional checks at small n cheap.  A chunk holds as
+    many replicates as have about ``BATCH_PARTICLES`` particles between
+    them at generation n - 1, and at most half of
+    ``EXACT_POPULATION_CAP`` at generation n, by the larger class's
+    expected population, at least one.  Raises BudgetError when the
+    joint population of a chunk, or its read class at generation n,
+    would exceed ``EXACT_POPULATION_CAP``, judged from the family sizes
+    before any child is drawn.
+
+    Every draw comes from ``rng``, but for the second half of each
+    generation's uncut steps (``_children``), which comes from a second
+    stream, ``rng``'s bit generator jumped ahead, built without drawing
+    from ``rng``.  That half runs on a worker thread of this call's own,
+    which ends with it.
     """
+
+    # loaded by the first batch rather than at import
+    from concurrent.futures import ThreadPoolExecutor
 
     read_eta = isinstance(model, TwoTypeSystem)
     sys = model if read_eta else TwoTypeSystem(model, model, Seeding(0.0))
     chunk = max(1, int(min(BATCH_PARTICLES / _expected_population(sys, n - 1),
                            EXACT_POPULATION_CAP / 2 / _expected_population(sys, n))))
+    rngs = (rng, np.random.Generator(rng.bit_generator.jumped()))
     out = np.empty(replicates)
-    for done in range(0, replicates, chunk):
-        r = min(chunk, replicates - done)
-        out[done:done + r] = _rightmost(sys, n, r, rng, read_eta)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for done in range(0, replicates, chunk):
+            r = min(chunk, replicates - done)
+            out[done:done + r] = _rightmost(sys, n, r, rngs, pool, read_eta)
     return out
 
 
@@ -707,7 +762,8 @@ def _judge_cap(*counts: np.ndarray) -> None:
                           "reduce n or replicates")
 
 
-def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
+def _rightmost(sys: TwoTypeSystem, n: int, r: int,
+               rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
                read_eta: bool) -> np.ndarray:
     """The rightmost eta, or nu, at generation ``n`` of ``r`` replicates,
     NaN where there is none.
@@ -715,10 +771,12 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
     Each particle carries its replicate's index, since seeds join the
     eta class out of their replicates' order.  Generation n is read only
     for its maximum: it draws the children of the class read alone, with
-    the seeds when that is eta.
+    the seeds when that is eta.  Family sizes and seeds draw from the
+    first of ``rngs``, the children through ``_children``.
     """
     if n == 0:
         return np.full(r, np.nan if read_eta else 0.0)
+    rng = rngs[0]
     law_nu, law_eta = sys.law_nu, sys.law_eta
     nu, nu_of = np.zeros(r), np.arange(r)
     eta, eta_of = np.empty(0), np.empty(0, dtype=nu_of.dtype)
@@ -727,9 +785,10 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
         counts_nu = law_nu.offspring.sample(rng, nu.size)
         counts_eta = law_eta.offspring.sample(rng, eta.size)
         _judge_cap(counts_nu, counts_eta, seeded)
-        eta = np.concatenate([_children(law_eta, eta, counts_eta, rng), seeds])
+        eta = np.concatenate([_children(law_eta, eta, counts_eta, rngs, pool), seeds])
         eta_of = np.concatenate([np.repeat(eta_of, counts_eta), nu_of[seeded]])
-        nu, nu_of = _children(law_nu, nu, counts_nu, rng), np.repeat(nu_of, counts_nu)
+        nu, nu_of = (_children(law_nu, nu, counts_nu, rngs, pool),
+                     np.repeat(nu_of, counts_nu))
     top = np.full(r, -np.inf)
     law, parents, of = law_nu, nu, nu_of
     if read_eta:
@@ -738,6 +797,6 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
         law, parents, of = law_eta, eta, eta_of
     counts = law.offspring.sample(rng, parents.size)
     _judge_cap(counts)
-    np.maximum.at(top, np.repeat(of, counts), _children(law, parents, counts, rng))
+    np.maximum.at(top, np.repeat(of, counts), _children(law, parents, counts, rngs, pool))
     top[top == -np.inf] = np.nan
     return top

@@ -678,3 +678,18 @@ def test_no_route_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "['scipy']"   # the blocker alone
+
+
+def test_importing_the_package_loads_no_process_pool(tmp_path):
+    """Only ``map_replicates`` with more than one worker needs the process
+    pool, and with it multiprocessing, socket and logging: importing the
+    package and its CLI leaves them unloaded."""
+    script = ("import sys, brwlab, brwlab.cli; "
+              "print('concurrent.futures.process' in sys.modules)")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

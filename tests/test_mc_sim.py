@@ -49,6 +49,28 @@ def child_rng(seed, r):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
 
 
+def two_streams(rng):
+    """``rng`` and a second stream built from it, as a batch builds one."""
+    return rng, np.random.Generator(rng.bit_generator.jumped())
+
+
+class _Inline(concurrent.futures.Executor):
+    """A pool that runs each job on the calling thread: at ``submit``, or,
+    when ``deferred``, only once its result is asked for."""
+
+    def __init__(self, deferred):
+        self.deferred = deferred
+
+    def submit(self, fn, *args):
+        if self.deferred:
+            return SimpleNamespace(result=lambda: fn(*args))
+        landed = fn(*args)
+        return SimpleNamespace(result=lambda: landed)
+
+
+INLINE = _Inline(deferred=False)
+
+
 class TestRunOneType:
     def test_deterministic_walk_is_exact(self):
         mu = 0.8
@@ -412,11 +434,22 @@ def test_step_blocks_use_the_stream_of_one_call(monkeypatch, step, cut):
     parents = np.linspace(-1.0, 1.0, 1000)
     counts = law.offspring.sample(replicate_rng(5), parents.size)
     monkeypatch.setattr(mc_sim, "STEP_BLOCK", 10 ** 9)
-    whole = _children(law, parents, counts, replicate_rng(6), **cut)
+    whole = _children(law, parents, counts, two_streams(replicate_rng(6)), INLINE, **cut)
     monkeypatch.setattr(mc_sim, "STEP_BLOCK", 7)     # about 430 blocks
-    blocked = _children(law, parents, counts, replicate_rng(6), **cut)
+    blocked = _children(law, parents, counts, two_streams(replicate_rng(6)), INLINE, **cut)
     assert whole.size == counts.sum()
-    assert np.array_equal(blocked, whole)
+    if cut:
+        assert np.array_equal(blocked, whole)
+        return
+    # uncut, the first ceil(blocks / 2) blocks draw as one call on the
+    # first stream would, and the rest as one call on the second
+    first, second = two_streams(replicate_rng(6))
+    half = math.ceil(whole.size / 14) * 7
+    moved = np.repeat(parents, counts)
+    assert np.array_equal(whole, moved + step.sample(replicate_rng(6), whole.size))
+    assert np.array_equal(blocked[:half], moved[:half] + step.sample(first, half))
+    assert np.array_equal(blocked[half:],
+                          moved[half:] + step.sample(second, whole.size - half))
 
 
 @pytest.mark.parametrize("step", [Gaussian(0.2, 0.5), TwoPoint(-0.3, 0.4, 0.35)],
@@ -430,11 +463,110 @@ def test_thinned_tail_masses_keep_the_stream(step, mechanism):
     parents = np.linspace(-1.0, 1.0, 1000)
     counts = law.offspring.sample(replicate_rng(5), parents.size)
     cut = 0.3
-    plain = _children(law, parents, counts, replicate_rng(6), above=cut)
-    tailed = _children(law, parents, counts, replicate_rng(6),
+    plain = _children(law, parents, counts, two_streams(replicate_rng(6)), INLINE,
+                      above=cut)
+    tailed = _children(law, parents, counts, two_streams(replicate_rng(6)), INLINE,
                        tail=step.sf(cut - parents), above=cut)
     assert plain.size == counts.sum()
     assert np.array_equal(tailed, plain)
+
+
+CHILD_LAWS = [ReproductionLaw(OffspringLaw("geometric", 3.0), step, mechanism)
+              for step in (Gaussian(0.2, 0.5), TwoPoint(-0.3, 0.4, 0.35))
+              for mechanism in ("independent", "common")]
+
+
+@pytest.mark.parametrize("law", CHILD_LAWS, ids=["gaussian", "gaussian_common",
+                                                 "two_point", "two_point_common"])
+def test_children_do_not_depend_on_when_their_second_half_runs(monkeypatch, law):
+    # on the worker thread, wholly before this thread's half, or wholly
+    # after it: how the threads interleave, which the CPU count sets,
+    # must not move a child
+    parents = np.linspace(-1.0, 1.0, 1000)
+    counts = law.offspring.sample(replicate_rng(5), parents.size)
+    monkeypatch.setattr(mc_sim, "STEP_BLOCK", 7)     # over a hundred blocks
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        threaded = _children(law, parents, counts, two_streams(replicate_rng(6)), pool)
+    assert threaded.size == counts.sum()
+    for deferred in (False, True):
+        inline = _children(law, parents, counts, two_streams(replicate_rng(6)),
+                           _Inline(deferred))
+        assert np.array_equal(inline, threaded)
+
+
+def test_engines_do_not_depend_on_when_their_second_halves_run(monkeypatch):
+    # generations of two or three blocks in the beam, and of two in each
+    # chunk of 256 replicates of the batch
+    pair = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
+
+    def runs():
+        return (run_one_type(BBM, 20, budget=30_000, window=15.0, seed=4).rightmost,
+                rightmost_batch(pair, 8, 1000, replicate_rng(4)))
+
+    threaded = runs()
+    for deferred in (False, True):
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            lambda max_workers: _Inline(deferred))
+        assert all(np.array_equal(a, b) for a, b in zip(runs(), threaded))
+
+
+def test_conditioned_and_one_block_steps_never_touch_the_second_stream(monkeypatch):
+    children, seen = mc_sim._children, []
+
+    def spy(law, positions, counts, rngs, pool, tail=None, **cut):
+        steps = counts.sum() if law.mechanism == "independent" else positions.size
+        before = rngs[1].bit_generator.state
+        out = children(law, positions, counts, rngs, pool, tail, **cut)
+        seen.append((bool(cut), math.ceil(steps / mc_sim.STEP_BLOCK),
+                     rngs[1].bit_generator.state != before))
+        return out
+
+    monkeypatch.setattr(mc_sim, "_children", spy)
+    monkeypatch.setattr(mc_sim, "STEP_BLOCK", 500)
+    # the reversed worked example's eta beam is thinned: its steps are cut
+    reversed_ = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5).swap_roles()
+    run_two_type(reversed_, 12, budget=300, window=15.0, seed=2)
+    rightmost_batch(BBM, 6, 200, replicate_rng(2))
+    uncut = {blocks for cut, blocks, _ in seen if not cut}
+    assert any(cut for cut, _, _ in seen) and {0, 1, 2} < uncut
+    assert all(drew == (not cut and blocks >= 2) for cut, blocks, drew in seen)
+
+
+def test_batch_moves_its_generator_by_the_first_stream_alone():
+    # the second stream is built from ``rng`` without drawing from it: a
+    # batch whose steps draw nothing leaves ``rng`` where it was, and one
+    # generation of two blocks of Gaussian steps moves it by one block
+    point = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.5))
+    rng = replicate_rng(9)
+    state = rng.bit_generator.state
+    # chunks of 64 replicates, 65,536 children each at generation 10
+    assert np.array_equal(rightmost_batch(point, 10, 100, rng), np.full(100, 5.0))
+    assert rng.bit_generator.state == state
+    pair = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
+    rightmost_batch(pair, 1, mc_sim.STEP_BLOCK, rng)     # one chunk
+    replay = replicate_rng(9)
+    replay.normal(size=mc_sim.STEP_BLOCK)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def _unit_beam(seed):
+    return run_one_type(BBM, 20, budget=30_000, window=15.0, seed=seed).rightmost
+
+
+def test_beam_after_a_beam_runs_in_forked_workers(monkeypatch):
+    # a beam here first, then two in forked processes: a worker thread
+    # kept past its beam would leave them a pool whose thread is gone,
+    # and they would wait on it forever (the dump ends such a run); two
+    # CPUs seen, so map_replicates forks on a one-CPU machine too
+    monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    serial = [_unit_beam(seed) for seed in (1, 2)]
+    faulthandler.dump_traceback_later(120, exit=True)
+    try:
+        forked = mc_sim.map_replicates(_unit_beam, [1, 2], 2)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert all(np.array_equal(a, b) for a, b in zip(serial, forked))
 
 
 def _window_then_partition(children, budget, window):
@@ -503,9 +635,9 @@ class TestRightmostBatch:
         drawn = []
         children = mc_sim._children
 
-        def recording(law, positions, counts, rng, **cut):
+        def recording(law, positions, counts, rngs, pool, **cut):
             drawn.append(int(counts.sum()))
-            return children(law, positions, counts, rng, **cut)
+            return children(law, positions, counts, rngs, pool, **cut)
 
         monkeypatch.setattr(mc_sim, "_children", recording)
         single = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(0.0))
@@ -525,9 +657,9 @@ class TestRightmostBatch:
         drawn = []
         children = mc_sim._children
 
-        def recording(law, positions, counts, rng, **cut):
+        def recording(law, positions, counts, rngs, pool, **cut):
             drawn.append(int(counts.sum()))
-            return children(law, positions, counts, rng, **cut)
+            return children(law, positions, counts, rngs, pool, **cut)
 
         monkeypatch.setattr(mc_sim, "_children", recording)
         single = ReproductionLaw(OffspringLaw("deterministic", 1), PointMass(0.0))
@@ -554,7 +686,7 @@ def test_branch_children_follow_their_parents():
     # parents 100 apart, so rounding a child's position recovers its family
     positions = np.array([0.0, 100.0, 200.0, 300.0])
     point = ReproductionLaw(OffspringLaw("geometric", 3.0), PointMass(0.75))
-    born, children = _branch(point, positions, replicate_rng(1))
+    born, children = _branch(point, positions, two_streams(replicate_rng(1)), INLINE)
     family = np.round(children / 100.0).astype(np.int64)
     assert born == children.size >= positions.size
     assert np.all(np.diff(family) >= 0)                 # children in parent order
@@ -563,7 +695,7 @@ def test_branch_children_follow_their_parents():
 
     common = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
                              "common")
-    _, children = _branch(common, positions, replicate_rng(2))
+    _, children = _branch(common, positions, two_streams(replicate_rng(2)), INLINE)
     family = np.round(children / 100.0).astype(np.int64)
     steps = children - positions[family]
     for r in range(positions.size):
@@ -572,10 +704,11 @@ def test_branch_children_follow_their_parents():
     assert np.unique(steps).size == positions.size
 
     # an empty generation draws nothing
-    rng = replicate_rng(3)
-    born, children = _branch(common, np.empty(0), rng)
+    rngs = two_streams(replicate_rng(3))
+    born, children = _branch(common, np.empty(0), rngs, INLINE)
     assert born == children.size == 0
-    assert rng.random() == replicate_rng(3).random()
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in
+                                              two_streams(replicate_rng(3))]
 
 
 def test_replicate_streams_are_split_by_seed():
@@ -610,7 +743,7 @@ def test_replicate_pool_is_capped_by_jobs_and_cpus(monkeypatch, jobs, cpus, pool
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mc_sim, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(mc_sim.os, "cpu_count", lambda: cpus)
@@ -676,20 +809,6 @@ def test_census_second_stream_is_the_first_spawned_child():
     spawned = replicate_rng(7).spawn(1)[0]
     built = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(0, 0)))
     assert np.array_equal(spawned.random(8), built.random(8))
-
-
-class _Inline(concurrent.futures.Executor):
-    """A pool that runs each job on the calling thread: at ``submit``, or,
-    when ``deferred``, only once its result is asked for."""
-
-    def __init__(self, deferred):
-        self.deferred = deferred
-
-    def submit(self, fn, *args):
-        if self.deferred:
-            return SimpleNamespace(result=lambda: fn(*args))
-        landed = fn(*args)
-        return SimpleNamespace(result=lambda: landed)
 
 
 HALF_ORDER_LAWS = [BBM, ReproductionLaw(BBM.offspring, BBM.displacement, "common"),
@@ -984,8 +1103,8 @@ class TestThinnedBranching:
     def kept_sets(self, law, reps, seed):
         out = []
         for r in range(reps):
-            born, children = _branch(law, self.PARENTS, child_rng(seed, r),
-                                     budget=self.BUDGET)
+            born, children = _branch(law, self.PARENTS, two_streams(child_rng(seed, r)),
+                                     INLINE, budget=self.BUDGET)
             assert born > mc_sim.THIN_GATE * self.BUDGET or mc_sim.THIN_GATE == math.inf
             kept = _prune(children, self.BUDGET, 15.0)
             out.append((kept.max(), kept.min(), kept.mean(), children.size, born))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -36,6 +37,11 @@ LAW_CATALOGUE = [
     ReproductionLaw(OffspringLaw("poisson_positive", 2.5), TwoPoint(-0.5, 1.0, 0.3)),
     ReproductionLaw(OffspringLaw("geometric", 2.0), Gaussian(0.2, 0.5), "common"),
 ]
+
+
+def two_streams(rng):
+    """``rng`` and a second stream built from it, as a batch builds one."""
+    return rng, np.random.Generator(rng.bit_generator.jumped())
 
 
 class TestCumulant:
@@ -270,10 +276,11 @@ class TestSamplers:
 
     def test_deterministic_point_family(self):
         law = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.0))
-        rng = replicate_rng(0)
-        for _ in range(5):
-            _, fam = _branch(law, np.zeros(1), rng)
-            assert np.array_equal(fam, np.zeros(2))
+        rngs = two_streams(replicate_rng(0))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for _ in range(5):
+                _, fam = _branch(law, np.zeros(1), rngs, pool)
+                assert np.array_equal(fam, np.zeros(2))
 
     def test_geometric_mean_family_size(self):
         rng = replicate_rng(11)
@@ -336,20 +343,22 @@ class TestSamplers:
     def test_common_mechanism_shares_the_step(self):
         law = ReproductionLaw(OffspringLaw("geometric", 3.0), Gaussian(0.0, 1.0),
                               "common")
-        rng = replicate_rng(2)
-        for _ in range(10):
-            _, fam = _branch(law, np.zeros(1), rng)
-            assert np.all(fam == fam[0])
+        rngs = two_streams(replicate_rng(2))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for _ in range(10):
+                _, fam = _branch(law, np.zeros(1), rngs, pool)
+                assert np.all(fam == fam[0])
 
     @pytest.mark.parametrize("law", LAW_CATALOGUE)
     def test_sampler_agrees_with_cumulant(self, law):
         # Monte Carlo estimate of E sum_i exp(theta z_i) vs closed form,
         # within 3 standard errors at each catalogued tilt
-        rng = replicate_rng(37)
+        rngs = two_streams(replicate_rng(37))
         reps = 150_000
         for theta in (0.0, 0.5, 1.0):
-            counts = law.offspring.sample(rng, reps)
-            steps = _children(law, np.zeros(reps), counts, rng)
+            counts = law.offspring.sample(rngs[0], reps)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                steps = _children(law, np.zeros(reps), counts, rngs, pool)
             totals = np.bincount(np.repeat(np.arange(reps), counts),
                                  weights=np.exp(theta * steps), minlength=reps)
             target = math.exp(float(law.cumulant(theta)))
