@@ -768,35 +768,62 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int,
     """The rightmost eta, or nu, at generation ``n`` of ``r`` replicates,
     NaN where there is none.
 
-    Each particle carries its replicate's index, since seeds join the
-    eta class out of their replicates' order.  Generation n is read only
-    for its maximum: it draws the children of the class read alone, with
-    the seeds when that is eta.  Family sizes and seeds draw from the
-    first of ``rngs``, the children through ``_children``.
+    The nu class never leaves replicate order, and none of its
+    replicates empties, since every family has a child: it is kept with
+    where each replicate's particles start, advanced by
+    ``np.add.reduceat`` over the family sizes, and a law's maxima are
+    read per replicate by ``np.maximum.reduceat``.  Only eta, which the
+    seeds join out of their replicates' order, carries each particle's
+    replicate index; a seed takes its index from the nu starts.  An
+    empty eta class draws nothing.  Generation n is read only for its
+    maximum: it draws the children of the class read alone, with the
+    seeds when that is eta.  Family sizes and seeds draw from the first
+    of ``rngs``, the children through ``_children``.
     """
     if n == 0:
         return np.full(r, np.nan if read_eta else 0.0)
     rng = rngs[0]
     law_nu, law_eta = sys.law_nu, sys.law_eta
-    nu, nu_of = np.zeros(r), np.arange(r)
-    eta, eta_of = np.empty(0), np.empty(0, dtype=nu_of.dtype)
+    nu, starts = np.zeros(r), np.arange(r)     # replicate i's nu start at starts[i]
+    eta, eta_of = np.empty(0), np.empty(0, dtype=starts.dtype)
     for _ in range(n - 1):
         seeded, seeds = _seeds(sys.seeding, nu, rng)
         counts_nu = law_nu.offspring.sample(rng, nu.size)
-        counts_eta = law_eta.offspring.sample(rng, eta.size)
+        counts_eta = law_eta.offspring.sample(rng, eta.size) if eta.size else counts_nu[:0]
         _judge_cap(counts_nu, counts_eta, seeded)
-        eta = np.concatenate([_children(law_eta, eta, counts_eta, rngs, pool), seeds])
-        eta_of = np.concatenate([np.repeat(eta_of, counts_eta), nu_of[seeded]])
-        nu, nu_of = (_children(law_nu, nu, counts_nu, rngs, pool),
-                     np.repeat(nu_of, counts_nu))
+        if eta.size:
+            eta, eta_of = (_children(law_eta, eta, counts_eta, rngs, pool),
+                           np.repeat(eta_of, counts_eta))
+        if seeds.size:
+            eta = np.concatenate([eta, seeds])
+            eta_of = np.concatenate([eta_of, _replicate_of(starts, seeded)])
+        nu, starts = (_children(law_nu, nu, counts_nu, rngs, pool),
+                      _child_starts(counts_nu, starts))
+    if not read_eta:
+        counts = law_nu.offspring.sample(rng, nu.size)
+        _judge_cap(counts)
+        return np.maximum.reduceat(_children(law_nu, nu, counts, rngs, pool),
+                                   _child_starts(counts, starts))
     top = np.full(r, -np.inf)
-    law, parents, of = law_nu, nu, nu_of
-    if read_eta:
-        seeded, seeds = _seeds(sys.seeding, nu, rng)
-        np.maximum.at(top, nu_of[seeded], seeds)
-        law, parents, of = law_eta, eta, eta_of
-    counts = law.offspring.sample(rng, parents.size)
-    _judge_cap(counts)
-    np.maximum.at(top, np.repeat(of, counts), _children(law, parents, counts, rngs, pool))
+    seeded, seeds = _seeds(sys.seeding, nu, rng)
+    np.maximum.at(top, _replicate_of(starts, seeded), seeds)
+    if eta.size:
+        counts = law_eta.offspring.sample(rng, eta.size)
+        _judge_cap(counts)
+        np.maximum.at(top, np.repeat(eta_of, counts),
+                      _children(law_eta, eta, counts, rngs, pool))
     top[top == -np.inf] = np.nan
     return top
+
+
+def _child_starts(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Where each replicate's children start, given each parent's
+    ``counts`` and where each replicate's parents start, none empty."""
+    per = np.add.reduceat(counts, starts)
+    return np.cumsum(per) - per
+
+
+def _replicate_of(starts: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The replicate of each particle ``mask`` picks, from where each
+    replicate's particles start."""
+    return np.searchsorted(starts, np.flatnonzero(mask), side="right") - 1
