@@ -51,15 +51,18 @@ Reproducibility: every run draws from the stream
 ``replicate_rng(seed)`` of its own seed, and callers seed replicate r
 as ``replicate_rng(base + r)``, so results are independent of
 scheduling and bit-identical across runs.  Beams and censuses also
-draw from that stream's first spawned child, an exact batch from the
-stream it is given jumped ahead (numpy's ``jumped``): the second
-stream draws the second half of a generation's uncut steps (beams and
-batches, ``_children``) or dense blocks (censuses, ``_land``) on a
-worker thread of the engine call's own, once that generation has two
-blocks or more.  The split is fixed by the blocks alone, so a run does
-not depend on the threads' timing or the CPU count.  An exact batch
-draws all of its replicates from the streams of the one generator it
-is given, so batches of seeds s and s + 1 share none.
+draw from that stream's first spawned child: the second stream draws
+the second half of a generation's uncut steps (beams, ``_children``)
+or dense blocks (censuses, ``_land``) on a worker thread of the engine
+call's own, once that generation has two blocks or more.  An exact
+batch splits its replicates instead: the first ceil(R / 2) draw from
+the generator it is given, the rest from that generator jumped ahead
+(numpy's ``jumped``) on a worker thread of the batch's own, each half
+chunk by chunk with nothing split inside a chunk.  Each split is fixed
+by the blocks or the replicate count alone, so a run does not depend
+on the threads' timing or the CPU count.  An exact batch draws all of
+its replicates from the streams of the one generator it is given, so
+batches of seeds s and s + 1 share none.
 """
 
 from __future__ import annotations
@@ -191,7 +194,7 @@ def _branch(law: ReproductionLaw, positions: np.ndarray,
 
 
 def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
-              rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
+              rngs: Tuple[np.random.Generator, ...], pool: Optional[Executor],
               tail: Optional[np.ndarray] = None, **cut) -> np.ndarray:
     """``counts[i]`` children of each ``positions[i]``, in parent order.
 
@@ -204,14 +207,16 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
     it per child.  Under ``common`` the condition falls on each family's
     one step, and the families with no children here draw none.
 
-    Conditioned steps all draw from the first of ``rngs``.  Uncut steps
-    split at a whole ``STEP_BLOCK``: the first ceil(blocks / 2) blocks
-    draw from the first stream and the rest from the second, so a
-    generation of one block or none draws nothing from the second.  The
-    second half runs on the ``pool``'s worker thread while this one
-    draws the first: numpy's ``normal`` and ``random`` release the GIL,
-    so on two CPUs the two draw at once.  Each half has its own stream,
-    so the children do not depend on how the threads interleave.
+    Conditioned steps all draw from the first of ``rngs``, and so does
+    every step when there is no ``pool`` (an exact batch's chunk, which
+    runs on one stream).  Otherwise uncut steps split at a whole
+    ``STEP_BLOCK``: the first ceil(blocks / 2) blocks draw from the first
+    stream and the rest from the second, so a generation of one block or
+    none draws nothing from the second.  The second half runs on the
+    ``pool``'s worker thread while this one draws the first: numpy's
+    ``normal`` and ``random`` release the GIL, so on two CPUs the two
+    draw at once.  Each half has its own stream, so the children do not
+    depend on how the threads interleave.
     """
     step = law.displacement
     if law.mechanism == "common":
@@ -224,7 +229,7 @@ def _children(law: ReproductionLaw, positions: np.ndarray, counts: np.ndarray,
         moved = np.repeat(positions, counts)
         if tail is not None:
             tail = np.repeat(tail, counts)
-    if cut:
+    if cut or pool is None:
         _add_steps(step, moved, rngs[0], tail, **cut)
     else:
         half = -(-moved.size // (2 * STEP_BLOCK)) * STEP_BLOCK  # ceil(blocks / 2) blocks
@@ -720,11 +725,13 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
     would exceed ``EXACT_POPULATION_CAP``, judged from the family sizes
     before any child is drawn.
 
-    Every draw comes from ``rng``, but for the second half of each
-    generation's uncut steps (``_children``), which comes from a second
-    stream, ``rng``'s bit generator jumped ahead, built without drawing
-    from ``rng``.  That half runs on a worker thread of this call's own,
-    which ends with it.
+    The first ceil(replicates / 2) replicates draw from ``rng``, on the
+    calling thread; the rest from a second stream, ``rng``'s bit
+    generator jumped ahead, built without drawing from ``rng``, on a
+    worker thread of this call's own, which ends with it.  Each half
+    runs its chunks in order on its one stream, and nothing inside a
+    chunk splits, so the output does not depend on how the threads
+    interleave or on the CPU count.
     """
 
     # loaded by the first batch rather than at import
@@ -734,12 +741,19 @@ def rightmost_batch(model: Union[ReproductionLaw, TwoTypeSystem], n: int,
     sys = model if read_eta else TwoTypeSystem(model, model, Seeding(0.0))
     chunk = max(1, int(min(BATCH_PARTICLES / _expected_population(sys, n - 1),
                            EXACT_POPULATION_CAP / 2 / _expected_population(sys, n))))
-    rngs = (rng, np.random.Generator(rng.bit_generator.jumped()))
     out = np.empty(replicates)
+
+    def run(stream: np.random.Generator, start: int, stop: int) -> None:
+        for done in range(start, stop, chunk):
+            r = min(chunk, stop - done)
+            out[done:done + r] = _rightmost(sys, n, r, stream, read_eta)
+
+    half = -(-replicates // 2)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for done in range(0, replicates, chunk):
-            r = min(chunk, replicates - done)
-            out[done:done + r] = _rightmost(sys, n, r, rngs, pool, read_eta)
+        second = pool.submit(run, np.random.Generator(rng.bit_generator.jumped()),
+                             half, replicates)
+        run(rng, 0, half)
+        second.result()
     return out
 
 
@@ -762,14 +776,13 @@ def _judge_cap(*counts: np.ndarray) -> None:
                           "reduce n or replicates")
 
 
-def _rightmost(sys: TwoTypeSystem, n: int, r: int,
-               rngs: Tuple[np.random.Generator, np.random.Generator], pool: Executor,
+def _rightmost(sys: TwoTypeSystem, n: int, r: int, rng: np.random.Generator,
                read_eta: bool) -> np.ndarray:
     """The rightmost eta, or nu, at generation ``n`` of ``r`` replicates,
     NaN where there is none.
 
-    The nu class never leaves replicate order, and none of its
-    replicates empties, since every family has a child: it is kept with
+    The nu class never leaves replicate order, and no replicate's nu
+    class empties, since every family has a child.  So nu keeps only
     where each replicate's particles start, advanced by
     ``np.add.reduceat`` over the family sizes, and a law's maxima are
     read per replicate by ``np.maximum.reduceat``.  Only eta, which the
@@ -777,12 +790,12 @@ def _rightmost(sys: TwoTypeSystem, n: int, r: int,
     replicate index; a seed takes its index from the nu starts.  An
     empty eta class draws nothing.  Generation n is read only for its
     maximum: it draws the children of the class read alone, with the
-    seeds when that is eta.  Family sizes and seeds draw from the first
-    of ``rngs``, the children through ``_children``.
+    seeds when that is eta.  Every draw comes from ``rng``, on the
+    calling thread: the children through ``_children``, given no pool.
     """
     if n == 0:
         return np.full(r, np.nan if read_eta else 0.0)
-    rng = rngs[0]
+    rngs, pool = (rng,), None
     law_nu, law_eta = sys.law_nu, sys.law_eta
     nu, starts = np.zeros(r), np.arange(r)     # replicate i's nu start at starts[i]
     eta, eta_of = np.empty(0), np.empty(0, dtype=starts.dtype)

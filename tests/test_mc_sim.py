@@ -438,6 +438,10 @@ def test_step_blocks_use_the_stream_of_one_call(monkeypatch, step, cut):
     monkeypatch.setattr(mc_sim, "STEP_BLOCK", 7)     # about 430 blocks
     blocked = _children(law, parents, counts, two_streams(replicate_rng(6)), INLINE, **cut)
     assert whole.size == counts.sum()
+    # given no pool, as an exact batch's chunk is, every block draws from
+    # the first stream, as one call would
+    alone = _children(law, parents, counts, (replicate_rng(6),), None, **cut)
+    assert np.array_equal(alone, whole)
     if cut:
         assert np.array_equal(blocked, whole)
         return
@@ -495,13 +499,16 @@ def test_children_do_not_depend_on_when_their_second_half_runs(monkeypatch, law)
 
 
 def test_engines_do_not_depend_on_when_their_second_halves_run(monkeypatch):
-    # generations of two or three blocks in the beam, and of two in each
-    # chunk of 256 replicates of the batch
+    # generations of two or three blocks in the beam; odd batches whose
+    # halves, 501 and 500 replicates of a law, and 101 and 100 of the
+    # worked example, run two chunks each
     pair = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
+    worked = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5)
 
     def runs():
         return (run_one_type(BBM, 20, budget=30_000, window=15.0, seed=4).rightmost,
-                rightmost_batch(pair, 8, 1000, replicate_rng(4)))
+                rightmost_batch(pair, 8, 1001, replicate_rng(4)),
+                rightmost_batch(worked, 3, 201, replicate_rng(5)))
 
     threaded = runs()
     for deferred in (False, True):
@@ -511,14 +518,17 @@ def test_engines_do_not_depend_on_when_their_second_halves_run(monkeypatch):
 
 
 def test_conditioned_and_one_block_steps_never_touch_the_second_stream(monkeypatch):
-    children, seen = mc_sim._children, []
+    children, seen, batch = mc_sim._children, [], []
 
     def spy(law, positions, counts, rngs, pool, tail=None, **cut):
         steps = counts.sum() if law.mechanism == "independent" else positions.size
+        blocks = math.ceil(steps / mc_sim.STEP_BLOCK)
+        if pool is None:
+            batch.append((len(rngs), blocks))
+            return children(law, positions, counts, rngs, pool, tail, **cut)
         before = rngs[1].bit_generator.state
         out = children(law, positions, counts, rngs, pool, tail, **cut)
-        seen.append((bool(cut), math.ceil(steps / mc_sim.STEP_BLOCK),
-                     rngs[1].bit_generator.state != before))
+        seen.append((bool(cut), blocks, rngs[1].bit_generator.state != before))
         return out
 
     monkeypatch.setattr(mc_sim, "_children", spy)
@@ -526,16 +536,25 @@ def test_conditioned_and_one_block_steps_never_touch_the_second_stream(monkeypat
     # the reversed worked example's eta beam is thinned: its steps are cut
     reversed_ = skeleton_of_bbm(1.0 / 3.0, 3.0, 0.5).swap_roles()
     run_two_type(reversed_, 12, budget=300, window=15.0, seed=2)
-    rightmost_batch(BBM, 6, 200, replicate_rng(2))
+    # a unit beam born with about e budgets, under the gate: uncut
+    # generations of six blocks
+    run_one_type(BBM, 10, budget=1000, window=15.0, seed=2)
     uncut = {blocks for cut, blocks, _ in seen if not cut}
     assert any(cut for cut, _, _ in seen) and {0, 1, 2} < uncut
     assert all(drew == (not cut and blocks >= 2) for cut, blocks, drew in seen)
+    # a batch splits its replicates, never a generation: each chunk is
+    # given its one stream and no pool, in generations of two blocks or
+    # more as well
+    rightmost_batch(BBM, 6, 200, replicate_rng(2))
+    assert {streams for streams, _ in batch} == {1}
+    assert max(blocks for _, blocks in batch) >= 2
 
 
 def test_batch_moves_its_generator_by_the_first_stream_alone():
     # the second stream is built from ``rng`` without drawing from it: a
     # batch whose steps draw nothing leaves ``rng`` where it was, and one
-    # generation of two blocks of Gaussian steps moves it by one block
+    # generation of two blocks of Gaussian steps, split between the
+    # halves by replicate, moves it by the first half's block
     point = ReproductionLaw(OffspringLaw("deterministic", 2), PointMass(0.5))
     rng = replicate_rng(9)
     state = rng.bit_generator.state
@@ -543,10 +562,44 @@ def test_batch_moves_its_generator_by_the_first_stream_alone():
     assert np.array_equal(rightmost_batch(point, 10, 100, rng), np.full(100, 5.0))
     assert rng.bit_generator.state == state
     pair = ReproductionLaw(OffspringLaw("deterministic", 2), Gaussian(0.0, 1.0))
-    rightmost_batch(pair, 1, mc_sim.STEP_BLOCK, rng)     # one chunk
+    rightmost_batch(pair, 1, mc_sim.STEP_BLOCK, rng)     # one chunk a half
     replay = replicate_rng(9)
     replay.normal(size=mc_sim.STEP_BLOCK)
     assert rng.bit_generator.state == replay.bit_generator.state
+    # of an odd batch, the first ceil(R / 2) replicates' steps come from
+    # ``rng`` and the rest from the jumped stream, each pair of steps a
+    # replicate's two children
+    rng = replicate_rng(10)
+    first, second = two_streams(replicate_rng(10))
+    got = rightmost_batch(pair, 1, 1001, rng)
+    assert np.array_equal(got[:501], first.normal(size=(501, 2)).max(axis=1))
+    assert np.array_equal(got[501:], second.normal(size=(500, 2)).max(axis=1))
+    assert rng.bit_generator.state == first.bit_generator.state
+
+
+@pytest.mark.parametrize("offspring", [OffspringLaw("deterministic", 3),
+                                       OffspringLaw("geometric", 2.5),
+                                       OffspringLaw("poisson_positive", 2.0)],
+                         ids=["deterministic", "geometric", "poisson_positive"])
+def test_law_maxima_by_segment_match_a_per_particle_index(offspring):
+    # a law's particles never leave replicate order, so a chunk reads each
+    # replicate's maximum over its segment; the reference carries every
+    # particle's replicate index through the same draws
+    law = ReproductionLaw(offspring, Gaussian(0.1, 2.0))
+    sysm = TwoTypeSystem(law, law, Seeding(0.0))
+    reps = 37
+    for n in (1, 2, 5):
+        got = mc_sim._rightmost(sysm, n, reps, replicate_rng(n), read_eta=False)
+        rng, positions, of = replicate_rng(n), np.zeros(reps), np.arange(reps)
+        for _ in range(n):
+            counts = offspring.sample(rng, positions.size)
+            positions = (np.repeat(positions, counts)
+                         + law.displacement.sample(rng, int(counts.sum())))
+            of = np.repeat(of, counts)
+        want = np.full(reps, -np.inf)
+        np.maximum.at(want, of, positions)
+        assert positions.size < mc_sim.STEP_BLOCK     # the steps in one call
+        assert np.array_equal(got, want)
 
 
 def _unit_beam(seed):
